@@ -27,6 +27,11 @@ The alternative 'semi-implicit' scheme replaces the semigroup by the
 resolvent (1 - dt (Lap-1)/2)^{-1} and drives the stochastic equations
 with raw Wiener increments; it is first order but not exact at alpha = 0
 and does not support the decomposition bookkeeping.
+
+The projected equation steps a stack of replicas (n, M, M) at once
+(``evolve_projected``); ``solve_sqe_projected`` is the stack of one that
+keeps every state.  Each replica draws its noise from its own stream one
+step at a time, so its states are bit-for-bit those of a solve of its own.
 """
 
 from __future__ import annotations
@@ -36,8 +41,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from . import kernels
-from .randomfields import FieldPath, OuTrajectory, ou_decay, ou_path
+from .randomfields import FieldPath, OuTrajectory, ou_chain, ou_decay, ou_path, white_noise_fft
 from .rng import RngStream
 from .spectral import (
     SpectralField,
@@ -48,7 +52,15 @@ from .spectral import (
     to_spectral,
     zero_field,
 )
-from .wick import CutoffProfile, WickOverflowError, WickParams, wick_exp_ou
+from .wick import (
+    OVERFLOW_EXPONENT,
+    CutoffProfile,
+    WickOverflowError,
+    WickParams,
+    guarded_exp,
+    scaled_exp,
+    wick_exp_ou,
+)
 
 __all__ = [
     "SqeConfig",
@@ -59,6 +71,7 @@ __all__ = [
     "solve_shifted",
     "solve_sqe_full",
     "solve_sqe_projected",
+    "evolve_projected",
     "contraction_check",
     "time_grid",
 ]
@@ -195,13 +208,6 @@ def _spectral_raw(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.fft.fft2(values) * (TWO_PI / grid.npoints)
 
 
-def _guarded_exp(u: np.ndarray, alpha: float, shift: float) -> np.ndarray:
-    out, max_exp = kernels.scaled_exp(np.ascontiguousarray(u.ravel()), alpha, shift)
-    if max_exp > 700.0:
-        raise WickOverflowError(max_exp)
-    return out.reshape(u.shape)
-
-
 def _validate_path_times(times: np.ndarray, config: SqeConfig):
     n = config.n_steps()
     expected = np.arange(n + 1) * config.dt
@@ -247,7 +253,7 @@ def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig
     l2_norms = [sobolev_norm(states[0], 0.0)]
     max_values = [float(u.max())]
     for j in range(config.n_steps()):
-        nonlin = half_adt * _guarded_exp(u, alpha, 0.0) * chi_vals[j]
+        nonlin = half_adt * guarded_exp(u, alpha, 0.0) * chi_vals[j]
         coeffs = mult * (coeffs - _spectral_raw(nonlin, grid))
         if not np.isfinite(coeffs[0, 0]):
             raise FloatingPointError(f"shifted solve lost finiteness at step {j}")
@@ -277,13 +283,29 @@ def _noise_increments(x_traj: OuTrajectory, config: SqeConfig):
     ]
 
 
-def _wiener_increments(grid: TorusGrid, config: SqeConfig, stream: RngStream):
-    g = stream.child("wiener").generator()
+def _wiener_increments(grid: TorusGrid, config: SqeConfig, streams):
+    """Raw Wiener increment stacks, one per step, row i from streams[i]."""
+    generators = [s.child("wiener").generator() for s in streams]
     scale = math.sqrt(config.dt) / grid.modes_per_dim
-    return [
-        np.fft.fft2(g.standard_normal((grid.modes_per_dim,) * 2)) * scale
-        for _ in range(config.n_steps())
-    ]
+    for _ in range(config.n_steps()):
+        yield white_noise_fft(grid, generators) * scale
+
+
+def _ou_increments(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, streams):
+    """Exact OU increment stacks, one per step, recovered on the fly from
+    the OU chain of each row's stream, as _noise_increments recovers them
+    from a stored trajectory."""
+    decay = ou_decay(grid, config.dt)
+    generators = [s.child("ou").generator() for s in streams]
+    for x_next in ou_chain(grid, coeffs, time_grid(config), generators):
+        yield x_next - decay * coeffs
+        coeffs = x_next
+
+
+def _noise_stacks(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, streams):
+    if config.scheme == "exponential-euler":
+        return _ou_increments(grid, coeffs, config, streams)
+    return _wiener_increments(grid, config, streams)
 
 
 def _resolve_x_traj(
@@ -343,7 +365,7 @@ def solve_sqe_full(
         x_traj = _resolve_x_traj(phi0, config, stream, x_traj)
         noise = [psi_mult * eta for eta in _noise_increments(x_traj, config)]
     else:
-        noise = [psi_mult * w for w in _wiener_increments(grid, config, stream)]
+        noise = [psi_mult * w[0] for w in _wiener_increments(grid, config, [stream])]
 
     mult = _step_multiplier(grid, config.dt, config.scheme)
     alpha = params.alpha
@@ -356,7 +378,7 @@ def solve_sqe_full(
     overflow_steps: list[int] = []
     for j in range(config.n_steps()):
         u = _physical(coeffs, grid)
-        nonlin = half_adt * _guarded_exp(u, alpha, shift)
+        nonlin = half_adt * guarded_exp(u, alpha, shift)
         coeffs = mult * (coeffs - _spectral_raw(nonlin, grid)) + noise[j]
         state = SpectralField(grid, coeffs.copy())
         states.append(state)
@@ -382,6 +404,67 @@ def solve_sqe_full(
                         diagnostics=diagnostics)
 
 
+def _projected_flow(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, noise, overflow):
+    """The projected equation's one step loop, on a stack of replicas
+    (n, M, M): yields the state stack after each step, each step driven by
+    the next increment stack of ``noise``.
+
+    A replica whose Wick exponent passes the overflow guard has that
+    exponent written to ``overflow`` (NaN until then) at its first
+    overflowing step and is zeroed from then on, so the other replicas
+    step on unharmed; the flow ends early once every replica has failed.
+    """
+    psi_mult = config.psi.multiplier(grid, config.params.level)
+    mult = _step_multiplier(grid, config.dt, config.scheme)
+    alpha = config.params.alpha
+    shift = 0.5 * alpha**2 * config.params.c_n
+    half_adt = 0.5 * alpha * config.dt
+    failed = np.zeros(len(coeffs), dtype=bool)
+    for eta in noise:
+        u_proj = _physical(psi_mult * coeffs, grid)
+        values, peaks = scaled_exp(u_proj, alpha, shift)
+        new = ~failed & (peaks > OVERFLOW_EXPONENT)
+        if new.any():
+            overflow[new] = peaks[new]
+            failed |= new
+        nonlin = half_adt * values
+        coeffs = mult * (coeffs - psi_mult * _spectral_raw(nonlin, grid)) + eta
+        if failed.any():
+            coeffs[failed] = 0.0
+            if failed.all():
+                return
+        yield coeffs
+
+
+def evolve_projected(
+    phi0: SpectralField, config: SqeConfig, streams
+) -> tuple[SpectralField, np.ndarray]:
+    """Final states of the projected equation for a stack of replicas.
+
+    Args:
+        phi0: stack of initial data (n, M, M), one replica per row.
+        config: solver configuration with equation='projected'.
+        streams: one noise stream per row; row i ends bit-for-bit where
+            ``solve_sqe_projected(phi0 row i, config, streams[i])`` does.
+
+    Returns:
+        (stack of final states, overflow): ``overflow[i]`` is the Wick
+        exponent of row i's first overflowing step, NaN where the row
+        never overflowed.  A failed row's final state is meaningless.
+    """
+    if config.equation != "projected":
+        raise ValueError(f"config.equation must be 'projected', got {config.equation!r}")
+    if phi0.coeffs.ndim != 3 or len(streams) != len(phi0.coeffs):
+        raise ValueError("need a stack of initial data and one stream per row")
+    grid = phi0.grid
+    noise = _noise_stacks(grid, phi0.coeffs, config, streams)
+    overflow = np.full(len(phi0.coeffs), np.nan)
+    final = phi0.coeffs
+    for final in _projected_flow(grid, phi0.coeffs, config, noise, overflow):
+        pass
+    return SpectralField(grid, final), overflow
+
+
 def solve_sqe_projected(
     phi0: SpectralField,
     config: SqeConfig,
@@ -392,38 +475,33 @@ def solve_sqe_projected(
     initial datum with unprojected noise (the variant whose ensemble law
     the invariance experiment probes).  With a cutoff profile that is
     identically 1 on the grid this coincides with solve_sqe_full applied
-    to a projected datum."""
+    to a projected datum.
+
+    This is ``evolve_projected`` on a stack of one that keeps every state;
+    a supplied OU trajectory (exponential-Euler only) drives it through
+    its exact increments instead of the stream.
+    """
     if config.equation != "projected":
         raise ValueError(f"config.equation must be 'projected', got {config.equation!r}")
     grid = phi0.grid
-    params = config.params
-    psi_mult = config.psi.multiplier(grid, params.level)
-    times = time_grid(config)
-
-    if config.scheme == "exponential-euler":
+    if config.scheme == "exponential-euler" and x_traj is not None:
         x_traj = _resolve_x_traj(phi0, config, stream, x_traj)
-        noise = _noise_increments(x_traj, config)
+        noise = (eta[None] for eta in _noise_increments(x_traj, config))
     else:
-        noise = _wiener_increments(grid, config, stream)
+        noise = _noise_stacks(grid, phi0.coeffs[None], config, [stream])
 
-    mult = _step_multiplier(grid, config.dt, config.scheme)
-    alpha = params.alpha
-    shift = 0.5 * alpha**2 * params.c_n
-    half_adt = 0.5 * alpha * config.dt
-
-    coeffs = phi0.coeffs.copy()
-    states = [SpectralField(grid, coeffs.copy())]
+    overflow = np.full(1, np.nan)
+    states = [SpectralField(grid, phi0.coeffs.copy())]
     l2_norms = [sobolev_norm(states[0], 0.0)]
-    for j in range(config.n_steps()):
-        u_proj = _physical(psi_mult * coeffs, grid)
-        nonlin = half_adt * _guarded_exp(u_proj, alpha, shift)
-        coeffs = mult * (coeffs - psi_mult * _spectral_raw(nonlin, grid)) + noise[j]
-        state = SpectralField(grid, coeffs.copy())
+    for coeffs in _projected_flow(grid, phi0.coeffs[None], config, noise, overflow):
+        state = SpectralField(grid, coeffs[0])
         states.append(state)
         l2_norms.append(sobolev_norm(state, 0.0))
+    if not np.isnan(overflow[0]):
+        raise WickOverflowError(float(overflow[0]))
 
     return SolutionPath(
-        times=times,
+        times=time_grid(config),
         states=states,
         diagnostics={"l2_norms": np.array(l2_norms), "scheme": config.scheme},
     )

@@ -26,6 +26,7 @@ from . import kernels
 from .config import ConfigError, ExperimentConfig
 from .dynamics import SqeConfig, solve_sqe_full, time_grid
 from .measures import (
+    DegenerateEnsembleError,
     estimate_partition,
     invariance_test,
     sample_ensemble,
@@ -277,9 +278,7 @@ def cmd_invariance(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Exp
             ),
             out_dir, started,
         )
-    except ValueError as e:
-        if "ESS" not in str(e):
-            raise
+    except DegenerateEnsembleError as e:
         return _finish(
             ExperimentReport(
                 command="invariance", config=cfg.as_dict(),

@@ -7,6 +7,11 @@ numpy at either setting: its cost is the exponential itself and numpy's
 SIMD exp beats a scalar libc loop several-fold; see
 benchmarks/kernel_bench.py for the numbers on this host.
 
+The package itself no longer calls ou_step or scaled_exp: the OU step
+and the Wick exponential work on stacks of fields (n, M, M), which these
+flat 1-D kernels do not take; randomfields.ou_chain and wick.scaled_exp
+compute the same expressions with numpy.
+
 ``EXPSQLAB_PURE=1`` in the environment forces the numpy fallback for
 everything (used by the parity tests and the benchmark).
 """

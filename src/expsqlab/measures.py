@@ -17,6 +17,15 @@ solved by Newton) and compensates exactly in the weights.  The tilt does
 not bias anything: weights remain exact Radon-Nikodym ratios against the
 proposal, the partition estimate stays unbiased, and at alpha = 0 the
 tilt vanishes and every weight equals exp(-4 pi^2) identically.
+
+Both the ensemble and the invariance test evaluate fields in blocks: a
+stack (n, M, M) goes through sampling, weighting or stepping in one call
+instead of n.  A block holds about BLOCK_BYTES per complex array (16
+fields at M = 32), a fixed budget, so the temporaries stay near 1 MB
+whatever the sample and replica counts.  Every proposal and replica still
+draws from its own stream, and blocks only batch arithmetic that is
+elementwise or per field, so results are replica-for-replica bit-identical
+to evaluating one field at a time, overflow errors included.
 """
 
 from __future__ import annotations
@@ -26,13 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SqeConfig, solve_sqe_projected
+from .dynamics import SqeConfig, evolve_projected
 from .randomfields import gff_sample
 from .rng import RngStream
 from .spectral import SpectralField, TorusGrid, TWO_PI, grid_quadrature, sobolev_norm
-from .wick import CutoffProfile, WickParams, wick_exp_values
+from .wick import CutoffProfile, WickOverflowError, WickParams, wick_exp_values
 
 __all__ = [
+    "BLOCK_BYTES",
+    "DegenerateEnsembleError",
     "WeightedEnsemble",
     "PartitionEstimate",
     "StationaryDraws",
@@ -55,11 +66,27 @@ UNDERFLOW_LOG = -745.0
 
 MIN_RESAMPLE_ESS = 50.0
 
+# bytes of one complex (n, M, M) block array in blocked evaluation; larger
+# blocks save little more call overhead and add their temporaries to the
+# peak memory of the run (fixed, not tunable: results never depend on it)
+BLOCK_BYTES = 256 * 1024
 
-def rn_log_weight(field: SpectralField, params: WickParams, psi: CutoffProfile) -> float:
+
+class DegenerateEnsembleError(ValueError):
+    """Raised when an ensemble's ESS is too low to resample from."""
+
+
+def _blocks(count: int, grid: TorusGrid) -> list:
+    """Index ranges covering 0..count-1 in blocks of BLOCK_BYTES per field stack."""
+    size = max(1, BLOCK_BYTES // (16 * grid.npoints))
+    return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
+def rn_log_weight(field: SpectralField, params: WickParams, psi: CutoffProfile):
     """log of the unnormalized density of the level-N measure against the
-    free field: minus the integral of the Wick exponential over the torus."""
-    return -float(grid_quadrature(wick_exp_values(field, params, psi), field.grid))
+    free field: minus the integral of the Wick exponential over the torus.
+    A stack of fields gives the array of their log-weights."""
+    return -grid_quadrature(wick_exp_values(field, params, psi), field.grid)
 
 
 def rn_weight(field: SpectralField, params: WickParams, psi: CutoffProfile) -> float:
@@ -152,6 +179,12 @@ def sample_ensemble(
     ``mode0_tilt_mean``; tilt='none' (or 0.0) uses the plain free field;
     a float uses that shift directly.  Weights compensate the shift
     exactly, so all choices estimate the same measure.
+
+    Proposal i draws its white noise from ``stream.child("proposal")``'s
+    replica-i substream.  Proposals are sampled and weighted in blocks of
+    BLOCK_BYTES per field stack; samples and log-weights are bit-identical
+    to one proposal at a time, and an overflow raises the exponent of the
+    lowest-index failing proposal, as that loop would.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -167,15 +200,15 @@ def sample_ensemble(
     base = stream.child("proposal")
     samples = []
     log_w = np.empty(count)
-    for i in range(count):
-        draw = gff_sample(grid, base.for_replica(i))
+    for rows in _blocks(count, grid):
+        block = gff_sample(grid, [base.for_replica(i) for i in rows])
         if m != 0.0:
-            coeffs = draw.copy_coeffs()
-            coeffs[0, 0] += m
-            draw = SpectralField(grid, coeffs)
-        u0 = float(np.real(draw.coeffs[0, 0]))
-        log_w[i] = rn_log_weight(draw, params, psi) - m * u0 + 0.5 * m * m
-        samples.append(draw)
+            coeffs = block.copy_coeffs()
+            coeffs[:, 0, 0] += m
+            block = SpectralField(grid, coeffs)
+        u0 = np.real(block.coeffs[:, 0, 0])
+        log_w[rows.start : rows.stop] = rn_log_weight(block, params, psi) - m * u0 + 0.5 * m * m
+        samples.extend(block.unstack())
 
     return WeightedEnsemble(
         samples=tuple(samples),
@@ -236,7 +269,7 @@ def resample_stationary(ensemble: WeightedEnsemble, count: int, stream: RngStrea
         raise ValueError("count must be positive")
     ess = ensemble.ess()
     if ess < MIN_RESAMPLE_ESS:
-        raise ValueError(
+        raise DegenerateEnsembleError(
             f"ensemble ESS {ess:.1f} below {MIN_RESAMPLE_ESS}; refusing to resample a "
             "degenerate ensemble (use the tilted proposal or more draws)"
         )
@@ -321,19 +354,32 @@ def invariance_test(
     to the usual multiple-testing caveat; a mis-scaled renormalization
     constant in ``config.params`` shifts the constant mode and fails
     loudly.
+
+    Replica i evolves under ``stream.for_replica(i).child("dyn")``.  The
+    replicas are stepped together in blocks of BLOCK_BYTES per field
+    stack; final states, observables and statistics are bit-identical to
+    solving one replica at a time, and an overflow raises the exponent of
+    the lowest failing replica at its first overflowing step, as that loop
+    would.
     """
     if config.equation != "projected":
         raise ValueError("invariance testing evolves the projected equation")
     draws = resample_stationary(initial_ensemble, replicas, stream)
+    grid = initial_ensemble.grid
     names = list(observables)
     start = {k: np.empty(replicas) for k in names}
     end = {k: np.empty(replicas) for k in names}
-    for i, field in enumerate(draws.fields):
-        path = solve_sqe_projected(field, config, stream.for_replica(i).child("dyn"))
-        final = path.final()
-        for k in names:
-            start[k][i] = observables[k](field)
-            end[k][i] = observables[k](final)
+    for rows in _blocks(replicas, grid):
+        phi0 = SpectralField(grid, np.stack([draws.fields[i].coeffs for i in rows]))
+        streams = [stream.for_replica(i).child("dyn") for i in rows]
+        finals, overflow = evolve_projected(phi0, config, streams)
+        for i, final, exponent in zip(rows, finals.unstack(), overflow):
+            if not np.isnan(exponent):
+                raise WickOverflowError(float(exponent))
+            field = draws.fields[i]
+            for k in names:
+                start[k][i] = observables[k](field)
+                end[k][i] = observables[k](final)
 
     stats = {}
     max_abs_z = 0.0

@@ -19,7 +19,10 @@ has exactly this law with v = 1, including the self-conjugate Nyquist
 modes.
 
 Parameters named ``stream`` are :class:`~expsqlab.rng.RngStream` values;
-every sampler is a pure function of (inputs, stream).
+every sampler is a pure function of (inputs, stream).  The samplers work
+on stacks of fields (n, M, M) with one generator per row, and a single
+field is the stack of one: row i of a stack is bit-for-bit the field its
+own stream gives alone.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .rng import RngStream
 from .spectral import SpectralField, TorusGrid
 
@@ -36,10 +38,12 @@ __all__ = [
     "OuTrajectory",
     "FieldPath",
     "gff_sample",
+    "white_noise_fft",
     "gff_mode_variance",
     "ou_transition",
     "ou_decay",
     "ou_noise_variance",
+    "ou_chain",
     "ou_path",
     "ou_increments",
     "wiener_increment",
@@ -86,10 +90,20 @@ class OuTrajectory:
         return self.states[0].grid
 
 
-def _white_spectral(grid: TorusGrid, generator: np.random.Generator) -> np.ndarray:
-    """Hermitian coefficient array with unit variance per mode."""
-    white = generator.standard_normal((grid.modes_per_dim,) * 2)
-    return np.fft.fft2(white) / grid.modes_per_dim
+def white_noise_fft(grid: TorusGrid, generators) -> np.ndarray:
+    """fft2 of grid white noise, a stack (n, M, M) with row i drawn from
+    ``generators[i]``: the one white-noise sampler behind every Gaussian
+    draw of the package."""
+    M = grid.modes_per_dim
+    white = np.empty((len(generators), M, M))
+    for row, g in zip(white, generators):
+        g.standard_normal(out=row)
+    return np.fft.fft2(white)
+
+
+def _white_spectral(grid: TorusGrid, generators) -> np.ndarray:
+    """Hermitian coefficient stack with unit variance per mode."""
+    return white_noise_fft(grid, generators) / grid.modes_per_dim
 
 
 def gff_mode_variance(grid: TorusGrid) -> np.ndarray:
@@ -97,12 +111,18 @@ def gff_mode_variance(grid: TorusGrid) -> np.ndarray:
     return 1.0 / (1.0 + grid.ksq)
 
 
-def gff_sample(grid: TorusGrid, stream: RngStream) -> SpectralField:
+def gff_sample(grid: TorusGrid, stream) -> SpectralField:
     """One draw from the massive free field: independent mode coefficients
-    with E|coeff(k)|^2 = (1+|k|^2)^{-1}, coeff(0) real with variance 1."""
-    g = stream.generator()
-    coeffs = _white_spectral(grid, g) * np.sqrt(gff_mode_variance(grid))
-    return SpectralField(grid, coeffs)
+    with E|coeff(k)|^2 = (1+|k|^2)^{-1}, coeff(0) real with variance 1.
+
+    Given a sequence of streams instead of one, returns the stack of their
+    draws in one pass, row i the draw of ``stream[i]``.
+    """
+    streams = [stream] if isinstance(stream, RngStream) else stream
+    coeffs = _white_spectral(grid, [s.generator() for s in streams]) * np.sqrt(
+        gff_mode_variance(grid)
+    )
+    return SpectralField(grid, coeffs[0] if isinstance(stream, RngStream) else coeffs)
 
 
 def ou_decay(grid: TorusGrid, dt: float) -> np.ndarray:
@@ -131,14 +151,21 @@ def ou_transition(
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
-    decay = ou_decay(grid, dt).ravel()
-    if include_noise:
-        g = stream.generator()
-        noise = (_white_spectral(grid, g) * np.sqrt(ou_noise_variance(grid, dt))).ravel()
-    else:
-        noise = np.zeros(grid.npoints, dtype=np.complex128)
-    out = kernels.ou_step(np.ascontiguousarray(state.coeffs.ravel()), decay, noise)
-    return SpectralField(grid, out.reshape(state.coeffs.shape))
+    if not include_noise:
+        return SpectralField(grid, ou_decay(grid, dt) * state.coeffs)
+    (out,) = ou_chain(grid, state.coeffs[None], np.array([0.0, dt]), [stream.generator()])
+    return SpectralField(grid, out[0])
+
+
+def ou_chain(grid: TorusGrid, coeffs: np.ndarray, times, generators):
+    """The exact OU chain: yields the coefficient stack after each step of
+    ``times``, starting from the stack ``coeffs`` (n, M, M).  Row i draws
+    its noise from ``generators[i]``, one step at a time, so a row is
+    bit-for-bit the chain of that generator alone."""
+    for dt in np.diff(times):
+        noise = _white_spectral(grid, generators) * np.sqrt(ou_noise_variance(grid, dt))
+        coeffs = ou_decay(grid, dt) * coeffs + noise
+        yield coeffs
 
 
 def ou_path(init: SpectralField, times, stream: RngStream) -> OuTrajectory:
@@ -151,16 +178,8 @@ def ou_path(init: SpectralField, times, stream: RngStream) -> OuTrajectory:
     if times.ndim != 1 or len(times) < 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a 1-d strictly increasing array starting at 0")
     grid = init.grid
-    g = stream.generator()
-    states = [init]
-    coeffs = init.coeffs
-    for dt in np.diff(times):
-        decay = ou_decay(grid, dt).ravel()
-        noise = (_white_spectral(grid, g) * np.sqrt(ou_noise_variance(grid, dt))).ravel()
-        coeffs = kernels.ou_step(np.ascontiguousarray(coeffs.ravel()), decay, noise).reshape(
-            coeffs.shape
-        )
-        states.append(SpectralField(grid, coeffs))
+    chain = ou_chain(grid, init.coeffs[None], times, [stream.generator()])
+    states = [init] + [SpectralField(grid, coeffs[0]) for coeffs in chain]
     return OuTrajectory(times=times, states=states, stream=stream)
 
 
@@ -191,5 +210,4 @@ def wiener_increment(grid: TorusGrid, dt: float, stream: RngStream) -> SpectralF
     N(0, dt) per real basis direction, i.e. E|coeff(k)|^2 = dt."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    g = stream.generator()
-    return SpectralField(grid, _white_spectral(grid, g) * np.sqrt(dt))
+    return SpectralField(grid, _white_spectral(grid, [stream.generator()])[0] * np.sqrt(dt))

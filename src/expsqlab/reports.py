@@ -111,15 +111,17 @@ def save_fields(path: str | Path, fields: list) -> Path:
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise ValueError("all fields must share one grid")
-    payload = b"".join(
-        np.ascontiguousarray(f.coeffs.astype("<c16", copy=False)).tobytes() for f in fields
-    )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    digest = hashlib.sha256()
     with path.open("wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, DUMP_VERSION, grid.modes_per_dim, len(fields)))
-        fh.write(payload)
-        fh.write(hashlib.sha256(payload).digest())
+        # one field at a time: the payload is never held in memory whole
+        for f in fields:
+            data = np.ascontiguousarray(f.coeffs.astype("<c16", copy=False)).tobytes()
+            digest.update(data)
+            fh.write(data)
+        fh.write(digest.digest())
     return path
 
 

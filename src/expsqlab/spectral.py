@@ -115,6 +115,12 @@ class SpectralField:
 
     ``coeffs`` is the full M x M complex array in FFT layout and is
     read-only.  Arithmetic helpers return new fields on the same grid.
+
+    A stack of n fields on one grid is the same type with coeffs of shape
+    (n, M, M).  Sampling (``gff_sample``), ``values``, ``apply_PN`` and the
+    Wick exponential evaluate a stack in one call, row by row bit-for-bit
+    as one call per field; everything else takes one field at a time
+    (``unstack`` splits a stack into per-field views).
     """
 
     grid: TorusGrid
@@ -122,12 +128,17 @@ class SpectralField:
 
     def __post_init__(self):
         M = self.grid.modes_per_dim
-        if self.coeffs.shape != (M, M) or self.coeffs.dtype != np.complex128:
+        c = self.coeffs
+        if c.ndim not in (2, 3) or c.shape[-2:] != (M, M) or c.dtype != np.complex128:
             raise ValueError(
-                f"coeffs must be complex128 of shape ({M}, {M}), "
-                f"got {self.coeffs.dtype} {self.coeffs.shape}"
+                f"coeffs must be complex128 of shape ({M}, {M}) or (n, {M}, {M}), "
+                f"got {c.dtype} {c.shape}"
             )
-        self.coeffs.setflags(write=False)
+        c.setflags(write=False)
+
+    def unstack(self) -> tuple:
+        """The fields of a stack, each a read-only view of its row."""
+        return tuple(SpectralField(self.grid, row) for row in self.coeffs)
 
     def values(self) -> np.ndarray:
         return from_spectral(self)
@@ -187,8 +198,9 @@ def to_spectral(values: np.ndarray, grid: TorusGrid) -> SpectralField:
 
 
 def from_spectral(field: SpectralField) -> np.ndarray:
-    """SpectralField -> physical M x M samples (real part; the imaginary
-    residue of a Hermitian coefficient array is at rounding level)."""
+    """SpectralField -> physical M x M samples, or (n, M, M) for a stack
+    (real part; the imaginary residue of a Hermitian coefficient array is
+    at rounding level)."""
     grid = field.grid
     return np.real(np.fft.ifft2(field.coeffs)) * (grid.npoints / TWO_PI)
 
@@ -200,10 +212,13 @@ def hermitian_defect(field: SpectralField) -> float:
     return float(np.abs(c - np.conj(mirrored)).max())
 
 
-def grid_quadrature(values: np.ndarray, grid: TorusGrid) -> float:
+def grid_quadrature(values: np.ndarray, grid: TorusGrid):
     """Trapezoid-on-torus (= rectangle) quadrature, exact for trig
-    polynomials of degree < M per axis."""
-    return float(values.sum()) * grid.cell_area
+    polynomials of degree < M per axis.  A stack of fields (n, M, M) gives
+    one value per field, each summed as the single field would be."""
+    if values.ndim == 2:
+        return float(values.sum()) * grid.cell_area
+    return values.reshape(len(values), grid.npoints).sum(axis=1) * grid.cell_area
 
 
 @dataclass(frozen=True)

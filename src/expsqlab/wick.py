@@ -29,6 +29,8 @@ __all__ = [
     "renorm_constant",
     "wick_exp_gff",
     "wick_exp_values",
+    "scaled_exp",
+    "guarded_exp",
     "analytic_wick_cov",
     "green_kernel_point",
     "wick_exp_ou",
@@ -40,6 +42,9 @@ __all__ = [
 ALPHA_MAX = math.sqrt(4.0 * math.pi)
 
 OVERFLOW_EXPONENT = 700.0
+# exponents are capped here before exp only to dodge the overflow warning;
+# every caller rejects fields whose exponent passes OVERFLOW_EXPONENT
+_EXP_CAP = 705.0
 
 
 class WickOverflowError(FloatingPointError):
@@ -171,11 +176,8 @@ def hermite(n: int, x, sigma: float):
 
 
 def apply_PN(field: SpectralField, psi: CutoffProfile, level: int) -> SpectralField:
-    """Spectral cutoff: coeff(k) <- psi(2^{-N} k) coeff(k)."""
-    mult = psi.multiplier(field.grid, level)
-    flat = np.ascontiguousarray(field.coeffs.ravel())
-    out = kernels.apply_multiplier(flat, np.ascontiguousarray(mult.ravel()))
-    return SpectralField(field.grid, out.reshape(field.coeffs.shape))
+    """Spectral cutoff: coeff(k) <- psi(2^{-N} k) coeff(k), per field of a stack."""
+    return SpectralField(field.grid, psi.multiplier(field.grid, level) * field.coeffs)
 
 
 def renorm_constant(psi: CutoffProfile, level: int, grid: TorusGrid) -> float:
@@ -192,15 +194,31 @@ def renorm_constant(psi: CutoffProfile, level: int, grid: TorusGrid) -> float:
     return float(np.sum(m * m / (1.0 + grid.ksq))) / (4.0 * math.pi**2)
 
 
+def scaled_exp(values: np.ndarray, alpha: float, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(alpha * values - shift) on grid values of one field (M, M) or a
+    stack (n, M, M), and each field's largest exponent (one per field):
+    the input of the overflow guard."""
+    expo = alpha * values - shift
+    peaks = expo.reshape(-1, values.shape[-2] * values.shape[-1]).max(axis=1)
+    return np.exp(np.minimum(expo, _EXP_CAP)), peaks
+
+
+def guarded_exp(values: np.ndarray, alpha: float, shift: float) -> np.ndarray:
+    """``scaled_exp`` behind the overflow guard: raises WickOverflowError
+    with the exponent of the lowest-index field that passes it, which is
+    the error a loop over the fields one at a time raises first."""
+    out, peaks = scaled_exp(values, alpha, shift)
+    over = np.flatnonzero(peaks > OVERFLOW_EXPONENT)
+    if over.size:
+        raise WickOverflowError(float(peaks[over[0]]))
+    return out
+
+
 def wick_exp_values(field: SpectralField, params: WickParams, psi: CutoffProfile) -> np.ndarray:
-    """Physical-grid values of the Wick exponential (shared fast path)."""
-    projected = apply_PN(field, psi, params.level)
-    vals = projected.values()
-    shift = 0.5 * params.alpha**2 * params.c_n
-    out, max_exp = kernels.scaled_exp(np.ascontiguousarray(vals.ravel()), params.alpha, shift)
-    if max_exp > OVERFLOW_EXPONENT:
-        raise WickOverflowError(max_exp)
-    return out.reshape(vals.shape)
+    """Physical-grid values of the Wick exponential (shared fast path); a
+    stack of fields gives the stack of their values."""
+    vals = apply_PN(field, psi, params.level).values()
+    return guarded_exp(vals, params.alpha, 0.5 * params.alpha**2 * params.c_n)
 
 
 def wick_exp_gff(field: SpectralField, params: WickParams, psi: CutoffProfile) -> SpectralField:
