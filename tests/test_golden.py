@@ -2,8 +2,10 @@
 
 The determinism tests compare two runs of the same code, so a change that
 shifts every number by one rounding step still passes them.  These pin
-the sha256 of the report body (and of ``samples.bin``) at small configs,
-so any bit drift in sampling, weighting, stepping or dumping fails here.
+the sha256 of the report body (and of ``samples.bin`` and ``paths.csv``)
+at small configs for all five commands, plus the raw state bytes of the
+full (decomposed) and the trajectory-driven projected solves, so any bit
+drift in sampling, weighting, stepping, norms or dumping fails here.
 The digests were recorded with numpy 2.4 and the numpy kernel backend; a
 different numpy may legitimately change the last bits of its FFTs.
 """
@@ -12,7 +14,29 @@ import hashlib
 
 import pytest
 
-from expsqlab import ExperimentConfig, cmd_invariance, cmd_sample_gff
+from expsqlab import (
+    CutoffProfile,
+    ExperimentConfig,
+    RngStream,
+    SqeConfig,
+    cmd_invariance,
+    cmd_norms_bench,
+    cmd_sample_gff,
+    cmd_sqe,
+    cmd_wick_converge,
+    gff_sample,
+    heat_semigroup,
+    heat_semigroup_massless,
+    hermite,
+    make_grid,
+    make_wick_params,
+    ou_decay,
+    ou_path,
+    sobolev_norm,
+    solve_sqe_full,
+    solve_sqe_projected,
+    time_grid,
+)
 
 INVARIANCE = {
     # 37 replicas and 300 draws: blocks of 16 fields at M = 32 end ragged
@@ -72,3 +96,113 @@ def test_sample_gff_golden(name, tmp_path):
     assert report.exit_code == 0
     assert report.body_digest() == digest
     assert hashlib.sha256((tmp_path / "samples.bin").read_bytes()).hexdigest() == dump_sha
+
+SQE = {
+    "exp-euler-M32": (
+        dict(modes=32, level=2, seed=7, replicas=3, horizon=0.25, dt=1 / 64),
+        "3e18550a138b982d327962eb9e354c9004f1e189a15d4890ba6294fb22e6be66",
+        "7d85c54e90641393e029fb991952bb9fb50de819c0252789e88becb3cee912ae",
+    ),
+    "semi-implicit-smooth-M32": (
+        dict(modes=32, level=2, seed=8, replicas=3, horizon=0.25, dt=1 / 64,
+             scheme="semi-implicit", cutoff_kind="smooth"),
+        "6d660db4ec23f4c30b5eebd3543a5de281efb61a2ba0f327a3b65a24bd17ae8f",
+        "1d50bfee86363f9ca6bccc1da12d289fb54fbeee72eb5e6899376a784eb3439c",
+    ),
+}
+
+WICK_CONVERGE = {
+    "M64": (
+        dict(modes=64, level=3, seed=5, replicas=6),
+        "e026b129ab34000c068b40dca2b69b23d2f6e0b5773fe4f0636a4914aa4fee38",
+    ),
+    "smooth-M32": (
+        dict(modes=32, level=2, seed=12, replicas=4, cutoff_kind="smooth"),
+        "1cdf14844716e6cac4edd4d04b6f657b157b0460c2fc4f5c80e513673b70165a",
+    ),
+}
+
+NORMS_BENCH = {
+    "M32": (
+        dict(modes=32, seed=13, replicas=5),
+        "3cc93f2c644ebaa2c00f121b2723fc787d16259d7be98071911f725651998756",
+    ),
+}
+
+SOLVER_STATES = {
+    "full-decomposed": "d60632726b5100f2781e853aea8f032a84f1f4e5d10d41f7806a5a390169d7f8",
+    "projected-x_traj": "817cbe37c95183aad390daf668f75d5b7900a41d0c7ff9778d153a45d2ec8d5c",
+}
+
+OPERATORS = "e834e266ac336f9964508dfcab2ee1b086732d5832dc8c6ee55119abf4df51ca"
+
+
+@pytest.mark.parametrize("name", sorted(SQE))
+def test_sqe_golden(name, tmp_path):
+    kwargs, digest, paths_sha = SQE[name]
+    report = cmd_sqe(ExperimentConfig(**kwargs), out_dir=tmp_path)
+    assert report.exit_code == 0
+    assert report.body_digest() == digest
+    assert hashlib.sha256((tmp_path / "paths.csv").read_bytes()).hexdigest() == paths_sha
+
+
+@pytest.mark.parametrize("name", sorted(WICK_CONVERGE))
+def test_wick_converge_golden(name):
+    kwargs, digest = WICK_CONVERGE[name]
+    report = cmd_wick_converge(ExperimentConfig(**kwargs))
+    assert report.exit_code == 0
+    assert report.body_digest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(NORMS_BENCH))
+def test_norms_bench_golden(name):
+    kwargs, digest = NORMS_BENCH[name]
+    report = cmd_norms_bench(ExperimentConfig(**kwargs))
+    assert report.exit_code == 0
+    assert report.body_digest() == digest
+
+
+def _states_digest(*field_lists) -> str:
+    h = hashlib.sha256()
+    for fields in field_lists:
+        for f in fields:
+            h.update(f.coeffs.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_STATES))
+def test_solver_states_golden(name):
+    grid = make_grid(32)
+    psi = CutoffProfile("smooth")
+    params = make_wick_params(1.0, 2, psi, grid)
+    stream = RngStream(21, purpose="golden")
+    phi0 = gff_sample(grid, stream.child("init"))
+    equation = "full" if name == "full-decomposed" else "projected"
+    config = SqeConfig(horizon=0.25, dt=1 / 64, params=params, psi=psi, equation=equation)
+    x_traj = ou_path(phi0, time_grid(config), stream.child("ou"))
+    if equation == "full":
+        path = solve_sqe_full(phi0, config, stream, x_traj=x_traj, decompose=True)
+        x_part, y_part = path.decomposition
+        got = _states_digest(path.states, x_part.fields, y_part.fields,
+                             path.diagnostics["shifted_path"].fields)
+    else:
+        path = solve_sqe_projected(phi0, config, stream, x_traj=x_traj)
+        got = _states_digest(path.states)
+    assert got == SOLVER_STATES[name]
+
+
+def test_operators_golden():
+    # heat multipliers, OU decay, Hermite recurrence and Sobolev norms on one draw
+    grid = make_grid(32)
+    field = gff_sample(grid, RngStream(22, purpose="golden"))
+    h = hashlib.sha256()
+    for out in (
+        heat_semigroup(field, 0.3).coeffs,
+        heat_semigroup_massless(field, 0.05).coeffs,
+        ou_decay(grid, 0.1),
+        hermite(7, field.values(), 0.8),
+    ):
+        h.update(out.tobytes())
+    for s in (-1.0, -0.125, 0.0, 0.5):
+        h.update(repr(sobolev_norm(field, s)).encode())
+    assert h.hexdigest() == OPERATORS
