@@ -28,6 +28,12 @@ resolvent (1 - dt (Lap-1)/2)^{-1} and drives the stochastic equations
 with raw Wiener increments; it is first order but not exact at alpha = 0
 and does not support the decomposition bookkeeping.
 
+Every loop moves between the grid and spectral space with the pair
+spectral.to_values/to_coeffs, and the exponential-Euler step multiplier
+is spectral.heat_multiplier, the same symbol as the OU decay.  Noise
+increments are produced one step at a time, never stored for the whole
+horizon.
+
 The projected equation steps a stack of replicas (n, M, M) at once
 (``evolve_projected``); ``solve_sqe_projected`` is the stack of one that
 keeps every state.  Each replica draws its noise from its own stream one
@@ -46,10 +52,12 @@ from .rng import RngStream
 from .spectral import (
     SpectralField,
     TorusGrid,
-    TWO_PI,
+    heat_multiplier,
     heat_semigroup_massless,
     sobolev_norm,
+    to_coeffs,
     to_spectral,
+    to_values,
     zero_field,
 )
 from .wick import (
@@ -132,8 +140,8 @@ def time_grid(config: SqeConfig) -> np.ndarray:
 class SolutionPath:
     """Solver output: states per time, optional (x_part, y_part)
     decomposition with x_part + y_part = state exactly, and a diagnostics
-    dict (per-step L2 norms, per-step max values for sign checks, overflow
-    flags, independently solved shifted path when decomposed)."""
+    dict (per-step L2 norms, per-step max values for sign checks, the
+    independently solved shifted path when decomposed)."""
 
     times: np.ndarray
     states: list
@@ -173,10 +181,9 @@ def measure_product(f: SpectralField, xi: SpectralField, mollifier_scale: float 
 
 
 def _step_multiplier(grid: TorusGrid, dt: float, scheme: str) -> np.ndarray:
-    c = 1.0 + grid.ksq
     if scheme == "exponential-euler":
-        return np.exp(-0.5 * dt * c)
-    return 1.0 / (1.0 + 0.5 * dt * c)
+        return heat_multiplier(grid, dt)
+    return 1.0 / (1.0 + 0.5 * dt * (1.0 + grid.ksq))
 
 
 def _check_initial_regularity(upsilon: SpectralField, beta: float):
@@ -198,14 +205,6 @@ def _check_initial_regularity(upsilon: SpectralField, beta: float):
             "initial datum looks rough (>= 50% of the H^(2-beta) mass above |k| > M/4); "
             "shifted-equation initial data must be grid-resolved"
         )
-
-
-def _physical(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    return np.real(np.fft.ifft2(coeffs)) * (grid.npoints / TWO_PI)
-
-
-def _spectral_raw(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    return np.fft.fft2(values) * (TWO_PI / grid.npoints)
 
 
 def _validate_path_times(times: np.ndarray, config: SqeConfig):
@@ -248,16 +247,16 @@ def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig
     half_adt = 0.5 * alpha * config.dt
 
     coeffs = upsilon.coeffs.copy()
-    u = _physical(coeffs, grid)
+    u = to_values(coeffs, grid)
     states = [SpectralField(grid, coeffs.copy())]
     l2_norms = [sobolev_norm(states[0], 0.0)]
     max_values = [float(u.max())]
     for j in range(config.n_steps()):
         nonlin = half_adt * guarded_exp(u, alpha, 0.0) * chi_vals[j]
-        coeffs = mult * (coeffs - _spectral_raw(nonlin, grid))
+        coeffs = mult * (coeffs - to_coeffs(nonlin, grid))
         if not np.isfinite(coeffs[0, 0]):
             raise FloatingPointError(f"shifted solve lost finiteness at step {j}")
-        u = _physical(coeffs, grid)
+        u = to_values(coeffs, grid)
         state = SpectralField(grid, coeffs.copy())
         states.append(state)
         l2_norms.append(sobolev_norm(state, 0.0))
@@ -275,12 +274,10 @@ def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig
 
 
 def _noise_increments(x_traj: OuTrajectory, config: SqeConfig):
-    grid = x_traj.grid
-    decay = ou_decay(grid, config.dt)
-    return [
-        x_traj.states[j + 1].coeffs - decay * x_traj.states[j].coeffs
-        for j in range(len(x_traj.times) - 1)
-    ]
+    """Exact OU increments of a stored trajectory, one per step."""
+    decay = ou_decay(x_traj.grid, config.dt)
+    for prev, state in zip(x_traj.states, x_traj.states[1:]):
+        yield state.coeffs - decay * prev.coeffs
 
 
 def _wiener_increments(grid: TorusGrid, config: SqeConfig, streams):
@@ -363,9 +360,9 @@ def solve_sqe_full(
 
     if config.scheme == "exponential-euler":
         x_traj = _resolve_x_traj(phi0, config, stream, x_traj)
-        noise = [psi_mult * eta for eta in _noise_increments(x_traj, config)]
+        noise = _noise_increments(x_traj, config)
     else:
-        noise = [psi_mult * w[0] for w in _wiener_increments(grid, config, [stream])]
+        noise = (w[0] for w in _wiener_increments(grid, config, [stream]))
 
     mult = _step_multiplier(grid, config.dt, config.scheme)
     alpha = params.alpha
@@ -375,17 +372,15 @@ def solve_sqe_full(
     coeffs = psi_mult * phi0.coeffs
     states = [SpectralField(grid, coeffs.copy())]
     l2_norms = [sobolev_norm(states[0], 0.0)]
-    overflow_steps: list[int] = []
-    for j in range(config.n_steps()):
-        u = _physical(coeffs, grid)
+    for eta in noise:
+        u = to_values(coeffs, grid)
         nonlin = half_adt * guarded_exp(u, alpha, shift)
-        coeffs = mult * (coeffs - _spectral_raw(nonlin, grid)) + noise[j]
+        coeffs = mult * (coeffs - to_coeffs(nonlin, grid)) + psi_mult * eta
         state = SpectralField(grid, coeffs.copy())
         states.append(state)
         l2_norms.append(sobolev_norm(state, 0.0))
 
-    diagnostics: dict = {"l2_norms": np.array(l2_norms), "overflow_steps": overflow_steps,
-                         "scheme": config.scheme}
+    diagnostics: dict = {"l2_norms": np.array(l2_norms), "scheme": config.scheme}
     decomposition = None
     if decompose:
         x_part = [SpectralField(grid, psi_mult * s.coeffs) for s in x_traj.states]
@@ -421,14 +416,14 @@ def _projected_flow(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, nois
     half_adt = 0.5 * alpha * config.dt
     failed = np.zeros(len(coeffs), dtype=bool)
     for eta in noise:
-        u_proj = _physical(psi_mult * coeffs, grid)
+        u_proj = to_values(psi_mult * coeffs, grid)
         values, peaks = scaled_exp(u_proj, alpha, shift)
         new = ~failed & (peaks > OVERFLOW_EXPONENT)
         if new.any():
             overflow[new] = peaks[new]
             failed |= new
         nonlin = half_adt * values
-        coeffs = mult * (coeffs - psi_mult * _spectral_raw(nonlin, grid)) + eta
+        coeffs = mult * (coeffs - psi_mult * to_coeffs(nonlin, grid)) + eta
         if failed.any():
             coeffs[failed] = 0.0
             if failed.all():

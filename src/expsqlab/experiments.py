@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
 from .config import ConfigError, ExperimentConfig
 from .dynamics import SqeConfig, solve_sqe_full, time_grid
 from .measures import (
@@ -62,7 +61,6 @@ def _map_replicas(fn, n: int, threads: int) -> list:
 
 def _finish(report: ExperimentReport, out_dir, started: float) -> ExperimentReport:
     report.timing.setdefault("wall_s", time.perf_counter() - started)
-    report.timing.setdefault("kernel_backend", kernels.BACKEND)
     if out_dir is not None:
         write_report(report, out_dir)
     return report
@@ -320,8 +318,7 @@ def cmd_invariance(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Exp
 
 
 def cmd_norms_bench(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> ExperimentReport:
-    """Compare dyadic-block and Sobolev norms on free-field draws and time
-    the norm kernels on both backends."""
+    """Compare dyadic-block and Sobolev norms on free-field draws."""
     started = time.perf_counter()
     grid = cfg.build_grid()
     stream = RngStream(cfg.seed, purpose="norms-bench")
@@ -340,20 +337,6 @@ def cmd_norms_bench(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Ex
         }
         ok = ok and bool(1.0 / 50.0 <= ratios.min() <= ratios.max() <= 50.0)
 
-    # time the two kernel backends on the hot weighted-sum loop
-    flat = draws[0].coeffs.ravel()
-    weight = grid.sobolev_weight(-0.5)
-    timing_us = {}
-    backends = {"python": kernels.PURE}
-    if kernels.COMPILED is not None:
-        backends["compiled"] = kernels.COMPILED
-    for name, mod in backends.items():
-        reps = 200
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            mod.weighted_abs2_sum(flat, weight)
-        timing_us[name] = (time.perf_counter() - t0) / reps * 1e6
-
     report = ExperimentReport(
         command="norms-bench",
         config=cfg.as_dict(),
@@ -363,7 +346,6 @@ def cmd_norms_bench(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Ex
             "besov_over_sobolev": ratio_stats,
             "passed": ok,
         },
-        timing={"weighted_abs2_sum_us": timing_us},
         exit_code=EXIT_OK if ok else EXIT_CHECK_FAILED,
     )
     return _finish(report, out_dir, started)

@@ -16,7 +16,8 @@ so i.i.d. N(0, v) real coefficients correspond to E|coeff(k)|^2 = v with
 Re/Im each of variance v/2, and the k = 0 coefficient real with variance
 v.  Sampling is realized by transforming grid white noise: fft2(white)/M
 has exactly this law with v = 1, including the self-conjugate Nyquist
-modes.
+modes.  ``white_noise_fft`` is the one forward FFT outside ``spectral``:
+it is the raw fft2 without the 2*pi/M^2 field normalization.
 
 Parameters named ``stream`` are :class:`~expsqlab.rng.RngStream` values;
 every sampler is a pure function of (inputs, stream).  The samplers work
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngStream
-from .spectral import SpectralField, TorusGrid
+from .spectral import SpectralField, TorusGrid, heat_multiplier
 
 __all__ = [
     "OuTrajectory",
@@ -126,8 +127,9 @@ def gff_sample(grid: TorusGrid, stream) -> SpectralField:
 
 
 def ou_decay(grid: TorusGrid, dt: float) -> np.ndarray:
-    """Mode-wise decay exp(-(1+|k|^2) dt / 2) of the drift (Lap-1)/2."""
-    return np.exp(-0.5 * dt * (1.0 + grid.ksq))
+    """Mode-wise decay exp(-(1+|k|^2) dt / 2) of the drift (Lap-1)/2, the
+    heat multiplier of ``spectral``."""
+    return heat_multiplier(grid, dt)
 
 
 def ou_noise_variance(grid: TorusGrid, dt: float) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Torus geometry, Fourier transforms, Sobolev norms, heat semigroups and
-truncated Green kernels on the two-dimensional torus [0, 2*pi)^2.
+the truncated Green kernel on the two-dimensional torus [0, 2*pi)^2.
 
 Conventions
 -----------
@@ -17,6 +17,13 @@ Real-valuedness is the Hermitian symmetry ``coeff(-k) = conj(coeff(k))``
 (indices mod M, which also ties the Nyquist rows to themselves); every
 operation in this module preserves it because all multipliers are real
 and even in k.
+
+``to_coeffs``/``to_values`` are the package's one grid <-> spectral
+transform pair, on bare arrays of one field (M, M) or a stack (n, M, M)
+and without validation; the solver loops call them directly and
+``to_spectral``/``from_spectral`` wrap them for fields.  ``heat_multiplier``
+is the one symbol of the semigroup exp(t (Lap - 1)/2), shared by
+``heat_semigroup``, the OU decay and the exponential-Euler step.
 """
 
 from __future__ import annotations
@@ -26,19 +33,20 @@ from typing import Literal
 
 import numpy as np
 
-from . import kernels
-
 __all__ = [
     "TorusGrid",
     "SpectralField",
     "NormSpec",
     "make_grid",
+    "to_coeffs",
+    "to_values",
     "to_spectral",
     "from_spectral",
     "field_from_coeffs",
     "zero_field",
     "constant_field",
     "sobolev_norm",
+    "heat_multiplier",
     "heat_semigroup",
     "heat_semigroup_massless",
     "green_field",
@@ -185,6 +193,19 @@ def constant_field(grid: TorusGrid, value: float) -> SpectralField:
     return SpectralField(grid, coeffs)
 
 
+def to_coeffs(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Grid samples -> coefficients, (2*pi / M^2) * fft2(values), per field
+    of a stack; unvalidated."""
+    return np.fft.fft2(values) * (TWO_PI / grid.npoints)
+
+
+def to_values(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Coefficients -> grid samples, (M^2 / (2*pi)) * real(ifft2(coeffs)),
+    per field of a stack (the imaginary residue of a Hermitian coefficient
+    array is at rounding level)."""
+    return np.real(np.fft.ifft2(coeffs)) * (grid.npoints / TWO_PI)
+
+
 def to_spectral(values: np.ndarray, grid: TorusGrid) -> SpectralField:
     """Physical M x M samples -> SpectralField.  Rejects non-finite input."""
     values = np.asarray(values, dtype=np.float64)
@@ -193,16 +214,12 @@ def to_spectral(values: np.ndarray, grid: TorusGrid) -> SpectralField:
         raise ValueError(f"expected shape ({M}, {M}), got {values.shape}")
     if not np.all(np.isfinite(values)):
         raise ValueError("physical values contain non-finite entries")
-    coeffs = np.fft.fft2(values) * (TWO_PI / grid.npoints)
-    return SpectralField(grid, coeffs)
+    return SpectralField(grid, to_coeffs(values, grid))
 
 
 def from_spectral(field: SpectralField) -> np.ndarray:
-    """SpectralField -> physical M x M samples, or (n, M, M) for a stack
-    (real part; the imaginary residue of a Hermitian coefficient array is
-    at rounding level)."""
-    grid = field.grid
-    return np.real(np.fft.ifft2(field.coeffs)) * (grid.npoints / TWO_PI)
+    """SpectralField -> physical M x M samples, or (n, M, M) for a stack."""
+    return to_values(field.coeffs, field.grid)
 
 
 def hermitian_defect(field: SpectralField) -> float:
@@ -242,30 +259,27 @@ class NormSpec:
 def sobolev_norm(field: SpectralField, s: float) -> float:
     """sqrt( sum_k (1+|k|^2)^s |coeff(k)|^2 )."""
     w = field.grid.sobolev_weight(s)
-    flat = np.ascontiguousarray(field.coeffs.ravel())
-    return float(np.sqrt(kernels.weighted_abs2_sum(flat, w)))
+    c = field.coeffs.ravel()
+    return float(np.sqrt(np.dot(w, c.real * c.real + c.imag * c.imag)))
 
 
-def _apply_real_multiplier(field: SpectralField, mult: np.ndarray) -> SpectralField:
-    flat = np.ascontiguousarray(field.coeffs.ravel())
-    out = kernels.apply_multiplier(flat, np.ascontiguousarray(mult.ravel()))
-    return SpectralField(field.grid, out.reshape(field.coeffs.shape))
+def heat_multiplier(grid: TorusGrid, t: float) -> np.ndarray:
+    """exp(-(1+|k|^2) t / 2) over the grid modes: the symbol of exp(t*(Lap - 1)/2)."""
+    return np.exp(-0.5 * t * (1.0 + grid.ksq))
 
 
 def heat_semigroup(field: SpectralField, t: float) -> SpectralField:
     """exp(t*(Lap - 1)/2): multiplies coeff(k) by exp(-(1+|k|^2) t / 2)."""
     if t < 0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    mult = np.exp(-0.5 * t * (1.0 + field.grid.ksq))
-    return _apply_real_multiplier(field, mult)
+    return SpectralField(field.grid, heat_multiplier(field.grid, t) * field.coeffs)
 
 
 def heat_semigroup_massless(field: SpectralField, t: float) -> SpectralField:
     """exp(t*Lap): multiplies coeff(k) by exp(-|k|^2 t); mollifier variant."""
     if t < 0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    mult = np.exp(-t * field.grid.ksq)
-    return _apply_real_multiplier(field, mult)
+    return SpectralField(field.grid, np.exp(-t * field.grid.ksq) * field.coeffs)
 
 
 def green_field(gamma: float, psi, level: int, grid: TorusGrid) -> SpectralField:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .randomfields import FieldPath, OuTrajectory
 from .spectral import SpectralField, TorusGrid, sobolev_norm, to_spectral
 
@@ -168,11 +167,14 @@ def hermite(n: int, x, sigma: float):
         raise ValueError(f"order must lie in [0, 64], got {n}")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    arr = np.ascontiguousarray(np.atleast_1d(np.asarray(x, dtype=np.float64)).ravel())
-    out = kernels.hermite_rec(int(n), arr, float(sigma))
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out[0])
-    return out.reshape(np.asarray(x).shape)
+    x = np.asarray(x, dtype=np.float64)
+    sigma = float(sigma)
+    h_prev, h = np.ones_like(x), x.copy()
+    if n == 0:
+        h = h_prev
+    for j in range(1, n):
+        h, h_prev = x * h - (j * sigma) * h_prev, h
+    return float(h) if x.ndim == 0 else h
 
 
 def apply_PN(field: SpectralField, psi: CutoffProfile, level: int) -> SpectralField:

@@ -30,7 +30,7 @@ def test_sample_gff_report_and_artifacts(tmp_path):
     )
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["body_digest"] == report.body_digest()
-    assert "wall_s" in doc["timing"] and "kernel_backend" in doc["timing"]
+    assert "wall_s" in doc["timing"]
     fields = load_fields(tmp_path / "samples.bin")
     assert len(fields) == cfg.samples
 
@@ -118,7 +118,6 @@ def test_norms_bench_tiny(tmp_path):
     assert set(stats) == {"-1", "-0.5", "-0.25"}
     for s in stats.values():
         assert 0.02 <= s["min"] <= s["max"] <= 50.0
-    assert "python" in report.timing["weighted_abs2_sum_us"]
 
 
 def test_cli_main_ok(tmp_path, capsys):

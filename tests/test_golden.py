@@ -6,8 +6,8 @@ the sha256 of the report body (and of ``samples.bin`` and ``paths.csv``)
 at small configs for all five commands, plus the raw state bytes of the
 full (decomposed) and the trajectory-driven projected solves, so any bit
 drift in sampling, weighting, stepping, norms or dumping fails here.
-The digests were recorded with numpy 2.4 and the numpy kernel backend; a
-different numpy may legitimately change the last bits of its FFTs.
+The digests were recorded with numpy 2.4; a different numpy may
+legitimately change the last bits of its FFTs.
 """
 
 import hashlib

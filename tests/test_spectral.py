@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expsqlab import (
     NormSpec,
@@ -151,3 +153,14 @@ def test_from_spectral_of_single_mode(grid32):
     # the pair (0.5, 0.5) at k = (+-2, 0) represents cos(2 x1) / (2 pi)
     expected = np.cos(2 * x)[:, None] / TWO_PI
     assert np.allclose(vals, np.broadcast_to(expected, (32, 32)), atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([8, 16]), st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
+def test_sobolev_norm_matches_weighted_sum(M, s, seed):
+    grid = make_grid(M)
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+    w = (1.0 + grid.ksq) ** s
+    got = sobolev_norm(SpectralField(grid, c), s) ** 2
+    assert got == pytest.approx(float(np.sum(w * np.abs(c) ** 2)), rel=1e-12)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from expsqlab import (
     ALPHA_MAX,
@@ -28,6 +31,7 @@ from expsqlab import (
     wick_exp_values,
 )
 from expsqlab.randomfields import FieldPath
+from expsqlab.wick import scaled_exp
 
 # sharp-cutoff constants, frozen from the lattice sums they define:
 # level 0 keeps |k| <= 1, so 4 pi^2 C_0 = 1 + 4 * (1/2) = 3 exactly
@@ -68,6 +72,56 @@ def test_hermite_shapes_and_validation():
         hermite(65, 1.0, 1.0)
     with pytest.raises(ValueError):
         hermite(2, 1.0, -0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(np.float64, st.integers(1, 32), elements=st.floats(-30.0, 30.0)),
+    st.integers(0, 12),
+    st.floats(0.0, 4.0),
+)
+def test_hermite_matches_recurrence(x, n, sigma):
+    got = hermite(n, x, sigma)
+    h_prev, h = np.ones_like(x), x.copy()
+    if n == 0:
+        expected = h_prev
+    else:
+        for j in range(1, n):
+            h, h_prev = x * h - (j * sigma) * h_prev, h
+        expected = h
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-300)
+
+
+finite64 = st.floats(
+    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=64
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        arrays(np.float64, (8, 8), elements=finite64),
+        arrays(np.float64, st.tuples(st.integers(1, 3), st.just(8), st.just(8)),
+               elements=finite64),
+    ),
+    st.floats(-3.0, 3.0),
+    st.floats(-5.0, 5.0),
+)
+def test_scaled_exp_contract(values, alpha, shift):
+    # one field (M, M) or a stack (n, M, M): one peak per field
+    out, peaks = scaled_exp(values, alpha, shift)
+    expo = alpha * values - shift
+    assert np.array_equal(peaks, expo.reshape(-1, 64).max(axis=1))
+    # capped at 705 to avoid inf; below the cap it is the exact exp
+    mask = expo <= 705.0
+    assert np.array_equal(out[mask], np.exp(expo[mask]))
+    assert np.all(np.isfinite(out))
+
+
+def test_scaled_exp_empty_stack():
+    out, peaks = scaled_exp(np.empty((0, 8, 8)), 1.0, 0.0)
+    assert out.shape == (0, 8, 8)
+    assert peaks.size == 0
 
 
 def test_cutoff_profile_validation():
