@@ -28,6 +28,13 @@ resolvent (1 - dt (Lap-1)/2)^{-1} and drives the stochastic equations
 with raw Wiener increments; it is first order but not exact at alpha = 0
 and does not support the decomposition bookkeeping.
 
+Every solver returns a randomfields.FieldPath of its states on the time
+grid 0, dt, ..., T, and the shifted equation takes its forcing as one.
+The split Phi = X + Y of a full solve is a separate step,
+``decompose(path, x_traj, config)``: X is the projected OU trajectory
+that drove the solve, Y = Phi - X, and the shifted equation forced by
+the Wick exponential of X gives Y again, solved on its own.
+
 Every loop moves between the grid and spectral space with the pair
 spectral.to_values/to_coeffs, and the exponential-Euler step multiplier
 is spectral.heat_multiplier, the same symbol as the OU decay.  Noise
@@ -43,11 +50,11 @@ step at a time, so its states are bit-for-bit those of a solve of its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .randomfields import FieldPath, OuTrajectory, ou_chain, ou_decay, ou_path, white_noise_fft
+from .randomfields import FieldPath, ou_chain, ou_decay, ou_path, white_noise_fft
 from .rng import RngStream
 from .spectral import (
     SpectralField,
@@ -72,12 +79,12 @@ from .wick import (
 
 __all__ = [
     "SqeConfig",
-    "SolutionPath",
     "ContractionReport",
     "STABILITY_CAP",
     "measure_product",
     "solve_shifted",
     "solve_sqe_full",
+    "decompose",
     "solve_sqe_projected",
     "evolve_projected",
     "contraction_check",
@@ -134,22 +141,6 @@ class SqeConfig:
 
 def time_grid(config: SqeConfig) -> np.ndarray:
     return np.arange(config.n_steps() + 1) * config.dt
-
-
-@dataclass(frozen=True)
-class SolutionPath:
-    """Solver output: states per time, optional (x_part, y_part)
-    decomposition with x_part + y_part = state exactly, and a diagnostics
-    dict (per-step L2 norms, per-step max values for sign checks, the
-    independently solved shifted path when decomposed)."""
-
-    times: np.ndarray
-    states: list
-    decomposition: tuple | None = None
-    diagnostics: dict = dataclass_field(default_factory=dict)
-
-    def final(self) -> SpectralField:
-        return self.states[-1]
 
 
 @dataclass(frozen=True)
@@ -214,7 +205,7 @@ def _validate_path_times(times: np.ndarray, config: SqeConfig):
         raise ValueError("path times must be the uniform solver grid 0, dt, ..., T")
 
 
-def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig) -> SolutionPath:
+def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig) -> FieldPath:
     """Integrate the deterministic shifted equation from ``upsilon`` driven
     by the nonnegative forcing path ``chi_path`` (given on the solver's
     own time grid).
@@ -230,11 +221,11 @@ def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig
     params = config.params
     _check_initial_regularity(upsilon, params.beta)
     grid = upsilon.grid
-    if chi_path.fields[0].grid != grid:
+    if chi_path.grid != grid:
         raise ValueError("forcing path and initial datum live on different grids")
 
     chi_vals = []
-    for f in chi_path.fields:
+    for f in chi_path.states:
         if config.mollifier_scale > 0.0:
             f = heat_semigroup_massless(f, config.mollifier_scale)
         v = f.values()
@@ -249,31 +240,18 @@ def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig
     coeffs = upsilon.coeffs.copy()
     u = to_values(coeffs, grid)
     states = [SpectralField(grid, coeffs.copy())]
-    l2_norms = [sobolev_norm(states[0], 0.0)]
-    max_values = [float(u.max())]
     for j in range(config.n_steps()):
         nonlin = half_adt * guarded_exp(u, alpha, 0.0) * chi_vals[j]
         coeffs = mult * (coeffs - to_coeffs(nonlin, grid))
         if not np.isfinite(coeffs[0, 0]):
             raise FloatingPointError(f"shifted solve lost finiteness at step {j}")
         u = to_values(coeffs, grid)
-        state = SpectralField(grid, coeffs.copy())
-        states.append(state)
-        l2_norms.append(sobolev_norm(state, 0.0))
-        max_values.append(float(u.max()))
+        states.append(SpectralField(grid, coeffs.copy()))
 
-    return SolutionPath(
-        times=np.array(chi_path.times),
-        states=states,
-        diagnostics={
-            "l2_norms": np.array(l2_norms),
-            "max_values": np.array(max_values),
-            "scheme": config.scheme,
-        },
-    )
+    return FieldPath(times=np.array(chi_path.times), states=states)
 
 
-def _noise_increments(x_traj: OuTrajectory, config: SqeConfig):
+def _noise_increments(x_traj: FieldPath, config: SqeConfig):
     """Exact OU increments of a stored trajectory, one per step."""
     decay = ou_decay(x_traj.grid, config.dt)
     for prev, state in zip(x_traj.states, x_traj.states[1:]):
@@ -306,8 +284,8 @@ def _noise_stacks(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, stream
 
 
 def _resolve_x_traj(
-    phi0: SpectralField, config: SqeConfig, stream: RngStream, x_traj: OuTrajectory | None
-) -> OuTrajectory:
+    phi0: SpectralField, config: SqeConfig, stream: RngStream, x_traj: FieldPath | None
+) -> FieldPath:
     times = time_grid(config)
     if x_traj is None:
         return ou_path(phi0, times, stream.child("ou"))
@@ -323,9 +301,8 @@ def solve_sqe_full(
     phi0: SpectralField,
     config: SqeConfig,
     stream: RngStream,
-    x_traj: OuTrajectory | None = None,
-    decompose: bool = True,
-) -> SolutionPath:
+    x_traj: FieldPath | None = None,
+) -> FieldPath:
     """Integrate the full approximating equation from initial datum
     P_N phi0 with projected noise.
 
@@ -336,27 +313,18 @@ def solve_sqe_full(
             is supplied (common-noise coupling across levels or steps).
         x_traj: optional precomputed OU trajectory on the solver grid,
             starting at phi0; its exact increments drive the solver.
-        decompose: also record the x/y split and solve the shifted
-            equation with the same noise (exponential-Euler only).
+            Without it the exponential-Euler scheme uses
+            ``ou_path(phi0, time_grid(config), stream.child("ou"))``.
 
     Returns:
-        SolutionPath; ``decomposition=(x_part, y_part)`` satisfies
-        x + y = state exactly, and ``diagnostics['shifted_path']`` holds
-        the independently solved remainder.  On a shared time grid the
-        two remainders coincide to rounding: the splitting commutes with
-        this discretization because the full nonlinearity factors as
-        exp(alpha y) * exp(alpha P_N x - shift) pointwise.  A genuine
-        O(dt) residual appears only against a reconstruction on a finer
-        grid driven by the same noise.
+        the FieldPath of states on ``time_grid(config)``; ``decompose``
+        splits it into its OU and remainder parts.
     """
     if config.equation != "full":
         raise ValueError(f"config.equation must be 'full', got {config.equation!r}")
-    if decompose and config.scheme != "exponential-euler":
-        raise ValueError("decomposition bookkeeping requires the exponential-Euler scheme")
     grid = phi0.grid
     params = config.params
     psi_mult = config.psi.multiplier(grid, params.level)
-    times = time_grid(config)
 
     if config.scheme == "exponential-euler":
         x_traj = _resolve_x_traj(phi0, config, stream, x_traj)
@@ -371,32 +339,46 @@ def solve_sqe_full(
 
     coeffs = psi_mult * phi0.coeffs
     states = [SpectralField(grid, coeffs.copy())]
-    l2_norms = [sobolev_norm(states[0], 0.0)]
     for eta in noise:
         u = to_values(coeffs, grid)
         nonlin = half_adt * guarded_exp(u, alpha, shift)
         coeffs = mult * (coeffs - to_coeffs(nonlin, grid)) + psi_mult * eta
-        state = SpectralField(grid, coeffs.copy())
-        states.append(state)
-        l2_norms.append(sobolev_norm(state, 0.0))
+        states.append(SpectralField(grid, coeffs.copy()))
 
-    diagnostics: dict = {"l2_norms": np.array(l2_norms), "scheme": config.scheme}
-    decomposition = None
-    if decompose:
-        x_part = [SpectralField(grid, psi_mult * s.coeffs) for s in x_traj.states]
-        y_part = [st - xp for st, xp in zip(states, x_part)]
-        chi_path = wick_exp_ou(x_traj, params, config.psi)
-        shifted = solve_shifted(
-            zero_field(grid), chi_path, replace(config, equation="shifted")
-        )
-        decomposition = (
-            FieldPath(times=times, fields=x_part),
-            FieldPath(times=times, fields=y_part),
-        )
-        diagnostics["shifted_path"] = FieldPath(times=times, fields=shifted.states)
+    return FieldPath(times=time_grid(config), states=states)
 
-    return SolutionPath(times=times, states=states, decomposition=decomposition,
-                        diagnostics=diagnostics)
+
+def decompose(
+    path: FieldPath, x_traj: FieldPath, config: SqeConfig
+) -> tuple[FieldPath, FieldPath, FieldPath]:
+    """Split a full exponential-Euler solve into Phi = X + Y.
+
+    Args:
+        path: the solve_sqe_full output under ``config``.
+        x_traj: the OU trajectory whose increments drove it.
+        config: the full solve's configuration.
+
+    Returns:
+        (x_part, y_part, shifted): x_part = P_N x_traj and y_part =
+        state - x_part, so x + y = state exactly; ``shifted`` is the
+        remainder solved independently from zero as the shifted equation
+        forced by the Wick exponential of x_traj.  On a shared time grid
+        the two remainders coincide to rounding: the splitting commutes
+        with this discretization because the full nonlinearity factors as
+        exp(alpha y) * exp(alpha P_N x - shift) pointwise.  A genuine
+        O(dt) residual appears only against a reconstruction on a finer
+        grid driven by the same noise.
+    """
+    if config.scheme != "exponential-euler":
+        raise ValueError("decomposition bookkeeping requires the exponential-Euler scheme")
+    _validate_path_times(path.times, config)
+    grid = path.grid
+    psi_mult = config.psi.multiplier(grid, config.params.level)
+    x_part = [SpectralField(grid, psi_mult * s.coeffs) for s in x_traj.states]
+    y_part = [st - xp for st, xp in zip(path.states, x_part)]
+    chi_path = wick_exp_ou(x_traj, config.params, config.psi)
+    shifted = solve_shifted(zero_field(grid), chi_path, replace(config, equation="shifted"))
+    return FieldPath(path.times, x_part), FieldPath(path.times, y_part), shifted
 
 
 def _projected_flow(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, noise, overflow):
@@ -464,42 +446,27 @@ def solve_sqe_projected(
     phi0: SpectralField,
     config: SqeConfig,
     stream: RngStream,
-    x_traj: OuTrajectory | None = None,
-) -> SolutionPath:
+) -> FieldPath:
     """Integrate the projected-nonlinearity equation from the unprojected
     initial datum with unprojected noise (the variant whose ensemble law
     the invariance experiment probes).  With a cutoff profile that is
     identically 1 on the grid this coincides with solve_sqe_full applied
     to a projected datum.
 
-    This is ``evolve_projected`` on a stack of one that keeps every state;
-    a supplied OU trajectory (exponential-Euler only) drives it through
-    its exact increments instead of the stream.
+    This is ``evolve_projected`` on a stack of one that keeps every state.
     """
     if config.equation != "projected":
         raise ValueError(f"config.equation must be 'projected', got {config.equation!r}")
     grid = phi0.grid
-    if config.scheme == "exponential-euler" and x_traj is not None:
-        x_traj = _resolve_x_traj(phi0, config, stream, x_traj)
-        noise = (eta[None] for eta in _noise_increments(x_traj, config))
-    else:
-        noise = _noise_stacks(grid, phi0.coeffs[None], config, [stream])
-
+    noise = _noise_stacks(grid, phi0.coeffs[None], config, [stream])
     overflow = np.full(1, np.nan)
     states = [SpectralField(grid, phi0.coeffs.copy())]
-    l2_norms = [sobolev_norm(states[0], 0.0)]
     for coeffs in _projected_flow(grid, phi0.coeffs[None], config, noise, overflow):
-        state = SpectralField(grid, coeffs[0])
-        states.append(state)
-        l2_norms.append(sobolev_norm(state, 0.0))
+        states.append(SpectralField(grid, coeffs[0]))
     if not np.isnan(overflow[0]):
         raise WickOverflowError(float(overflow[0]))
 
-    return SolutionPath(
-        times=time_grid(config),
-        states=states,
-        diagnostics={"l2_norms": np.array(l2_norms), "scheme": config.scheme},
-    )
+    return FieldPath(times=time_grid(config), states=states)
 
 
 def contraction_check(

@@ -10,7 +10,8 @@ ExperimentReport whose exit_code already encodes the outcome:
 
 Replica fan-out is deterministic: replica i draws from the replica-i
 substream regardless of scheduling, so --threads changes wall time only,
-never results.
+never results.  cmd_invariance ignores --threads: it steps its replicas
+in blocked stacks (measures.invariance_test) in one thread.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def cmd_sqe(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Experiment
         sup_gaps = {}
         prev_states = None
         for n in levels:
-            path = solve_sqe_full(phi0, configs[n], sub, x_traj=x_traj, decompose=False)
+            path = solve_sqe_full(phi0, configs[n], sub, x_traj=x_traj)
             for j, t in enumerate(times):
                 state = path.states[j]
                 gap = (

@@ -24,6 +24,10 @@ every sampler is a pure function of (inputs, stream).  The samplers work
 on stacks of fields (n, M, M) with one generator per row, and a single
 field is the stack of one: row i of a stack is bit-for-bit the field its
 own stream gives alone.
+
+A path of fields is a :class:`FieldPath` (times, states): ``ou_path``
+returns one, ``ou_increments`` reads one, and the Wick-exponential
+forcing and every solver in ``dynamics`` use the same type.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .rng import RngStream
 from .spectral import SpectralField, TorusGrid, heat_multiplier
 
 __all__ = [
-    "OuTrajectory",
     "FieldPath",
     "gff_sample",
     "white_noise_fft",
@@ -53,35 +56,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FieldPath:
-    """Time-indexed sequence of fields on one grid."""
-
-    times: np.ndarray
-    fields: list
-
-    def __post_init__(self):
-        if len(self.times) != len(self.fields):
-            raise ValueError("times and fields must have equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        grids = {f.grid for f in self.fields}
-        if len(grids) > 1:
-            raise ValueError("all fields must share one grid")
-
-
-@dataclass(frozen=True)
-class OuTrajectory:
-    """Exact OU path: strictly increasing times from 0, one state per time,
-    plus the stream that produced it (seed provenance for reports)."""
+    """Fields on one grid at strictly increasing times, one state per
+    time: the package's one path type (OU trajectories, Wick-exponential
+    forcing paths and solver outputs alike)."""
 
     times: np.ndarray
     states: list
-    stream: RngStream
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
             raise ValueError("times and states must have equal length")
-        if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must increase strictly from 0")
+        if np.any(np.diff(self.times) <= 0):
+            raise ValueError("times must be strictly increasing")
         grids = {s.grid for s in self.states}
         if len(grids) > 1:
             raise ValueError("all states must share one grid")
@@ -89,6 +75,9 @@ class OuTrajectory:
     @property
     def grid(self) -> TorusGrid:
         return self.states[0].grid
+
+    def final(self) -> SpectralField:
+        return self.states[-1]
 
 
 def white_noise_fft(grid: TorusGrid, generators) -> np.ndarray:
@@ -170,7 +159,7 @@ def ou_chain(grid: TorusGrid, coeffs: np.ndarray, times, generators):
         yield coeffs
 
 
-def ou_path(init: SpectralField, times, stream: RngStream) -> OuTrajectory:
+def ou_path(init: SpectralField, times, stream: RngStream) -> FieldPath:
     """Chain exact transitions over the given times (increasing from 0).
 
     The noise is drawn sequentially from one generator, so the same
@@ -182,10 +171,10 @@ def ou_path(init: SpectralField, times, stream: RngStream) -> OuTrajectory:
     grid = init.grid
     chain = ou_chain(grid, init.coeffs[None], times, [stream.generator()])
     states = [init] + [SpectralField(grid, coeffs[0]) for coeffs in chain]
-    return OuTrajectory(times=times, states=states, stream=stream)
+    return FieldPath(times=times, states=states)
 
 
-def ou_increments(traj: OuTrajectory, stride: int = 1) -> tuple[np.ndarray, list]:
+def ou_increments(traj: FieldPath, stride: int = 1) -> tuple[np.ndarray, list]:
     """Exact stochastic-convolution increments recovered from a path.
 
     Over a step [t, t+h] the mild solution satisfies

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid, make_grid
+from .spectral import SpectralField, make_grid
 
 __all__ = [
     "ExperimentReport",

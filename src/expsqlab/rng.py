@@ -46,7 +46,3 @@ class RngStream:
 
     def for_replica(self, replica: int) -> "RngStream":
         return replace(self, replica=replica)
-
-    def describe(self) -> dict:
-        """Layout record embedded in experiment reports."""
-        return {"seed": self.seed, "replica": self.replica, "purpose": self.purpose}

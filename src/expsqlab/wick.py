@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .randomfields import FieldPath, OuTrajectory
+from .randomfields import FieldPath
 from .spectral import SpectralField, TorusGrid, sobolev_norm, to_spectral
 
 __all__ = [
@@ -246,13 +246,13 @@ def analytic_wick_cov(params: WickParams, psi: CutoffProfile, x, y, grid: TorusG
     return math.exp(params.alpha**2 * green_kernel_point(psi, params.level, grid, z, 1.0))
 
 
-def wick_exp_ou(traj: OuTrajectory, params: WickParams, psi: CutoffProfile) -> FieldPath:
+def wick_exp_ou(traj: FieldPath, params: WickParams, psi: CutoffProfile) -> FieldPath:
     """Wick exponential applied along an OU trajectory."""
-    fields = [wick_exp_gff(state, params, psi) for state in traj.states]
-    return FieldPath(times=traj.times, fields=fields)
+    states = [wick_exp_gff(state, params, psi) for state in traj.states]
+    return FieldPath(times=traj.times, states=states)
 
 
 def l2_time_hneg_norm(path: FieldPath, beta: float) -> float:
     """L^2-in-time H^{-beta}-in-space norm, trapezoid rule on path times."""
-    sq = [sobolev_norm(f, -beta) ** 2 for f in path.fields]
+    sq = [sobolev_norm(f, -beta) ** 2 for f in path.states]
     return float(math.sqrt(np.trapezoid(sq, path.times)))

@@ -14,13 +14,14 @@ import numpy as np
 
 from expsqlab import (
     CutoffProfile,
+    FieldPath,
     NormSpec,
-    OuTrajectory,
     RngStream,
     SqeConfig,
     analytic_wick_cov,
     besov_norm,
     contraction_check,
+    decompose,
     estimate_partition,
     field_from_coeffs,
     gff_mode_variance,
@@ -218,7 +219,7 @@ def test_criterion_06_sign_comparison():
         traj = ou_path(gff_sample(grid, sub.child("x0")), times, sub.child("ou"))
         chi = wick_exp_ou(traj, params, psi)
         path = solve_shifted(zero_field(grid), chi, config)
-        m = float(path.diagnostics["max_values"].max())
+        m = float(max(s.values().max() for s in path.states))
         worst = max(worst, m)
         violations += int(m > 1e-12)
     _verdict(6, "sign comparison", violations == 0,
@@ -275,18 +276,15 @@ def test_criterion_08_splitting_order():
         y_fine = solve_shifted(zero_field(grid), chi, fine_cfg)
         for c, p in enumerate(ps):
             stride = 2 ** (p_ref - p)
-            x_traj = OuTrajectory(times=fine.times[::stride],
-                                  states=fine.states[::stride], stream=fine.stream)
+            x_traj = FieldPath(times=fine.times[::stride], states=fine.states[::stride])
             cfg = SqeConfig(horizon=1.0, dt=2.0**-p, params=params, psi=psi)
-            direct = solve_sqe_full(phi0, cfg, sub, x_traj=x_traj,
-                                    decompose=(r == 0 and p == 5))
-            if direct.decomposition is not None:
+            direct = solve_sqe_full(phi0, cfg, sub, x_traj=x_traj)
+            if r == 0 and p == 5:
                 # record the same-grid exactness while we are here
-                _, y_part = direct.decomposition
-                shifted = direct.diagnostics["shifted_path"]
+                _, y_part, shifted = decompose(direct, x_traj, cfg)
                 split_defect = max(
                     sobolev_norm(a - b, -eps)
-                    for a, b in zip(y_part.fields, shifted.fields)
+                    for a, b in zip(y_part.states, shifted.states)
                 )
             sup = 0.0
             for j, state in enumerate(direct.states):
@@ -325,7 +323,7 @@ def test_criterion_09_level_gap_decreasing():
         x_traj = ou_path(phi0, times, sub.child("ou"))
         prev = None
         for j, n in enumerate(levels):
-            path = solve_sqe_full(phi0, cfgs[n], sub, x_traj=x_traj, decompose=False)
+            path = solve_sqe_full(phi0, cfgs[n], sub, x_traj=x_traj)
             if prev is not None:
                 sup_gaps[r, j - 1] = max(
                     sobolev_norm(a - b, -eps) for a, b in zip(path.states, prev)

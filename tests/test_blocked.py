@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expsqlab import (
     CutoffProfile,
@@ -24,6 +26,7 @@ from expsqlab import (
     evolve_projected,
     gff_sample,
     invariance_test,
+    make_grid,
     make_wick_params,
     mode0_tilt_mean,
     resample_stationary,
@@ -34,6 +37,7 @@ from expsqlab import (
     zero_field,
 )
 from expsqlab.measures import BLOCK_BYTES
+from expsqlab.spectral import to_coeffs, to_values
 
 
 def _setup(grid, alpha=1.0, level=2):
@@ -81,6 +85,34 @@ def test_gff_sample_stack_matches_single_draws(grid32, stream):
     assert stack.coeffs.shape == (5, 32, 32)
     for s, row in zip(streams, stack.unstack()):
         assert np.array_equal(row.coeffs, gff_sample(grid32, s).coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([8, 16, 32]),
+    st.integers(0, 2**64 - 1),
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+)
+def test_gff_sample_stack_rows_for_any_replica_layout(M, seed, replicas):
+    # repeated and unordered replica indices included: a row's draw
+    # depends on its own stream only, never on its place in the stack
+    grid = make_grid(M)
+    streams = [RngStream(seed, replica=r, purpose="layout") for r in replicas]
+    stack = gff_sample(grid, streams)
+    for s, row in zip(streams, stack.unstack()):
+        assert np.array_equal(row.coeffs, gff_sample(grid, s).coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([8, 16, 32]), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_transform_stack_rows_match_single_fields(M, n, seed):
+    grid = make_grid(M)
+    values = np.random.default_rng(seed).standard_normal((n, M, M))
+    coeffs = to_coeffs(values, grid)
+    back = to_values(coeffs, grid)
+    for i in range(n):
+        assert np.array_equal(coeffs[i], to_coeffs(values[i], grid))
+        assert np.array_equal(back[i], to_values(coeffs[i], grid))
 
 
 @pytest.mark.parametrize("tilt", ["auto", "none"])

@@ -1,7 +1,6 @@
 """Solver checks: scalar ODE oracle, exact linear limits, splitting
 bookkeeping, sign structure and contraction."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,10 +11,10 @@ from expsqlab import (
     ContractionReport,
     CutoffProfile,
     FieldPath,
-    RngStream,
     SqeConfig,
     constant_field,
     contraction_check,
+    decompose,
     gff_sample,
     heat_semigroup,
     make_grid,
@@ -40,7 +39,7 @@ def _params(grid, alpha=1.0, level=2, sharp=None):
 
 def _constant_forcing(config, grid, value=1.0):
     times = time_grid(config)
-    return FieldPath(times=times, fields=[constant_field(grid, value)] * len(times))
+    return FieldPath(times=times, states=[constant_field(grid, value)] * len(times))
 
 
 def _shifted_config(grid, dt, horizon=1.0, alpha=1.0, level=0, **kw):
@@ -91,7 +90,7 @@ def test_zero_forcing_is_heat_flow(grid32, stream):
     # per-mode decay of (Lap - 1)/2
     config = _shifted_config(grid32, dt=1.0 / 16, level=1)
     times = time_grid(config)
-    zeros = FieldPath(times=times, fields=[zero_field(grid32)] * len(times))
+    zeros = FieldPath(times=times, states=[zero_field(grid32)] * len(times))
     upsilon = heat_semigroup(gff_sample(grid32, stream), 0.2)
     path = solve_shifted(upsilon, zeros, config)
     expected = upsilon.coeffs * ou_decay(grid32, 1.0)
@@ -107,32 +106,33 @@ def test_alpha_zero_full_solve_is_projected_ou(grid32, stream):
     mult = psi.multiplier(grid32, 2)
     for state, x in zip(path.states, x_traj.states):
         assert np.abs(state.coeffs - mult * x.coeffs).max() < 1e-12
-    _, y_part = path.decomposition
-    assert all(np.abs(y.coeffs).max() < 1e-12 for y in y_part.fields)
+    _, y_part, _ = decompose(path, x_traj, config)
+    assert all(np.abs(y.coeffs).max() < 1e-12 for y in y_part.states)
+
+
+def _decomposed_full_solve(grid, stream):
+    params, psi = _params(grid, alpha=1.0, level=2)
+    config = SqeConfig(horizon=0.5, dt=1.0 / 32, params=params, psi=psi)
+    phi0 = gff_sample(grid, stream.child("init"))
+    path = solve_sqe_full(phi0, config, stream.child("noise"))
+    # without x_traj the solve draws its OU trajectory from the "ou" child
+    x_traj = ou_path(phi0, time_grid(config), stream.child("noise").child("ou"))
+    return path, decompose(path, x_traj, config)
 
 
 def test_decomposition_sums_exactly(grid32, stream):
-    params, psi = _params(grid32, alpha=1.0, level=2)
-    config = SqeConfig(horizon=0.5, dt=1.0 / 32, params=params, psi=psi)
-    phi0 = gff_sample(grid32, stream.child("init"))
-    path = solve_sqe_full(phi0, config, stream.child("noise"))
-    x_part, y_part = path.decomposition
-    for state, x, y in zip(path.states, x_part.fields, y_part.fields):
+    path, (x_part, y_part, _) = _decomposed_full_solve(grid32, stream)
+    for state, x, y in zip(path.states, x_part.states, y_part.states):
         assert np.abs(x.coeffs + y.coeffs - state.coeffs).max() < 1e-13
 
 
 def test_remainder_matches_independent_shifted_solve(grid32, stream):
     # on a shared time grid the subtraction remainder and the directly
     # integrated shifted equation coincide to rounding
-    params, psi = _params(grid32, alpha=1.0, level=2)
-    config = SqeConfig(horizon=0.5, dt=1.0 / 32, params=params, psi=psi)
-    phi0 = gff_sample(grid32, stream.child("init"))
-    path = solve_sqe_full(phi0, config, stream.child("noise"))
-    _, y_part = path.decomposition
-    shifted = path.diagnostics["shifted_path"]
+    _, (_, y_part, shifted) = _decomposed_full_solve(grid32, stream)
     gaps = [
         np.abs(y.coeffs - s.coeffs).max()
-        for y, s in zip(y_part.fields, shifted.fields)
+        for y, s in zip(y_part.states, shifted.states)
     ]
     assert max(gaps) < 1e-10
 
@@ -145,7 +145,7 @@ def test_remainder_sign_structure(grid32, stream):
     traj = ou_path(gff_sample(grid32, stream.child("x0")), times, stream.child("ou"))
     chi = wick_exp_ou(traj, config.params, config.psi)
     path = solve_shifted(zero_field(grid32), chi, config)
-    assert path.diagnostics["max_values"].max() <= 1e-12
+    assert max(s.values().max() for s in path.states) <= 1e-12
 
 
 def test_contraction_identical_inputs(grid32, stream):
@@ -224,7 +224,7 @@ def test_equation_flavor_enforced(grid32, stream):
         solve_shifted(zero_field(grid32), _constant_forcing(full_cfg, grid32), full_cfg)
     # forcing path must sit on the solver's own grid of times
     wrong_times = FieldPath(
-        times=np.array([0.0, 0.3]), fields=[zero_field(grid32)] * 2
+        times=np.array([0.0, 0.3]), states=[zero_field(grid32)] * 2
     )
     with pytest.raises(ValueError):
         solve_shifted(zero_field(grid32), wrong_times, shifted_cfg)
@@ -262,14 +262,14 @@ def test_semi_implicit_scheme(grid32, stream):
         horizon=0.5, dt=1.0 / 32, params=params, psi=psi, scheme="semi-implicit"
     )
     phi0 = gff_sample(grid32, stream.child("init"))
-    with pytest.raises(ValueError):
-        solve_sqe_full(phi0, config, stream.child("n"), decompose=True)
-    path = solve_sqe_full(phi0, config, stream.child("n"), decompose=False)
-    assert path.decomposition is None
+    path = solve_sqe_full(phi0, config, stream.child("n"))
+    x_traj = ou_path(phi0, time_grid(config), stream.child("n").child("ou"))
+    with pytest.raises(ValueError, match="exponential-Euler"):
+        decompose(path, x_traj, config)
     assert np.all(np.isfinite(path.final().coeffs))
     assert len(path.states) == config.n_steps() + 1
     # deterministic in the stream
-    again = solve_sqe_full(phi0, config, stream.child("n"), decompose=False)
+    again = solve_sqe_full(phi0, config, stream.child("n"))
     assert np.array_equal(path.final().coeffs, again.final().coeffs)
 
 
@@ -282,4 +282,5 @@ def test_projected_solver_deterministic(grid32, stream):
     a = solve_sqe_projected(phi0, config, stream.child("n"))
     b = solve_sqe_projected(phi0, config, stream.child("n"))
     assert np.array_equal(a.final().coeffs, b.final().coeffs)
-    assert a.diagnostics["l2_norms"].shape == (config.n_steps() + 1,)
+    assert np.array_equal(a.times, time_grid(config))
+    assert len(a.states) == config.n_steps() + 1

@@ -4,7 +4,7 @@ The determinism tests compare two runs of the same code, so a change that
 shifts every number by one rounding step still passes them.  These pin
 the sha256 of the report body (and of ``samples.bin`` and ``paths.csv``)
 at small configs for all five commands, plus the raw state bytes of the
-full (decomposed) and the trajectory-driven projected solves, so any bit
+full solve with its X + Y split and of the projected solve, so any bit
 drift in sampling, weighting, stepping, norms or dumping fails here.
 The digests were recorded with numpy 2.4; a different numpy may
 legitimately change the last bits of its FFTs.
@@ -24,6 +24,7 @@ from expsqlab import (
     cmd_sample_gff,
     cmd_sqe,
     cmd_wick_converge,
+    decompose,
     gff_sample,
     heat_semigroup,
     heat_semigroup_massless,
@@ -131,7 +132,7 @@ NORMS_BENCH = {
 
 SOLVER_STATES = {
     "full-decomposed": "d60632726b5100f2781e853aea8f032a84f1f4e5d10d41f7806a5a390169d7f8",
-    "projected-x_traj": "817cbe37c95183aad390daf668f75d5b7900a41d0c7ff9778d153a45d2ec8d5c",
+    "projected": "817cbe37c95183aad390daf668f75d5b7900a41d0c7ff9778d153a45d2ec8d5c",
 }
 
 OPERATORS = "e834e266ac336f9964508dfcab2ee1b086732d5832dc8c6ee55119abf4df51ca"
@@ -179,14 +180,15 @@ def test_solver_states_golden(name):
     phi0 = gff_sample(grid, stream.child("init"))
     equation = "full" if name == "full-decomposed" else "projected"
     config = SqeConfig(horizon=0.25, dt=1 / 64, params=params, psi=psi, equation=equation)
-    x_traj = ou_path(phi0, time_grid(config), stream.child("ou"))
     if equation == "full":
-        path = solve_sqe_full(phi0, config, stream, x_traj=x_traj, decompose=True)
-        x_part, y_part = path.decomposition
-        got = _states_digest(path.states, x_part.fields, y_part.fields,
-                             path.diagnostics["shifted_path"].fields)
+        x_traj = ou_path(phi0, time_grid(config), stream.child("ou"))
+        path = solve_sqe_full(phi0, config, stream, x_traj=x_traj)
+        x_part, y_part, shifted = decompose(path, x_traj, config)
+        got = _states_digest(path.states, x_part.states, y_part.states, shifted.states)
     else:
-        path = solve_sqe_projected(phi0, config, stream, x_traj=x_traj)
+        # drives itself from stream.child("ou"), the OU chain the pin was
+        # recorded with (then passed in as a trajectory)
+        path = solve_sqe_projected(phi0, config, stream)
         got = _states_digest(path.states)
     assert got == SOLVER_STATES[name]
 

@@ -7,13 +7,10 @@ import pytest
 
 from expsqlab import (
     FieldPath,
-    OuTrajectory,
     RngStream,
-    constant_field,
     gff_mode_variance,
     gff_sample,
     hermitian_defect,
-    make_grid,
     ou_decay,
     ou_increments,
     ou_noise_variance,
@@ -149,19 +146,10 @@ def test_wiener_increment_variance(grid8):
 def test_field_path_validation(grid8, grid32):
     f8 = zero_field(grid8)
     with pytest.raises(ValueError):
-        FieldPath(times=np.array([0.0, 1.0]), fields=[f8])
+        FieldPath(times=np.array([0.0, 1.0]), states=[f8])
     with pytest.raises(ValueError):
-        FieldPath(times=np.array([0.0, 0.0]), fields=[f8, f8])
+        FieldPath(times=np.array([0.0, 0.0]), states=[f8, f8])
     with pytest.raises(ValueError):
-        FieldPath(times=np.array([0.0, 1.0]), fields=[f8, zero_field(grid32)])
-    FieldPath(times=np.array([0.0, 1.0]), fields=[f8, f8])
-
-
-def test_ou_trajectory_validation(grid8, stream):
-    f = zero_field(grid8)
-    with pytest.raises(ValueError):
-        OuTrajectory(times=np.array([0.5, 1.0]), states=[f, f], stream=stream)
-    with pytest.raises(ValueError):
-        OuTrajectory(times=np.array([0.0]), states=[f, f], stream=stream)
-    traj = OuTrajectory(times=np.array([0.0, 1.0]), states=[f, f], stream=stream)
-    assert traj.grid is f.grid
+        FieldPath(times=np.array([0.0, 1.0]), states=[f8, zero_field(grid32)])
+    path = FieldPath(times=np.array([0.0, 1.0]), states=[f8, f8])
+    assert path.grid is f8.grid

@@ -1,6 +1,5 @@
 """Report determinism, CSV formatting and the binary field dump."""
 
-import hashlib
 import json
 
 import numpy as np

@@ -62,8 +62,3 @@ def test_seed_validation():
         RngStream(2**64)
     with pytest.raises(ValueError):
         RngStream(3, replica=-2)
-
-
-def test_describe():
-    s = RngStream(11, replica=2, purpose="accept-c05")
-    assert s.describe() == {"seed": 11, "replica": 2, "purpose": "accept-c05"}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from expsqlab import (
     NormSpec,
@@ -23,6 +24,7 @@ from expsqlab import (
     to_spectral,
     zero_field,
 )
+from expsqlab.spectral import to_coeffs, to_values
 from expsqlab.wick import CutoffProfile
 
 TWO_PI = 2.0 * math.pi
@@ -164,3 +166,24 @@ def test_sobolev_norm_matches_weighted_sum(M, s, seed):
     w = (1.0 + grid.ksq) ** s
     got = sobolev_norm(SpectralField(grid, c), s) ** 2
     assert got == pytest.approx(float(np.sum(w * np.abs(c) ** 2)), rel=1e-12)
+
+
+# zero or a magnitude in [1e-100, 1e100]: a wide dynamic range whose
+# transforms stay clear of overflow and of subnormal rounding
+_GRID_VALUES = st.one_of(
+    st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100)
+)
+
+
+@st.composite
+def _grid_array(draw):
+    M = draw(st.sampled_from([8, 16, 32]))
+    return make_grid(M), draw(arrays(np.float64, (M, M), elements=_GRID_VALUES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grid_array())
+def test_transform_round_trip_any_real_array(grid_and_values):
+    grid, v = grid_and_values
+    back = to_values(to_coeffs(v, grid), grid)
+    assert np.abs(back - v).max() <= 1e-12 * np.abs(v).max()

@@ -26,7 +26,6 @@ from expsqlab import (
     make_wick_params,
     ou_path,
     renorm_constant,
-    wick_exp_gff,
     wick_exp_ou,
     wick_exp_values,
 )
@@ -283,7 +282,7 @@ def test_wick_exp_ou_path(grid32, sharp, stream):
     traj = ou_path(gff_sample(grid32, stream.child("init")), times, stream.child("path"))
     path = wick_exp_ou(traj, params, sharp)
     assert np.array_equal(path.times, times)
-    assert all(f.values().min() > 0.0 for f in path.fields)
+    assert all(f.values().min() > 0.0 for f in path.states)
     assert np.isfinite(l2_time_hneg_norm(path, params.beta))
 
 
@@ -292,5 +291,5 @@ def test_l2_time_hneg_norm_constant_path(grid32):
     # L^2(0,1) H^{-beta} norm is exactly 2 pi c
     c = 0.75
     fields = [constant_field(grid32, c) for _ in range(5)]
-    path = FieldPath(times=np.linspace(0.0, 1.0, 5), fields=fields)
+    path = FieldPath(times=np.linspace(0.0, 1.0, 5), states=fields)
     assert l2_time_hneg_norm(path, 0.5) == pytest.approx(2.0 * math.pi * c, rel=1e-12)
