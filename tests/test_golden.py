@@ -79,6 +79,23 @@ SAMPLE_GFF = {
         "ff6d024d804bcb007ae8eb3c9ec178de6ed9b17775454f4afadf9b3402224616",
         "41e213489a0647edbb9ecd37c449b606f55bf185837605e5f2083d76e7e90ad2",
     ),
+    # ragged last blocks: 16 + 16 + 5 draws at M = 32, 4 + 4 + 1 at M = 64,
+    # and a single draw (infinite standard error, zero variance)
+    "ragged-M32": (
+        dict(modes=32, seed=11, samples=37),
+        "263e5a795d47fb94244272e8a502457025ee5f9dc8de0aaeb2bf40f582d56110",
+        "5a5f7c380beb2206e58452b8f0fcd5c9bd46e6976eb1c8074ce641e5e884f20e",
+    ),
+    "ragged-M64": (
+        dict(modes=64, seed=14, samples=9),
+        "0c56eaa67d9932f4fefa3571b5f05170db50c372a20719756469acc71aaa4831",
+        "0bfdd952ebec0753e0e366abc8a2be0461c158b71201851a4768734071cdf03c",
+    ),
+    "single-M32": (
+        dict(modes=32, seed=15, samples=1),
+        "f0958a4a411e92e48733827b4619ea66c95fce3e76c05e557f9093278cec9e08",
+        "7fbf83b3bf833a281ff24f70de37682a5c9ff412273fed50aded983432a1a709",
+    ),
 }
 
 
