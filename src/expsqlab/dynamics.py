@@ -45,6 +45,14 @@ The projected equation steps a stack of replicas (n, M, M) at once
 (``evolve_projected``); ``solve_sqe_projected`` is the stack of one that
 keeps every state.  Each replica draws its noise from its own stream one
 step at a time, so its states are bit-for-bit those of a solve of its own.
+
+The full equation steps a stack of cutoff levels (L, M, M) at once
+(``evolve_levels``), the common-noise coupling of the levels: each noise
+increment is computed once per step and drives every level, and the
+level stack is yielded step by step instead of stored.
+``solve_sqe_full`` is its one level that keeps every state.  Row l is
+bit-for-bit the solve of level l alone, and an overflow raises what a
+loop over the levels would raise first.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .randomfields import FieldPath, ou_chain, ou_decay, ou_path, white_noise_fft
+from .randomfields import FieldPath, ou_chain, ou_decay, white_noise_fft
 from .rng import RngStream
 from .spectral import (
     SpectralField,
@@ -84,6 +92,7 @@ __all__ = [
     "measure_product",
     "solve_shifted",
     "solve_sqe_full",
+    "evolve_levels",
     "decompose",
     "solve_sqe_projected",
     "evolve_projected",
@@ -283,18 +292,98 @@ def _noise_stacks(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, stream
     return _wiener_increments(grid, config, streams)
 
 
-def _resolve_x_traj(
-    phi0: SpectralField, config: SqeConfig, stream: RngStream, x_traj: FieldPath | None
-) -> FieldPath:
-    times = time_grid(config)
-    if x_traj is None:
-        return ou_path(phi0, times, stream.child("ou"))
+def _check_x_traj(phi0: SpectralField, config: SqeConfig, x_traj: FieldPath):
     _validate_path_times(x_traj.times, config)
     if x_traj.grid != phi0.grid:
         raise ValueError("OU trajectory and initial datum live on different grids")
     if not np.allclose(x_traj.states[0].coeffs, phi0.coeffs, rtol=0, atol=1e-12):
         raise ValueError("OU trajectory must start at the initial datum")
-    return x_traj
+
+
+def _full_flow(grid: TorusGrid, coeffs: np.ndarray, psi_mult: np.ndarray, configs, noise,
+               overflow):
+    """The full equation's one step loop, on a stack of cutoff levels
+    (L, M, M) with row l under ``configs[l]``: yields the state stack
+    after each step, each step driven by the next increment of ``noise``,
+    which every level projects with its own cutoff multiplier
+    ``psi_mult[l]``.
+
+    A level whose Wick exponent passes the overflow guard has that
+    exponent written to ``overflow`` (NaN until then) at its first
+    overflowing step and is zeroed from then on, so the other levels
+    step on unharmed; the flow ends early once every level has failed.
+    """
+    config = configs[0]
+    mult = _step_multiplier(grid, config.dt, config.scheme)
+    alpha = config.params.alpha
+    shift = np.array([0.5 * alpha**2 * c.params.c_n for c in configs])[:, None, None]
+    half_adt = 0.5 * alpha * config.dt
+    failed = np.zeros(len(configs), dtype=bool)
+    for eta in noise:
+        values, peaks = scaled_exp(to_values(coeffs, grid), alpha, shift)
+        new = ~failed & (peaks > OVERFLOW_EXPONENT)
+        if new.any():
+            overflow[new] = peaks[new]
+            failed |= new
+        nonlin = half_adt * values
+        coeffs = mult * (coeffs - to_coeffs(nonlin, grid)) + psi_mult * eta
+        if failed.any():
+            coeffs[failed] = 0.0
+            if failed.all():
+                return
+        yield coeffs
+
+
+def evolve_levels(
+    phi0: SpectralField,
+    configs,
+    stream: RngStream,
+    x_traj: FieldPath | None = None,
+):
+    """States of the full equation at several cutoff levels, stepped in
+    lockstep under one noise.
+
+    Args:
+        phi0: initial datum, projected by each level's cutoff.
+        configs: one configuration with equation='full' per level; they
+            may differ only in their Wick parameters and cutoff.
+        stream: noise stream, as for ``solve_sqe_full``; each increment
+            is computed once per step and drives every level.
+        x_traj: optional OU trajectory, as for ``solve_sqe_full``.
+
+    Yields:
+        the coefficient stack (L, M, M) at each time of
+        ``time_grid(configs[0])``, row l bit-for-bit the state of
+        ``solve_sqe_full(phi0, configs[l], stream, x_traj)``.
+
+    Raises:
+        WickOverflowError: after the last step, if a level overflowed,
+            with the exponent of the lowest failing level at its first
+            overflowing step: the error a loop over the levels one at a
+            time raises first.
+    """
+    config = configs[0]
+    for c in configs:
+        if c.equation != "full":
+            raise ValueError(f"config.equation must be 'full', got {c.equation!r}")
+        if (c.horizon, c.dt, c.scheme, c.params.alpha) != (
+            config.horizon, config.dt, config.scheme, config.params.alpha
+        ):
+            raise ValueError("levels must share horizon, dt, scheme and alpha")
+    grid = phi0.grid
+    if x_traj is not None and config.scheme == "exponential-euler":
+        _check_x_traj(phi0, config, x_traj)
+        noise = _noise_increments(x_traj, config)
+    else:
+        noise = _noise_stacks(grid, phi0.coeffs[None], config, [stream])
+    overflow = np.full(len(configs), np.nan)
+    psi_mult = np.stack([c.psi.multiplier(grid, c.params.level) for c in configs])
+    coeffs = psi_mult * phi0.coeffs
+    yield coeffs
+    yield from _full_flow(grid, coeffs, psi_mult, configs, noise, overflow)
+    failed = np.flatnonzero(~np.isnan(overflow))
+    if failed.size:
+        raise WickOverflowError(float(overflow[failed[0]]))
 
 
 def solve_sqe_full(
@@ -312,39 +401,23 @@ def solve_sqe_full(
         stream: noise stream; ignored for the noise itself when ``x_traj``
             is supplied (common-noise coupling across levels or steps).
         x_traj: optional precomputed OU trajectory on the solver grid,
-            starting at phi0; its exact increments drive the solver.
-            Without it the exponential-Euler scheme uses
-            ``ou_path(phi0, time_grid(config), stream.child("ou"))``.
+            starting at phi0; its exact increments drive the
+            exponential-Euler scheme (the semi-implicit scheme ignores
+            it).  Without it the exponential-Euler scheme is driven by
+            the increments of the OU chain of ``stream.child("ou")``,
+            bit-for-bit those of ``ou_path(phi0, time_grid(config),
+            stream.child("ou"))``, drawn one step at a time.
 
     Returns:
         the FieldPath of states on ``time_grid(config)``; ``decompose``
         splits it into its OU and remainder parts.
+
+    This is ``evolve_levels`` on one level that keeps every state.
     """
     if config.equation != "full":
         raise ValueError(f"config.equation must be 'full', got {config.equation!r}")
     grid = phi0.grid
-    params = config.params
-    psi_mult = config.psi.multiplier(grid, params.level)
-
-    if config.scheme == "exponential-euler":
-        x_traj = _resolve_x_traj(phi0, config, stream, x_traj)
-        noise = _noise_increments(x_traj, config)
-    else:
-        noise = (w[0] for w in _wiener_increments(grid, config, [stream]))
-
-    mult = _step_multiplier(grid, config.dt, config.scheme)
-    alpha = params.alpha
-    shift = 0.5 * alpha**2 * params.c_n
-    half_adt = 0.5 * alpha * config.dt
-
-    coeffs = psi_mult * phi0.coeffs
-    states = [SpectralField(grid, coeffs.copy())]
-    for eta in noise:
-        u = to_values(coeffs, grid)
-        nonlin = half_adt * guarded_exp(u, alpha, shift)
-        coeffs = mult * (coeffs - to_coeffs(nonlin, grid)) + psi_mult * eta
-        states.append(SpectralField(grid, coeffs.copy()))
-
+    states = [SpectralField(grid, s[0]) for s in evolve_levels(phi0, [config], stream, x_traj)]
     return FieldPath(times=time_grid(config), states=states)
 
 

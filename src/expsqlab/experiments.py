@@ -10,8 +10,15 @@ ExperimentReport whose exit_code already encodes the outcome:
 
 Replica fan-out is deterministic: replica i draws from the replica-i
 substream regardless of scheduling, so --threads changes wall time only,
-never results.  cmd_invariance ignores --threads: it steps its replicas
-in blocked stacks (measures.invariance_test) in one thread.
+never results.  cmd_invariance and cmd_sample_gff ignore --threads: they
+evaluate blocked stacks (measures.invariance_test, measures._blocks) in
+one thread.
+
+The drivers stream what they can: cmd_sample_gff hands each block of
+draws to the dump and drops it, and cmd_sqe steps the cutoff levels of a
+replica in lockstep (dynamics.evolve_levels) and reduces each step's
+states to their norms and level gaps at once, so neither holds a path or
+the draws whole.
 """
 
 from __future__ import annotations
@@ -24,19 +31,20 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .dynamics import SqeConfig, solve_sqe_full, time_grid
+from .dynamics import SqeConfig, evolve_levels, time_grid
 from .measures import (
     DegenerateEnsembleError,
+    _blocks,
     estimate_partition,
     invariance_test,
     sample_ensemble,
     standard_observables,
 )
-from .randomfields import gff_sample, ou_path
+from .randomfields import gff_sample
 from .reports import ExperimentReport, save_fields, write_csv, write_report
 from .rng import RngStream
 from .besov import besov_norm
-from .spectral import NormSpec, sobolev_norm
+from .spectral import NormSpec, sobolev_norm, sobolev_norms
 from .wick import WickOverflowError, make_wick_params, wick_exp_gff
 
 __all__ = [
@@ -69,25 +77,42 @@ def _finish(report: ExperimentReport, out_dir, started: float) -> ExperimentRepo
 
 def cmd_sample_gff(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> ExperimentReport:
     """Draw free-field samples, check their negative-order Sobolev energy
-    against the exact mode sum, and optionally dump the coefficients."""
+    against the exact mode sum, and optionally dump the coefficients.
+
+    Draws are made in blocks (``measures._blocks``); each block's norms
+    and constant modes are recorded and the block goes to the dump, then
+    is dropped, so memory holds one block whatever ``samples`` is.
+    ``threads`` is ignored."""
     started = time.perf_counter()
     grid = cfg.build_grid()
     stream = RngStream(cfg.seed, purpose="sample-gff")
     s = -cfg.eps
+    sq_norms = np.empty(cfg.samples)
+    mode0 = np.empty(cfg.samples)
 
-    draws = _map_replicas(lambda i: gff_sample(grid, stream.for_replica(i)), cfg.samples, threads)
-    sq_norms = np.array([sobolev_norm(f, s) ** 2 for f in draws])
+    def draws():
+        for rows in _blocks(cfg.samples, grid):
+            block = gff_sample(grid, [stream.for_replica(i) for i in rows])
+            for i, f in zip(rows, block.unstack()):
+                sq_norms[i] = sobolev_norm(f, s) ** 2
+            mode0[rows.start : rows.stop] = block.coeffs[:, 0, 0].real
+            yield block
+
+    if out_dir is not None:
+        save_fields(Path(out_dir) / "samples.bin", draws())
+    else:
+        for _ in draws():
+            pass
     theory = float(((1.0 + grid.ksq) ** (s - 1.0)).sum())
     se = sq_norms.std(ddof=1) / math.sqrt(len(sq_norms)) if len(sq_norms) > 1 else float("inf")
     z = (sq_norms.mean() - theory) / se if se > 0 else 0.0
-    mode0 = np.array([float(np.real(f.coeffs[0, 0])) for f in draws])
 
     ok = bool(abs(z) <= 4.0)
     report = ExperimentReport(
         command="sample-gff",
         config=cfg.as_dict(),
         body={
-            "samples": len(draws),
+            "samples": cfg.samples,
             "modes_per_dim": grid.modes_per_dim,
             "sobolev_order": s,
             "mean_sq_norm": float(sq_norms.mean()),
@@ -99,8 +124,6 @@ def cmd_sample_gff(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Exp
         },
         exit_code=EXIT_OK if ok else EXIT_CHECK_FAILED,
     )
-    if out_dir is not None:
-        save_fields(Path(out_dir) / "samples.bin", list(draws))
     return _finish(report, out_dir, started)
 
 
@@ -188,29 +211,24 @@ def cmd_sqe(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Experiment
     }
     times = time_grid(configs[levels[0]])
     stream = RngStream(cfg.seed, purpose="sqe")
+    level_configs = [configs[n] for n in levels]
 
     def one(r: int):
         sub = stream.for_replica(r)
         phi0 = gff_sample(grid, sub.child("init"))
-        x_traj = ou_path(phi0, times, sub.child("ou"))
-        rows = []
-        sup_gaps = {}
-        prev_states = None
-        for n in levels:
-            path = solve_sqe_full(phi0, configs[n], sub, x_traj=x_traj)
-            for j, t in enumerate(times):
-                state = path.states[j]
-                gap = (
-                    sobolev_norm(state - prev_states[j], -beta)
-                    if prev_states is not None
-                    else float("nan")
-                )
-                rows.append(
-                    (r, n, float(t), sobolev_norm(state, 0.0), sobolev_norm(state, -beta), gap)
-                )
-            if prev_states is not None:
-                sup_gaps[n] = max(row[5] for row in rows if row[1] == n)
-            prev_states = path.states
+        # per level and time: L2 norm, H^-beta norm, H^-beta gap to level n-1
+        l2, hneg = np.empty((2, len(levels), len(times)))
+        gaps = np.full((len(levels), len(times)), np.nan)
+        for j, stack in enumerate(evolve_levels(phi0, level_configs, sub)):
+            l2[:, j], hneg[:, j] = sobolev_norms(stack, grid, (0.0, -beta))
+            gaps[1:, j] = sobolev_norms(stack[1:] - stack[:-1], grid, (-beta,))[0]
+        ts = [float(t) for t in times]
+        rows = [
+            (r, n, t, a, b, g)
+            for n, l2_n, hneg_n, gaps_n in zip(levels, l2.tolist(), hneg.tolist(), gaps.tolist())
+            for t, a, b, g in zip(ts, l2_n, hneg_n, gaps_n)
+        ]
+        sup_gaps = {n: max(g) for n, g in zip(levels[1:], gaps[1:].tolist())}
         return rows, sup_gaps
 
     try:

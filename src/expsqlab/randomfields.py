@@ -152,10 +152,17 @@ def ou_chain(grid: TorusGrid, coeffs: np.ndarray, times, generators):
     """The exact OU chain: yields the coefficient stack after each step of
     ``times``, starting from the stack ``coeffs`` (n, M, M).  Row i draws
     its noise from ``generators[i]``, one step at a time, so a row is
-    bit-for-bit the chain of that generator alone."""
+    bit-for-bit the chain of that generator alone.  The decay and the
+    noise scale are computed again only when the step changes (the steps
+    of ``np.diff(times)`` may differ in the last bit, so they are compared,
+    not assumed equal)."""
+    step = None
     for dt in np.diff(times):
-        noise = _white_spectral(grid, generators) * np.sqrt(ou_noise_variance(grid, dt))
-        coeffs = ou_decay(grid, dt) * coeffs + noise
+        if dt != step:
+            step = dt
+            decay = ou_decay(grid, dt)
+            noise_sd = np.sqrt(ou_noise_variance(grid, dt))
+        coeffs = decay * coeffs + _white_spectral(grid, generators) * noise_sd
         yield coeffs
 
 

@@ -6,6 +6,10 @@ so that identical runs produce byte-identical body bytes; ``timing``
 holds wall-clock measurements and environment notes and is allowed to
 differ between runs.  ``body_digest`` is the sha256 of the body bytes,
 recorded on the side for quick reproducibility checks.
+
+``save_fields`` is the one writer of the binary coefficient dump; it
+consumes fields or stacks of fields one item at a time, so a driver can
+stream its draws into it block by block.
 """
 
 from __future__ import annotations
@@ -105,23 +109,40 @@ DUMP_VERSION = 1
 _HEADER = struct.Struct("<8sHII")
 
 
-def save_fields(path: str | Path, fields: list) -> Path:
-    if not fields:
-        raise ValueError("nothing to save")
-    grid = fields[0].grid
-    if any(f.grid != grid for f in fields):
-        raise ValueError("all fields must share one grid")
+def save_fields(path: str | Path, fields) -> Path:
+    """Write a field dump, the package's one dump writer.
+
+    ``fields`` is any iterable of fields or stacks of fields on one grid,
+    a generator included: items are written one at a time and may be
+    dropped by the caller once written, so the payload is never held in
+    memory whole.  The header's count is filled in after the payload.
+    A failed write removes the file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256()
-    with path.open("wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, DUMP_VERSION, grid.modes_per_dim, len(fields)))
-        # one field at a time: the payload is never held in memory whole
-        for f in fields:
-            data = np.ascontiguousarray(f.coeffs.astype("<c16", copy=False)).tobytes()
-            digest.update(data)
-            fh.write(data)
-        fh.write(digest.digest())
+    grid = None
+    count = 0
+    try:
+        with path.open("wb") as fh:
+            for f in fields:
+                if grid is None:
+                    grid = f.grid
+                    fh.write(_HEADER.pack(_MAGIC, DUMP_VERSION, grid.modes_per_dim, 0))
+                elif f.grid != grid:
+                    raise ValueError("all fields must share one grid")
+                data = np.ascontiguousarray(f.coeffs, dtype="<c16")
+                digest.update(data)
+                fh.write(data)
+                count += 1 if data.ndim == 2 else len(data)
+            if grid is None:
+                raise ValueError("nothing to save")
+            fh.write(digest.digest())
+            fh.seek(0)
+            fh.write(_HEADER.pack(_MAGIC, DUMP_VERSION, grid.modes_per_dim, count))
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 

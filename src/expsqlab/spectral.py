@@ -46,6 +46,7 @@ __all__ = [
     "zero_field",
     "constant_field",
     "sobolev_norm",
+    "sobolev_norms",
     "heat_multiplier",
     "heat_semigroup",
     "heat_semigroup_massless",
@@ -256,11 +257,23 @@ class NormSpec:
                 raise ValueError(f"{name} must lie in [1, inf], got {idx}")
 
 
+def sobolev_norms(coeffs: np.ndarray, grid: TorusGrid, orders) -> np.ndarray:
+    """``sobolev_norm`` at each of ``orders`` for each field of a bare
+    coefficient stack (n, M, M), as an array (len(orders), n).
+
+    |coeff|^2 is formed once per field for all orders, and each sum is
+    the ``np.dot`` of one field's row (a matrix product would sum in
+    another order), so every entry is bit-for-bit ``sobolev_norm``'s.
+    """
+    flat = coeffs.reshape(len(coeffs), grid.npoints)
+    abs2 = flat.real * flat.real + flat.imag * flat.imag
+    weights = [grid.sobolev_weight(s) for s in orders]
+    return np.sqrt([[np.dot(w, row) for row in abs2] for w in weights])
+
+
 def sobolev_norm(field: SpectralField, s: float) -> float:
     """sqrt( sum_k (1+|k|^2)^s |coeff(k)|^2 )."""
-    w = field.grid.sobolev_weight(s)
-    c = field.coeffs.ravel()
-    return float(np.sqrt(np.dot(w, c.real * c.real + c.imag * c.imag)))
+    return float(sobolev_norms(field.coeffs[None], field.grid, (s,))[0, 0])
 
 
 def heat_multiplier(grid: TorusGrid, t: float) -> np.ndarray:

@@ -196,10 +196,11 @@ def renorm_constant(psi: CutoffProfile, level: int, grid: TorusGrid) -> float:
     return float(np.sum(m * m / (1.0 + grid.ksq))) / (4.0 * math.pi**2)
 
 
-def scaled_exp(values: np.ndarray, alpha: float, shift: float) -> tuple[np.ndarray, np.ndarray]:
+def scaled_exp(values: np.ndarray, alpha: float, shift) -> tuple[np.ndarray, np.ndarray]:
     """exp(alpha * values - shift) on grid values of one field (M, M) or a
     stack (n, M, M), and each field's largest exponent (one per field):
-    the input of the overflow guard."""
+    the input of the overflow guard.  ``shift`` is one float, or one per
+    field of a stack shaped (n, 1, 1)."""
     expo = alpha * values - shift
     peaks = expo.reshape(-1, values.shape[-2] * values.shape[-1]).max(axis=1)
     return np.exp(np.minimum(expo, _EXP_CAP)), peaks

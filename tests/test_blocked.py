@@ -1,12 +1,15 @@
 """Blocked evaluation: stacks of fields against one field at a time.
 
-``sample_ensemble`` and ``invariance_test`` evaluate fields in blocks of
-BLOCK_BYTES per stack (16 fields at M = 32).  Their results, overflow
-errors included, must be bit-identical to a plain loop over the
-single-field functions; the counts here are not multiples of the block.
+``sample_ensemble``, ``invariance_test`` and ``cmd_sample_gff`` evaluate
+fields in blocks of BLOCK_BYTES per stack (16 fields at M = 32), and
+``evolve_levels`` steps the cutoff levels of ``cmd_sqe`` as one stack.
+Their results, overflow errors included, must be bit-identical to a
+plain loop over the single-field functions; the counts here are not
+multiples of the block.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,26 +19,37 @@ from hypothesis import strategies as st
 from expsqlab import (
     CutoffProfile,
     DegenerateEnsembleError,
+    ExperimentConfig,
     RngStream,
     SpectralField,
     SqeConfig,
     WeightedEnsemble,
     WickOverflowError,
     apply_PN,
+    cmd_sample_gff,
+    cmd_sqe,
     constant_field,
+    evolve_levels,
     evolve_projected,
     gff_sample,
     invariance_test,
     make_grid,
     make_wick_params,
     mode0_tilt_mean,
+    ou_path,
     resample_stationary,
     rn_log_weight,
     sample_ensemble,
+    save_fields,
+    sobolev_norm,
+    solve_sqe_full,
     solve_sqe_projected,
     standard_observables,
+    time_grid,
+    to_spectral,
     zero_field,
 )
+from expsqlab import dynamics, randomfields
 from expsqlab.measures import BLOCK_BYTES
 from expsqlab.spectral import to_coeffs, to_values
 
@@ -237,3 +251,153 @@ def test_degenerate_ensemble_has_its_own_error(grid32):
     plain = sample_ensemble(grid32, params, psi, 60, RngStream(616, purpose="d"), tilt="none")
     with pytest.raises(DegenerateEnsembleError, match="ESS"):
         resample_stationary(plain, 10, RngStream(616))
+
+
+def _level_configs(grid, kind, scheme, levels, horizon=0.125):
+    psi = CutoffProfile(kind)
+    return [
+        SqeConfig(horizon=horizon, dt=1.0 / 64, params=make_wick_params(1.0, n, psi, grid),
+                  psi=psi, scheme=scheme)
+        for n in levels
+    ]
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smooth"])
+@pytest.mark.parametrize("scheme", ["exponential-euler", "semi-implicit"])
+def test_evolve_levels_match_single_level_solves(grid32, scheme, kind):
+    # the reference is a loop over the levels: one stored OU path, each
+    # level solved on its own from its increments
+    configs = _level_configs(grid32, kind, scheme, (0, 1, 2))
+    stream = RngStream(618, purpose="levels")
+    phi0 = gff_sample(grid32, stream.child("init"))
+    x_traj = ou_path(phi0, time_grid(configs[0]), stream.child("ou"))
+    paths = [solve_sqe_full(phi0, c, stream, x_traj=x_traj) for c in configs]
+    stacks = list(evolve_levels(phi0, configs, stream))
+    assert len(stacks) == len(x_traj.times)
+    for j, stack in enumerate(stacks):
+        assert stack.shape == (3, 32, 32)
+        for level, path in enumerate(paths):
+            assert stack[level].tobytes() == path.states[j].coeffs.tobytes()
+    # the levels must share one time grid and one noise
+    with pytest.raises(ValueError, match="share"):
+        list(evolve_levels(phi0, _level_configs(grid32, kind, scheme, (1,), 0.25) + configs,
+                           stream))
+
+
+def _hot_datum(grid, configs, e2, e3):
+    """a cos(3x) + b cos(6x): no mass at or below level 1's sharp cutoff
+    |k| <= 2; level 2 (|k| <= 4) sees the first term only, with largest
+    Wick exponent e2, level 3 both, with largest exponent e3."""
+    shift = [0.5 * c.params.alpha**2 * c.params.c_n for c in configs]
+    a = e2 + shift[1]
+    b = e3 + shift[2] - a
+    x = np.arange(grid.modes_per_dim) * 2.0 * np.pi / grid.modes_per_dim
+    column = a * np.cos(3.0 * x) + b * np.cos(6.0 * x)
+    return to_spectral(np.repeat(column[:, None], grid.modes_per_dim, axis=1), grid)
+
+
+@pytest.mark.parametrize("case", ["later-step", "smaller-exponent"])
+def test_level_overflow_names_lowest_failing_level(case):
+    # level 1 never fails and level 3 fails at step 0; level 2 fails
+    # either one step later ("later-step": its step-0 exponent 400 is
+    # under the guard, the huge kick it gives overflows at step 1) or at
+    # step 0 with a smaller exponent than level 3's.  A loop over the
+    # levels raises level 2's error; the lockstep run must raise it too,
+    # not the first failure in time nor the largest exponent.
+    grid = make_grid(64)
+    configs = _level_configs(grid, "sharp", "exponential-euler", (1, 2, 3), horizon=4 / 64)
+    e2, e3 = (400.0, 720.0) if case == "later-step" else (710.0, 760.0)
+    phi0 = _hot_datum(grid, configs, e2, e3)
+    stream = RngStream(619, purpose="level-overflow")
+
+    def one(level):
+        solve_sqe_full(phi0, configs[level], stream)
+
+    index, exponent = _first_overflow(one, 3)
+    assert index == 1
+    one_step = _level_configs(grid, "sharp", "exponential-euler", (1, 2, 3), horizon=1 / 64)
+    step0 = _first_overflow(lambda level: solve_sqe_full(phi0, one_step[level], stream), 3)
+    if case == "later-step":
+        assert step0[0] == 2 and exponent > 1e100
+    else:
+        assert step0 == (1, exponent) and exponent < 750.0
+    with pytest.raises(WickOverflowError) as info:
+        list(evolve_levels(phi0, configs, stream))
+    assert info.value.max_exponent == exponent
+
+
+def test_semi_implicit_sqe_builds_no_ou_chain(monkeypatch):
+    original = randomfields.ou_chain
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (randomfields, dynamics):
+        monkeypatch.setattr(module, "ou_chain", counted)
+    kwargs = dict(modes=32, level=2, seed=7, replicas=3, horizon=0.125, dt=1 / 64)
+    assert cmd_sqe(ExperimentConfig(**kwargs, scheme="semi-implicit")).exit_code == 0
+    assert calls == []
+    # exponential Euler: one chain per replica, shared by its two levels
+    assert cmd_sqe(ExperimentConfig(**kwargs)).exit_code == 0
+    assert len(calls) == 3
+
+
+def _reference_sample_gff(cfg, dump):
+    """cmd_sample_gff's body computed one draw at a time, all draws kept."""
+    grid = cfg.build_grid()
+    stream = RngStream(cfg.seed, purpose="sample-gff")
+    s = -cfg.eps
+    draws = [gff_sample(grid, stream.for_replica(i)) for i in range(cfg.samples)]
+    sq_norms = np.array([sobolev_norm(f, s) ** 2 for f in draws])
+    theory = float(((1.0 + grid.ksq) ** (s - 1.0)).sum())
+    se = sq_norms.std(ddof=1) / math.sqrt(len(sq_norms))
+    z = (sq_norms.mean() - theory) / se
+    mode0 = np.array([float(np.real(f.coeffs[0, 0])) for f in draws])
+    save_fields(dump, draws)
+    return {
+        "samples": len(draws),
+        "modes_per_dim": grid.modes_per_dim,
+        "sobolev_order": s,
+        "mean_sq_norm": float(sq_norms.mean()),
+        "theory_sq_norm": theory,
+        "z": float(z),
+        "mode0_mean": float(mode0.mean()),
+        "mode0_var": float(mode0.var(ddof=1)),
+        "passed": bool(abs(z) <= 4.0),
+    }
+
+
+def test_sample_gff_matches_single_draw_loop(tmp_path, grid32):
+    # 37 draws: blocks of 16, 16 and a ragged 5
+    assert 37 % _block_rows(grid32) != 0
+    cfg = ExperimentConfig(modes=32, seed=620, samples=37)
+    report = cmd_sample_gff(cfg, out_dir=tmp_path / "blocked")
+    body = _reference_sample_gff(cfg, tmp_path / "reference.bin")
+    assert report.body == body
+    dumps = [tmp_path / "blocked" / "samples.bin", tmp_path / "reference.bin"]
+    assert dumps[0].read_bytes() == dumps[1].read_bytes()
+
+
+def _peak_traced_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_gff_memory_does_not_grow_with_samples(tmp_path):
+    # the dump streams block by block: eight times the draws may add one
+    # block to the peak (the per-draw norms are 16 bytes a draw), never
+    # the draws themselves (16 KiB each at M = 32)
+    def run(samples):
+        cfg = ExperimentConfig(modes=32, seed=621, samples=samples)
+        return lambda: cmd_sample_gff(cfg, out_dir=tmp_path / str(samples))
+
+    run(40)()  # warm caches (weights, FFT plans) outside the measurement
+    small = _peak_traced_bytes(run(40))
+    large = _peak_traced_bytes(run(320))
+    assert large - small <= BLOCK_BYTES
