@@ -26,12 +26,20 @@ whatever the sample and replica counts.  Every proposal and replica still
 draws from its own stream, and blocks only batch arithmetic that is
 elementwise or per field, so results are replica-for-replica bit-identical
 to evaluating one field at a time, overflow errors included.
+
+An ensemble stores no proposal fields.  Each proposal is a pure function
+of its stream, so the ensemble keeps what rebuilds them (grid, proposal
+stream, tilt) next to its log-weights, and resampling rebuilds only the
+ancestors it picks, a block at a time.  Memory is O(count) in
+log-weights, 8 bytes a proposal, plus one block.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -98,6 +106,12 @@ def rn_weight(field: SpectralField, params: WickParams, psi: CutoffProfile) -> f
 class WeightedEnsemble:
     """Weighted sample of the level-N measure.
 
+    The proposal fields are not stored: ``take(indices)`` rebuilds the
+    stack of the chosen proposals through ``proposals``, a callable from
+    a sequence of proposal indices to their stack (n, M, M) on ``grid``.
+    ``sample_ensemble`` passes one that redraws them from their streams,
+    bit for bit as first drawn, so the ensemble holds O(count) floats.
+
     log_weights are exact log Radon-Nikodym ratios of target over
     proposal, kept in log form; ``weights`` rescales them to a max of 1
     for resampling.  tilt_mean records the constant-mode proposal shift
@@ -105,7 +119,8 @@ class WeightedEnsemble:
     weight is at most 1 in absolute normalization too).
     """
 
-    samples: tuple
+    grid: TorusGrid
+    proposals: Callable[[np.ndarray], SpectralField]
     log_weights: np.ndarray
     params: WickParams
     psi: CutoffProfile
@@ -115,19 +130,25 @@ class WeightedEnsemble:
     def __post_init__(self):
         lw = np.asarray(self.log_weights, dtype=np.float64)
         object.__setattr__(self, "log_weights", lw)
-        if len(self.samples) != len(lw) or len(lw) == 0:
-            raise ValueError("need equally many samples and log-weights, at least one")
+        if lw.ndim != 1 or len(lw) == 0:
+            raise ValueError("need a 1-d array of at least one log-weight")
         if not np.all(np.isfinite(lw)):
             raise ValueError("log-weights must be finite")
         if self.tilt_mean == 0.0 and lw.max() > 1e-9:
             raise ValueError("untilted weights must not exceed 1")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.log_weights)
 
-    @property
-    def grid(self) -> TorusGrid:
-        return self.samples[0].grid
+    def take(self, indices) -> SpectralField:
+        """The stack of proposals ``indices`` (repeats and any order
+        allowed), row j proposal ``indices[j]``."""
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.ndim != 1 or idx.size == 0:
+            raise ValueError("need a non-empty 1-d sequence of proposal indices")
+        if idx.min() < 0 or idx.max() >= len(self):
+            raise IndexError(f"proposal indices must lie in [0, {len(self)})")
+        return self.proposals(idx)
 
     @property
     def weights(self) -> np.ndarray:
@@ -136,6 +157,18 @@ class WeightedEnsemble:
     def ess(self) -> float:
         w = self.weights
         return float(w.sum() ** 2 / np.square(w).sum())
+
+
+def _tilted_proposals(grid: TorusGrid, base: RngStream, m: float, indices) -> SpectralField:
+    """Proposals ``indices`` in one stack: proposal i is the free-field
+    draw of ``base``'s replica-i substream with its constant mode shifted
+    by ``m``."""
+    block = gff_sample(grid, [base.for_replica(int(i)) for i in indices])
+    if m != 0.0:
+        coeffs = block.copy_coeffs()
+        coeffs[:, 0, 0] += m
+        block = SpectralField(grid, coeffs)
+    return block
 
 
 def mode0_tilt_mean(alpha: float) -> float:
@@ -182,9 +215,10 @@ def sample_ensemble(
 
     Proposal i draws its white noise from ``stream.child("proposal")``'s
     replica-i substream.  Proposals are sampled and weighted in blocks of
-    BLOCK_BYTES per field stack; samples and log-weights are bit-identical
-    to one proposal at a time, and an overflow raises the exponent of the
-    lowest-index failing proposal, as that loop would.
+    BLOCK_BYTES per field stack and then dropped: the ensemble rebuilds
+    them from their streams on ``take``.  Proposals and log-weights are
+    bit-identical to one proposal at a time, and an overflow raises the
+    exponent of the lowest-index failing proposal, as that loop would.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -197,21 +231,16 @@ def sample_ensemble(
     else:
         m = float(tilt)
 
-    base = stream.child("proposal")
-    samples = []
+    proposals = partial(_tilted_proposals, grid, stream.child("proposal"), m)
     log_w = np.empty(count)
     for rows in _blocks(count, grid):
-        block = gff_sample(grid, [base.for_replica(i) for i in rows])
-        if m != 0.0:
-            coeffs = block.copy_coeffs()
-            coeffs[:, 0, 0] += m
-            block = SpectralField(grid, coeffs)
+        block = proposals(rows)
         u0 = np.real(block.coeffs[:, 0, 0])
         log_w[rows.start : rows.stop] = rn_log_weight(block, params, psi) - m * u0 + 0.5 * m * m
-        samples.extend(block.unstack())
 
     return WeightedEnsemble(
-        samples=tuple(samples),
+        grid=grid,
+        proposals=proposals,
         log_weights=log_w,
         params=params,
         psi=psi,
@@ -261,10 +290,9 @@ class StationaryDraws:
     source_ess: float
 
 
-def resample_stationary(ensemble: WeightedEnsemble, count: int, stream: RngStream) -> StationaryDraws:
-    """Multinomial resampling to an unweighted ensemble.  Refuses to
-    resample when the source ESS is below MIN_RESAMPLE_ESS: the output
-    would be near-duplicates of a handful of draws."""
+def _resample_ancestors(ensemble: WeightedEnsemble, count: int, stream: RngStream):
+    """(ancestors, source ESS) of multinomial resampling, refusing a
+    degenerate ensemble."""
     if count < 1:
         raise ValueError("count must be positive")
     ess = ensemble.ess()
@@ -276,9 +304,22 @@ def resample_stationary(ensemble: WeightedEnsemble, count: int, stream: RngStrea
     w = ensemble.weights
     p = w / w.sum()
     g = stream.child("resample").generator()
-    ancestors = g.choice(len(ensemble), size=count, p=p)
-    fields = tuple(ensemble.samples[int(a)] for a in ancestors)
-    return StationaryDraws(fields=fields, ancestors=ancestors, source_ess=ess)
+    return g.choice(len(ensemble), size=count, p=p), ess
+
+
+def resample_stationary(ensemble: WeightedEnsemble, count: int, stream: RngStream) -> StationaryDraws:
+    """Multinomial resampling to an unweighted ensemble.  Refuses to
+    resample when the source ESS is below MIN_RESAMPLE_ESS: the output
+    would be near-duplicates of a handful of draws.
+
+    Only the picked ancestors are rebuilt, one block of BLOCK_BYTES at a
+    time, so memory is the ``count`` output fields plus O(len(ensemble))
+    in weights, never the ensemble's proposals."""
+    ancestors, ess = _resample_ancestors(ensemble, count, stream)
+    fields = []
+    for rows in _blocks(count, ensemble.grid):
+        fields.extend(ensemble.take(ancestors[rows.start : rows.stop]).unstack())
+    return StationaryDraws(fields=tuple(fields), ancestors=ancestors, source_ess=ess)
 
 
 def standard_observables(params: WickParams, psi: CutoffProfile, eps: float = 0.125) -> dict:
@@ -355,28 +396,30 @@ def invariance_test(
     constant in ``config.params`` shifts the constant mode and fails
     loudly.
 
-    Replica i evolves under ``stream.for_replica(i).child("dyn")``.  The
-    replicas are stepped together in blocks of BLOCK_BYTES per field
-    stack; final states, observables and statistics are bit-identical to
-    solving one replica at a time, and an overflow raises the exponent of
-    the lowest failing replica at its first overflowing step, as that loop
+    Replica i starts from the draw ``resample_stationary`` gives it and
+    evolves under ``stream.for_replica(i).child("dyn")``.  The replicas
+    are stepped together in blocks of BLOCK_BYTES per field stack, each
+    block's initial data rebuilt by ``initial_ensemble.take`` from its
+    ancestors, so memory holds one block of fields and O(count) floats.
+    Final states, observables and statistics are bit-identical to solving
+    one replica at a time, and an overflow raises the exponent of the
+    lowest failing replica at its first overflowing step, as that loop
     would.
     """
     if config.equation != "projected":
         raise ValueError("invariance testing evolves the projected equation")
-    draws = resample_stationary(initial_ensemble, replicas, stream)
+    ancestors, _ = _resample_ancestors(initial_ensemble, replicas, stream)
     grid = initial_ensemble.grid
     names = list(observables)
     start = {k: np.empty(replicas) for k in names}
     end = {k: np.empty(replicas) for k in names}
     for rows in _blocks(replicas, grid):
-        phi0 = SpectralField(grid, np.stack([draws.fields[i].coeffs for i in rows]))
+        phi0 = initial_ensemble.take(ancestors[rows.start : rows.stop])
         streams = [stream.for_replica(i).child("dyn") for i in rows]
         finals, overflow = evolve_projected(phi0, config, streams)
-        for i, final, exponent in zip(rows, finals.unstack(), overflow):
+        for i, field, final, exponent in zip(rows, phi0.unstack(), finals.unstack(), overflow):
             if not np.isnan(exponent):
                 raise WickOverflowError(float(exponent))
-            field = draws.fields[i]
             for k in names:
                 start[k][i] = observables[k](field)
                 end[k][i] = observables[k](final)
@@ -385,7 +428,7 @@ def invariance_test(
     max_abs_z = 0.0
     for k in names:
         d = end[k] - start[k]
-        se = _cluster_se(d, draws.ancestors)
+        se = _cluster_se(d, ancestors)
         mean_d = float(d.mean())
         if se == 0.0:
             z = 0.0 if mean_d == 0.0 else math.inf
@@ -404,7 +447,7 @@ def invariance_test(
     return InvarianceReport(
         stats=stats,
         replicas=replicas,
-        clusters=int(len(np.unique(draws.ancestors))),
+        clusters=int(len(np.unique(ancestors))),
         horizon=config.horizon,
         max_abs_z=max_abs_z,
         threshold=threshold,

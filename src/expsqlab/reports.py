@@ -9,7 +9,8 @@ recorded on the side for quick reproducibility checks.
 
 ``save_fields`` is the one writer of the binary coefficient dump; it
 consumes fields or stacks of fields one item at a time, so a driver can
-stream its draws into it block by block.
+stream its draws into it block by block.  ``load_fields`` reads it back
+in chunks into a single array, so neither side holds a payload twice.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
 
+from .measures import BLOCK_BYTES
 from .spectral import SpectralField, make_grid
 
 __all__ = [
@@ -147,20 +150,42 @@ def save_fields(path: str | Path, fields) -> Path:
 
 
 def load_fields(path: str | Path) -> list:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size + 32:
-        raise ValueError("truncated field dump")
-    magic, version, m, count = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ValueError("not a field dump (bad magic)")
-    if version != DUMP_VERSION:
-        raise ValueError(f"unsupported dump version {version} (expected {DUMP_VERSION})")
-    payload = raw[_HEADER.size : -32]
-    if hashlib.sha256(payload).digest() != raw[-32:]:
-        raise ValueError("field dump failed its checksum")
-    expected = count * m * m * 16
-    if len(payload) != expected:
+    """Read a dump written by ``save_fields`` into a list of fields.
+
+    The payload is read in chunks of BLOCK_BYTES straight into one
+    (count, M, M) array, hashed as it arrives, and the fields are
+    read-only views of its rows, so memory peaks at about one payload.
+    """
+    path = Path(path)
+    with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size + 32:
+            raise ValueError("truncated field dump")
+        magic, version, m, count = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != _MAGIC:
+            raise ValueError("not a field dump (bad magic)")
+        if version != DUMP_VERSION:
+            raise ValueError(f"unsupported dump version {version} (expected {DUMP_VERSION})")
+        # a payload that disagrees with its header is still hashed first,
+        # through a scratch chunk, so a corrupt one reports its checksum
+        n_bytes = size - _HEADER.size - 32
+        fits = n_bytes == count * m * m * 16
+        if fits:
+            data = np.empty((count, m, m), dtype="<c16")
+            buf = data.reshape(-1).view(np.uint8)
+        else:
+            buf = np.empty(min(BLOCK_BYTES, n_bytes), dtype=np.uint8)
+        digest = hashlib.sha256()
+        for lo in range(0, n_bytes, BLOCK_BYTES):
+            n = min(BLOCK_BYTES, n_bytes - lo)
+            chunk = buf[lo : lo + n] if fits else buf[:n]
+            if fh.readinto(chunk) != n:
+                raise ValueError("truncated field dump")
+            digest.update(chunk)
+        if digest.digest() != fh.read(32):
+            raise ValueError("field dump failed its checksum")
+    if not fits:
         raise ValueError("field dump payload size does not match its header")
     grid = make_grid(m)
-    data = np.frombuffer(payload, dtype="<c16").reshape(count, m, m)
-    return [SpectralField(grid, np.ascontiguousarray(data[i]).astype(np.complex128)) for i in range(count)]
+    data = data.astype(np.complex128, copy=False)
+    return [SpectralField(grid, row) for row in data]

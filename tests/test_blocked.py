@@ -5,7 +5,8 @@ fields in blocks of BLOCK_BYTES per stack (16 fields at M = 32), and
 ``evolve_levels`` steps the cutoff levels of ``cmd_sqe`` as one stack.
 Their results, overflow errors included, must be bit-identical to a
 plain loop over the single-field functions; the counts here are not
-multiples of the block.
+multiples of the block.  An ensemble stores no proposals, so what it
+rebuilds on ``take`` is checked against that loop's proposals too.
 """
 
 import math
@@ -50,7 +51,7 @@ from expsqlab import (
     zero_field,
 )
 from expsqlab import dynamics, randomfields
-from expsqlab.measures import BLOCK_BYTES
+from expsqlab.measures import BLOCK_BYTES, UNDERFLOW_LOG
 from expsqlab.spectral import to_coeffs, to_values
 
 
@@ -77,6 +78,12 @@ def _reference_ensemble(grid, params, psi, count, stream, m):
         log_w.append(rn_log_weight(draw, params, psi) - m * u0 + 0.5 * m * m)
         samples.append(draw)
     return samples, np.array(log_w)
+
+
+def _stored(fields):
+    """A proposal source over stored fields, for hand-built ensembles."""
+    grid = fields[0].grid
+    return lambda idx: SpectralField(grid, np.stack([fields[i].coeffs for i in idx]))
 
 
 def _first_overflow(fn, count):
@@ -137,9 +144,31 @@ def test_ensemble_matches_single_proposal_loop(grid32, tilt):
     m = mode0_tilt_mean(params.alpha) if tilt == "auto" else 0.0
     samples, log_w = _reference_ensemble(grid32, params, psi, 101, stream, m)
     assert np.array_equal(ens.log_weights, log_w)
-    assert len(ens.samples) == len(samples)
-    for a, b in zip(ens.samples, samples):
+    assert ens.n_underflow == int((log_w < UNDERFLOW_LOG).sum())
+    # the proposals are rebuilt from their streams, bit for bit as drawn
+    stack = ens.take(range(101))
+    assert stack.coeffs.shape == (101, 32, 32)
+    for a, b in zip(stack.unstack(), samples):
         assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_resample_rebuilds_repeated_unordered_ancestors(grid32):
+    # 70 draws from 64 proposals repeat ancestors and pick them out of
+    # order; each draw must be its reference proposal's bytes, across the
+    # block boundaries of the rebuild (the untilted proposal is too
+    # degenerate to resample at any size a test can afford)
+    params, psi = _setup(grid32, alpha=0.5, level=1)
+    stream = RngStream(622, purpose="rebuild")
+    ens = sample_ensemble(grid32, params, psi, 64, stream)
+    m = mode0_tilt_mean(params.alpha)
+    samples, _ = _reference_ensemble(grid32, params, psi, 64, stream, m)
+    draws = resample_stationary(ens, 70, stream.child("pick"))
+    ancestors = draws.ancestors.tolist()
+    assert len(set(ancestors)) < len(ancestors)
+    assert ancestors != sorted(ancestors)
+    assert len(draws.fields) == 70
+    for a, field in zip(ancestors, draws.fields):
+        assert field.coeffs.tobytes() == samples[a].coeffs.tobytes()
 
 
 @pytest.mark.parametrize("scheme", ["exponential-euler", "semi-implicit"])
@@ -225,8 +254,8 @@ def test_solver_overflow_names_lowest_failing_replica(grid32):
     params, psi = _setup(grid32)
     hot = {48 + j: constant_field(grid32, 700.0 + params.c_n / 2 + j + 1) for j in range(16)}
     samples = tuple(hot.get(i, zero_field(grid32)) for i in range(64))
-    ens = WeightedEnsemble(samples=samples, log_weights=np.full(64, -1.0), params=params,
-                           psi=psi)
+    ens = WeightedEnsemble(grid=grid32, proposals=_stored(samples),
+                           log_weights=np.full(64, -1.0), params=params, psi=psi)
     config = SqeConfig(horizon=0.0625, dt=1.0 / 64, params=params, psi=psi,
                        equation="projected")
     obs = standard_observables(params, psi)
@@ -401,3 +430,23 @@ def test_sample_gff_memory_does_not_grow_with_samples(tmp_path):
     small = _peak_traced_bytes(run(40))
     large = _peak_traced_bytes(run(320))
     assert large - small <= BLOCK_BYTES
+
+
+def test_ensemble_memory_does_not_grow_with_samples(grid32):
+    # the ensemble keeps 8 bytes of log-weight a proposal and rebuilds
+    # the resampled ancestors block by block: eight times the proposals
+    # may add one block and the log-weights to the peak, never the
+    # proposals themselves (16 KiB each at M = 32)
+    params, psi = _setup(grid32)
+    stream = RngStream(623, purpose="ensemble-memory")
+
+    def run(samples):
+        def go():
+            ens = sample_ensemble(grid32, params, psi, samples, stream)
+            resample_stationary(ens, 40, stream)
+        return go
+
+    run(150)()  # warm caches (weights, FFT plans) outside the measurement
+    small = _peak_traced_bytes(run(150))
+    large = _peak_traced_bytes(run(1200))
+    assert large - small <= BLOCK_BYTES + 8 * (1200 - 150)

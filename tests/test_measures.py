@@ -121,10 +121,18 @@ def test_weighted_ensemble_invariants(grid32, stream):
     assert len(ens) == 50
     assert ens.weights.max() == 1.0
     assert 1.0 <= ens.ess() <= 50.0
+    assert ens.take([49, 0, 49]).coeffs.shape == (3, 32, 32)
+    # take rebuilds members only: any other index would draw a new proposal
+    for bad in ([50], [-1]):
+        with pytest.raises(IndexError):
+            ens.take(bad)
+    with pytest.raises(ValueError):
+        ens.take([])
     # untilted ensembles must carry genuine sub-1 weights
     with pytest.raises(ValueError):
         WeightedEnsemble(
-            samples=(zero_field(grid32),),
+            grid=grid32,
+            proposals=lambda idx: zero_field(grid32),
             log_weights=np.array([0.5]),
             params=params,
             psi=psi,
@@ -132,14 +140,16 @@ def test_weighted_ensemble_invariants(grid32, stream):
         )
     with pytest.raises(ValueError):
         WeightedEnsemble(
-            samples=(zero_field(grid32),),
+            grid=grid32,
+            proposals=lambda idx: zero_field(grid32),
             log_weights=np.array([np.inf]),
             params=params,
             psi=psi,
         )
     with pytest.raises(ValueError):
         WeightedEnsemble(
-            samples=(),
+            grid=grid32,
+            proposals=lambda idx: zero_field(grid32),
             log_weights=np.array([]),
             params=params,
             psi=psi,

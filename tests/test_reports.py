@@ -1,6 +1,7 @@
 """Report determinism, CSV formatting and the binary field dump."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from expsqlab import (
     write_report,
     zero_field,
 )
+from expsqlab.measures import BLOCK_BYTES
 from expsqlab.reports import DUMP_VERSION, _HEADER, _MAGIC
 
 
@@ -124,3 +126,27 @@ def test_field_dump_corruption(tmp_path, grid32, stream):
     with pytest.raises(ValueError, match="truncated"):
         load_fields(bad)
     assert raw[:8] == _MAGIC
+    # a header count that disagrees with an intact payload
+    recounted = bytearray(raw)
+    recounted[_HEADER.size - 4 : _HEADER.size] = (2).to_bytes(4, "little")
+    bad.write_bytes(bytes(recounted))
+    with pytest.raises(ValueError, match="size does not match"):
+        load_fields(bad)
+
+
+def test_load_fields_peak_is_one_payload(tmp_path, grid32, stream):
+    # 64 fields, a 1 MiB payload spanning several read chunks: the read
+    # may hold the payload once plus a chunk, never a second copy of it
+    stack = gff_sample(grid32, [stream.for_replica(i) for i in range(64)])
+    path = save_fields(tmp_path / "p.bin", [stack])
+    payload = stack.coeffs.nbytes
+    assert payload > 2 * BLOCK_BYTES
+    load_fields(path)  # warm caches (grid) outside the measurement
+    tracemalloc.start()
+    try:
+        back = load_fields(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= payload + BLOCK_BYTES
+    assert np.array_equal(np.stack([f.coeffs for f in back]), stack.coeffs)
