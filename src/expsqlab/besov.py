@@ -8,13 +8,15 @@ grid mode once enough blocks are kept, so only finitely many blocks are
 nonzero for grid-resolved fields.  With this pair, B^s_{2,2} agrees with
 H^s up to a fixed grid-independent equivalence constant (measured by the
 norms-bench experiment, not asserted to a specific value).
+``besov_norm`` takes its indices as a ``spectral.NormSpec(s, p, q)``; the
+Sobolev norm is ``spectral.sobolev_norm``.
 """
 
 import math
 
 import numpy as np
 
-from .spectral import NormSpec, SpectralField, from_spectral, sobolev_norm
+from .spectral import NormSpec, SpectralField, sobolev_norm
 
 __all__ = [
     "chi",
@@ -22,7 +24,6 @@ __all__ = [
     "dyadic_blocks",
     "block_weights",
     "besov_norm",
-    "norm",
 ]
 
 _weight_cache: dict = {}
@@ -72,7 +73,7 @@ def _block_lp_norm(field: SpectralField, weight: np.ndarray, p: float) -> float:
     block = SpectralField(field.grid, field.coeffs * weight)
     if p == 2.0:
         return sobolev_norm(block, 0.0)
-    vals = from_spectral(block)
+    vals = block.values()
     if math.isinf(p):
         return float(np.abs(vals).max())
     # spectral collocation: quadrature of |block|^p on the physical grid
@@ -81,8 +82,6 @@ def _block_lp_norm(field: SpectralField, weight: np.ndarray, p: float) -> float:
 
 def besov_norm(field: SpectralField, spec: NormSpec) -> float:
     """l^q over blocks j >= -1 of 2^{js} ||Delta_j field||_{L^p}."""
-    if spec.kind != "besov":
-        raise ValueError(f"besov_norm needs a besov NormSpec, got kind {spec.kind!r}")
     terms = [
         2.0 ** (j * spec.s) * _block_lp_norm(field, w, spec.p)
         for j, w in block_weights(field.grid)
@@ -90,9 +89,3 @@ def besov_norm(field: SpectralField, spec: NormSpec) -> float:
     if math.isinf(spec.q):
         return max(terms)
     return float(np.sum(np.asarray(terms) ** spec.q) ** (1.0 / spec.q))
-
-
-def norm(field: SpectralField, spec: NormSpec) -> float:
-    if spec.kind == "sobolev":
-        return sobolev_norm(field, spec.s)
-    return besov_norm(field, spec)

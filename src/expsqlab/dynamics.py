@@ -18,10 +18,11 @@ which treats the stiff linear part exactly, is exact at alpha = 0, and
 preserves the comparison sign structure (the nonlinear update keeps the
 bracket <= state when alpha > 0, and the semigroup is positivity
 preserving up to spectral-truncation ringing far below the solution
-scale).  The noise increments eta_t are recovered exactly from an OU
-trajectory of the same time grid (see randomfields.ou_increments), which
-is what makes common-noise coupling across cutoff levels and across dt
-refinements exact.
+scale).  The noise increments eta_t = X_{t+dt} - exp((Lap-1) dt/2) X_t
+are recovered exactly from consecutive states of an OU process X on the
+same time grid, either a stored trajectory or the live OU chain of the
+noise stream, which is what makes common-noise coupling across cutoff
+levels and across dt refinements exact.
 
 The alternative 'semi-implicit' scheme replaces the semigroup by the
 resolvent (1 - dt (Lap-1)/2)^{-1} and drives the stochastic equations
@@ -59,10 +60,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
-from .randomfields import FieldPath, ou_chain, ou_decay, white_noise_fft
+from .randomfields import FieldPath, ou_chain, white_noise_fft
 from .rng import RngStream
 from .spectral import (
     SpectralField,
@@ -162,6 +164,17 @@ class ContractionReport:
     passed: bool
 
 
+def _forcing_values(xi: SpectralField, mollifier_scale: float) -> np.ndarray:
+    """Grid values of xi, heat-mollified by exp(mollifier_scale * Lap) when
+    the scale is positive; rejects a raw xi below the -1e-10 tolerance."""
+    vals = xi.values()
+    if vals.min() < NONNEG_TOL:
+        raise ValueError(f"forcing has negative values (min {vals.min():.3e}) below tolerance")
+    if mollifier_scale > 0.0:
+        vals = heat_semigroup_massless(xi, mollifier_scale).values()
+    return vals
+
+
 def measure_product(f: SpectralField, xi: SpectralField, mollifier_scale: float = 0.0) -> SpectralField:
     """Pointwise product of f with the (optionally heat-mollified)
     nonnegative field xi, returned spectrally.
@@ -172,12 +185,7 @@ def measure_product(f: SpectralField, xi: SpectralField, mollifier_scale: float 
     """
     if f.grid != xi.grid:
         raise ValueError("fields live on different grids")
-    xi_vals = xi.values()
-    if xi_vals.min() < NONNEG_TOL:
-        raise ValueError(f"xi has negative values (min {xi_vals.min():.3e}) below tolerance")
-    if mollifier_scale > 0.0:
-        xi_vals = heat_semigroup_massless(xi, mollifier_scale).values()
-    return to_spectral(f.values() * xi_vals, f.grid)
+    return to_spectral(f.values() * _forcing_values(xi, mollifier_scale), f.grid)
 
 
 def _step_multiplier(grid: TorusGrid, dt: float, scheme: str) -> np.ndarray:
@@ -233,14 +241,7 @@ def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig
     if chi_path.grid != grid:
         raise ValueError("forcing path and initial datum live on different grids")
 
-    chi_vals = []
-    for f in chi_path.states:
-        if config.mollifier_scale > 0.0:
-            f = heat_semigroup_massless(f, config.mollifier_scale)
-        v = f.values()
-        if v.min() < NONNEG_TOL:
-            raise ValueError(f"forcing has negative values (min {v.min():.3e}) below tolerance")
-        chi_vals.append(v)
+    chi_vals = [_forcing_values(f, config.mollifier_scale) for f in chi_path.states]
 
     mult = _step_multiplier(grid, config.dt, config.scheme)
     alpha = params.alpha
@@ -260,11 +261,16 @@ def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig
     return FieldPath(times=np.array(chi_path.times), states=states)
 
 
-def _noise_increments(x_traj: FieldPath, config: SqeConfig):
-    """Exact OU increments of a stored trajectory, one per step."""
-    decay = ou_decay(x_traj.grid, config.dt)
-    for prev, state in zip(x_traj.states, x_traj.states[1:]):
-        yield state.coeffs - decay * prev.coeffs
+def _ou_increments(grid: TorusGrid, states, dt: float):
+    """Exact OU increments next - exp((Lap-1) dt/2) * prev, one per step,
+    over consecutive coefficient arrays of ``states`` (a stored trajectory
+    or the live OU chain)."""
+    decay = heat_multiplier(grid, dt)
+    states = iter(states)
+    prev = next(states)
+    for state in states:
+        yield state - decay * prev
+        prev = state
 
 
 def _wiener_increments(grid: TorusGrid, config: SqeConfig, streams):
@@ -275,21 +281,15 @@ def _wiener_increments(grid: TorusGrid, config: SqeConfig, streams):
         yield white_noise_fft(grid, generators) * scale
 
 
-def _ou_increments(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, streams):
-    """Exact OU increment stacks, one per step, recovered on the fly from
-    the OU chain of each row's stream, as _noise_increments recovers them
-    from a stored trajectory."""
-    decay = ou_decay(grid, config.dt)
-    generators = [s.child("ou").generator() for s in streams]
-    for x_next in ou_chain(grid, coeffs, time_grid(config), generators):
-        yield x_next - decay * coeffs
-        coeffs = x_next
-
-
 def _noise_stacks(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, streams):
-    if config.scheme == "exponential-euler":
-        return _ou_increments(grid, coeffs, config, streams)
-    return _wiener_increments(grid, config, streams)
+    """Increment stacks of the scheme's noise from the stack ``coeffs``,
+    row i from streams[i]: the OU chain of its "ou" child under
+    exponential-Euler, raw Wiener increments otherwise."""
+    if config.scheme != "exponential-euler":
+        return _wiener_increments(grid, config, streams)
+    generators = [s.child("ou").generator() for s in streams]
+    x_chain = ou_chain(grid, coeffs, time_grid(config), generators)
+    return _ou_increments(grid, chain([coeffs], x_chain), config.dt)
 
 
 def _check_x_traj(phi0: SpectralField, config: SqeConfig, x_traj: FieldPath):
@@ -373,7 +373,7 @@ def evolve_levels(
     grid = phi0.grid
     if x_traj is not None and config.scheme == "exponential-euler":
         _check_x_traj(phi0, config, x_traj)
-        noise = _noise_increments(x_traj, config)
+        noise = _ou_increments(grid, (s.coeffs for s in x_traj.states), config.dt)
     else:
         noise = _noise_stacks(grid, phi0.coeffs[None], config, [stream])
     overflow = np.full(len(configs), np.nan)

@@ -347,7 +347,7 @@ def cmd_norms_bench(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Ex
     ratio_stats = {}
     ok = True
     for s in orders:
-        spec = NormSpec("besov", s, 2.0, 2.0)
+        spec = NormSpec(s, 2.0, 2.0)
         ratios = np.array([besov_norm(f, spec) / sobolev_norm(f, s) for f in draws])
         ratio_stats[f"{s:g}"] = {
             "min": float(ratios.min()),

@@ -57,7 +57,6 @@ __all__ = [
     "StationaryDraws",
     "ObservableStat",
     "InvarianceReport",
-    "rn_weight",
     "rn_log_weight",
     "mode0_tilt_mean",
     "sample_ensemble",
@@ -95,11 +94,6 @@ def rn_log_weight(field: SpectralField, params: WickParams, psi: CutoffProfile):
     free field: minus the integral of the Wick exponential over the torus.
     A stack of fields gives the array of their log-weights."""
     return -grid_quadrature(wick_exp_values(field, params, psi), field.grid)
-
-
-def rn_weight(field: SpectralField, params: WickParams, psi: CutoffProfile) -> float:
-    """Unnormalized density against the free field; always in (0, 1]."""
-    return math.exp(rn_log_weight(field, params, psi))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,7 @@
 """Exact Gaussian sampling on the torus grid.
 
-Free field, per-mode Ornstein-Uhlenbeck transitions and cylindrical
-Wiener increments, all exact in distribution (no time discretization
-error in the linear dynamics).
+Free field and per-mode Ornstein-Uhlenbeck transitions, both exact in
+distribution (no time discretization error in the linear dynamics).
 
 Real vs complex basis bookkeeping
 ---------------------------------
@@ -26,8 +25,9 @@ field is the stack of one: row i of a stack is bit-for-bit the field its
 own stream gives alone.
 
 A path of fields is a :class:`FieldPath` (times, states): ``ou_path``
-returns one, ``ou_increments`` reads one, and the Wick-exponential
-forcing and every solver in ``dynamics`` use the same type.
+returns one, and the Wick-exponential forcing and every solver in
+``dynamics`` use the same type.  The OU decay is
+``spectral.heat_multiplier``, the symbol of the drift (Lap-1)/2.
 """
 
 from __future__ import annotations
@@ -44,13 +44,9 @@ __all__ = [
     "gff_sample",
     "white_noise_fft",
     "gff_mode_variance",
-    "ou_transition",
-    "ou_decay",
     "ou_noise_variance",
     "ou_chain",
     "ou_path",
-    "ou_increments",
-    "wiener_increment",
 ]
 
 
@@ -115,12 +111,6 @@ def gff_sample(grid: TorusGrid, stream) -> SpectralField:
     return SpectralField(grid, coeffs[0] if isinstance(stream, RngStream) else coeffs)
 
 
-def ou_decay(grid: TorusGrid, dt: float) -> np.ndarray:
-    """Mode-wise decay exp(-(1+|k|^2) dt / 2) of the drift (Lap-1)/2, the
-    heat multiplier of ``spectral``."""
-    return heat_multiplier(grid, dt)
-
-
 def ou_noise_variance(grid: TorusGrid, dt: float) -> np.ndarray:
     """Exact transition noise variance (1 - exp(-(1+|k|^2) dt))/(1+|k|^2).
 
@@ -129,23 +119,6 @@ def ou_noise_variance(grid: TorusGrid, dt: float) -> np.ndarray:
     """
     c = 1.0 + grid.ksq
     return -np.expm1(-dt * c) / c
-
-
-def ou_transition(
-    state: SpectralField,
-    dt: float,
-    stream: RngStream,
-    include_noise: bool = True,
-) -> SpectralField:
-    """One exact OU step.  ``include_noise=False`` is the zero-variance test
-    hook returning the pure per-mode decay."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    grid = state.grid
-    if not include_noise:
-        return SpectralField(grid, ou_decay(grid, dt) * state.coeffs)
-    (out,) = ou_chain(grid, state.coeffs[None], np.array([0.0, dt]), [stream.generator()])
-    return SpectralField(grid, out[0])
 
 
 def ou_chain(grid: TorusGrid, coeffs: np.ndarray, times, generators):
@@ -160,7 +133,7 @@ def ou_chain(grid: TorusGrid, coeffs: np.ndarray, times, generators):
     for dt in np.diff(times):
         if dt != step:
             step = dt
-            decay = ou_decay(grid, dt)
+            decay = heat_multiplier(grid, dt)
             noise_sd = np.sqrt(ou_noise_variance(grid, dt))
         coeffs = decay * coeffs + _white_spectral(grid, generators) * noise_sd
         yield coeffs
@@ -179,33 +152,3 @@ def ou_path(init: SpectralField, times, stream: RngStream) -> FieldPath:
     chain = ou_chain(grid, init.coeffs[None], times, [stream.generator()])
     states = [init] + [SpectralField(grid, coeffs[0]) for coeffs in chain]
     return FieldPath(times=times, states=states)
-
-
-def ou_increments(traj: FieldPath, stride: int = 1) -> tuple[np.ndarray, list]:
-    """Exact stochastic-convolution increments recovered from a path.
-
-    Over a step [t, t+h] the mild solution satisfies
-    X_{t+h} = decay(h) * X_t + eta with eta the semigroup-filtered noise
-    integral; eta is therefore X_{t+h} - decay(h) * X_t, exactly.  With
-    ``stride`` > 1 the increments of the coarsened path are returned,
-    which is how one fine noise realization drives solvers at dt and
-    dt/2 consistently.
-
-    Returns (coarsened times, list of coefficient arrays).
-    """
-    idx = range(0, len(traj.times), stride)
-    times = traj.times[list(idx)]
-    grid = traj.grid
-    increments = []
-    for a, b in zip(list(idx)[:-1], list(idx)[1:]):
-        h = traj.times[b] - traj.times[a]
-        increments.append(traj.states[b].coeffs - ou_decay(grid, h) * traj.states[a].coeffs)
-    return times, increments
-
-
-def wiener_increment(grid: TorusGrid, dt: float, stream: RngStream) -> SpectralField:
-    """Cylindrical Wiener increment over a step of length dt: independent
-    N(0, dt) per real basis direction, i.e. E|coeff(k)|^2 = dt."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return SpectralField(grid, _white_spectral(grid, [stream.generator()])[0] * np.sqrt(dt))

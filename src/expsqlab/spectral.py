@@ -20,8 +20,9 @@ and even in k.
 
 ``to_coeffs``/``to_values`` are the package's one grid <-> spectral
 transform pair, on bare arrays of one field (M, M) or a stack (n, M, M)
-and without validation; the solver loops call them directly and
-``to_spectral``/``from_spectral`` wrap them for fields.  ``heat_multiplier``
+and without validation; the solver loops call them directly,
+``to_spectral`` wraps the forward one for fields and
+``SpectralField.values`` the inverse one.  ``heat_multiplier``
 is the one symbol of the semigroup exp(t (Lap - 1)/2), shared by
 ``heat_semigroup``, the OU decay and the exponential-Euler step.
 """
@@ -29,7 +30,6 @@ is the one symbol of the semigroup exp(t (Lap - 1)/2), shared by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "to_coeffs",
     "to_values",
     "to_spectral",
-    "from_spectral",
     "field_from_coeffs",
     "zero_field",
     "constant_field",
@@ -150,7 +149,8 @@ class SpectralField:
         return tuple(SpectralField(self.grid, row) for row in self.coeffs)
 
     def values(self) -> np.ndarray:
-        return from_spectral(self)
+        """Physical M x M samples, or (n, M, M) for a stack."""
+        return to_values(self.coeffs, self.grid)
 
     def copy_coeffs(self) -> np.ndarray:
         return np.array(self.coeffs)
@@ -218,11 +218,6 @@ def to_spectral(values: np.ndarray, grid: TorusGrid) -> SpectralField:
     return SpectralField(grid, to_coeffs(values, grid))
 
 
-def from_spectral(field: SpectralField) -> np.ndarray:
-    """SpectralField -> physical M x M samples, or (n, M, M) for a stack."""
-    return to_values(field.coeffs, field.grid)
-
-
 def hermitian_defect(field: SpectralField) -> float:
     """max |coeff(k) - conj(coeff(-k))| over the grid (0 for real fields)."""
     c = field.coeffs
@@ -241,17 +236,14 @@ def grid_quadrature(values: np.ndarray, grid: TorusGrid):
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Which norm: kind 'sobolev' (p = q = 2 implicitly) or 'besov' with
-    integrability indices p, q in [1, inf] (math.inf for sup norms)."""
+    """Besov norm indices: smoothness s and integrability p, q in
+    [1, inf] (math.inf for sup norms)."""
 
-    kind: Literal["sobolev", "besov"]
     s: float
     p: float = 2.0
     q: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in ("sobolev", "besov"):
-            raise ValueError(f"unknown norm kind {self.kind!r}")
         for name, idx in (("p", self.p), ("q", self.q)):
             if not (1.0 <= idx):
                 raise ValueError(f"{name} must lie in [1, inf], got {idx}")

@@ -13,7 +13,7 @@ from expsqlab import (
     sobolev_norm,
     to_spectral,
 )
-from expsqlab.besov import besov_norm, block_weights, chi, dyadic_blocks, norm, rho
+from expsqlab.besov import besov_norm, block_weights, chi, dyadic_blocks, rho
 
 SQRT2PI = math.sqrt(2.0) * math.pi
 
@@ -60,10 +60,10 @@ def test_constant_field_besov(grid32):
     # mode 0 sits entirely in block -1, so the norm is 2^{-s} * ||c||_{L^p}
     f = constant_field(grid32, 3.0)
     s = -0.5
-    assert besov_norm(f, NormSpec("besov", s)) == pytest.approx(
+    assert besov_norm(f, NormSpec(s)) == pytest.approx(
         2.0**-s * 2.0 * math.pi * 3.0, rel=1e-12
     )
-    assert besov_norm(f, NormSpec("besov", s, p=math.inf)) == pytest.approx(
+    assert besov_norm(f, NormSpec(s, p=math.inf)) == pytest.approx(
         2.0**-s * 3.0, rel=1e-12
     )
 
@@ -75,10 +75,10 @@ def test_single_mode_block_assignment(grid32):
     one = _cos_field(grid32, 1)
     two = _cos_field(grid32, 2)
     for s in (-1.0, -0.5, 0.0, 1.5):
-        assert besov_norm(one, NormSpec("besov", s)) == pytest.approx(
+        assert besov_norm(one, NormSpec(s)) == pytest.approx(
             2.0**-s * SQRT2PI, rel=1e-12
         )
-        assert besov_norm(two, NormSpec("besov", s)) == pytest.approx(
+        assert besov_norm(two, NormSpec(s)) == pytest.approx(
             SQRT2PI, rel=1e-12
         )
 
@@ -89,13 +89,13 @@ def test_two_block_field_q_dispatch(grid32):
     s = -1.0
     t_low = 2.0**-s * SQRT2PI
     t_high = 2.0**s * SQRT2PI
-    assert besov_norm(f, NormSpec("besov", s, q=math.inf)) == pytest.approx(
+    assert besov_norm(f, NormSpec(s, q=math.inf)) == pytest.approx(
         max(t_low, t_high), rel=1e-12
     )
-    assert besov_norm(f, NormSpec("besov", s, q=2.0)) == pytest.approx(
+    assert besov_norm(f, NormSpec(s, q=2.0)) == pytest.approx(
         math.hypot(t_low, t_high), rel=1e-12
     )
-    assert besov_norm(f, NormSpec("besov", s, q=1.0)) == pytest.approx(
+    assert besov_norm(f, NormSpec(s, q=1.0)) == pytest.approx(
         t_low + t_high, rel=1e-12
     )
 
@@ -103,20 +103,8 @@ def test_two_block_field_q_dispatch(grid32):
 def test_sup_norm_block(grid32):
     # single cosine, p = inf: the only block restores the field itself
     f = _cos_field(grid32, 2)
-    spec = NormSpec("besov", 0.0, p=math.inf, q=math.inf)
+    spec = NormSpec(0.0, p=math.inf, q=math.inf)
     assert besov_norm(f, spec) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_besov_norm_rejects_sobolev_spec(grid32):
-    with pytest.raises(ValueError):
-        besov_norm(_cos_field(grid32, 1), NormSpec("sobolev", -0.5))
-
-
-def test_norm_dispatch(grid32, stream):
-    f = gff_sample(grid32, stream)
-    assert norm(f, NormSpec("sobolev", -0.5)) == sobolev_norm(f, -0.5)
-    spec = NormSpec("besov", -0.5)
-    assert norm(f, spec) == besov_norm(f, spec)
 
 
 def test_equivalence_on_random_field(stream):
@@ -124,5 +112,5 @@ def test_equivalence_on_random_field(stream):
     grid = make_grid(64)
     f = gff_sample(grid, stream)
     for s in (-1.0, -0.5, -0.25):
-        ratio = besov_norm(f, NormSpec("besov", s)) / sobolev_norm(f, s)
+        ratio = besov_norm(f, NormSpec(s)) / sobolev_norm(f, s)
         assert 0.1 < ratio < 10.0

@@ -20,7 +20,6 @@ from expsqlab import (
     make_grid,
     make_wick_params,
     measure_product,
-    ou_decay,
     ou_path,
     solve_shifted,
     solve_sqe_full,
@@ -30,6 +29,7 @@ from expsqlab import (
     wick_exp_ou,
     zero_field,
 )
+from expsqlab.spectral import heat_multiplier
 
 
 def _params(grid, alpha=1.0, level=2, sharp=None):
@@ -93,7 +93,7 @@ def test_zero_forcing_is_heat_flow(grid32, stream):
     zeros = FieldPath(times=times, states=[zero_field(grid32)] * len(times))
     upsilon = heat_semigroup(gff_sample(grid32, stream), 0.2)
     path = solve_shifted(upsilon, zeros, config)
-    expected = upsilon.coeffs * ou_decay(grid32, 1.0)
+    expected = upsilon.coeffs * heat_multiplier(grid32, 1.0)
     assert np.abs(path.final().coeffs - expected).max() < 1e-13
 
 
@@ -108,6 +108,15 @@ def test_alpha_zero_full_solve_is_projected_ou(grid32, stream):
         assert np.abs(state.coeffs - mult * x.coeffs).max() < 1e-12
     _, y_part, _ = decompose(path, x_traj, config)
     assert all(np.abs(y.coeffs).max() < 1e-12 for y in y_part.states)
+    # a trajectory at dt/2 thinned to every other state drives the dt
+    # solve: its increments compose two fine ones, so the solve still
+    # reproduces P_N x at the coarse times
+    fine = ou_path(phi0, np.arange(2 * config.n_steps() + 1) * (config.dt / 2),
+                   stream.child("fine"))
+    coarse = FieldPath(time_grid(config), fine.states[::2])
+    path = solve_sqe_full(phi0, config, stream, x_traj=coarse)
+    for state, x in zip(path.states, coarse.states):
+        assert np.abs(state.coeffs - mult * x.coeffs).max() < 1e-12
 
 
 def _decomposed_full_solve(grid, stream):
@@ -167,6 +176,26 @@ def test_contraction_random_pair(grid32, stream):
     report = contraction_check(u1, u2, chi, config, tolerance=0.01)
     assert report.passed
     assert report.gaps[0] > 0
+
+
+def test_mollified_shifted_solve(grid32, stream):
+    # exp(s Lap) fixes constants exactly, so a constant forcing gives the
+    # same states at mollifier scale 0.3 as at 0, byte for byte
+    config = _shifted_config(grid32, dt=1.0 / 16, horizon=0.5, level=1)
+    mollified = replace(config, mollifier_scale=0.3)
+    upsilon = heat_semigroup(gff_sample(grid32, stream), 0.2)
+    forcing = _constant_forcing(config, grid32, 2.0)
+    raw = solve_shifted(upsilon, forcing, config)
+    smooth = solve_shifted(upsilon, forcing, mollified)
+    for a, b in zip(raw.states, smooth.states):
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    # a forcing with negative values is rejected at either scale
+    signed = to_spectral(0.5 + np.cos(grid32.points)[:, None] + np.zeros((32, 32)), grid32)
+    times = time_grid(config)
+    signed_path = FieldPath(times=times, states=[signed] * len(times))
+    for cfg in (config, mollified):
+        with pytest.raises(ValueError, match="negative"):
+            solve_shifted(upsilon, signed_path, cfg)
 
 
 def test_measure_product(grid32, stream):

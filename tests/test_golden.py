@@ -31,13 +31,13 @@ from expsqlab import (
     hermite,
     make_grid,
     make_wick_params,
-    ou_decay,
     ou_path,
     sobolev_norm,
     solve_sqe_full,
     solve_sqe_projected,
     time_grid,
 )
+from expsqlab.spectral import heat_multiplier
 
 INVARIANCE = {
     # 37 replicas and 300 draws: blocks of 16 fields at M = 32 end ragged
@@ -218,7 +218,7 @@ def test_operators_golden():
     for out in (
         heat_semigroup(field, 0.3).coeffs,
         heat_semigroup_massless(field, 0.05).coeffs,
-        ou_decay(grid, 0.1),
+        heat_multiplier(grid, 0.1),
         hermite(7, field.values(), 0.8),
     ):
         h.update(out.tobytes())

@@ -11,14 +11,13 @@ from expsqlab import (
     gff_mode_variance,
     gff_sample,
     hermitian_defect,
-    ou_decay,
-    ou_increments,
     ou_noise_variance,
     ou_path,
-    ou_transition,
-    wiener_increment,
     zero_field,
 )
+from expsqlab.dynamics import _ou_increments
+from expsqlab.randomfields import white_noise_fft
+from expsqlab.spectral import heat_multiplier
 
 
 def test_gff_sample_is_real(grid32, stream):
@@ -42,7 +41,7 @@ def test_gff_mode_variances(grid8):
 
 
 def test_ou_decay_matches_noise_variance(grid32):
-    d = ou_decay(grid32, 0.25)
+    d = heat_multiplier(grid32, 0.25)
     v = ou_noise_variance(grid32, 0.25)
     c = 1.0 + grid32.ksq
     assert np.allclose(d, np.exp(-0.125 * c), rtol=0, atol=0)
@@ -55,17 +54,8 @@ def test_two_half_steps_compose_exactly(grid32):
     dt = 0.3
     v_full = ou_noise_variance(grid32, dt)
     v_half = ou_noise_variance(grid32, dt / 2)
-    d_half = ou_decay(grid32, dt / 2)
+    d_half = heat_multiplier(grid32, dt / 2)
     assert np.abs(v_half + d_half**2 * v_half - v_full).max() < 1e-12
-
-
-def test_ou_transition_without_noise_is_decay(grid32, stream):
-    f = gff_sample(grid32, stream)
-    out = ou_transition(f, 0.5, stream.child("unused"), include_noise=False)
-    expected = f.coeffs * ou_decay(grid32, 0.5)
-    assert np.allclose(out.coeffs, expected, rtol=0, atol=0)
-    with pytest.raises(ValueError):
-        ou_transition(f, 0.0, stream)
 
 
 def test_ou_transition_stationarity(grid8):
@@ -77,7 +67,7 @@ def test_ou_transition_stationarity(grid8):
     for i in range(n):
         s = base.for_replica(i)
         f = gff_sample(grid8, s.child("init"))
-        g = ou_transition(f, dt, s.child("step"))
+        g = ou_path(f, [0.0, dt], s.child("step")).final()
         acc += np.abs(g.coeffs) ** 2
     mean = acc / n
     assert np.abs(mean / gff_mode_variance(grid8) - 1.0).max() < 5.0 * math.sqrt(2.0 / n)
@@ -108,39 +98,24 @@ def test_increments_rebuild_path(grid8, stream):
     times = np.linspace(0.0, 2.0, 17)
     init = gff_sample(grid8, stream.child("init"))
     traj = ou_path(init, times, stream.child("path"))
-    got_times, etas = ou_increments(traj)
-    assert np.array_equal(got_times, times)
+    h = times[1]
+    etas = list(_ou_increments(grid8, (x.coeffs for x in traj.states), h))
+    assert len(etas) == len(times) - 1
     coeffs = traj.states[0].coeffs.copy()
     for j, eta in enumerate(etas):
-        h = times[j + 1] - times[j]
-        coeffs = ou_decay(traj.grid, h) * coeffs + eta
+        coeffs = heat_multiplier(grid8, h) * coeffs + eta
         assert np.abs(coeffs - traj.states[j + 1].coeffs).max() < 1e-12
-
-
-def test_increment_stride_consistency(grid8, stream):
-    # stride-2 increments equal the composition of two stride-1 increments
-    times = np.linspace(0.0, 1.0, 9)
-    traj = ou_path(gff_sample(grid8, stream), times, stream.child("p"))
-    t1, fine = ou_increments(traj, stride=1)
-    t2, coarse = ou_increments(traj, stride=2)
-    assert np.array_equal(t2, times[::2])
-    h = times[1] - times[0]
-    d = ou_decay(grid8, h)
-    for j in range(len(coarse)):
-        combined = d * fine[2 * j] + fine[2 * j + 1]
-        assert np.abs(combined - coarse[j]).max() < 1e-12
 
 
 def test_wiener_increment_variance(grid8):
     n = 3000
     dt = 0.2
     base = RngStream(777, purpose="wiener")
-    acc = np.zeros((8, 8))
-    for i in range(n):
-        acc += np.abs(wiener_increment(grid8, dt, base.for_replica(i)).coeffs) ** 2
+    generators = [base.for_replica(i).generator() for i in range(n)]
+    # the semi-implicit scheme's increment: rows of fft2(white) * sqrt(dt) / M
+    rows = white_noise_fft(grid8, generators) * (math.sqrt(dt) / 8)
+    acc = (np.abs(rows) ** 2).sum(axis=0)
     assert np.abs(acc / n / dt - 1.0).max() < 5.0 * math.sqrt(2.0 / n)
-    with pytest.raises(ValueError):
-        wiener_increment(grid8, -0.1, base)
 
 
 def test_field_path_validation(grid8, grid32):

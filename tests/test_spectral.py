@@ -13,7 +13,6 @@ from expsqlab import (
     SpectralField,
     constant_field,
     field_from_coeffs,
-    from_spectral,
     green_field,
     grid_quadrature,
     heat_semigroup,
@@ -139,18 +138,18 @@ def test_green_field_matches_renorm_constant(grid32):
 
 def test_norm_spec_validation():
     with pytest.raises(ValueError):
-        NormSpec("fourier", 0.5)
+        NormSpec(0.5, p=0.5)
     with pytest.raises(ValueError):
-        NormSpec("besov", 0.5, p=0.5)
-    spec = NormSpec("sobolev", -0.5)
-    assert spec.s == -0.5
+        NormSpec(0.5, q=0.9)
+    spec = NormSpec(-0.5)
+    assert (spec.s, spec.p, spec.q) == (-0.5, 2.0, 2.0)
 
 
 def test_from_spectral_of_single_mode(grid32):
     coeffs = np.zeros((32, 32), dtype=np.complex128)
     coeffs[2, 0] = 0.5
     coeffs[-2, 0] = 0.5
-    vals = from_spectral(field_from_coeffs(grid32, coeffs, validate=True))
+    vals = field_from_coeffs(grid32, coeffs, validate=True).values()
     x = np.arange(32) * grid32.spacing
     # the pair (0.5, 0.5) at k = (+-2, 0) represents cos(2 x1) / (2 pi)
     expected = np.cos(2 * x)[:, None] / TWO_PI
