@@ -7,8 +7,8 @@ comment.  Keys are dotted by concern:
     sqe.T = 1.0            # time horizon
     sqe.dt = 0.015625      # step, must divide T
     sqe.scheme = exponential-euler
-    sqe.equation = full
-    sqe.mollifier = 0.0
+    sqe.equation = full    # these two are read by no solver,
+    sqe.mollifier = 0.0    # only validated and hashed into report bodies
     wick.alpha = 1.0
     wick.N = 2
     wick.beta = 0          # 0 means the default choice
@@ -85,7 +85,7 @@ class ExperimentConfig:
         except ValueError as e:
             raise ConfigError(str(e)) from e
 
-    def build_sqe(self, equation: str | None = None, grid: TorusGrid | None = None) -> SqeConfig:
+    def build_sqe(self, grid: TorusGrid | None = None) -> SqeConfig:
         grid = grid or self.build_grid()
         try:
             return SqeConfig(
@@ -94,8 +94,6 @@ class ExperimentConfig:
                 params=self.build_params(grid),
                 psi=self.build_psi(),
                 scheme=self.scheme,
-                equation=equation if equation is not None else self.equation,
-                mollifier_scale=self.mollifier,
             )
         except ValueError as e:
             raise ConfigError(str(e)) from e
@@ -192,6 +190,11 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("seed must fit in 64 bits")
     if cfg.eps <= 0:
         raise ConfigError("eps must be positive")
+    equations = ("full", "projected", "shifted")
+    if cfg.equation not in equations:
+        raise ConfigError(f"equation must be one of {equations}, got {cfg.equation!r}")
+    if cfg.mollifier < 0:
+        raise ConfigError("mollifier scale must be nonnegative")
     # construct everything once so schema-level errors surface as exit 3
     try:
         cfg.build_sqe().n_steps()

@@ -1,12 +1,16 @@
 """Time integration of the approximating stochastic dynamics.
 
-Three equations share one mild stepping pattern:
+Three equations share one mild stepping pattern, and the function called
+names the equation:
 
-  full:       d Phi = (Lap-1)/2 Phi dt - (alpha/2) exp(alpha Phi - a^2 C_N/2) dt + P_N dW,
+  full (``evolve_levels``, ``solve_sqe_full``):
+              d Phi = (Lap-1)/2 Phi dt - (alpha/2) exp(alpha Phi - a^2 C_N/2) dt + P_N dW,
               initial datum P_N phi;
-  projected:  d Phi = (Lap-1)/2 Phi dt - (alpha/2) P_N exp(alpha P_N Phi - a^2 C_N/2) dt + dW,
+  projected (``evolve_projected``, ``solve_sqe_projected``):
+              d Phi = (Lap-1)/2 Phi dt - (alpha/2) P_N exp(alpha P_N Phi - a^2 C_N/2) dt + dW,
               initial datum phi (the ensemble-stationary variant);
-  shifted:    d Y = (Lap-1)/2 Y dt - (alpha/2) M(exp(alpha Y), chi_t) dt,
+  shifted (``solve_shifted``):
+              d Y = (Lap-1)/2 Y dt - (alpha/2) M(exp(alpha Y), chi_t) dt,
               deterministic, driven by a nonnegative forcing path chi.
 
 Default scheme is exponential-Euler: the nonlinear term is frozen over the
@@ -39,27 +43,30 @@ the Wick exponential of X gives Y again, solved on its own.
 Every loop moves between the grid and spectral space with the pair
 spectral.to_values/to_coeffs, and the exponential-Euler step multiplier
 is spectral.heat_multiplier, the same symbol as the OU decay.  Noise
-increments are produced one step at a time, never stored for the whole
-horizon.
+increments and forcing values are produced one step at a time, never
+stored for the whole horizon.
 
-The projected equation steps a stack of replicas (n, M, M) at once
-(``evolve_projected``); ``solve_sqe_projected`` is the stack of one that
-keeps every state.  Each replica draws its noise from its own stream one
-step at a time, so its states are bit-for-bit those of a solve of its own.
-
-The full equation steps a stack of cutoff levels (L, M, M) at once
-(``evolve_levels``), the common-noise coupling of the levels: each noise
-increment is computed once per step and drives every level, and the
-level stack is yielded step by step instead of stored.
-``solve_sqe_full`` is its one level that keeps every state.  Row l is
-bit-for-bit the solve of level l alone, and an overflow raises what a
-loop over the levels would raise first.
+The two stochastic equations step a stack of rows at once under one
+flow contract.  ``evolve_levels`` steps the cutoff levels (L, M, M) of
+the full equation under one common noise (each increment computed once
+per step drives every level); ``evolve_projected`` steps replicas
+(n, M, M) of the projected equation, each drawing its noise from its own
+stream.  Either call checks its arguments at once and returns a
+generator of the state stack at every time of ``time_grid``, each row
+bit-for-bit the solve of that row alone.  Both share one overflow rule:
+a row whose Wick exponent passes the guard is flagged at its first
+overflowing step and zeroed from then on, so the other rows step on
+unharmed; the flow stops once every row has failed, and after its last
+step raises WickOverflowError with the lowest failing row's exponent,
+the error a loop over the rows one at a time raises first.
+``solve_sqe_full`` and ``solve_sqe_projected`` are these flows on one
+row that keep every state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -103,7 +110,6 @@ __all__ = [
 ]
 
 SCHEMES = ("exponential-euler", "semi-implicit")
-EQUATIONS = ("full", "projected", "shifted")
 
 # hard guard on dt * 2^(2N): the linear part is handled exactly (or
 # unconditionally stably), so this only rules out grossly inaccurate steps
@@ -114,17 +120,14 @@ NONNEG_TOL = -1e-10
 
 @dataclass(frozen=True)
 class SqeConfig:
-    """Solver configuration: horizon T, step dt, scheme, equation flavor,
-    Wick parameters, cutoff profile and the mollifier scale used by the
-    measure product."""
+    """Solver configuration: horizon T, step dt, Wick parameters, cutoff
+    profile and scheme.  It names no equation: the solver called does."""
 
     horizon: float
     dt: float
     params: WickParams
     psi: CutoffProfile
     scheme: str = "exponential-euler"
-    equation: str = "full"
-    mollifier_scale: float = 0.0
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -133,10 +136,6 @@ class SqeConfig:
             raise ValueError("need 0 < dt <= horizon")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.equation not in EQUATIONS:
-            raise ValueError(f"equation must be one of {EQUATIONS}, got {self.equation!r}")
-        if self.mollifier_scale < 0:
-            raise ValueError("mollifier scale must be nonnegative")
         if self.dt * 4.0**self.params.level > STABILITY_CAP:
             raise ValueError(
                 f"dt * 2^(2N) = {self.dt * 4.0 ** self.params.level:.3g} exceeds the "
@@ -230,18 +229,17 @@ def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig
     The per-step update freezes the nonlinearity and applies the exact
     semigroup, so with zero initial datum the state keeps the sign
     opposite to alpha at every grid point (comparison structure), and
-    with zero forcing the flow is the exact heat semigroup.
+    with zero forcing the flow is the exact heat semigroup.  Each forcing
+    state is turned into grid values and checked for sign at the step
+    that reads it; the last state, which no step reads, is checked first.
     """
-    if config.equation != "shifted":
-        raise ValueError(f"config.equation must be 'shifted', got {config.equation!r}")
     _validate_path_times(chi_path.times, config)
     params = config.params
     _check_initial_regularity(upsilon, params.beta)
     grid = upsilon.grid
     if chi_path.grid != grid:
         raise ValueError("forcing path and initial datum live on different grids")
-
-    chi_vals = [_forcing_values(f, config.mollifier_scale) for f in chi_path.states]
+    _forcing_values(chi_path.states[-1], 0.0)
 
     mult = _step_multiplier(grid, config.dt, config.scheme)
     alpha = params.alpha
@@ -250,8 +248,8 @@ def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig
     coeffs = upsilon.coeffs.copy()
     u = to_values(coeffs, grid)
     states = [SpectralField(grid, coeffs.copy())]
-    for j in range(config.n_steps()):
-        nonlin = half_adt * guarded_exp(u, alpha, 0.0) * chi_vals[j]
+    for j, chi in enumerate(chi_path.states[:-1]):
+        nonlin = half_adt * guarded_exp(u, alpha, 0.0) * _forcing_values(chi, 0.0)
         coeffs = mult * (coeffs - to_coeffs(nonlin, grid))
         if not np.isfinite(coeffs[0, 0]):
             raise FloatingPointError(f"shifted solve lost finiteness at step {j}")
@@ -300,38 +298,47 @@ def _check_x_traj(phi0: SpectralField, config: SqeConfig, x_traj: FieldPath):
         raise ValueError("OU trajectory must start at the initial datum")
 
 
-def _full_flow(grid: TorusGrid, coeffs: np.ndarray, psi_mult: np.ndarray, configs, noise,
-               overflow):
+def _guarded(initial: np.ndarray, steps):
+    """The overflow rule of both stochastic flows.  Yields the initial
+    stack, then each step's stack from ``steps``, which pairs it with the
+    largest Wick exponent of each row: a row whose exponent passes the
+    guard is flagged at its first overflowing step and zeroed from then
+    on.  Stops once every row has failed; after the last step, raises
+    WickOverflowError with the flagged exponent of the lowest failing
+    row."""
+    yield initial
+    overflow = np.full(len(initial), np.nan)
+    failed = np.zeros(len(initial), dtype=bool)
+    for coeffs, peaks in steps:
+        new = ~failed & (peaks > OVERFLOW_EXPONENT)
+        if new.any():
+            overflow[new] = peaks[new]
+            failed |= new
+        if failed.any():
+            coeffs[failed] = 0.0
+            if failed.all():
+                break
+        yield coeffs
+    if failed.any():
+        raise WickOverflowError(float(overflow[failed][0]))
+
+
+def _full_flow(grid: TorusGrid, coeffs: np.ndarray, psi_mult: np.ndarray, configs, noise):
     """The full equation's one step loop, on a stack of cutoff levels
     (L, M, M) with row l under ``configs[l]``: yields the state stack
-    after each step, each step driven by the next increment of ``noise``,
-    which every level projects with its own cutoff multiplier
-    ``psi_mult[l]``.
-
-    A level whose Wick exponent passes the overflow guard has that
-    exponent written to ``overflow`` (NaN until then) at its first
-    overflowing step and is zeroed from then on, so the other levels
-    step on unharmed; the flow ends early once every level has failed.
-    """
+    after each step with its rows' Wick exponents, each step driven by the
+    next increment of ``noise``, which every level projects with its own
+    cutoff multiplier ``psi_mult[l]``."""
     config = configs[0]
     mult = _step_multiplier(grid, config.dt, config.scheme)
     alpha = config.params.alpha
     shift = np.array([0.5 * alpha**2 * c.params.c_n for c in configs])[:, None, None]
     half_adt = 0.5 * alpha * config.dt
-    failed = np.zeros(len(configs), dtype=bool)
     for eta in noise:
         values, peaks = scaled_exp(to_values(coeffs, grid), alpha, shift)
-        new = ~failed & (peaks > OVERFLOW_EXPONENT)
-        if new.any():
-            overflow[new] = peaks[new]
-            failed |= new
         nonlin = half_adt * values
         coeffs = mult * (coeffs - to_coeffs(nonlin, grid)) + psi_mult * eta
-        if failed.any():
-            coeffs[failed] = 0.0
-            if failed.all():
-                return
-        yield coeffs
+        yield coeffs, peaks
 
 
 def evolve_levels(
@@ -345,27 +352,22 @@ def evolve_levels(
 
     Args:
         phi0: initial datum, projected by each level's cutoff.
-        configs: one configuration with equation='full' per level; they
-            may differ only in their Wick parameters and cutoff.
+        configs: one configuration per level; they may differ only in
+            their Wick parameters and cutoff.
         stream: noise stream, as for ``solve_sqe_full``; each increment
             is computed once per step and drives every level.
         x_traj: optional OU trajectory, as for ``solve_sqe_full``.
 
-    Yields:
-        the coefficient stack (L, M, M) at each time of
+    Returns:
+        a generator of the coefficient stack (L, M, M) at each time of
         ``time_grid(configs[0])``, row l bit-for-bit the state of
-        ``solve_sqe_full(phi0, configs[l], stream, x_traj)``.
-
-    Raises:
-        WickOverflowError: after the last step, if a level overflowed,
-            with the exponent of the lowest failing level at its first
-            overflowing step: the error a loop over the levels one at a
-            time raises first.
+        ``solve_sqe_full(phi0, configs[l], stream, x_traj)``.  The
+        arguments are checked on the call.  After the last step it raises
+        WickOverflowError if a level overflowed, with the exponent of the
+        lowest failing level at its first overflowing step.
     """
     config = configs[0]
     for c in configs:
-        if c.equation != "full":
-            raise ValueError(f"config.equation must be 'full', got {c.equation!r}")
         if (c.horizon, c.dt, c.scheme, c.params.alpha) != (
             config.horizon, config.dt, config.scheme, config.params.alpha
         ):
@@ -376,14 +378,9 @@ def evolve_levels(
         noise = _ou_increments(grid, (s.coeffs for s in x_traj.states), config.dt)
     else:
         noise = _noise_stacks(grid, phi0.coeffs[None], config, [stream])
-    overflow = np.full(len(configs), np.nan)
     psi_mult = np.stack([c.psi.multiplier(grid, c.params.level) for c in configs])
     coeffs = psi_mult * phi0.coeffs
-    yield coeffs
-    yield from _full_flow(grid, coeffs, psi_mult, configs, noise, overflow)
-    failed = np.flatnonzero(~np.isnan(overflow))
-    if failed.size:
-        raise WickOverflowError(float(overflow[failed[0]]))
+    return _guarded(coeffs, _full_flow(grid, coeffs, psi_mult, configs, noise))
 
 
 def solve_sqe_full(
@@ -397,7 +394,7 @@ def solve_sqe_full(
 
     Args:
         phi0: initial datum (projection applied internally).
-        config: solver configuration with equation='full'.
+        config: solver configuration.
         stream: noise stream; ignored for the noise itself when ``x_traj``
             is supplied (common-noise coupling across levels or steps).
         x_traj: optional precomputed OU trajectory on the solver grid,
@@ -414,8 +411,6 @@ def solve_sqe_full(
 
     This is ``evolve_levels`` on one level that keeps every state.
     """
-    if config.equation != "full":
-        raise ValueError(f"config.equation must be 'full', got {config.equation!r}")
     grid = phi0.grid
     states = [SpectralField(grid, s[0]) for s in evolve_levels(phi0, [config], stream, x_traj)]
     return FieldPath(times=time_grid(config), states=states)
@@ -450,69 +445,48 @@ def decompose(
     x_part = [SpectralField(grid, psi_mult * s.coeffs) for s in x_traj.states]
     y_part = [st - xp for st, xp in zip(path.states, x_part)]
     chi_path = wick_exp_ou(x_traj, config.params, config.psi)
-    shifted = solve_shifted(zero_field(grid), chi_path, replace(config, equation="shifted"))
+    shifted = solve_shifted(zero_field(grid), chi_path, config)
     return FieldPath(path.times, x_part), FieldPath(path.times, y_part), shifted
 
 
-def _projected_flow(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, noise, overflow):
+def _projected_flow(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, noise):
     """The projected equation's one step loop, on a stack of replicas
-    (n, M, M): yields the state stack after each step, each step driven by
-    the next increment stack of ``noise``.
-
-    A replica whose Wick exponent passes the overflow guard has that
-    exponent written to ``overflow`` (NaN until then) at its first
-    overflowing step and is zeroed from then on, so the other replicas
-    step on unharmed; the flow ends early once every replica has failed.
-    """
+    (n, M, M): yields the state stack after each step with its rows' Wick
+    exponents, each step driven by the next increment stack of ``noise``."""
     psi_mult = config.psi.multiplier(grid, config.params.level)
     mult = _step_multiplier(grid, config.dt, config.scheme)
     alpha = config.params.alpha
     shift = 0.5 * alpha**2 * config.params.c_n
     half_adt = 0.5 * alpha * config.dt
-    failed = np.zeros(len(coeffs), dtype=bool)
     for eta in noise:
         u_proj = to_values(psi_mult * coeffs, grid)
         values, peaks = scaled_exp(u_proj, alpha, shift)
-        new = ~failed & (peaks > OVERFLOW_EXPONENT)
-        if new.any():
-            overflow[new] = peaks[new]
-            failed |= new
         nonlin = half_adt * values
         coeffs = mult * (coeffs - psi_mult * to_coeffs(nonlin, grid)) + eta
-        if failed.any():
-            coeffs[failed] = 0.0
-            if failed.all():
-                return
-        yield coeffs
+        yield coeffs, peaks
 
 
-def evolve_projected(
-    phi0: SpectralField, config: SqeConfig, streams
-) -> tuple[SpectralField, np.ndarray]:
-    """Final states of the projected equation for a stack of replicas.
+def evolve_projected(phi0: SpectralField, config: SqeConfig, streams):
+    """States of the projected equation for a stack of replicas.
 
     Args:
         phi0: stack of initial data (n, M, M), one replica per row.
-        config: solver configuration with equation='projected'.
-        streams: one noise stream per row; row i ends bit-for-bit where
-            ``solve_sqe_projected(phi0 row i, config, streams[i])`` does.
+        config: solver configuration.
+        streams: one noise stream per row.
 
     Returns:
-        (stack of final states, overflow): ``overflow[i]`` is the Wick
-        exponent of row i's first overflowing step, NaN where the row
-        never overflowed.  A failed row's final state is meaningless.
+        a generator of the coefficient stack (n, M, M) at each time of
+        ``time_grid(config)``, row i bit-for-bit the state of
+        ``solve_sqe_projected(phi0 row i, config, streams[i])``.  The
+        arguments are checked on the call.  After the last step it raises
+        WickOverflowError if a replica overflowed, with the exponent of
+        the lowest failing replica at its first overflowing step.
     """
-    if config.equation != "projected":
-        raise ValueError(f"config.equation must be 'projected', got {config.equation!r}")
     if phi0.coeffs.ndim != 3 or len(streams) != len(phi0.coeffs):
         raise ValueError("need a stack of initial data and one stream per row")
     grid = phi0.grid
     noise = _noise_stacks(grid, phi0.coeffs, config, streams)
-    overflow = np.full(len(phi0.coeffs), np.nan)
-    final = phi0.coeffs
-    for final in _projected_flow(grid, phi0.coeffs, config, noise, overflow):
-        pass
-    return SpectralField(grid, final), overflow
+    return _guarded(phi0.coeffs, _projected_flow(grid, phi0.coeffs, config, noise))
 
 
 def solve_sqe_projected(
@@ -528,17 +502,9 @@ def solve_sqe_projected(
 
     This is ``evolve_projected`` on a stack of one that keeps every state.
     """
-    if config.equation != "projected":
-        raise ValueError(f"config.equation must be 'projected', got {config.equation!r}")
     grid = phi0.grid
-    noise = _noise_stacks(grid, phi0.coeffs[None], config, [stream])
-    overflow = np.full(1, np.nan)
-    states = [SpectralField(grid, phi0.coeffs.copy())]
-    for coeffs in _projected_flow(grid, phi0.coeffs[None], config, noise, overflow):
-        states.append(SpectralField(grid, coeffs[0]))
-    if not np.isnan(overflow[0]):
-        raise WickOverflowError(float(overflow[0]))
-
+    stack = SpectralField(grid, phi0.coeffs[None])
+    states = [SpectralField(grid, s[0]) for s in evolve_projected(stack, config, [stream])]
     return FieldPath(times=time_grid(config), states=states)
 
 

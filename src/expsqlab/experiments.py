@@ -204,8 +204,7 @@ def cmd_sqe(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Experiment
         n: SqeConfig(
             horizon=cfg.horizon, dt=cfg.dt,
             params=make_wick_params(cfg.alpha, n, psi, grid, beta=beta),
-            psi=psi, scheme=cfg.scheme, equation="full",
-            mollifier_scale=cfg.mollifier,
+            psi=psi, scheme=cfg.scheme,
         )
         for n in levels
     }
@@ -275,7 +274,7 @@ def cmd_invariance(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Exp
     grid = cfg.build_grid()
     psi = cfg.build_psi()
     params = cfg.build_params(grid)
-    sqe_cfg = cfg.build_sqe(equation="projected", grid=grid)
+    sqe_cfg = cfg.build_sqe(grid=grid)
     stream = RngStream(cfg.seed, purpose="invariance")
 
     try:

@@ -209,8 +209,7 @@ def test_criterion_06_sign_comparison():
     grid = make_grid(32)
     psi = CutoffProfile("sharp")
     params = make_wick_params(1.0, 2, psi, grid)
-    config = SqeConfig(horizon=0.5, dt=1.0 / 32, params=params, psi=psi,
-                       equation="shifted")
+    config = SqeConfig(horizon=0.5, dt=1.0 / 32, params=params, psi=psi)
     times = time_grid(config)
     base = _stream("c06")
     worst = -math.inf
@@ -232,8 +231,7 @@ def test_criterion_07_energy_contraction():
     grid = make_grid(32)
     psi = CutoffProfile("sharp")
     params = make_wick_params(1.0, 2, psi, grid)
-    config = SqeConfig(horizon=1.0, dt=1.0 / 64, params=params, psi=psi,
-                       equation="shifted")
+    config = SqeConfig(horizon=1.0, dt=1.0 / 64, params=params, psi=psi)
     times = time_grid(config)
     base = _stream("c07")
     rates = []
@@ -275,8 +273,7 @@ def test_criterion_08_splitting_order():
         # the coarse solves read only every 2^(p_ref - max(ps))-th fine state
         thin = 2 ** (p_ref - ps[-1])
         fine = FieldPath(times=fine.times[::thin], states=fine.states[::thin])
-        fine_cfg = SqeConfig(horizon=1.0, dt=2.0**-p_ref, params=params, psi=psi,
-                             equation="shifted")
+        fine_cfg = SqeConfig(horizon=1.0, dt=2.0**-p_ref, params=params, psi=psi)
         y_fine = solve_shifted(zero_field(grid), chi, fine_cfg).states[::thin]
         del chi
         for c, p in enumerate(ps):
@@ -347,8 +344,7 @@ def test_criterion_10_invariance_and_control():
     base = _stream("c10")
     ens = sample_ensemble(grid, params, psi, 20_000, base.child("ens"))
     obs = standard_observables(params, psi)
-    good_cfg = SqeConfig(horizon=1.0, dt=1.0 / 64, params=params, psi=psi,
-                         equation="projected")
+    good_cfg = SqeConfig(horizon=1.0, dt=1.0 / 64, params=params, psi=psi)
     good = invariance_test(ens, good_cfg, obs, base.child("dyn"), replicas=1000)
     bad_cfg = replace(good_cfg, params=replace(params, c_n=0.0))
     control = invariance_test(ens, bad_cfg, obs, base.child("control"), replicas=1000)

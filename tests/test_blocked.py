@@ -175,26 +175,60 @@ def test_resample_rebuilds_repeated_unordered_ancestors(grid32):
 def test_evolve_projected_matches_single_solves(grid32, scheme):
     params, psi = _setup(grid32)
     config = SqeConfig(horizon=0.125, dt=1.0 / 64, params=params, psi=psi,
-                       equation="projected", scheme=scheme)
+                       scheme=scheme)
     base = RngStream(612, purpose="evolve")
     phi0 = gff_sample(grid32, [base.child("init").for_replica(i) for i in range(3)])
     streams = [base.for_replica(i) for i in range(3)]
-    finals, overflow = evolve_projected(phi0, config, streams)
-    assert np.all(np.isnan(overflow))
-    for field, s, final in zip(phi0.unstack(), streams, finals.unstack()):
+    stacks = list(evolve_projected(phi0, config, streams))
+    assert len(stacks) == config.n_steps() + 1
+    for i, (field, s) in enumerate(zip(phi0.unstack(), streams)):
         path = solve_sqe_projected(field, config, s)
-        assert np.array_equal(final.coeffs, path.final().coeffs)
-    # one stream per row: a short list would silently share noise
+        for stack, state in zip(stacks, path.states):
+            assert stack[i].tobytes() == state.coeffs.tobytes()
+    # one stream per row, checked on the call: a short list would
+    # silently share noise
     with pytest.raises(ValueError):
         evolve_projected(phi0, config, streams[:1])
+
+
+def _stacks_until_overflow(flow):
+    """Every stack a flow yields before it raises, and the exponent it
+    raises."""
+    stacks = []
+    with pytest.raises(WickOverflowError) as info:
+        for stack in flow:
+            stacks.append(stack)
+    return stacks, info.value.max_exponent
+
+
+def test_failing_replica_leaves_other_replicas_unharmed(grid32):
+    # one hot constant replica among ordinary draws fails at step 0; every
+    # other replica steps on exactly as its own solve
+    params, psi = _setup(grid32)
+    config = SqeConfig(horizon=0.125, dt=1.0 / 64, params=params, psi=psi)
+    base = RngStream(624, purpose="failing-replica")
+    streams = [base.for_replica(i) for i in range(4)]
+    coeffs = gff_sample(grid32, [base.child("init").for_replica(i) for i in range(4)]).copy_coeffs()
+    coeffs[1] = constant_field(grid32, 701.0 + params.c_n / 2).coeffs
+    phi0 = SpectralField(grid32, coeffs)
+    fields = phi0.unstack()
+    with pytest.raises(WickOverflowError) as single:
+        solve_sqe_projected(fields[1], config, streams[1])
+    stacks, exponent = _stacks_until_overflow(evolve_projected(phi0, config, streams))
+    assert exponent == single.value.max_exponent == pytest.approx(701.0)
+    assert len(stacks) == config.n_steps() + 1
+    assert not any(stack[1].any() for stack in stacks[1:])
+    for i in (0, 2, 3):
+        path = solve_sqe_projected(fields[i], config, streams[i])
+        for stack, state in zip(stacks, path.states):
+            assert stack[i].tobytes() == state.coeffs.tobytes()
 
 
 def test_invariance_matches_single_replica_loop(grid32):
     params, psi = _setup(grid32)
     stream = RngStream(613, purpose="blocked-inv")
     ens = sample_ensemble(grid32, params, psi, 101, stream.child("ens"))
-    config = SqeConfig(horizon=0.125, dt=1.0 / 64, params=params, psi=psi,
-                       equation="projected")
+    config = SqeConfig(horizon=0.125, dt=1.0 / 64, params=params, psi=psi)
     seen = []
 
     def record(f):
@@ -256,8 +290,7 @@ def test_solver_overflow_names_lowest_failing_replica(grid32):
     samples = tuple(hot.get(i, zero_field(grid32)) for i in range(64))
     ens = WeightedEnsemble(grid=grid32, proposals=_stored(samples),
                            log_weights=np.full(64, -1.0), params=params, psi=psi)
-    config = SqeConfig(horizon=0.0625, dt=1.0 / 64, params=params, psi=psi,
-                       equation="projected")
+    config = SqeConfig(horizon=0.0625, dt=1.0 / 64, params=params, psi=psi)
     obs = standard_observables(params, psi)
     stream = RngStream(617, purpose="overflow-dyn")
     draws = resample_stationary(ens, 40, stream)
@@ -309,8 +342,7 @@ def test_evolve_levels_match_single_level_solves(grid32, scheme, kind):
             assert stack[level].tobytes() == path.states[j].coeffs.tobytes()
     # the levels must share one time grid and one noise
     with pytest.raises(ValueError, match="share"):
-        list(evolve_levels(phi0, _level_configs(grid32, kind, scheme, (1,), 0.25) + configs,
-                           stream))
+        evolve_levels(phi0, _level_configs(grid32, kind, scheme, (1,), 0.25) + configs, stream)
 
 
 def _hot_datum(grid, configs, e2, e3):
@@ -353,6 +385,23 @@ def test_level_overflow_names_lowest_failing_level(case):
     with pytest.raises(WickOverflowError) as info:
         list(evolve_levels(phi0, configs, stream))
     assert info.value.max_exponent == exponent
+
+
+def test_failing_level_leaves_other_levels_unharmed():
+    # levels 2 and 3 overflow at step 0; level 1 never fails and steps on
+    # exactly as its own solve, so the flow runs to the end before raising
+    grid = make_grid(64)
+    configs = _level_configs(grid, "sharp", "exponential-euler", (1, 2, 3), horizon=4 / 64)
+    phi0 = _hot_datum(grid, configs, 710.0, 760.0)
+    stream = RngStream(625, purpose="failing-level")
+    stacks, exponent = _stacks_until_overflow(evolve_levels(phi0, configs, stream))
+    assert (1, exponent) == _first_overflow(lambda n: solve_sqe_full(phi0, configs[n], stream), 3)
+    assert exponent == pytest.approx(710.0)
+    reference = solve_sqe_full(phi0, configs[0], stream)
+    assert len(stacks) == len(reference.states)
+    for stack, state in zip(stacks, reference.states):
+        assert stack[0].tobytes() == state.coeffs.tobytes()
+    assert not stacks[-1][1:].any()
 
 
 def test_semi_implicit_sqe_builds_no_ou_chain(monkeypatch):

@@ -97,6 +97,12 @@ def test_range_validation():
         parse_config("sqe.dt = 0.3\n")  # does not divide T = 1 ... caught later
     with pytest.raises(ConfigError):
         parse_config("cutoff.kind = box\n")
+    # read by no solver, still range-checked (and hashed into the body)
+    with pytest.raises(ConfigError, match="equation"):
+        parse_config("sqe.equation = strong\n")
+    with pytest.raises(ConfigError, match="mollifier"):
+        parse_config("sqe.mollifier = -1\n")
+    assert parse_config("sqe.equation = shifted\n").equation == "shifted"
 
 
 def test_builders(grid32):
@@ -105,8 +111,7 @@ def test_builders(grid32):
     assert grid.modes_per_dim == 32
     params = cfg.build_params(grid)
     assert params.level == 2 and params.beta == 0.5
-    sqe = cfg.build_sqe(equation="projected", grid=grid)
-    assert sqe.equation == "projected"
+    sqe = cfg.build_sqe(grid=grid)
     assert sqe.dt == cfg.dt
     d = cfg.as_dict()
     assert d["modes"] == 32 and d["tilt"] == "auto"

@@ -1,8 +1,6 @@
 """Solver checks: scalar ODE oracle, exact linear limits, splitting
 bookkeeping, sign structure and contraction."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -44,9 +42,7 @@ def _constant_forcing(config, grid, value=1.0):
 
 def _shifted_config(grid, dt, horizon=1.0, alpha=1.0, level=0, **kw):
     params, psi = _params(grid, alpha=alpha, level=level)
-    return SqeConfig(
-        horizon=horizon, dt=dt, params=params, psi=psi, equation="shifted", **kw
-    )
+    return SqeConfig(horizon=horizon, dt=dt, params=params, psi=psi, **kw)
 
 
 def _constant_mode_final(grid, dt, u0, alpha=1.0):
@@ -178,24 +174,18 @@ def test_contraction_random_pair(grid32, stream):
     assert report.gaps[0] > 0
 
 
-def test_mollified_shifted_solve(grid32, stream):
-    # exp(s Lap) fixes constants exactly, so a constant forcing gives the
-    # same states at mollifier scale 0.3 as at 0, byte for byte
+def test_negative_forcing_rejected(grid32, stream):
+    # a forcing state with negative values is rejected wherever it sits,
+    # the last one included although no step reads it
     config = _shifted_config(grid32, dt=1.0 / 16, horizon=0.5, level=1)
-    mollified = replace(config, mollifier_scale=0.3)
     upsilon = heat_semigroup(gff_sample(grid32, stream), 0.2)
-    forcing = _constant_forcing(config, grid32, 2.0)
-    raw = solve_shifted(upsilon, forcing, config)
-    smooth = solve_shifted(upsilon, forcing, mollified)
-    for a, b in zip(raw.states, smooth.states):
-        assert a.coeffs.tobytes() == b.coeffs.tobytes()
-    # a forcing with negative values is rejected at either scale
     signed = to_spectral(0.5 + np.cos(grid32.points)[:, None] + np.zeros((32, 32)), grid32)
     times = time_grid(config)
-    signed_path = FieldPath(times=times, states=[signed] * len(times))
-    for cfg in (config, mollified):
+    for j in (0, 3, len(times) - 1):
+        states = [constant_field(grid32, 2.0)] * len(times)
+        states[j] = signed
         with pytest.raises(ValueError, match="negative"):
-            solve_shifted(upsilon, signed_path, cfg)
+            solve_shifted(upsilon, FieldPath(times=times, states=states), config)
 
 
 def test_measure_product(grid32, stream):
@@ -225,10 +215,6 @@ def test_config_validation(grid32):
     with pytest.raises(ValueError):
         SqeConfig(horizon=1.0, dt=0.1, params=params, psi=psi, scheme="euler")
     with pytest.raises(ValueError):
-        SqeConfig(horizon=1.0, dt=0.1, params=params, psi=psi, equation="strong")
-    with pytest.raises(ValueError):
-        SqeConfig(horizon=1.0, dt=0.1, params=params, psi=psi, mollifier_scale=-1.0)
-    with pytest.raises(ValueError):
         # dt * 4^N = 2 * 16 above the stability cap
         SqeConfig(horizon=4.0, dt=2.0, params=params, psi=psi)
     bad = SqeConfig(horizon=1.0, dt=0.3, params=params, psi=psi)
@@ -239,25 +225,14 @@ def test_config_validation(grid32):
     assert np.array_equal(time_grid(ok), np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
 
 
-def test_equation_flavor_enforced(grid32, stream):
-    params, psi = _params(grid32, level=2)
-    full_cfg = SqeConfig(horizon=0.25, dt=1.0 / 16, params=params, psi=psi)
-    shifted_cfg = replace(full_cfg, equation="shifted")
-    proj_cfg = replace(full_cfg, equation="projected")
-    phi0 = gff_sample(grid32, stream)
-    with pytest.raises(ValueError):
-        solve_sqe_full(phi0, shifted_cfg, stream)
-    with pytest.raises(ValueError):
-        solve_sqe_projected(phi0, full_cfg, stream)
-    with pytest.raises(ValueError):
-        solve_shifted(zero_field(grid32), _constant_forcing(full_cfg, grid32), full_cfg)
-    # forcing path must sit on the solver's own grid of times
+def test_forcing_times_enforced(grid32):
+    # the forcing path must sit on the solver's own grid of times
+    config = _shifted_config(grid32, dt=1.0 / 16, horizon=0.25, level=2)
     wrong_times = FieldPath(
         times=np.array([0.0, 0.3]), states=[zero_field(grid32)] * 2
     )
-    with pytest.raises(ValueError):
-        solve_shifted(zero_field(grid32), wrong_times, shifted_cfg)
-    solve_sqe_projected(phi0, proj_cfg, stream)
+    with pytest.raises(ValueError, match="uniform solver grid"):
+        solve_shifted(zero_field(grid32), wrong_times, config)
 
 
 def test_rough_initial_datum_rejected(stream):
@@ -304,9 +279,7 @@ def test_semi_implicit_scheme(grid32, stream):
 
 def test_projected_solver_deterministic(grid32, stream):
     params, psi = _params(grid32, alpha=1.0, level=2)
-    config = SqeConfig(
-        horizon=0.25, dt=1.0 / 16, params=params, psi=psi, equation="projected"
-    )
+    config = SqeConfig(horizon=0.25, dt=1.0 / 16, params=params, psi=psi)
     phi0 = gff_sample(grid32, stream.child("init"))
     a = solve_sqe_projected(phi0, config, stream.child("n"))
     b = solve_sqe_projected(phi0, config, stream.child("n"))

@@ -6,7 +6,6 @@ through exactness of the reweighting identities.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,9 +201,7 @@ def test_invariance_quick(grid8):
     params, psi = _setup(grid8, alpha=1.0, level=0)
     base = RngStream(609, purpose="inv-quick")
     ens = sample_ensemble(grid8, params, psi, 1500, base.child("ens"))
-    config = SqeConfig(
-        horizon=0.5, dt=1.0 / 32, params=params, psi=psi, equation="projected"
-    )
+    config = SqeConfig(horizon=0.5, dt=1.0 / 32, params=params, psi=psi)
     obs = standard_observables(params, psi)
     report = invariance_test(ens, config, obs, base.child("test"), replicas=120)
     assert report.replicas == 120
@@ -215,6 +212,3 @@ def test_invariance_quick(grid8):
     )
     assert report.max_abs_z < 5.0  # generous: 120 replicas only
     assert report.passed == (report.max_abs_z <= 3.0)
-    # wrong equation flavor is rejected up front
-    with pytest.raises(ValueError):
-        invariance_test(ens, replace(config, equation="full"), obs, base, replicas=10)
