@@ -15,6 +15,7 @@ import hashlib
 import pytest
 
 from expsqlab import (
+    ConfigError,
     CutoffProfile,
     ExperimentConfig,
     RngStream,
@@ -37,6 +38,7 @@ from expsqlab import (
     solve_sqe_projected,
     time_grid,
 )
+from expsqlab import dynamics, wick
 from expsqlab.spectral import heat_multiplier
 
 INVARIANCE = {
@@ -147,6 +149,22 @@ NORMS_BENCH = {
     ),
 }
 
+# the guard lowered to 0: the first exponent trips it and the run ends in
+# exit 4 with only the overflow exponent in its body (the module named
+# holds the guard the command's solver reads)
+OVERFLOW = {
+    "sqe-M16": (
+        cmd_sqe, dynamics,
+        dict(modes=16, level=1, seed=3, replicas=2, horizon=0.125, dt=1 / 32),
+        "ff8feae38447be1364f08ae6882e1f9b0d759dde0ad4af2b535ee859cbe21e2f",
+    ),
+    "wick-converge-M32": (
+        cmd_wick_converge, wick,
+        dict(modes=32, level=2, seed=3, replicas=2),
+        "bada53f52a86fcefd15ecda9a2e22621adfe9ee7eb0395fc3516b5c196e6acad",
+    ),
+}
+
 SOLVER_STATES = {
     "full-decomposed": "d60632726b5100f2781e853aea8f032a84f1f4e5d10d41f7806a5a390169d7f8",
     "projected": "817cbe37c95183aad390daf668f75d5b7900a41d0c7ff9778d153a45d2ec8d5c",
@@ -178,6 +196,24 @@ def test_norms_bench_golden(name):
     report = cmd_norms_bench(ExperimentConfig(**kwargs))
     assert report.exit_code == 0
     assert report.body_digest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW))
+def test_overflow_golden(name, tmp_path, monkeypatch):
+    cmd, module, kwargs, digest = OVERFLOW[name]
+    monkeypatch.setattr(module, "OVERFLOW_EXPONENT", 0.0)
+    report = cmd(ExperimentConfig(**kwargs), out_dir=tmp_path)
+    assert report.exit_code == 4
+    assert list(report.body) == ["overflow_exponent"]
+    assert report.body_digest() == digest
+    assert (tmp_path / "report.json").is_file()
+
+
+@pytest.mark.parametrize("cmd", [cmd_sqe, cmd_wick_converge])
+def test_level_above_grid_is_a_config_error(cmd):
+    # wick.N = 3 needs M >= 64; no driver may quietly run fewer levels
+    with pytest.raises(ConfigError, match="too high"):
+        cmd(ExperimentConfig(modes=32, level=3))
 
 
 def _states_digest(*field_lists) -> str:
