@@ -18,7 +18,7 @@ comment.  Keys are dotted by concern:
     seed = 0
     replicas = 8
     samples = 2000         # ensemble size for measure experiments
-    tilt = auto            # auto | none | a float
+    tilt = auto            # auto | none | a finite float
     eps = 0.125            # negative Sobolev order used by observables
 
 Unknown keys, unparsable values and violated ranges raise ConfigError,
@@ -75,23 +75,28 @@ class ExperimentConfig:
         except ValueError as e:
             raise ConfigError(str(e)) from e
 
-    def build_params(self, grid: TorusGrid | None = None) -> WickParams:
+    def build_params(self, grid: TorusGrid | None = None, level: int | None = None) -> WickParams:
+        """Wick parameters at cutoff ``level`` (default wick.N) on ``grid``
+        (default the configured one); a level the grid cannot hold raises
+        ConfigError."""
         grid = grid or self.build_grid()
         try:
             return make_wick_params(
-                self.alpha, self.level, self.build_psi(), grid,
+                self.alpha, self.level if level is None else level, self.build_psi(), grid,
                 beta=self.beta if self.beta > 0 else None,
             )
         except ValueError as e:
             raise ConfigError(str(e)) from e
 
-    def build_sqe(self, grid: TorusGrid | None = None) -> SqeConfig:
+    def build_sqe(self, grid: TorusGrid | None = None, level: int | None = None) -> SqeConfig:
+        """Solver config at cutoff ``level`` (default wick.N): the configured
+        horizon, step and scheme with ``build_params(grid, level)``."""
         grid = grid or self.build_grid()
         try:
             return SqeConfig(
                 horizon=self.horizon,
                 dt=self.dt,
-                params=self.build_params(grid),
+                params=self.build_params(grid, level),
                 psi=self.build_psi(),
                 scheme=self.scheme,
             )
@@ -102,9 +107,11 @@ class ExperimentConfig:
         if self.tilt in ("auto", "none"):
             return self.tilt
         try:
-            return float(self.tilt)
+            return _to_float(self.tilt)
         except ValueError as e:
-            raise ConfigError(f"tilt must be 'auto', 'none' or a number, got {self.tilt!r}") from e
+            raise ConfigError(
+                f"tilt must be 'auto', 'none' or a finite number, got {self.tilt!r}"
+            ) from e
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -195,6 +202,7 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"equation must be one of {equations}, got {cfg.equation!r}")
     if cfg.mollifier < 0:
         raise ConfigError("mollifier scale must be nonnegative")
+    cfg.tilt_value()
     # construct everything once so schema-level errors surface as exit 3
     try:
         cfg.build_sqe().n_steps()

@@ -1,7 +1,14 @@
 """Experiment drivers behind the command-line subcommands.
 
-Each cmd_* takes a parsed ExperimentConfig and returns an
-ExperimentReport whose exit_code already encodes the outcome:
+Each cmd_* is the body of one command: it computes its result and
+returns ``(body, exit_code)``.  The decorator ``_driver(command)`` turns
+that into the public ``cmd_*(cfg, out_dir=None, threads=1)``, which
+returns an ExperimentReport.  It starts the wall clock, maps a numeric
+failure to its body (``WickOverflowError`` to ``{"overflow_exponent": x}``,
+``DegenerateEnsembleError`` to ``{"error": msg}``, both exit 4), builds
+the one report, records ``timing["wall_s"]`` and writes ``report.json``
+into ``out_dir`` when one is given.  A ConfigError propagates: no report
+is built or written.  Exit codes:
 
     0  ran and passed its built-in checks (or is purely informational)
     2  ran but a convergence / invariance check failed
@@ -11,7 +18,7 @@ ExperimentReport whose exit_code already encodes the outcome:
 Replica fan-out is deterministic: replica i draws from the replica-i
 substream regardless of scheduling, so --threads changes wall time only,
 never results.  cmd_invariance and cmd_sample_gff ignore --threads: they
-evaluate blocked stacks (measures.invariance_test, measures._blocks) in
+evaluate blocked stacks (measures.invariance_test, spectral.blocks) in
 one thread.
 
 The drivers stream what they can: cmd_sample_gff hands each block of
@@ -23,6 +30,7 @@ the draws whole.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,10 +39,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .dynamics import SqeConfig, evolve_levels, time_grid
+from .dynamics import evolve_levels, time_grid
 from .measures import (
     DegenerateEnsembleError,
-    _blocks,
     estimate_partition,
     invariance_test,
     sample_ensemble,
@@ -44,8 +51,8 @@ from .randomfields import gff_sample
 from .reports import ExperimentReport, save_fields, write_csv, write_report
 from .rng import RngStream
 from .besov import besov_norm
-from .spectral import NormSpec, sobolev_norm, sobolev_norms
-from .wick import WickOverflowError, make_wick_params, wick_exp_gff
+from .spectral import NormSpec, blocks, sobolev_norm, sobolev_norms
+from .wick import WickOverflowError, wick_exp_gff
 
 __all__ = [
     "cmd_sample_gff",
@@ -57,7 +64,6 @@ __all__ = [
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
-EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 
 
@@ -68,22 +74,41 @@ def _map_replicas(fn, n: int, threads: int) -> list:
         return list(ex.map(fn, range(n)))
 
 
-def _finish(report: ExperimentReport, out_dir, started: float) -> ExperimentReport:
-    report.timing.setdefault("wall_s", time.perf_counter() - started)
-    if out_dir is not None:
-        write_report(report, out_dir)
-    return report
+def _driver(command: str):
+    """Make a driver body ``(cfg, out_dir, threads) -> (body, exit_code)``
+    into the command's ``cmd_*``, which returns its ExperimentReport (see
+    the module docstring)."""
+
+    def decorate(run):
+        @functools.wraps(run)
+        def cmd(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> ExperimentReport:
+            started = time.perf_counter()
+            try:
+                body, exit_code = run(cfg, out_dir, threads)
+            except WickOverflowError as e:
+                body, exit_code = {"overflow_exponent": e.max_exponent}, EXIT_NUMERIC
+            except DegenerateEnsembleError as e:
+                body, exit_code = {"error": str(e)}, EXIT_NUMERIC
+            report = ExperimentReport(command, cfg.as_dict(), body, exit_code=exit_code)
+            report.timing["wall_s"] = time.perf_counter() - started
+            if out_dir is not None:
+                write_report(report, out_dir)
+            return report
+
+        return cmd
+
+    return decorate
 
 
-def cmd_sample_gff(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> ExperimentReport:
+@_driver("sample-gff")
+def cmd_sample_gff(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     """Draw free-field samples, check their negative-order Sobolev energy
     against the exact mode sum, and optionally dump the coefficients.
 
-    Draws are made in blocks (``measures._blocks``); each block's norms
+    Draws are made in blocks (``spectral.blocks``); each block's norms
     and constant modes are recorded and the block goes to the dump, then
     is dropped, so memory holds one block whatever ``samples`` is.
     ``threads`` is ignored."""
-    started = time.perf_counter()
     grid = cfg.build_grid()
     stream = RngStream(cfg.seed, purpose="sample-gff")
     s = -cfg.eps
@@ -91,7 +116,7 @@ def cmd_sample_gff(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Exp
     mode0 = np.empty(cfg.samples)
 
     def draws():
-        for rows in _blocks(cfg.samples, grid):
+        for rows in blocks(cfg.samples, grid):
             block = gff_sample(grid, [stream.for_replica(i) for i in rows])
             for i, f in zip(rows, block.unstack()):
                 sq_norms[i] = sobolev_norm(f, s) ** 2
@@ -108,56 +133,42 @@ def cmd_sample_gff(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Exp
     z = (sq_norms.mean() - theory) / se if se > 0 else 0.0
 
     ok = bool(abs(z) <= 4.0)
-    report = ExperimentReport(
-        command="sample-gff",
-        config=cfg.as_dict(),
-        body={
-            "samples": cfg.samples,
-            "modes_per_dim": grid.modes_per_dim,
-            "sobolev_order": s,
-            "mean_sq_norm": float(sq_norms.mean()),
-            "theory_sq_norm": theory,
-            "z": float(z),
-            "mode0_mean": float(mode0.mean()),
-            "mode0_var": float(mode0.var(ddof=1)) if len(mode0) > 1 else 0.0,
-            "passed": ok,
-        },
-        exit_code=EXIT_OK if ok else EXIT_CHECK_FAILED,
-    )
-    return _finish(report, out_dir, started)
+    return {
+        "samples": cfg.samples,
+        "modes_per_dim": grid.modes_per_dim,
+        "sobolev_order": s,
+        "mean_sq_norm": float(sq_norms.mean()),
+        "theory_sq_norm": theory,
+        "z": float(z),
+        "mode0_mean": float(mode0.mean()),
+        "mode0_var": float(mode0.var(ddof=1)) if len(mode0) > 1 else 0.0,
+        "passed": ok,
+    }, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_wick_converge(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> ExperimentReport:
+@_driver("wick-converge")
+def cmd_wick_converge(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     """Measure the cutoff-level convergence of the Wick exponential on
     common free-field draws: the negative-order Sobolev gap between
     consecutive levels must decrease at a positive dyadic rate."""
-    started = time.perf_counter()
     grid = cfg.build_grid()
     psi = cfg.build_psi()
     top = min(5, psi.max_level(grid), max(cfg.level, 2))
     if top < 2:
         raise ConfigError(f"need at least levels 1..2; grid M={grid.modes_per_dim} is too small")
     levels = list(range(1, top + 1))
+    # built at wick.N even when fewer levels run, so a level the grid
+    # cannot hold is a ConfigError here too
     beta = cfg.build_params(grid).beta
-    params = {n: make_wick_params(cfg.alpha, n, psi, grid, beta=beta) for n in levels}
+    params = [cfg.build_params(grid, n) for n in levels]
     stream = RngStream(cfg.seed, purpose="wick-converge")
 
     def one(i: int):
         field = gff_sample(grid, stream.for_replica(i))
-        wicks = {n: wick_exp_gff(field, params[n], psi) for n in levels}
-        return [sobolev_norm(wicks[n + 1] - wicks[n], -beta) for n in levels[:-1]]
+        wicks = [wick_exp_gff(field, p, psi) for p in params]
+        return [sobolev_norm(b - a, -beta) for a, b in zip(wicks, wicks[1:])]
 
-    try:
-        gaps = np.array(_map_replicas(one, cfg.replicas, threads))
-    except WickOverflowError as e:
-        return _finish(
-            ExperimentReport(
-                command="wick-converge", config=cfg.as_dict(),
-                body={"overflow_exponent": e.max_exponent}, exit_code=EXIT_NUMERIC,
-            ),
-            out_dir, started,
-        )
-
+    gaps = np.array(_map_replicas(one, cfg.replicas, threads))
     mean_gaps = gaps.mean(axis=0)
     pairs = levels[:-1]
     slope = float(np.polyfit(pairs, np.log2(mean_gaps), 1)[0]) if len(pairs) > 1 else 0.0
@@ -172,45 +183,29 @@ def cmd_wick_converge(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> 
             for j in range(gaps.shape[1])
         ]
         write_csv(Path(out_dir) / "gaps.csv", ["replica", "level", "gap_hneg"], rows)
-    report = ExperimentReport(
-        command="wick-converge",
-        config=cfg.as_dict(),
-        body={
-            "levels": levels,
-            "beta": beta,
-            "replicas": cfg.replicas,
-            "mean_gaps": [float(g) for g in mean_gaps],
-            "dyadic_rate": rate,
-            "decreasing": decreasing,
-            "passed": ok,
-        },
-        exit_code=EXIT_OK if ok else EXIT_CHECK_FAILED,
-    )
-    return _finish(report, out_dir, started)
+    return {
+        "levels": levels,
+        "beta": beta,
+        "replicas": cfg.replicas,
+        "mean_gaps": [float(g) for g in mean_gaps],
+        "dyadic_rate": rate,
+        "decreasing": decreasing,
+        "passed": ok,
+    }, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_sqe(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> ExperimentReport:
+@_driver("sqe")
+def cmd_sqe(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     """Simulate the full equation across cutoff levels 1..wick.N under
     common noise per replica and tabulate norms and level gaps over time."""
-    started = time.perf_counter()
+    if cfg.level < 1:
+        raise ConfigError(f"sqe needs wick.N >= 1, got {cfg.level}")
     grid = cfg.build_grid()
-    psi = cfg.build_psi()
-    top = min(cfg.level, psi.max_level(grid))
-    if top < 1:
-        raise ConfigError(f"wick.N must allow at least level 1 on grid M={grid.modes_per_dim}")
-    levels = list(range(1, top + 1))
-    beta = cfg.build_params(grid).beta
-    configs = {
-        n: SqeConfig(
-            horizon=cfg.horizon, dt=cfg.dt,
-            params=make_wick_params(cfg.alpha, n, psi, grid, beta=beta),
-            psi=psi, scheme=cfg.scheme,
-        )
-        for n in levels
-    }
-    times = time_grid(configs[levels[0]])
+    configs = [cfg.build_sqe(grid, n) for n in range(1, cfg.level + 1)]
+    levels = [c.params.level for c in configs]
+    beta = configs[-1].params.beta
+    times = time_grid(configs[0])
     stream = RngStream(cfg.seed, purpose="sqe")
-    level_configs = [configs[n] for n in levels]
 
     def one(r: int):
         sub = stream.for_replica(r)
@@ -218,7 +213,7 @@ def cmd_sqe(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Experiment
         # per level and time: L2 norm, H^-beta norm, H^-beta gap to level n-1
         l2, hneg = np.empty((2, len(levels), len(times)))
         gaps = np.full((len(levels), len(times)), np.nan)
-        for j, stack in enumerate(evolve_levels(phi0, level_configs, sub)):
+        for j, stack in enumerate(evolve_levels(phi0, configs, sub)):
             l2[:, j], hneg[:, j] = sobolev_norms(stack, grid, (0.0, -beta))
             gaps[1:, j] = sobolev_norms(stack[1:] - stack[:-1], grid, (-beta,))[0]
         ts = [float(t) for t in times]
@@ -230,17 +225,7 @@ def cmd_sqe(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Experiment
         sup_gaps = {n: max(g) for n, g in zip(levels[1:], gaps[1:].tolist())}
         return rows, sup_gaps
 
-    try:
-        results = _map_replicas(one, cfg.replicas, threads)
-    except WickOverflowError as e:
-        return _finish(
-            ExperimentReport(
-                command="sqe", config=cfg.as_dict(),
-                body={"overflow_exponent": e.max_exponent}, exit_code=EXIT_NUMERIC,
-            ),
-            out_dir, started,
-        )
-
+    results = _map_replicas(one, cfg.replicas, threads)
     if out_dir is not None:
         all_rows = [row for rows, _ in results for row in rows]
         write_csv(
@@ -252,56 +237,29 @@ def cmd_sqe(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Experiment
         n: float(np.mean([sg[n] for _, sg in results]))
         for n in levels[1:]
     }
-    report = ExperimentReport(
-        command="sqe",
-        config=cfg.as_dict(),
-        body={
-            "levels": levels,
-            "beta": beta,
-            "replicas": cfg.replicas,
-            "steps": len(times) - 1,
-            "mean_sup_gap_by_level": {str(k): v for k, v in mean_sup_gaps.items()},
-        },
-        exit_code=EXIT_OK,
-    )
-    return _finish(report, out_dir, started)
+    return {
+        "levels": levels,
+        "beta": beta,
+        "replicas": cfg.replicas,
+        "steps": len(times) - 1,
+        "mean_sup_gap_by_level": {str(k): v for k, v in mean_sup_gaps.items()},
+    }, EXIT_OK
 
 
-def cmd_invariance(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> ExperimentReport:
+@_driver("invariance")
+def cmd_invariance(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     """Sample the level-N measure, evolve resampled draws through the
     projected dynamics, and z-test observable stationarity."""
-    started = time.perf_counter()
     grid = cfg.build_grid()
-    psi = cfg.build_psi()
-    params = cfg.build_params(grid)
-    sqe_cfg = cfg.build_sqe(grid=grid)
+    sqe_cfg = cfg.build_sqe(grid)
+    params, psi = sqe_cfg.params, sqe_cfg.psi
     stream = RngStream(cfg.seed, purpose="invariance")
-
-    try:
-        ensemble = sample_ensemble(
-            grid, params, psi, cfg.samples, stream.child("ensemble"), tilt=cfg.tilt_value()
-        )
-        partition = estimate_partition(ensemble)
-        obs = standard_observables(params, psi, eps=cfg.eps)
-        result = invariance_test(
-            ensemble, sqe_cfg, obs, stream.child("evolve"), replicas=cfg.replicas
-        )
-    except WickOverflowError as e:
-        return _finish(
-            ExperimentReport(
-                command="invariance", config=cfg.as_dict(),
-                body={"overflow_exponent": e.max_exponent}, exit_code=EXIT_NUMERIC,
-            ),
-            out_dir, started,
-        )
-    except DegenerateEnsembleError as e:
-        return _finish(
-            ExperimentReport(
-                command="invariance", config=cfg.as_dict(),
-                body={"error": str(e)}, exit_code=EXIT_NUMERIC,
-            ),
-            out_dir, started,
-        )
+    ensemble = sample_ensemble(
+        grid, params, psi, cfg.samples, stream.child("ensemble"), tilt=cfg.tilt_value()
+    )
+    partition = estimate_partition(ensemble)
+    obs = standard_observables(params, psi, eps=cfg.eps)
+    result = invariance_test(ensemble, sqe_cfg, obs, stream.child("evolve"), replicas=cfg.replicas)
 
     if out_dir is not None:
         write_csv(
@@ -312,32 +270,26 @@ def cmd_invariance(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Exp
                 for s in result.stats.values()
             ],
         )
-    report = ExperimentReport(
-        command="invariance",
-        config=cfg.as_dict(),
-        body={
-            "samples": len(ensemble),
-            "ess": ensemble.ess(),
-            "tilt_mean": ensemble.tilt_mean,
-            "log_partition": partition.log_value,
-            "partition_se_rel": partition.std_error / partition.value,
-            "replicas": result.replicas,
-            "clusters": result.clusters,
-            "observables": {
-                s.name: {"mean_diff": s.mean_diff, "std_error": s.std_error, "z": s.z}
-                for s in result.stats.values()
-            },
-            "max_abs_z": result.max_abs_z,
-            "passed": result.passed,
+    return {
+        "samples": len(ensemble),
+        "ess": ensemble.ess(),
+        "tilt_mean": ensemble.tilt_mean,
+        "log_partition": partition.log_value,
+        "partition_se_rel": partition.std_error / partition.value,
+        "replicas": result.replicas,
+        "clusters": result.clusters,
+        "observables": {
+            s.name: {"mean_diff": s.mean_diff, "std_error": s.std_error, "z": s.z}
+            for s in result.stats.values()
         },
-        exit_code=EXIT_OK if result.passed else EXIT_CHECK_FAILED,
-    )
-    return _finish(report, out_dir, started)
+        "max_abs_z": result.max_abs_z,
+        "passed": result.passed,
+    }, EXIT_OK if result.passed else EXIT_CHECK_FAILED
 
 
-def cmd_norms_bench(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> ExperimentReport:
+@_driver("norms-bench")
+def cmd_norms_bench(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     """Compare dyadic-block and Sobolev norms on free-field draws."""
-    started = time.perf_counter()
     grid = cfg.build_grid()
     stream = RngStream(cfg.seed, purpose="norms-bench")
     draws = _map_replicas(lambda i: gff_sample(grid, stream.for_replica(i)), cfg.replicas, threads)
@@ -355,15 +307,9 @@ def cmd_norms_bench(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Ex
         }
         ok = ok and bool(1.0 / 50.0 <= ratios.min() <= ratios.max() <= 50.0)
 
-    report = ExperimentReport(
-        command="norms-bench",
-        config=cfg.as_dict(),
-        body={
-            "replicas": cfg.replicas,
-            "modes_per_dim": grid.modes_per_dim,
-            "besov_over_sobolev": ratio_stats,
-            "passed": ok,
-        },
-        exit_code=EXIT_OK if ok else EXIT_CHECK_FAILED,
-    )
-    return _finish(report, out_dir, started)
+    return {
+        "replicas": cfg.replicas,
+        "modes_per_dim": grid.modes_per_dim,
+        "besov_over_sobolev": ratio_stats,
+        "passed": ok,
+    }, EXIT_OK if ok else EXIT_CHECK_FAILED

@@ -20,12 +20,13 @@ tilt vanishes and every weight equals exp(-4 pi^2) identically.
 
 Both the ensemble and the invariance test evaluate fields in blocks: a
 stack (n, M, M) goes through sampling, weighting or stepping in one call
-instead of n.  A block holds about BLOCK_BYTES per complex array (16
-fields at M = 32), a fixed budget, so the temporaries stay near 1 MB
-whatever the sample and replica counts.  Every proposal and replica still
-draws from its own stream, and blocks only batch arithmetic that is
-elementwise or per field, so results are replica-for-replica bit-identical
-to evaluating one field at a time, overflow errors included.
+instead of n.  A block (``spectral.blocks``) holds about BLOCK_BYTES
+per complex array (16 fields at M = 32), a fixed budget, so the
+temporaries stay near 1 MB whatever the sample and replica counts.
+Every proposal and replica still draws from its own stream, and blocks
+only batch arithmetic that is elementwise or per field, so results are
+replica-for-replica bit-identical to evaluating one field at a time,
+overflow errors included.
 
 An ensemble stores no proposal fields.  Each proposal is a pure function
 of its stream, so the ensemble keeps what rebuilds them (grid, proposal
@@ -46,11 +47,10 @@ import numpy as np
 from .dynamics import SqeConfig, evolve_projected
 from .randomfields import gff_sample
 from .rng import RngStream
-from .spectral import SpectralField, TorusGrid, TWO_PI, grid_quadrature, sobolev_norm
+from .spectral import SpectralField, TorusGrid, TWO_PI, blocks, grid_quadrature, sobolev_norm
 from .wick import CutoffProfile, WickParams, wick_exp_values
 
 __all__ = [
-    "BLOCK_BYTES",
     "DegenerateEnsembleError",
     "WeightedEnsemble",
     "PartitionEstimate",
@@ -73,20 +73,9 @@ UNDERFLOW_LOG = -745.0
 
 MIN_RESAMPLE_ESS = 50.0
 
-# bytes of one complex (n, M, M) block array in blocked evaluation; larger
-# blocks save little more call overhead and add their temporaries to the
-# peak memory of the run (fixed, not tunable: results never depend on it)
-BLOCK_BYTES = 256 * 1024
-
 
 class DegenerateEnsembleError(ValueError):
     """Raised when an ensemble's ESS is too low to resample from."""
-
-
-def _blocks(count: int, grid: TorusGrid) -> list:
-    """Index ranges covering 0..count-1 in blocks of BLOCK_BYTES per field stack."""
-    size = max(1, BLOCK_BYTES // (16 * grid.npoints))
-    return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 def rn_log_weight(field: SpectralField, params: WickParams, psi: CutoffProfile):
@@ -116,8 +105,6 @@ class WeightedEnsemble:
     grid: TorusGrid
     proposals: Callable[[np.ndarray], SpectralField]
     log_weights: np.ndarray
-    params: WickParams
-    psi: CutoffProfile
     tilt_mean: float = 0.0
     n_underflow: int = 0
 
@@ -227,7 +214,7 @@ def sample_ensemble(
 
     proposals = partial(_tilted_proposals, grid, stream.child("proposal"), m)
     log_w = np.empty(count)
-    for rows in _blocks(count, grid):
+    for rows in blocks(count, grid):
         block = proposals(rows)
         u0 = np.real(block.coeffs[:, 0, 0])
         log_w[rows.start : rows.stop] = rn_log_weight(block, params, psi) - m * u0 + 0.5 * m * m
@@ -236,8 +223,6 @@ def sample_ensemble(
         grid=grid,
         proposals=proposals,
         log_weights=log_w,
-        params=params,
-        psi=psi,
         tilt_mean=m,
         n_underflow=int((log_w < UNDERFLOW_LOG).sum()),
     )
@@ -248,8 +233,6 @@ class PartitionEstimate:
     value: float
     std_error: float
     log_value: float
-    n: int
-    ess: float
 
 
 def estimate_partition(ensemble: WeightedEnsemble) -> PartitionEstimate:
@@ -268,8 +251,6 @@ def estimate_partition(ensemble: WeightedEnsemble) -> PartitionEstimate:
         value=math.exp(shift) * mean_r,
         std_error=math.exp(shift) * se_r,
         log_value=shift + math.log(mean_r),
-        n=n,
-        ess=ensemble.ess(),
     )
 
 
@@ -311,7 +292,7 @@ def resample_stationary(ensemble: WeightedEnsemble, count: int, stream: RngStrea
     in weights, never the ensemble's proposals."""
     ancestors, ess = _resample_ancestors(ensemble, count, stream)
     fields = []
-    for rows in _blocks(count, ensemble.grid):
+    for rows in blocks(count, ensemble.grid):
         fields.extend(ensemble.take(ancestors[rows.start : rows.stop]).unstack())
     return StationaryDraws(fields=tuple(fields), ancestors=ancestors, source_ess=ess)
 
@@ -350,7 +331,6 @@ class InvarianceReport:
     stats: dict
     replicas: int
     clusters: int
-    horizon: float
     max_abs_z: float
     threshold: float
 
@@ -405,7 +385,7 @@ def invariance_test(
     names = list(observables)
     start = {k: np.empty(replicas) for k in names}
     end = {k: np.empty(replicas) for k in names}
-    for rows in _blocks(replicas, grid):
+    for rows in blocks(replicas, grid):
         phi0 = initial_ensemble.take(ancestors[rows.start : rows.stop])
         streams = [stream.for_replica(i).child("dyn") for i in rows]
         for finals in evolve_projected(phi0, config, streams):
@@ -439,7 +419,6 @@ def invariance_test(
         stats=stats,
         replicas=replicas,
         clusters=int(len(np.unique(ancestors))),
-        horizon=config.horizon,
         max_abs_z=max_abs_z,
         threshold=threshold,
     )

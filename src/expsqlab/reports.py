@@ -25,8 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .measures import BLOCK_BYTES
-from .spectral import SpectralField, make_grid
+from .spectral import BLOCK_BYTES, SpectralField, make_grid
 
 __all__ = [
     "ExperimentReport",

@@ -25,6 +25,10 @@ and without validation; the solver loops call them directly,
 ``SpectralField.values`` the inverse one.  ``heat_multiplier``
 is the one symbol of the semigroup exp(t (Lap - 1)/2), shared by
 ``heat_semigroup``, the OU decay and the exponential-Euler step.
+
+``blocks`` is the package's one block policy: stacks of fields are
+evaluated BLOCK_BYTES per complex (n, M, M) array at a time, and dumps
+are read back in chunks of the same size.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ __all__ = [
     "SpectralField",
     "NormSpec",
     "make_grid",
+    "BLOCK_BYTES",
+    "blocks",
     "to_coeffs",
     "to_values",
     "to_spectral",
@@ -115,6 +121,18 @@ class TorusGrid:
 def make_grid(modes_per_dim: int) -> TorusGrid:
     """Build the M x M torus grid; rejects M odd, M < 8, or not a power of two."""
     return TorusGrid(modes_per_dim)
+
+
+# bytes of one complex (n, M, M) block array in blocked evaluation; larger
+# blocks save little more call overhead and add their temporaries to the
+# peak memory of the run (fixed, not tunable: results never depend on it)
+BLOCK_BYTES = 256 * 1024
+
+
+def blocks(count: int, grid: TorusGrid) -> list:
+    """Index ranges covering 0..count-1 in blocks of BLOCK_BYTES per field stack."""
+    size = max(1, BLOCK_BYTES // (16 * grid.npoints))
+    return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 @dataclass(frozen=True)

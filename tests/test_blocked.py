@@ -51,8 +51,8 @@ from expsqlab import (
     zero_field,
 )
 from expsqlab import dynamics, randomfields
-from expsqlab.measures import BLOCK_BYTES, UNDERFLOW_LOG
-from expsqlab.spectral import to_coeffs, to_values
+from expsqlab.measures import UNDERFLOW_LOG
+from expsqlab.spectral import BLOCK_BYTES, to_coeffs, to_values
 
 
 def _setup(grid, alpha=1.0, level=2):
@@ -289,7 +289,7 @@ def test_solver_overflow_names_lowest_failing_replica(grid32):
     hot = {48 + j: constant_field(grid32, 700.0 + params.c_n / 2 + j + 1) for j in range(16)}
     samples = tuple(hot.get(i, zero_field(grid32)) for i in range(64))
     ens = WeightedEnsemble(grid=grid32, proposals=_stored(samples),
-                           log_weights=np.full(64, -1.0), params=params, psi=psi)
+                           log_weights=np.full(64, -1.0))
     config = SqeConfig(horizon=0.0625, dt=1.0 / 64, params=params, psi=psi)
     obs = standard_observables(params, psi)
     stream = RngStream(617, purpose="overflow-dyn")

@@ -121,8 +121,12 @@ def test_tilt_value():
     assert parse_config("tilt = auto\n").tilt_value() == "auto"
     assert parse_config("tilt = none\n").tilt_value() == "none"
     assert parse_config("tilt = -2.5\n").tilt_value() == pytest.approx(-2.5)
-    with pytest.raises(ConfigError):
-        parse_config("tilt = sideways\n").tilt_value()
+    # checked at parse time, whether or not the command reads the tilt
+    for bad in ("nan", "inf", "sideways"):
+        with pytest.raises(ConfigError, match="tilt"):
+            parse_config(f"tilt = {bad}\n")
+    with pytest.raises(ConfigError, match="finite"):
+        ExperimentConfig(tilt="-inf").tilt_value()
 
 
 def test_beta_zero_means_default():

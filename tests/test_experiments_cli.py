@@ -155,6 +155,17 @@ def test_cli_config_error(tmp_path, capsys):
     assert rc == 3
 
 
+def test_cli_bad_tilt_is_a_config_error(tmp_path, capsys):
+    # sqe never reads the tilt; it is still checked before any run
+    rc = main([
+        "sqe", "--out-dir", str(tmp_path / "run"),
+        "--config", _write_cfg(tmp_path, "grid.M = 16\nwick.N = 1\ntilt = sideways\n"),
+    ])
+    assert rc == 3
+    assert "tilt" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
 def test_cli_unknown_command():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

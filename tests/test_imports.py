@@ -1,16 +1,21 @@
-"""No module imports a name it does not use.
+"""No module imports a name it does not use, and no package module
+imports another module's private name.
 
 Every module of the package and of the tests is parsed with the standard
 ``ast`` module.  An imported name must be read somewhere in its module or
 be listed in the module's ``__all__``; ``from __future__`` imports are
 exempt.  An attribute chain such as ``np.fft.fft2`` reads its root name.
+A name with one leading underscore is private to its module: the package
+may not import one (``from .measures import _blocks``), while tests may,
+since some check private helpers on purpose.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "expsqlab").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "expsqlab").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -42,5 +47,31 @@ def test_no_unused_imports():
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in MODULES
         for line, name in unused_imports(path.read_text())
+    ]
+    assert found == []
+
+
+def private_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every private name that ``source`` imports from
+    another module (dunder names such as ``__version__`` are public)."""
+    return [
+        (node.lineno, a.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+        if a.name.startswith("_") and not a.name.startswith("__")
+    ]
+
+
+def test_scan_finds_a_private_import():
+    assert private_imports("from .measures import _blocks, sample_ensemble\n") == [(1, "_blocks")]
+    assert private_imports("from . import __version__\nfrom .a import b\n") == []
+
+
+def test_no_private_imports_in_package():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in PACKAGE
+        for line, name in private_imports(path.read_text())
     ]
     assert found == []

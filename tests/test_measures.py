@@ -131,8 +131,6 @@ def test_weighted_ensemble_invariants(grid32, stream):
             grid=grid32,
             proposals=lambda idx: zero_field(grid32),
             log_weights=np.array([0.5]),
-            params=params,
-            psi=psi,
             tilt_mean=0.0,
         )
     with pytest.raises(ValueError):
@@ -140,16 +138,12 @@ def test_weighted_ensemble_invariants(grid32, stream):
             grid=grid32,
             proposals=lambda idx: zero_field(grid32),
             log_weights=np.array([np.inf]),
-            params=params,
-            psi=psi,
         )
     with pytest.raises(ValueError):
         WeightedEnsemble(
             grid=grid32,
             proposals=lambda idx: zero_field(grid32),
             log_weights=np.array([]),
-            params=params,
-            psi=psi,
         )
 
 

@@ -15,7 +15,7 @@ from expsqlab import (
     write_report,
     zero_field,
 )
-from expsqlab.measures import BLOCK_BYTES
+from expsqlab.spectral import BLOCK_BYTES
 from expsqlab.reports import DUMP_VERSION, _HEADER, _MAGIC
 
 
