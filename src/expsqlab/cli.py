@@ -18,6 +18,8 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .experiments import (
+    EXIT_CONFIG,
+    STATUS,
     cmd_invariance,
     cmd_norms_bench,
     cmd_sample_gff,
@@ -61,9 +63,9 @@ def main(argv: list | None = None) -> int:
         report = _COMMANDS[args.command](cfg, out_dir=out_dir, threads=args.threads)
     except ConfigError as e:
         print(f"expsqlab {args.command}: configuration error: {e}", file=sys.stderr)
-        return 3
+        return EXIT_CONFIG
 
-    status = {0: "ok", 2: "CHECK FAILED", 4: "NUMERIC GUARD"}.get(report.exit_code, "error")
+    status = STATUS.get(report.exit_code, "error")
     print(f"expsqlab {args.command}: {status} "
           f"(exit {report.exit_code}, report in {out_dir / 'report.json'})")
     for key in ("mean_gaps", "dyadic_rate", "max_abs_z", "ess", "z", "mean_sup_gap_by_level"):

@@ -6,9 +6,6 @@ comment.  Keys are dotted by concern:
     grid.M = 64            # modes per dimension (power of two, >= 8)
     sqe.T = 1.0            # time horizon
     sqe.dt = 0.015625      # step, must divide T
-    sqe.scheme = exponential-euler
-    sqe.equation = full    # these two are read by no solver,
-    sqe.mollifier = 0.0    # only validated and hashed into report bodies
     wick.alpha = 1.0
     wick.N = 2
     wick.beta = 0          # 0 means the default choice
@@ -43,14 +40,17 @@ class ConfigError(ValueError):
     """Bad configuration file or option; mapped to exit code 3."""
 
 
+# The deleted keys sqe.scheme/equation/mollifier at the values every body
+# held: the benchmark's pinned body digests hash them, so the config echo
+# keeps them until those digests are next re-recorded.
+_RETIRED = {"scheme": "exponential-euler", "equation": "full", "mollifier": 0.0}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     modes: int = 64
     horizon: float = 1.0
     dt: float = 1.0 / 64.0
-    scheme: str = "exponential-euler"
-    equation: str = "full"
-    mollifier: float = 0.0
     alpha: float = 1.0
     level: int = 2
     beta: float = 0.0
@@ -90,7 +90,7 @@ class ExperimentConfig:
 
     def build_sqe(self, grid: TorusGrid | None = None, level: int | None = None) -> SqeConfig:
         """Solver config at cutoff ``level`` (default wick.N): the configured
-        horizon, step and scheme with ``build_params(grid, level)``."""
+        horizon and step with ``build_params(grid, level)``."""
         grid = grid or self.build_grid()
         try:
             return SqeConfig(
@@ -98,7 +98,6 @@ class ExperimentConfig:
                 dt=self.dt,
                 params=self.build_params(grid, level),
                 psi=self.build_psi(),
-                scheme=self.scheme,
             )
         except ValueError as e:
             raise ConfigError(str(e)) from e
@@ -114,7 +113,7 @@ class ExperimentConfig:
             ) from e
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {**dataclasses.asdict(self), **_RETIRED}
 
 
 # key -> (attribute, converter)
@@ -133,9 +132,6 @@ _SCHEMA = {
     "grid.M": ("modes", _to_int),
     "sqe.T": ("horizon", _to_float),
     "sqe.dt": ("dt", _to_float),
-    "sqe.scheme": ("scheme", str),
-    "sqe.equation": ("equation", str),
-    "sqe.mollifier": ("mollifier", _to_float),
     "wick.alpha": ("alpha", _to_float),
     "wick.N": ("level", _to_int),
     "wick.beta": ("beta", _to_float),
@@ -179,9 +175,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> ExperimentConfig:
     if path is None:
-        cfg = ExperimentConfig(**{k: v for k, v in (overrides or {}).items() if v is not None})
-        _validate(cfg)
-        return cfg
+        return parse_config("", overrides)
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
@@ -197,11 +191,6 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("seed must fit in 64 bits")
     if cfg.eps <= 0:
         raise ConfigError("eps must be positive")
-    equations = ("full", "projected", "shifted")
-    if cfg.equation not in equations:
-        raise ConfigError(f"equation must be one of {equations}, got {cfg.equation!r}")
-    if cfg.mollifier < 0:
-        raise ConfigError("mollifier scale must be nonnegative")
     cfg.tilt_value()
     # construct everything once so schema-level errors surface as exit 3
     try:

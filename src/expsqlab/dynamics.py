@@ -13,8 +13,8 @@ names the equation:
               d Y = (Lap-1)/2 Y dt - (alpha/2) M(exp(alpha Y), chi_t) dt,
               deterministic, driven by a nonnegative forcing path chi.
 
-Default scheme is exponential-Euler: the nonlinear term is frozen over the
-step and the exact semigroup is applied afterwards,
+Every solver steps in exponential-Euler (mild) form: the nonlinear term
+is frozen over the step and the exact semigroup is applied afterwards,
 
     state_{t+dt} = exp((Lap-1) dt/2) [ state_t - (alpha/2) dt * nonlin(state_t) ] + eta_t,
 
@@ -27,11 +27,6 @@ are recovered exactly from consecutive states of an OU process X on the
 same time grid, either a stored trajectory or the live OU chain of the
 noise stream, which is what makes common-noise coupling across cutoff
 levels and across dt refinements exact.
-
-The alternative 'semi-implicit' scheme replaces the semigroup by the
-resolvent (1 - dt (Lap-1)/2)^{-1} and drives the stochastic equations
-with raw Wiener increments; it is first order but not exact at alpha = 0
-and does not support the decomposition bookkeeping.
 
 Every solver returns a randomfields.FieldPath of its states on the time
 grid 0, dt, ..., T, and the shifted equation takes its forcing as one.
@@ -71,7 +66,7 @@ from itertools import chain
 
 import numpy as np
 
-from .randomfields import FieldPath, ou_chain, white_noise_fft
+from .randomfields import FieldPath, ou_chain
 from .rng import RngStream
 from .spectral import (
     SpectralField,
@@ -109,10 +104,8 @@ __all__ = [
     "time_grid",
 ]
 
-SCHEMES = ("exponential-euler", "semi-implicit")
-
-# hard guard on dt * 2^(2N): the linear part is handled exactly (or
-# unconditionally stably), so this only rules out grossly inaccurate steps
+# hard guard on dt * 2^(2N): the linear part is handled exactly, so this
+# only rules out grossly inaccurate steps
 STABILITY_CAP = 16.0
 
 NONNEG_TOL = -1e-10
@@ -120,22 +113,19 @@ NONNEG_TOL = -1e-10
 
 @dataclass(frozen=True)
 class SqeConfig:
-    """Solver configuration: horizon T, step dt, Wick parameters, cutoff
-    profile and scheme.  It names no equation: the solver called does."""
+    """Solver configuration: horizon T, step dt, Wick parameters and
+    cutoff profile.  It names no equation: the solver called does."""
 
     horizon: float
     dt: float
     params: WickParams
     psi: CutoffProfile
-    scheme: str = "exponential-euler"
 
     def __post_init__(self):
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if not (0 < self.dt <= self.horizon):
             raise ValueError("need 0 < dt <= horizon")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.dt * 4.0**self.params.level > STABILITY_CAP:
             raise ValueError(
                 f"dt * 2^(2N) = {self.dt * 4.0 ** self.params.level:.3g} exceeds the "
@@ -187,12 +177,6 @@ def measure_product(f: SpectralField, xi: SpectralField, mollifier_scale: float 
     return to_spectral(f.values() * _forcing_values(xi, mollifier_scale), f.grid)
 
 
-def _step_multiplier(grid: TorusGrid, dt: float, scheme: str) -> np.ndarray:
-    if scheme == "exponential-euler":
-        return heat_multiplier(grid, dt)
-    return 1.0 / (1.0 + 0.5 * dt * (1.0 + grid.ksq))
-
-
 def _check_initial_regularity(upsilon: SpectralField, beta: float):
     """Numerical stand-in for 'initial datum lies in H^{2-beta}': finite
     coefficients and no rough-field signature (at most half of the
@@ -241,7 +225,7 @@ def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig
         raise ValueError("forcing path and initial datum live on different grids")
     _forcing_values(chi_path.states[-1], 0.0)
 
-    mult = _step_multiplier(grid, config.dt, config.scheme)
+    mult = heat_multiplier(grid, config.dt)
     alpha = params.alpha
     half_adt = 0.5 * alpha * config.dt
 
@@ -271,20 +255,9 @@ def _ou_increments(grid: TorusGrid, states, dt: float):
         prev = state
 
 
-def _wiener_increments(grid: TorusGrid, config: SqeConfig, streams):
-    """Raw Wiener increment stacks, one per step, row i from streams[i]."""
-    generators = [s.child("wiener").generator() for s in streams]
-    scale = math.sqrt(config.dt) / grid.modes_per_dim
-    for _ in range(config.n_steps()):
-        yield white_noise_fft(grid, generators) * scale
-
-
 def _noise_stacks(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, streams):
-    """Increment stacks of the scheme's noise from the stack ``coeffs``,
-    row i from streams[i]: the OU chain of its "ou" child under
-    exponential-Euler, raw Wiener increments otherwise."""
-    if config.scheme != "exponential-euler":
-        return _wiener_increments(grid, config, streams)
+    """Noise increment stacks from ``coeffs``, row i from the OU chain of
+    streams[i].child("ou")."""
     generators = [s.child("ou").generator() for s in streams]
     x_chain = ou_chain(grid, coeffs, time_grid(config), generators)
     return _ou_increments(grid, chain([coeffs], x_chain), config.dt)
@@ -330,7 +303,7 @@ def _full_flow(grid: TorusGrid, coeffs: np.ndarray, psi_mult: np.ndarray, config
     next increment of ``noise``, which every level projects with its own
     cutoff multiplier ``psi_mult[l]``."""
     config = configs[0]
-    mult = _step_multiplier(grid, config.dt, config.scheme)
+    mult = heat_multiplier(grid, config.dt)
     alpha = config.params.alpha
     shift = np.array([0.5 * alpha**2 * c.params.c_n for c in configs])[:, None, None]
     half_adt = 0.5 * alpha * config.dt
@@ -368,12 +341,10 @@ def evolve_levels(
     """
     config = configs[0]
     for c in configs:
-        if (c.horizon, c.dt, c.scheme, c.params.alpha) != (
-            config.horizon, config.dt, config.scheme, config.params.alpha
-        ):
-            raise ValueError("levels must share horizon, dt, scheme and alpha")
+        if (c.horizon, c.dt, c.params.alpha) != (config.horizon, config.dt, config.params.alpha):
+            raise ValueError("levels must share horizon, dt and alpha")
     grid = phi0.grid
-    if x_traj is not None and config.scheme == "exponential-euler":
+    if x_traj is not None:
         _check_x_traj(phi0, config, x_traj)
         noise = _ou_increments(grid, (s.coeffs for s in x_traj.states), config.dt)
     else:
@@ -398,10 +369,9 @@ def solve_sqe_full(
         stream: noise stream; ignored for the noise itself when ``x_traj``
             is supplied (common-noise coupling across levels or steps).
         x_traj: optional precomputed OU trajectory on the solver grid,
-            starting at phi0; its exact increments drive the
-            exponential-Euler scheme (the semi-implicit scheme ignores
-            it).  Without it the exponential-Euler scheme is driven by
-            the increments of the OU chain of ``stream.child("ou")``,
+            starting at phi0; its exact increments drive the solve.
+            Without it the solve is driven by the increments of the OU
+            chain of ``stream.child("ou")``,
             bit-for-bit those of ``ou_path(phi0, time_grid(config),
             stream.child("ou"))``, drawn one step at a time.
 
@@ -419,7 +389,7 @@ def solve_sqe_full(
 def decompose(
     path: FieldPath, x_traj: FieldPath, config: SqeConfig
 ) -> tuple[FieldPath, FieldPath, FieldPath]:
-    """Split a full exponential-Euler solve into Phi = X + Y.
+    """Split a full solve into Phi = X + Y.
 
     Args:
         path: the solve_sqe_full output under ``config``.
@@ -437,8 +407,6 @@ def decompose(
         O(dt) residual appears only against a reconstruction on a finer
         grid driven by the same noise.
     """
-    if config.scheme != "exponential-euler":
-        raise ValueError("decomposition bookkeeping requires the exponential-Euler scheme")
     _validate_path_times(path.times, config)
     grid = path.grid
     psi_mult = config.psi.multiplier(grid, config.params.level)
@@ -454,7 +422,7 @@ def _projected_flow(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, nois
     (n, M, M): yields the state stack after each step with its rows' Wick
     exponents, each step driven by the next increment stack of ``noise``."""
     psi_mult = config.psi.multiplier(grid, config.params.level)
-    mult = _step_multiplier(grid, config.dt, config.scheme)
+    mult = heat_multiplier(grid, config.dt)
     alpha = config.params.alpha
     shift = 0.5 * alpha**2 * config.params.c_n
     half_adt = 0.5 * alpha * config.dt

@@ -64,7 +64,10 @@ __all__ = [
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
+EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
+# the word the command line prints for a report's exit code
+STATUS = {EXIT_OK: "ok", EXIT_CHECK_FAILED: "CHECK FAILED", EXIT_NUMERIC: "NUMERIC GUARD"}
 
 
 def _map_replicas(fn, n: int, threads: int) -> list:

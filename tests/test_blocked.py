@@ -171,11 +171,9 @@ def test_resample_rebuilds_repeated_unordered_ancestors(grid32):
         assert field.coeffs.tobytes() == samples[a].coeffs.tobytes()
 
 
-@pytest.mark.parametrize("scheme", ["exponential-euler", "semi-implicit"])
-def test_evolve_projected_matches_single_solves(grid32, scheme):
+def test_evolve_projected_matches_single_solves(grid32):
     params, psi = _setup(grid32)
-    config = SqeConfig(horizon=0.125, dt=1.0 / 64, params=params, psi=psi,
-                       scheme=scheme)
+    config = SqeConfig(horizon=0.125, dt=1.0 / 64, params=params, psi=psi)
     base = RngStream(612, purpose="evolve")
     phi0 = gff_sample(grid32, [base.child("init").for_replica(i) for i in range(3)])
     streams = [base.for_replica(i) for i in range(3)]
@@ -315,21 +313,20 @@ def test_degenerate_ensemble_has_its_own_error(grid32):
         resample_stationary(plain, 10, RngStream(616))
 
 
-def _level_configs(grid, kind, scheme, levels, horizon=0.125):
+def _level_configs(grid, kind, levels, horizon=0.125):
     psi = CutoffProfile(kind)
     return [
         SqeConfig(horizon=horizon, dt=1.0 / 64, params=make_wick_params(1.0, n, psi, grid),
-                  psi=psi, scheme=scheme)
+                  psi=psi)
         for n in levels
     ]
 
 
 @pytest.mark.parametrize("kind", ["sharp", "smooth"])
-@pytest.mark.parametrize("scheme", ["exponential-euler", "semi-implicit"])
-def test_evolve_levels_match_single_level_solves(grid32, scheme, kind):
+def test_evolve_levels_match_single_level_solves(grid32, kind):
     # the reference is a loop over the levels: one stored OU path, each
     # level solved on its own from its increments
-    configs = _level_configs(grid32, kind, scheme, (0, 1, 2))
+    configs = _level_configs(grid32, kind, (0, 1, 2))
     stream = RngStream(618, purpose="levels")
     phi0 = gff_sample(grid32, stream.child("init"))
     x_traj = ou_path(phi0, time_grid(configs[0]), stream.child("ou"))
@@ -342,7 +339,7 @@ def test_evolve_levels_match_single_level_solves(grid32, scheme, kind):
             assert stack[level].tobytes() == path.states[j].coeffs.tobytes()
     # the levels must share one time grid and one noise
     with pytest.raises(ValueError, match="share"):
-        evolve_levels(phi0, _level_configs(grid32, kind, scheme, (1,), 0.25) + configs, stream)
+        evolve_levels(phi0, _level_configs(grid32, kind, (1,), 0.25) + configs, stream)
 
 
 def _hot_datum(grid, configs, e2, e3):
@@ -366,7 +363,7 @@ def test_level_overflow_names_lowest_failing_level(case):
     # levels raises level 2's error; the lockstep run must raise it too,
     # not the first failure in time nor the largest exponent.
     grid = make_grid(64)
-    configs = _level_configs(grid, "sharp", "exponential-euler", (1, 2, 3), horizon=4 / 64)
+    configs = _level_configs(grid, "sharp", (1, 2, 3), horizon=4 / 64)
     e2, e3 = (400.0, 720.0) if case == "later-step" else (710.0, 760.0)
     phi0 = _hot_datum(grid, configs, e2, e3)
     stream = RngStream(619, purpose="level-overflow")
@@ -376,7 +373,7 @@ def test_level_overflow_names_lowest_failing_level(case):
 
     index, exponent = _first_overflow(one, 3)
     assert index == 1
-    one_step = _level_configs(grid, "sharp", "exponential-euler", (1, 2, 3), horizon=1 / 64)
+    one_step = _level_configs(grid, "sharp", (1, 2, 3), horizon=1 / 64)
     step0 = _first_overflow(lambda level: solve_sqe_full(phi0, one_step[level], stream), 3)
     if case == "later-step":
         assert step0[0] == 2 and exponent > 1e100
@@ -391,7 +388,7 @@ def test_failing_level_leaves_other_levels_unharmed():
     # levels 2 and 3 overflow at step 0; level 1 never fails and steps on
     # exactly as its own solve, so the flow runs to the end before raising
     grid = make_grid(64)
-    configs = _level_configs(grid, "sharp", "exponential-euler", (1, 2, 3), horizon=4 / 64)
+    configs = _level_configs(grid, "sharp", (1, 2, 3), horizon=4 / 64)
     phi0 = _hot_datum(grid, configs, 710.0, 760.0)
     stream = RngStream(625, purpose="failing-level")
     stacks, exponent = _stacks_until_overflow(evolve_levels(phi0, configs, stream))
@@ -404,7 +401,7 @@ def test_failing_level_leaves_other_levels_unharmed():
     assert not stacks[-1][1:].any()
 
 
-def test_semi_implicit_sqe_builds_no_ou_chain(monkeypatch):
+def test_sqe_builds_one_ou_chain_per_replica(monkeypatch):
     original = randomfields.ou_chain
     calls = []
 
@@ -414,11 +411,9 @@ def test_semi_implicit_sqe_builds_no_ou_chain(monkeypatch):
 
     for module in (randomfields, dynamics):
         monkeypatch.setattr(module, "ou_chain", counted)
-    kwargs = dict(modes=32, level=2, seed=7, replicas=3, horizon=0.125, dt=1 / 64)
-    assert cmd_sqe(ExperimentConfig(**kwargs, scheme="semi-implicit")).exit_code == 0
-    assert calls == []
-    # exponential Euler: one chain per replica, shared by its two levels
-    assert cmd_sqe(ExperimentConfig(**kwargs)).exit_code == 0
+    # one chain per replica, shared by its two levels
+    cfg = ExperimentConfig(modes=32, level=2, seed=7, replicas=3, horizon=0.125, dt=1 / 64)
+    assert cmd_sqe(cfg).exit_code == 0
     assert len(calls) == 3
 
 

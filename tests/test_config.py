@@ -11,9 +11,6 @@ GOOD = """
 grid.M = 32
 sqe.T = 0.5
 sqe.dt = 0.03125   # 1/32
-sqe.scheme = exponential-euler
-sqe.equation = projected
-sqe.mollifier = 0.1
 wick.alpha = 1.5
 wick.N = 1
 wick.beta = 0.4
@@ -33,8 +30,6 @@ def test_parse_full_file():
     assert cfg.modes == 32
     assert cfg.horizon == 0.5
     assert cfg.dt == 0.03125
-    assert cfg.equation == "projected"
-    assert cfg.mollifier == 0.1
     assert cfg.alpha == 1.5
     assert cfg.level == 1
     assert cfg.beta == 0.4
@@ -66,6 +61,12 @@ def test_unknown_key_lists_known():
         parse_config("grid.modes = 64\n")
     with pytest.raises(ConfigError, match="grid.M"):
         parse_config("nonsense = 1\n")
+    # the solvers have one scheme and the function called names the
+    # equation: the keys that chose them are gone
+    for key, value in (("sqe.scheme", "semi-implicit"), ("sqe.equation", "full"),
+                       ("sqe.mollifier", "0.0")):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"{key} = {value}\n")
 
 
 def test_bad_syntax_and_values():
@@ -97,12 +98,6 @@ def test_range_validation():
         parse_config("sqe.dt = 0.3\n")  # does not divide T = 1 ... caught later
     with pytest.raises(ConfigError):
         parse_config("cutoff.kind = box\n")
-    # read by no solver, still range-checked (and hashed into the body)
-    with pytest.raises(ConfigError, match="equation"):
-        parse_config("sqe.equation = strong\n")
-    with pytest.raises(ConfigError, match="mollifier"):
-        parse_config("sqe.mollifier = -1\n")
-    assert parse_config("sqe.equation = shifted\n").equation == "shifted"
 
 
 def test_builders(grid32):

@@ -213,8 +213,6 @@ def test_config_validation(grid32):
     with pytest.raises(ValueError):
         SqeConfig(horizon=1.0, dt=2.0, params=params, psi=psi)
     with pytest.raises(ValueError):
-        SqeConfig(horizon=1.0, dt=0.1, params=params, psi=psi, scheme="euler")
-    with pytest.raises(ValueError):
         # dt * 4^N = 2 * 16 above the stability cap
         SqeConfig(horizon=4.0, dt=2.0, params=params, psi=psi)
     bad = SqeConfig(horizon=1.0, dt=0.3, params=params, psi=psi)
@@ -258,23 +256,6 @@ def test_x_traj_validation(grid32, stream):
     short = ou_path(phi0, np.array([0.0, 0.25]), stream.child("ou"))
     with pytest.raises(ValueError):
         solve_sqe_full(phi0, config, stream, x_traj=short)
-
-
-def test_semi_implicit_scheme(grid32, stream):
-    params, psi = _params(grid32, alpha=1.0, level=2)
-    config = SqeConfig(
-        horizon=0.5, dt=1.0 / 32, params=params, psi=psi, scheme="semi-implicit"
-    )
-    phi0 = gff_sample(grid32, stream.child("init"))
-    path = solve_sqe_full(phi0, config, stream.child("n"))
-    x_traj = ou_path(phi0, time_grid(config), stream.child("n").child("ou"))
-    with pytest.raises(ValueError, match="exponential-Euler"):
-        decompose(path, x_traj, config)
-    assert np.all(np.isfinite(path.final().coeffs))
-    assert len(path.states) == config.n_steps() + 1
-    # deterministic in the stream
-    again = solve_sqe_full(phi0, config, stream.child("n"))
-    assert np.array_equal(path.final().coeffs, again.final().coeffs)
 
 
 def test_projected_solver_deterministic(grid32, stream):

@@ -83,7 +83,7 @@ def test_sqe_tiny(tmp_path):
 def test_invariance_tiny(tmp_path):
     cfg = ExperimentConfig(
         modes=16, level=1, seed=8, replicas=60, samples=800,
-        horizon=0.25, dt=1.0 / 32, equation="projected",
+        horizon=0.25, dt=1.0 / 32,
     )
     report = cmd_invariance(cfg, out_dir=tmp_path)
     # statistical in principle, deterministic at this pinned seed

@@ -48,12 +48,6 @@ INVARIANCE = {
         0,
         "7291bde3286239fb109ef6d9e65f305f3989ad90b23a4264c96bf666e43ba253",
     ),
-    "semi-implicit-M16": (
-        dict(modes=16, level=1, seed=4, samples=301, replicas=21, horizon=0.25, dt=1 / 32,
-             scheme="semi-implicit"),
-        0,
-        "42b8661f33c8828645bef76e02c7164c4a2b860ce80a516d324accf77d7ae9f8",
-    ),
     # untilted proposal: the ensemble is refused as degenerate (exit 4)
     "degenerate-M16": (
         dict(modes=16, level=1, seed=9, samples=80, replicas=60, tilt="none", horizon=0.25,
@@ -122,12 +116,6 @@ SQE = {
         dict(modes=32, level=2, seed=7, replicas=3, horizon=0.25, dt=1 / 64),
         "3e18550a138b982d327962eb9e354c9004f1e189a15d4890ba6294fb22e6be66",
         "7d85c54e90641393e029fb991952bb9fb50de819c0252789e88becb3cee912ae",
-    ),
-    "semi-implicit-smooth-M32": (
-        dict(modes=32, level=2, seed=8, replicas=3, horizon=0.25, dt=1 / 64,
-             scheme="semi-implicit", cutoff_kind="smooth"),
-        "6d660db4ec23f4c30b5eebd3543a5de281efb61a2ba0f327a3b65a24bd17ae8f",
-        "1d50bfee86363f9ca6bccc1da12d289fb54fbeee72eb5e6899376a784eb3439c",
     ),
 }
 

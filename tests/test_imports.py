@@ -1,5 +1,5 @@
-"""No module imports a name it does not use, and no package module
-imports another module's private name.
+"""No module imports a name it does not use, no package module imports
+another module's private name, and no configuration field is dead.
 
 Every module of the package and of the tests is parsed with the standard
 ``ast`` module.  An imported name must be read somewhere in its module or
@@ -7,11 +7,17 @@ be listed in the module's ``__all__``; ``from __future__`` imports are
 exempt.  An attribute chain such as ``np.fft.fft2`` reads its root name.
 A name with one leading underscore is private to its module: the package
 may not import one (``from .measures import _blocks``), while tests may,
-since some check private helpers on purpose.
+since some check private helpers on purpose.  Every ExperimentConfig
+field must be read as an attribute somewhere in the package outside
+``config._validate`` and ``ExperimentConfig.as_dict``: a key that is only
+validated and echoed into report bodies changes no result.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from expsqlab import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "expsqlab").glob("*.py"))
@@ -75,3 +81,40 @@ def test_no_private_imports_in_package():
         for line, name in private_imports(path.read_text())
     ]
     assert found == []
+
+
+def attribute_reads(source: str, skip=()) -> set[str]:
+    """Names of the attributes ``source`` reads (``x.name`` in load
+    context), outside the functions and classes whose dotted qualified
+    names are in ``skip``."""
+    reads = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if prefix + child.name not in skip:
+                    visit(child, prefix + child.name + ".")
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                reads.add(child.attr)
+            visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return reads
+
+
+def test_scan_finds_attribute_reads():
+    source = (
+        "class C:\n"
+        "    def echo(self):\n        return self.a\n"
+        "    def run(self):\n        self.b = self.c\n"
+        "def check(cfg):\n    cfg.d\n"
+    )
+    assert attribute_reads(source) == {"a", "c", "d"}
+    assert attribute_reads(source, {"C.echo", "check"}) == {"c"}
+
+
+def test_every_config_field_is_read():
+    skip = {"config.py": {"_validate", "ExperimentConfig.as_dict"}}
+    read = set().union(*(attribute_reads(p.read_text(), skip.get(p.name, ())) for p in PACKAGE))
+    assert [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in read] == []

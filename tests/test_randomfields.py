@@ -112,7 +112,8 @@ def test_wiener_increment_variance(grid8):
     dt = 0.2
     base = RngStream(777, purpose="wiener")
     generators = [base.for_replica(i).generator() for i in range(n)]
-    # the semi-implicit scheme's increment: rows of fft2(white) * sqrt(dt) / M
+    # rows of fft2(white) * sqrt(dt) / M are Wiener increments over dt:
+    # every mode has variance dt
     rows = white_noise_fft(grid8, generators) * (math.sqrt(dt) / 8)
     acc = (np.abs(rows) ** 2).sum(axis=0)
     assert np.abs(acc / n / dt - 1.0).max() < 5.0 * math.sqrt(2.0 / n)
