@@ -41,6 +41,13 @@ is spectral.heat_multiplier, the same symbol as the OU decay.  Noise
 increments and forcing values are produced one step at a time, never
 stored for the whole horizon.
 
+Workspace rule: each loop allocates its spectral and grid temporaries
+once per call and overwrites them every step, through the ``out``
+arguments of the transform pair and of wick.scaled_exp, with the same
+ufuncs on the same operands as the allocating expressions, so every bit
+is theirs.  Every state a loop yields or keeps is a new array, never a
+workspace, so a caller may hold any number of them.
+
 The two stochastic equations step a stack of rows at once under one
 flow contract.  ``evolve_levels`` steps the cutoff levels (L, M, M) of
 the full equation under one common noise (each increment computed once
@@ -72,10 +79,8 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     heat_multiplier,
-    heat_semigroup_massless,
     sobolev_norm,
     to_coeffs,
-    to_spectral,
     to_values,
     zero_field,
 )
@@ -93,7 +98,6 @@ __all__ = [
     "SqeConfig",
     "ContractionReport",
     "STABILITY_CAP",
-    "measure_product",
     "solve_shifted",
     "solve_sqe_full",
     "evolve_levels",
@@ -153,28 +157,13 @@ class ContractionReport:
     passed: bool
 
 
-def _forcing_values(xi: SpectralField, mollifier_scale: float) -> np.ndarray:
-    """Grid values of xi, heat-mollified by exp(mollifier_scale * Lap) when
-    the scale is positive; rejects a raw xi below the -1e-10 tolerance."""
-    vals = xi.values()
+def _forcing_values(xi: SpectralField, work=None, out=None) -> np.ndarray:
+    """Grid values of the forcing state xi, through the ``to_values``
+    workspaces; rejects values below the -1e-10 tolerance."""
+    vals = to_values(xi.coeffs, xi.grid, work, out)
     if vals.min() < NONNEG_TOL:
         raise ValueError(f"forcing has negative values (min {vals.min():.3e}) below tolerance")
-    if mollifier_scale > 0.0:
-        vals = heat_semigroup_massless(xi, mollifier_scale).values()
     return vals
-
-
-def measure_product(f: SpectralField, xi: SpectralField, mollifier_scale: float = 0.0) -> SpectralField:
-    """Pointwise product of f with the (optionally heat-mollified)
-    nonnegative field xi, returned spectrally.
-
-    mollifier_scale = 0 is the raw grid product; a positive scale applies
-    exp(scale * Lap) to xi first, probing the distributional formulation.
-    Rejects xi with grid values below the -1e-10 tolerance.
-    """
-    if f.grid != xi.grid:
-        raise ValueError("fields live on different grids")
-    return to_spectral(f.values() * _forcing_values(xi, mollifier_scale), f.grid)
 
 
 def _check_initial_regularity(upsilon: SpectralField, beta: float):
@@ -223,22 +212,27 @@ def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig
     grid = upsilon.grid
     if chi_path.grid != grid:
         raise ValueError("forcing path and initial datum live on different grids")
-    _forcing_values(chi_path.states[-1], 0.0)
+    _forcing_values(chi_path.states[-1])
 
     mult = heat_multiplier(grid, config.dt)
     alpha = params.alpha
     half_adt = 0.5 * alpha * config.dt
 
     coeffs = upsilon.coeffs.copy()
-    u = to_values(coeffs, grid)
-    states = [SpectralField(grid, coeffs.copy())]
+    spec = np.empty_like(coeffs)
+    u, forcing = np.empty((2, *coeffs.shape))
+    to_values(coeffs, grid, spec, u)
+    states = [SpectralField(grid, coeffs)]
     for j, chi in enumerate(chi_path.states[:-1]):
-        nonlin = half_adt * guarded_exp(u, alpha, 0.0) * _forcing_values(chi, 0.0)
-        coeffs = mult * (coeffs - to_coeffs(nonlin, grid))
+        nonlin = guarded_exp(u, alpha, 0.0, out=u)
+        np.multiply(half_adt, nonlin, out=nonlin)
+        nonlin *= _forcing_values(chi, spec, forcing)
+        coeffs = np.subtract(coeffs, to_coeffs(nonlin, grid, out=spec))
+        np.multiply(mult, coeffs, out=coeffs)
         if not np.isfinite(coeffs[0, 0]):
             raise FloatingPointError(f"shifted solve lost finiteness at step {j}")
-        u = to_values(coeffs, grid)
-        states.append(SpectralField(grid, coeffs.copy()))
+        to_values(coeffs, grid, spec, u)
+        states.append(SpectralField(grid, coeffs))
 
     return FieldPath(times=np.array(chi_path.times), states=states)
 
@@ -246,12 +240,14 @@ def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig
 def _ou_increments(grid: TorusGrid, states, dt: float):
     """Exact OU increments next - exp((Lap-1) dt/2) * prev, one per step,
     over consecutive coefficient arrays of ``states`` (a stored trajectory
-    or the live OU chain)."""
+    or the live OU chain).  The decayed state is formed in one workspace;
+    every increment is a new array."""
     decay = heat_multiplier(grid, dt)
     states = iter(states)
     prev = next(states)
+    decayed = np.empty(prev.shape, dtype=np.complex128)
     for state in states:
-        yield state - decay * prev
+        yield state - np.multiply(decay, prev, out=decayed)
         prev = state
 
 
@@ -307,10 +303,15 @@ def _full_flow(grid: TorusGrid, coeffs: np.ndarray, psi_mult: np.ndarray, config
     alpha = config.params.alpha
     shift = np.array([0.5 * alpha**2 * c.params.c_n for c in configs])[:, None, None]
     half_adt = 0.5 * alpha * config.dt
+    spec = np.empty_like(coeffs)
+    values = np.empty(coeffs.shape)
     for eta in noise:
-        values, peaks = scaled_exp(to_values(coeffs, grid), alpha, shift)
-        nonlin = half_adt * values
-        coeffs = mult * (coeffs - to_coeffs(nonlin, grid)) + psi_mult * eta
+        _, peaks = scaled_exp(to_values(coeffs, grid, spec, values), alpha, shift, out=values)
+        np.multiply(half_adt, values, out=values)
+        drift = np.subtract(coeffs, to_coeffs(values, grid, out=spec), out=spec)
+        np.multiply(mult, drift, out=drift)
+        coeffs = np.multiply(psi_mult, eta)
+        np.add(drift, coeffs, out=coeffs)
         yield coeffs, peaks
 
 
@@ -426,11 +427,16 @@ def _projected_flow(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, nois
     alpha = config.params.alpha
     shift = 0.5 * alpha**2 * config.params.c_n
     half_adt = 0.5 * alpha * config.dt
+    spec = np.empty_like(coeffs)
+    values = np.empty(coeffs.shape)
     for eta in noise:
-        u_proj = to_values(psi_mult * coeffs, grid)
-        values, peaks = scaled_exp(u_proj, alpha, shift)
-        nonlin = half_adt * values
-        coeffs = mult * (coeffs - psi_mult * to_coeffs(nonlin, grid)) + eta
+        proj = np.multiply(psi_mult, coeffs, out=spec)
+        _, peaks = scaled_exp(to_values(proj, grid, spec, values), alpha, shift, out=values)
+        np.multiply(half_adt, values, out=values)
+        drift = np.multiply(psi_mult, to_coeffs(values, grid, out=spec), out=spec)
+        np.subtract(coeffs, drift, out=drift)
+        np.multiply(mult, drift, out=drift)
+        coeffs = np.add(drift, eta)
         yield coeffs, peaks
 
 

@@ -76,20 +76,25 @@ class FieldPath:
         return self.states[-1]
 
 
-def white_noise_fft(grid: TorusGrid, generators) -> np.ndarray:
+def white_noise_fft(grid: TorusGrid, generators, white=None, out=None) -> np.ndarray:
     """fft2 of grid white noise, a stack (n, M, M) with row i drawn from
     ``generators[i]``: the one white-noise sampler behind every Gaussian
-    draw of the package."""
+    draw of the package.  The noise is drawn into ``white`` (real) and
+    transformed into ``out`` (complex) when they are given."""
     M = grid.modes_per_dim
-    white = np.empty((len(generators), M, M))
+    if white is None:
+        white = np.empty((len(generators), M, M))
     for row, g in zip(white, generators):
         g.standard_normal(out=row)
-    return np.fft.fft2(white)
+    return np.fft.fft2(white, out=out)
 
 
-def _white_spectral(grid: TorusGrid, generators) -> np.ndarray:
-    """Hermitian coefficient stack with unit variance per mode."""
-    return white_noise_fft(grid, generators) / grid.modes_per_dim
+def _white_spectral(grid: TorusGrid, generators, white=None, out=None) -> np.ndarray:
+    """Hermitian coefficient stack with unit variance per mode, through the
+    workspaces of ``white_noise_fft``."""
+    coeffs = white_noise_fft(grid, generators, white, out)
+    coeffs /= grid.modes_per_dim
+    return coeffs
 
 
 def gff_mode_variance(grid: TorusGrid) -> np.ndarray:
@@ -128,14 +133,19 @@ def ou_chain(grid: TorusGrid, coeffs: np.ndarray, times, generators):
     bit-for-bit the chain of that generator alone.  The decay and the
     noise scale are computed again only when the step changes (the steps
     of ``np.diff(times)`` may differ in the last bit, so they are compared,
-    not assumed equal)."""
+    not assumed equal).  The noise is drawn and transformed in workspaces
+    allocated once; every yielded stack is a new array."""
+    white = np.empty(coeffs.shape)
+    noise = np.empty(coeffs.shape, dtype=np.complex128)
     step = None
     for dt in np.diff(times):
         if dt != step:
             step = dt
             decay = heat_multiplier(grid, dt)
             noise_sd = np.sqrt(ou_noise_variance(grid, dt))
-        coeffs = decay * coeffs + _white_spectral(grid, generators) * noise_sd
+        coeffs = decay * coeffs
+        np.multiply(_white_spectral(grid, generators, white, noise), noise_sd, out=noise)
+        np.add(coeffs, noise, out=coeffs)
         yield coeffs
 
 

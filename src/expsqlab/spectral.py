@@ -26,6 +26,16 @@ and without validation; the solver loops call them directly,
 is the one symbol of the semigroup exp(t (Lap - 1)/2), shared by
 ``heat_semigroup``, the OU decay and the exponential-Euler step.
 
+Workspaces: ``to_coeffs``, ``to_values`` and ``wick.scaled_exp`` take
+optional output arrays, so a step loop allocates its spectral and grid
+temporaries once per call and overwrites them every step, with the same
+ufuncs on the same operands as the allocating path, so every bit is the
+same.  A loop's yielded or kept states are still fresh arrays, never a
+workspace.  The inverse transform calls ``ifftn`` over the last two
+axes, not ``ifft2``: numpy's ``ifft2`` (2.4) does not pass ``out`` on to
+the transform and returns a new array, while ``ifftn`` over those axes is
+the same transform and writes into ``out``.
+
 ``blocks`` is the package's one block policy: stacks of fields are
 evaluated BLOCK_BYTES per complex (n, M, M) array at a time, and dumps
 are read back in chunks of the same size.
@@ -54,7 +64,6 @@ __all__ = [
     "sobolev_norms",
     "heat_multiplier",
     "heat_semigroup",
-    "heat_semigroup_massless",
     "green_field",
     "grid_quadrature",
     "hermitian_defect",
@@ -212,17 +221,29 @@ def constant_field(grid: TorusGrid, value: float) -> SpectralField:
     return SpectralField(grid, coeffs)
 
 
-def to_coeffs(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+def to_coeffs(values: np.ndarray, grid: TorusGrid, out: np.ndarray | None = None) -> np.ndarray:
     """Grid samples -> coefficients, (2*pi / M^2) * fft2(values), per field
-    of a stack; unvalidated."""
-    return np.fft.fft2(values) * (TWO_PI / grid.npoints)
+    of a stack; unvalidated.  Written into ``out`` (complex, the shape of
+    ``values``) when given."""
+    coeffs = np.fft.fft2(values, out=out)
+    coeffs *= TWO_PI / grid.npoints
+    return coeffs
 
 
-def to_values(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+def to_values(
+    coeffs: np.ndarray,
+    grid: TorusGrid,
+    work: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Coefficients -> grid samples, (M^2 / (2*pi)) * real(ifft2(coeffs)),
     per field of a stack (the imaginary residue of a Hermitian coefficient
-    array is at rounding level)."""
-    return np.real(np.fft.ifft2(coeffs)) * (grid.npoints / TWO_PI)
+    array is at rounding level).  The complex transform is written into
+    ``work`` and the samples into ``out`` (real, the shape of ``coeffs``)
+    when given; ``work`` may be ``coeffs`` itself only if its contents are
+    no longer needed."""
+    work = np.fft.ifftn(coeffs, axes=(-2, -1), out=work)
+    return np.multiply(work.real, grid.npoints / TWO_PI, out=out)
 
 
 def to_spectral(values: np.ndarray, grid: TorusGrid) -> SpectralField:
@@ -296,13 +317,6 @@ def heat_semigroup(field: SpectralField, t: float) -> SpectralField:
     if t < 0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
     return SpectralField(field.grid, heat_multiplier(field.grid, t) * field.coeffs)
-
-
-def heat_semigroup_massless(field: SpectralField, t: float) -> SpectralField:
-    """exp(t*Lap): multiplies coeff(k) by exp(-|k|^2 t); mollifier variant."""
-    if t < 0:
-        raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    return SpectralField(field.grid, np.exp(-t * field.grid.ksq) * field.coeffs)
 
 
 def green_field(gamma: float, psi, level: int, grid: TorusGrid) -> SpectralField:

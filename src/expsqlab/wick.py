@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .randomfields import FieldPath
-from .spectral import SpectralField, TorusGrid, sobolev_norm, to_spectral
+from .spectral import SpectralField, TorusGrid, to_spectral
 
 __all__ = [
     "WickOverflowError",
@@ -33,7 +33,6 @@ __all__ = [
     "analytic_wick_cov",
     "green_kernel_point",
     "wick_exp_ou",
-    "l2_time_hneg_norm",
     "ALPHA_MAX",
 ]
 
@@ -196,21 +195,26 @@ def renorm_constant(psi: CutoffProfile, level: int, grid: TorusGrid) -> float:
     return float(np.sum(m * m / (1.0 + grid.ksq))) / (4.0 * math.pi**2)
 
 
-def scaled_exp(values: np.ndarray, alpha: float, shift) -> tuple[np.ndarray, np.ndarray]:
+def scaled_exp(
+    values: np.ndarray, alpha: float, shift, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """exp(alpha * values - shift) on grid values of one field (M, M) or a
     stack (n, M, M), and each field's largest exponent (one per field):
     the input of the overflow guard.  ``shift`` is one float, or one per
-    field of a stack shaped (n, 1, 1)."""
-    expo = alpha * values - shift
+    field of a stack shaped (n, 1, 1).  The exponential is written into
+    ``out`` when given, which may be ``values`` itself."""
+    expo = np.subtract(np.multiply(alpha, values, out=out), shift, out=out)
     peaks = expo.reshape(-1, values.shape[-2] * values.shape[-1]).max(axis=1)
-    return np.exp(np.minimum(expo, _EXP_CAP)), peaks
+    return np.exp(np.minimum(expo, _EXP_CAP, out=expo), out=expo), peaks
 
 
-def guarded_exp(values: np.ndarray, alpha: float, shift: float) -> np.ndarray:
+def guarded_exp(
+    values: np.ndarray, alpha: float, shift: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """``scaled_exp`` behind the overflow guard: raises WickOverflowError
     with the exponent of the lowest-index field that passes it, which is
     the error a loop over the fields one at a time raises first."""
-    out, peaks = scaled_exp(values, alpha, shift)
+    out, peaks = scaled_exp(values, alpha, shift, out)
     over = np.flatnonzero(peaks > OVERFLOW_EXPONENT)
     if over.size:
         raise WickOverflowError(float(peaks[over[0]]))
@@ -252,8 +256,3 @@ def wick_exp_ou(traj: FieldPath, params: WickParams, psi: CutoffProfile) -> Fiel
     states = [wick_exp_gff(state, params, psi) for state in traj.states]
     return FieldPath(times=traj.times, states=states)
 
-
-def l2_time_hneg_norm(path: FieldPath, beta: float) -> float:
-    """L^2-in-time H^{-beta}-in-space norm, trapezoid rule on path times."""
-    sq = [sobolev_norm(f, -beta) ** 2 for f in path.states]
-    return float(math.sqrt(np.trapezoid(sq, path.times)))

@@ -1,6 +1,8 @@
 """Solver checks: scalar ODE oracle, exact linear limits, splitting
 bookkeeping, sign structure and contraction."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -13,11 +15,12 @@ from expsqlab import (
     constant_field,
     contraction_check,
     decompose,
+    evolve_levels,
+    evolve_projected,
     gff_sample,
     heat_semigroup,
     make_grid,
     make_wick_params,
-    measure_product,
     ou_path,
     solve_shifted,
     solve_sqe_full,
@@ -188,24 +191,6 @@ def test_negative_forcing_rejected(grid32, stream):
             solve_shifted(upsilon, FieldPath(times=times, states=states), config)
 
 
-def test_measure_product(grid32, stream):
-    f = gff_sample(grid32, stream.child("f"))
-    xi_vals = np.abs(gff_sample(grid32, stream.child("xi")).values()) + 0.1
-    xi = to_spectral(xi_vals, grid32)
-    prod = measure_product(f, xi)
-    expected = to_spectral(f.values() * xi.values(), grid32)
-    assert np.abs(prod.coeffs - expected.coeffs).max() < 1e-12
-    # a genuinely negative factor is rejected
-    with pytest.raises(ValueError):
-        measure_product(f, to_spectral(xi_vals - 1.0, grid32))
-    with pytest.raises(ValueError):
-        measure_product(f, to_spectral(np.abs(gff_sample(make_grid(8), stream).values()), make_grid(8)))
-    # mollified product of a constant pair: exp(s Lap) fixes constants
-    c1, c2 = constant_field(grid32, 2.0), constant_field(grid32, 3.0)
-    out = measure_product(c1, c2, mollifier_scale=0.3)
-    assert out.values() == pytest.approx(np.full((32, 32), 6.0), rel=1e-12)
-
-
 def test_config_validation(grid32):
     params, psi = _params(grid32, level=2)
     with pytest.raises(ValueError):
@@ -267,3 +252,30 @@ def test_projected_solver_deterministic(grid32, stream):
     assert np.array_equal(a.final().coeffs, b.final().coeffs)
     assert np.array_equal(a.times, time_grid(config))
     assert len(a.states) == config.n_steps() + 1
+
+
+def test_flows_yield_fresh_states(grid32, stream):
+    # the step loops overwrite their workspaces, never a state: kept
+    # states share no memory, and no yielded stack changes afterwards
+    params, psi = _params(grid32, level=2)
+    config = SqeConfig(horizon=0.25, dt=1.0 / 16, params=params, psi=psi)
+    coarse = SqeConfig(horizon=0.25, dt=1.0 / 16, params=_params(grid32, level=1)[0], psi=psi)
+    phi0 = gff_sample(grid32, stream.child("init"))
+    for path in (
+        solve_sqe_full(phi0, config, stream),
+        solve_sqe_projected(phi0, config, stream),
+        ou_path(phi0, time_grid(config), stream.child("ou")),
+    ):
+        for a, b in combinations(path.states, 2):
+            assert not np.shares_memory(a.coeffs, b.coeffs)
+
+    stack = gff_sample(grid32, [stream.for_replica(i) for i in range(3)])
+    streams = [stream.for_replica(i).child("dyn") for i in range(3)]
+    for flow in (
+        evolve_levels(phi0, [coarse, config], stream),
+        evolve_projected(stack, config, streams),
+    ):
+        kept = [(s, s.copy()) for s in flow]
+        assert len(kept) == config.n_steps() + 1
+        for s, copy in kept:
+            assert s.tobytes() == copy.tobytes()

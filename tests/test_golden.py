@@ -28,7 +28,6 @@ from expsqlab import (
     decompose,
     gff_sample,
     heat_semigroup,
-    heat_semigroup_massless,
     hermite,
     make_grid,
     make_wick_params,
@@ -162,7 +161,6 @@ SOLVER_STATES = {
 # byte-identical
 OPERATORS = {
     "heat_semigroup": "069458c1f885462d6214564738742d75a87a3f7d16117db679add3e4966d5044",
-    "heat_semigroup_massless": "3a97bf850020dda762b38bcc7946b978059dfc44f5e8ed564168144a7facf50d",
     "heat_multiplier": "388287c9bd5d3ef7e7dac2372ea6ecc9a21919aeba8bb724575e3eb9879c2f8d",
     "hermite": "dca4dbb5ad5340ac63b673069b14f11cbc49b56291d770b8db0635217bd103bf",
     "sobolev_norm": "4966605f7809e090101d39660b7b05f6ab034995fed2066a26212b0221adb4fa",
@@ -247,7 +245,6 @@ def test_operators_golden():
     field = gff_sample(grid, RngStream(22, purpose="golden"))
     outputs = {
         "heat_semigroup": [heat_semigroup(field, 0.3).coeffs.tobytes()],
-        "heat_semigroup_massless": [heat_semigroup_massless(field, 0.05).coeffs.tobytes()],
         "heat_multiplier": [heat_multiplier(grid, 0.1).tobytes()],
         "hermite": [hermite(7, field.values(), 0.8).tobytes()],
         "sobolev_norm": [repr(sobolev_norm(field, s)).encode() for s in (-1.0, -0.125, 0.0, 0.5)],

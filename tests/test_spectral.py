@@ -186,3 +186,30 @@ def test_transform_round_trip_any_real_array(grid_and_values):
     grid, v = grid_and_values
     back = to_values(to_coeffs(v, grid), grid)
     assert np.abs(back - v).max() <= 1e-12 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (3, 32, 32)])
+def test_transforms_into_workspaces_are_byte_identical(grid32, shape):
+    # the workspace path runs the same ufuncs on the same operands as the
+    # allocating one; the inverse is ifft2's transform, written into work
+    # (numpy's ifft2 itself would drop the caller's out)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(shape)
+    coeffs = to_coeffs(values, grid32)
+    assert coeffs.tobytes() == (np.fft.fft2(values) * (TWO_PI / grid32.npoints)).tobytes()
+    expected = to_values(coeffs, grid32)
+    assert expected.tobytes() == (np.real(np.fft.ifft2(coeffs)) * (grid32.npoints / TWO_PI)).tobytes()
+
+    spec = np.full(shape, np.nan, dtype=np.complex128)
+    got = to_coeffs(values, grid32, out=spec)
+    assert np.shares_memory(got, spec)
+    assert got.tobytes() == coeffs.tobytes()
+
+    work, out = np.full(shape, np.nan, dtype=np.complex128), np.full(shape, np.nan)
+    got = to_values(coeffs, grid32, work, out)
+    assert np.shares_memory(got, out)
+    assert got.tobytes() == expected.tobytes()
+    assert work.tobytes() == np.fft.ifft2(coeffs).tobytes()
+    # the coefficients may be their own workspace
+    own = coeffs.copy()
+    assert to_values(own, grid32, own, out).tobytes() == expected.tobytes()

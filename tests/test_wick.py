@@ -21,7 +21,6 @@ from expsqlab import (
     green_field,
     green_kernel_point,
     hermite,
-    l2_time_hneg_norm,
     make_grid,
     make_wick_params,
     ou_path,
@@ -29,7 +28,6 @@ from expsqlab import (
     wick_exp_ou,
     wick_exp_values,
 )
-from expsqlab.randomfields import FieldPath
 from expsqlab.wick import scaled_exp
 
 # sharp-cutoff constants, frozen from the lattice sums they define:
@@ -115,6 +113,27 @@ def test_scaled_exp_contract(values, alpha, shift):
     mask = expo <= 705.0
     assert np.array_equal(out[mask], np.exp(expo[mask]))
     assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize(
+    "shape, shift", [((8, 8), 0.3), ((3, 8, 8), np.array([0.1, -2.0, 5.0])[:, None, None])]
+)
+def test_scaled_exp_into_workspace_is_byte_identical(shape, shift):
+    # wide values, so some exponents pass the cap
+    values = np.random.default_rng(4).standard_normal(shape) * 200.0
+    expected, expected_peaks = scaled_exp(values, 1.5, shift)
+    assert expected.tobytes() == np.exp(np.minimum(1.5 * values - shift, 705.0)).tobytes()
+    out = np.full(shape, np.nan)
+    got, peaks = scaled_exp(values, 1.5, shift, out=out)
+    assert np.shares_memory(got, out)
+    assert got.tobytes() == expected.tobytes()
+    assert peaks.tobytes() == expected_peaks.tobytes()
+    # the values may be their own workspace
+    own = values.copy()
+    got, peaks = scaled_exp(own, 1.5, shift, out=own)
+    assert np.shares_memory(got, own)
+    assert got.tobytes() == expected.tobytes()
+    assert peaks.tobytes() == expected_peaks.tobytes()
 
 
 def test_scaled_exp_empty_stack():
@@ -283,13 +302,4 @@ def test_wick_exp_ou_path(grid32, sharp, stream):
     path = wick_exp_ou(traj, params, sharp)
     assert np.array_equal(path.times, times)
     assert all(f.values().min() > 0.0 for f in path.states)
-    assert np.isfinite(l2_time_hneg_norm(path, params.beta))
 
-
-def test_l2_time_hneg_norm_constant_path(grid32):
-    # constant-in-time constant field c: integrand (2 pi c)^2, so the
-    # L^2(0,1) H^{-beta} norm is exactly 2 pi c
-    c = 0.75
-    fields = [constant_field(grid32, c) for _ in range(5)]
-    path = FieldPath(times=np.linspace(0.0, 1.0, 5), states=fields)
-    assert l2_time_hneg_norm(path, 0.5) == pytest.approx(2.0 * math.pi * c, rel=1e-12)
