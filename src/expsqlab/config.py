@@ -60,7 +60,7 @@ class ExperimentConfig:
     seed: int = 0
     replicas: int = 8
     samples: int = 2000
-    tilt: str = "auto"
+    tilt: float | str = "auto"
     eps: float = 0.125
 
     def build_grid(self) -> TorusGrid:
@@ -102,16 +102,6 @@ class ExperimentConfig:
         except ValueError as e:
             raise ConfigError(str(e)) from e
 
-    def tilt_value(self) -> float | str:
-        if self.tilt in ("auto", "none"):
-            return self.tilt
-        try:
-            return _to_float(self.tilt)
-        except ValueError as e:
-            raise ConfigError(
-                f"tilt must be 'auto', 'none' or a finite number, got {self.tilt!r}"
-            ) from e
-
     def as_dict(self) -> dict:
         return {**dataclasses.asdict(self), **_RETIRED}
 
@@ -128,6 +118,15 @@ def _to_float(v: str) -> float:
     return x
 
 
+def _to_tilt(v: str) -> float | str:
+    if v in ("auto", "none"):
+        return v
+    try:
+        return _to_float(v)
+    except ValueError as e:
+        raise ValueError("must be 'auto', 'none' or a finite number") from e
+
+
 _SCHEMA = {
     "grid.M": ("modes", _to_int),
     "sqe.T": ("horizon", _to_float),
@@ -141,7 +140,7 @@ _SCHEMA = {
     "seed": ("seed", _to_int),
     "replicas": ("replicas", _to_int),
     "samples": ("samples", _to_int),
-    "tilt": ("tilt", str),
+    "tilt": ("tilt", _to_tilt),
     "eps": ("eps", _to_float),
 }
 
@@ -191,7 +190,6 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("seed must fit in 64 bits")
     if cfg.eps <= 0:
         raise ConfigError("eps must be positive")
-    cfg.tilt_value()
     # construct everything once so schema-level errors surface as exit 3
     try:
         cfg.build_sqe().n_steps()

@@ -258,7 +258,7 @@ def cmd_invariance(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     params, psi = sqe_cfg.params, sqe_cfg.psi
     stream = RngStream(cfg.seed, purpose="invariance")
     ensemble = sample_ensemble(
-        grid, params, psi, cfg.samples, stream.child("ensemble"), tilt=cfg.tilt_value()
+        grid, params, psi, cfg.samples, stream.child("ensemble"), tilt=cfg.tilt
     )
     partition = estimate_partition(ensemble)
     obs = standard_observables(params, psi, eps=cfg.eps)

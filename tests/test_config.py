@@ -113,15 +113,17 @@ def test_builders(grid32):
 
 
 def test_tilt_value():
-    assert parse_config("tilt = auto\n").tilt_value() == "auto"
-    assert parse_config("tilt = none\n").tilt_value() == "none"
-    assert parse_config("tilt = -2.5\n").tilt_value() == pytest.approx(-2.5)
+    assert parse_config("tilt = auto\n").tilt == "auto"
+    assert parse_config("tilt = none\n").tilt == "none"
+    assert parse_config("tilt = -2.5\n").tilt == -2.5
+    # one value, one config echo, however the number is written
+    one = parse_config("tilt = 1\n")
+    assert one.tilt == 1.0 and isinstance(one.tilt, float)
+    assert one.as_dict() == parse_config("tilt = 1.0\n").as_dict()
     # checked at parse time, whether or not the command reads the tilt
     for bad in ("nan", "inf", "sideways"):
-        with pytest.raises(ConfigError, match="tilt"):
-            parse_config(f"tilt = {bad}\n")
-    with pytest.raises(ConfigError, match="finite"):
-        ExperimentConfig(tilt="-inf").tilt_value()
+        with pytest.raises(ConfigError, match="line 2: bad value for tilt"):
+            parse_config(f"seed = 1\ntilt = {bad}\n")
 
 
 def test_beta_zero_means_default():

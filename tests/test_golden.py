@@ -56,10 +56,10 @@ INVARIANCE = {
     ),
     # a shift far past the guard: the first proposal overflows (exit 4)
     "overflow-M16": (
-        dict(modes=16, level=1, seed=2, samples=40, replicas=10, tilt="4500", horizon=0.25,
+        dict(modes=16, level=1, seed=2, samples=40, replicas=10, tilt=4500.0, horizon=0.25,
              dt=1 / 32),
         4,
-        "65b7aae2947d58e50c1e0946018bc934fb9f2063120de8311c739c65e714cf7c",
+        "c3bf5f81f9a84378dd24ab18e8b2641ad2fa7b63b2cf5187fdd741d76261e51f",
     ),
 }
 
