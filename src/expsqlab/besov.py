@@ -1,4 +1,4 @@
-"""Dyadic Littlewood-Paley blocks and inhomogeneous Besov norms.
+"""Dyadic Littlewood-Paley blocks and the inhomogeneous Besov norm.
 
 The dyadic pair (chi, rho) is built once from the exp(-1/t) smooth step:
 chi is radial with chi = 1 on |xi| <= 1 and chi = 0 on |xi| >= 4/3, and
@@ -8,15 +8,15 @@ grid mode once enough blocks are kept, so only finitely many blocks are
 nonzero for grid-resolved fields.  With this pair, B^s_{2,2} agrees with
 H^s up to a fixed grid-independent equivalence constant (measured by the
 norms-bench experiment, not asserted to a specific value).
-``besov_norm`` takes its indices as a ``spectral.NormSpec(s, p, q)``; the
-Sobolev norm is ``spectral.sobolev_norm``.
+``besov_norm`` computes B^s_{2,2}, the only Besov norm the package
+evaluates; the Sobolev norm is ``spectral.sobolev_norm``.
 """
 
 import math
 
 import numpy as np
 
-from .spectral import NormSpec, SpectralField, sobolev_norm
+from .spectral import SpectralField, sobolev_norm
 
 __all__ = [
     "chi",
@@ -69,23 +69,10 @@ def block_weights(grid) -> list[tuple[int, np.ndarray]]:
     return cached
 
 
-def _block_lp_norm(field: SpectralField, weight: np.ndarray, p: float) -> float:
-    block = SpectralField(field.grid, field.coeffs * weight)
-    if p == 2.0:
-        return sobolev_norm(block, 0.0)
-    vals = block.values()
-    if math.isinf(p):
-        return float(np.abs(vals).max())
-    # spectral collocation: quadrature of |block|^p on the physical grid
-    return float((np.abs(vals) ** p).sum() * field.grid.cell_area) ** (1.0 / p)
-
-
-def besov_norm(field: SpectralField, spec: NormSpec) -> float:
-    """l^q over blocks j >= -1 of 2^{js} ||Delta_j field||_{L^p}."""
+def besov_norm(field: SpectralField, s: float) -> float:
+    """l^2 over blocks j >= -1 of 2^{js} ||Delta_j field||_{L^2}."""
     terms = [
-        2.0 ** (j * spec.s) * _block_lp_norm(field, w, spec.p)
+        2.0 ** (j * s) * sobolev_norm(SpectralField(field.grid, field.coeffs * w), 0.0)
         for j, w in block_weights(field.grid)
     ]
-    if math.isinf(spec.q):
-        return max(terms)
-    return float(np.sum(np.asarray(terms) ** spec.q) ** (1.0 / spec.q))
+    return float(np.sum(np.asarray(terms) ** 2.0) ** (1.0 / 2.0))

@@ -10,8 +10,6 @@ comment.  Keys are dotted by concern:
     wick.N = 2
     wick.beta = 0          # 0 means the default choice
     cutoff.kind = sharp    # sharp | smooth
-    cutoff.theta = 0.99
-    cutoff.decay = 4.0
     seed = 0
     replicas = 8
     samples = 2000         # ensemble size for measure experiments
@@ -40,10 +38,12 @@ class ConfigError(ValueError):
     """Bad configuration file or option; mapped to exit code 3."""
 
 
-# The deleted keys sqe.scheme/equation/mollifier at the values every body
-# held: the benchmark's pinned body digests hash them, so the config echo
-# keeps them until those digests are next re-recorded.
-_RETIRED = {"scheme": "exponential-euler", "equation": "full", "mollifier": 0.0}
+# The deleted keys sqe.scheme/equation/mollifier and cutoff.theta/decay at
+# the values every body held: the benchmark's pinned body digests hash
+# them, so the config echo keeps them until those digests are next
+# re-recorded.
+_RETIRED = {"scheme": "exponential-euler", "equation": "full", "mollifier": 0.0,
+            "cutoff_theta": 0.99, "cutoff_decay": 4.0}
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,6 @@ class ExperimentConfig:
     level: int = 2
     beta: float = 0.0
     cutoff_kind: str = "sharp"
-    cutoff_theta: float = 0.99
-    cutoff_decay: float = 4.0
     seed: int = 0
     replicas: int = 8
     samples: int = 2000
@@ -71,7 +69,7 @@ class ExperimentConfig:
 
     def build_psi(self) -> CutoffProfile:
         try:
-            return CutoffProfile(self.cutoff_kind, self.cutoff_theta, self.cutoff_decay)
+            return CutoffProfile(self.cutoff_kind)
         except ValueError as e:
             raise ConfigError(str(e)) from e
 
@@ -135,8 +133,6 @@ _SCHEMA = {
     "wick.N": ("level", _to_int),
     "wick.beta": ("beta", _to_float),
     "cutoff.kind": ("cutoff_kind", str),
-    "cutoff.theta": ("cutoff_theta", _to_float),
-    "cutoff.decay": ("cutoff_decay", _to_float),
     "seed": ("seed", _to_int),
     "replicas": ("replicas", _to_int),
     "samples": ("samples", _to_int),

@@ -51,7 +51,7 @@ from .randomfields import gff_sample
 from .reports import ExperimentReport, save_fields, write_csv, write_report
 from .rng import RngStream
 from .besov import besov_norm
-from .spectral import NormSpec, blocks, sobolev_norm, sobolev_norms
+from .spectral import blocks, sobolev_norm, sobolev_norms
 from .wick import WickOverflowError, wick_exp_gff
 
 __all__ = [
@@ -131,7 +131,7 @@ def cmd_sample_gff(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     else:
         for _ in draws():
             pass
-    theory = float(((1.0 + grid.ksq) ** (s - 1.0)).sum())
+    theory = float(grid.sobolev_weight(s - 1.0).sum())
     se = sq_norms.std(ddof=1) / math.sqrt(len(sq_norms)) if len(sq_norms) > 1 else float("inf")
     z = (sq_norms.mean() - theory) / se if se > 0 else 0.0
 
@@ -301,8 +301,7 @@ def cmd_norms_bench(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     ratio_stats = {}
     ok = True
     for s in orders:
-        spec = NormSpec(s, 2.0, 2.0)
-        ratios = np.array([besov_norm(f, spec) / sobolev_norm(f, s) for f in draws])
+        ratios = np.array([besov_norm(f, s) / sobolev_norm(f, s) for f in draws])
         ratio_stats[f"{s:g}"] = {
             "min": float(ratios.min()),
             "max": float(ratios.max()),

@@ -73,6 +73,9 @@ UNDERFLOW_LOG = -745.0
 
 MIN_RESAMPLE_ESS = 50.0
 
+# invariance_test passes when every observable's |z| stays at or below this
+INVARIANCE_THRESHOLD = 3.0
+
 
 class DegenerateEnsembleError(ValueError):
     """Raised when an ensemble's ESS is too low to resample from."""
@@ -332,11 +335,10 @@ class InvarianceReport:
     replicas: int
     clusters: int
     max_abs_z: float
-    threshold: float
 
     @property
     def passed(self) -> bool:
-        return self.max_abs_z <= self.threshold
+        return self.max_abs_z <= INVARIANCE_THRESHOLD
 
 
 def _cluster_se(diffs: np.ndarray, ancestors: np.ndarray) -> float:
@@ -357,7 +359,6 @@ def invariance_test(
     observables: dict,
     stream: RngStream,
     replicas: int = 200,
-    threshold: float = 3.0,
 ) -> InvarianceReport:
     """Evolve resampled stationary draws through the projected dynamics
     and z-test each observable's paired start-to-end change against zero.
@@ -365,10 +366,10 @@ def invariance_test(
     The paired design cancels the (large) cross-replica variance of the
     observables themselves; the standard error clusters on resampling
     ancestors since duplicated draws share their t = 0 value.  Under a
-    correctly renormalized drift every |z| stays below ``threshold`` up
-    to the usual multiple-testing caveat; a mis-scaled renormalization
-    constant in ``config.params`` shifts the constant mode and fails
-    loudly.
+    correctly renormalized drift every |z| stays below
+    INVARIANCE_THRESHOLD up to the usual multiple-testing caveat; a
+    mis-scaled renormalization constant in ``config.params`` shifts the
+    constant mode and fails loudly.
 
     Replica i starts from the draw ``resample_stationary`` gives it and
     evolves under ``stream.for_replica(i).child("dyn")``.  The replicas
@@ -420,5 +421,4 @@ def invariance_test(
         replicas=replicas,
         clusters=int(len(np.unique(ancestors))),
         max_abs_z=max_abs_z,
-        threshold=threshold,
     )

@@ -1,5 +1,5 @@
-"""Torus geometry, Fourier transforms, Sobolev norms, heat semigroups and
-the truncated Green kernel on the two-dimensional torus [0, 2*pi)^2.
+"""Torus geometry, Fourier transforms, Sobolev norms and heat semigroups
+on the two-dimensional torus [0, 2*pi)^2.
 
 Conventions
 -----------
@@ -24,7 +24,8 @@ and without validation; the solver loops call them directly,
 ``to_spectral`` wraps the forward one for fields and
 ``SpectralField.values`` the inverse one.  ``heat_multiplier``
 is the one symbol of the semigroup exp(t (Lap - 1)/2), shared by
-``heat_semigroup``, the OU decay and the exponential-Euler step.
+``heat_semigroup``, the OU decay and the exponential-Euler step, and
+``TorusGrid.sobolev_weight`` the one Sobolev symbol (1 + |k|^2)^s.
 
 Workspaces: ``to_coeffs``, ``to_values`` and ``wick.scaled_exp`` take
 optional output arrays, so a step loop allocates its spectral and grid
@@ -50,7 +51,6 @@ import numpy as np
 __all__ = [
     "TorusGrid",
     "SpectralField",
-    "NormSpec",
     "make_grid",
     "BLOCK_BYTES",
     "blocks",
@@ -64,7 +64,6 @@ __all__ = [
     "sobolev_norms",
     "heat_multiplier",
     "heat_semigroup",
-    "green_field",
     "grid_quadrature",
     "hermitian_defect",
 ]
@@ -273,21 +272,6 @@ def grid_quadrature(values: np.ndarray, grid: TorusGrid):
     return values.reshape(len(values), grid.npoints).sum(axis=1) * grid.cell_area
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Besov norm indices: smoothness s and integrability p, q in
-    [1, inf] (math.inf for sup norms)."""
-
-    s: float
-    p: float = 2.0
-    q: float = 2.0
-
-    def __post_init__(self):
-        for name, idx in (("p", self.p), ("q", self.q)):
-            if not (1.0 <= idx):
-                raise ValueError(f"{name} must lie in [1, inf], got {idx}")
-
-
 def sobolev_norms(coeffs: np.ndarray, grid: TorusGrid, orders) -> np.ndarray:
     """``sobolev_norm`` at each of ``orders`` for each field of a bare
     coefficient stack (n, M, M), as an array (len(orders), n).
@@ -318,17 +302,3 @@ def heat_semigroup(field: SpectralField, t: float) -> SpectralField:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
     return SpectralField(field.grid, heat_multiplier(field.grid, t) * field.coeffs)
 
-
-def green_field(gamma: float, psi, level: int, grid: TorusGrid) -> SpectralField:
-    """Truncated Green kernel of (1 - Lap)^{-gamma} at cutoff level N.
-
-    Returns the field z -> (2*pi)^{-2} sum_k psi(2^{-N} k)^2 (1+|k|^2)^{-gamma}
-    exp(i k.z); its value at z = 0 with gamma = 1 equals the level-N
-    renormalization constant.  ``psi`` is any object exposing
-    ``multiplier(grid, level)`` (see the cutoff profiles in the wick module).
-    """
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    m = psi.multiplier(grid, level)
-    coeffs = (m * m) * (1.0 + grid.ksq) ** (-gamma) / TWO_PI
-    return SpectralField(grid, coeffs.astype(np.complex128))

@@ -59,26 +59,19 @@ class WickOverflowError(FloatingPointError):
 
 @dataclass(frozen=True)
 class CutoffProfile:
-    """Radial Fourier multiplier profile psi with admissibility record.
+    """Radial Fourier multiplier profile psi.
 
     kind is 'sharp' (indicator of the unit ball) or 'smooth' (Gaussian
-    exp(-|x|^2)).  theta records the rate |psi(x) - 1| <~ |x|^theta near 0
-    and m_decay the tail power sup |x|^m psi(x) < inf; both are metadata
-    checked by sampling in the test suite, the evaluation rule is what
-    the operators use.
+    exp(-|x|^2)).  Both are admissible for (theta, m) = (0.99, 4):
+    |psi(x) - 1| <~ |x|^theta near 0 and sup |x|^m psi(x) < inf, which
+    the test suite checks by sampling; no operator reads theta or m.
     """
 
     kind: str
-    theta: float = 0.99
-    m_decay: float = 4.0
 
     def __post_init__(self):
         if self.kind not in ("sharp", "smooth"):
             raise ValueError(f"unknown cutoff kind {self.kind!r}")
-        if not (0.0 < self.theta < 1.0):
-            raise ValueError("theta must lie in (0, 1)")
-        if self.m_decay < 4.0:
-            raise ValueError("tail decay power m must be >= 4")
 
     def evaluate(self, r):
         """psi as a function of the radius |x| (profiles are radial)."""
@@ -234,11 +227,9 @@ def wick_exp_gff(field: SpectralField, params: WickParams, psi: CutoffProfile) -
     return to_spectral(wick_exp_values(field, params, psi), field.grid)
 
 
-def green_kernel_point(psi: CutoffProfile, level: int, grid: TorusGrid, z, gamma: float = 1.0) -> float:
-    """K^gamma_N(z) by direct mode summation (the oracle route, independent
-    of the FFT-based green_field)."""
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+def green_kernel_point(psi: CutoffProfile, level: int, grid: TorusGrid, z) -> float:
+    """Truncated Green kernel K_N(z) = (4 pi^2)^{-1} sum_k psi(2^{-N} k)^2
+    cos(k.z) / (1 + |k|^2) by direct mode summation; K_N(0) = C_N."""
     z = np.asarray(z, dtype=np.float64)
     m = psi.multiplier(grid, level)
     phase = grid.kx * z[0] + grid.ky * z[1]
@@ -246,9 +237,9 @@ def green_kernel_point(psi: CutoffProfile, level: int, grid: TorusGrid, z, gamma
 
 
 def analytic_wick_cov(params: WickParams, psi: CutoffProfile, x, y, grid: TorusGrid) -> float:
-    """Second-moment oracle E[wick(x) wick(y)] = exp(alpha^2 K^1_N(x - y))."""
+    """Second-moment oracle E[wick(x) wick(y)] = exp(alpha^2 K_N(x - y))."""
     z = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return math.exp(params.alpha**2 * green_kernel_point(psi, params.level, grid, z, 1.0))
+    return math.exp(params.alpha**2 * green_kernel_point(psi, params.level, grid, z))
 
 
 def wick_exp_ou(traj: FieldPath, params: WickParams, psi: CutoffProfile) -> FieldPath:

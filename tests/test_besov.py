@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from expsqlab import (
-    NormSpec,
     constant_field,
     gff_sample,
     make_grid,
@@ -57,15 +56,10 @@ def test_block_count_matches_grid(grid32):
 
 
 def test_constant_field_besov(grid32):
-    # mode 0 sits entirely in block -1, so the norm is 2^{-s} * ||c||_{L^p}
+    # mode 0 sits entirely in block -1, so the norm is 2^{-s} * ||c||_{L^2}
     f = constant_field(grid32, 3.0)
     s = -0.5
-    assert besov_norm(f, NormSpec(s)) == pytest.approx(
-        2.0**-s * 2.0 * math.pi * 3.0, rel=1e-12
-    )
-    assert besov_norm(f, NormSpec(s, p=math.inf)) == pytest.approx(
-        2.0**-s * 3.0, rel=1e-12
-    )
+    assert besov_norm(f, s) == pytest.approx(2.0**-s * 2.0 * math.pi * 3.0, rel=1e-12)
 
 
 def test_single_mode_block_assignment(grid32):
@@ -75,36 +69,18 @@ def test_single_mode_block_assignment(grid32):
     one = _cos_field(grid32, 1)
     two = _cos_field(grid32, 2)
     for s in (-1.0, -0.5, 0.0, 1.5):
-        assert besov_norm(one, NormSpec(s)) == pytest.approx(
-            2.0**-s * SQRT2PI, rel=1e-12
-        )
-        assert besov_norm(two, NormSpec(s)) == pytest.approx(
-            SQRT2PI, rel=1e-12
-        )
+        assert besov_norm(one, s) == pytest.approx(2.0**-s * SQRT2PI, rel=1e-12)
+        assert besov_norm(two, s) == pytest.approx(SQRT2PI, rel=1e-12)
 
 
 def test_two_block_field_q_dispatch(grid32):
-    # cos(x1) + cos(4 x1): blocks -1 and 1 each hold one pure mode
+    # cos(x1) + cos(4 x1): blocks -1 and 1 each hold one pure mode, and
+    # the norm is the l^2 sum of the two block terms
     f = _cos_field(grid32, 1) + _cos_field(grid32, 4)
     s = -1.0
     t_low = 2.0**-s * SQRT2PI
     t_high = 2.0**s * SQRT2PI
-    assert besov_norm(f, NormSpec(s, q=math.inf)) == pytest.approx(
-        max(t_low, t_high), rel=1e-12
-    )
-    assert besov_norm(f, NormSpec(s, q=2.0)) == pytest.approx(
-        math.hypot(t_low, t_high), rel=1e-12
-    )
-    assert besov_norm(f, NormSpec(s, q=1.0)) == pytest.approx(
-        t_low + t_high, rel=1e-12
-    )
-
-
-def test_sup_norm_block(grid32):
-    # single cosine, p = inf: the only block restores the field itself
-    f = _cos_field(grid32, 2)
-    spec = NormSpec(0.0, p=math.inf, q=math.inf)
-    assert besov_norm(f, spec) == pytest.approx(1.0, rel=1e-12)
+    assert besov_norm(f, s) == pytest.approx(math.hypot(t_low, t_high), rel=1e-12)
 
 
 def test_equivalence_on_random_field(stream):
@@ -112,5 +88,5 @@ def test_equivalence_on_random_field(stream):
     grid = make_grid(64)
     f = gff_sample(grid, stream)
     for s in (-1.0, -0.5, -0.25):
-        ratio = besov_norm(f, NormSpec(s)) / sobolev_norm(f, s)
+        ratio = besov_norm(f, s) / sobolev_norm(f, s)
         assert 0.1 < ratio < 10.0

@@ -15,8 +15,6 @@ wick.alpha = 1.5
 wick.N = 1
 wick.beta = 0.4
 cutoff.kind = smooth
-cutoff.theta = 0.9
-cutoff.decay = 4.5
 seed = 99
 replicas = 3
 samples = 111
@@ -34,8 +32,6 @@ def test_parse_full_file():
     assert cfg.level == 1
     assert cfg.beta == 0.4
     assert cfg.cutoff_kind == "smooth"
-    assert cfg.cutoff_theta == 0.9
-    assert cfg.cutoff_decay == 4.5
     assert cfg.seed == 99
     assert cfg.replicas == 3
     assert cfg.samples == 111
@@ -61,10 +57,12 @@ def test_unknown_key_lists_known():
         parse_config("grid.modes = 64\n")
     with pytest.raises(ConfigError, match="grid.M"):
         parse_config("nonsense = 1\n")
-    # the solvers have one scheme and the function called names the
-    # equation: the keys that chose them are gone
+    # the solvers have one scheme, the function called names the
+    # equation, and no operator reads the profile's (theta, m): the keys
+    # that set them are gone
     for key, value in (("sqe.scheme", "semi-implicit"), ("sqe.equation", "full"),
-                       ("sqe.mollifier", "0.0")):
+                       ("sqe.mollifier", "0.0"), ("cutoff.theta", "0.99"),
+                       ("cutoff.decay", "4.0")):
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(f"{key} = {value}\n")
 

@@ -172,7 +172,7 @@ def test_contraction_random_pair(grid32, stream):
     chi = wick_exp_ou(traj, config.params, config.psi)
     u1 = heat_semigroup(gff_sample(grid32, stream.child("a")), 0.1)
     u2 = heat_semigroup(gff_sample(grid32, stream.child("b")), 0.1)
-    report = contraction_check(u1, u2, chi, config, tolerance=0.01)
+    report = contraction_check(u1, u2, chi, config)
     assert report.passed
     assert report.gaps[0] > 0
 

@@ -9,22 +9,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from expsqlab import (
-    NormSpec,
     SpectralField,
     constant_field,
     field_from_coeffs,
-    green_field,
     grid_quadrature,
     heat_semigroup,
     hermitian_defect,
     make_grid,
-    renorm_constant,
     sobolev_norm,
     to_spectral,
     zero_field,
 )
 from expsqlab.spectral import to_coeffs, to_values
-from expsqlab.wick import CutoffProfile
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,25 +120,6 @@ def test_heat_semigroup_mass_decay(grid32):
     f = constant_field(grid32, 1.0)
     out = heat_semigroup(f, 2.0)
     assert out.coeffs[0, 0] == pytest.approx(TWO_PI * math.exp(-1.0), rel=1e-14)
-
-
-def test_green_field_matches_renorm_constant(grid32):
-    # the gamma=1 Green field evaluated at the origin is the level
-    # renormalization constant (two independent computation routes)
-    psi = CutoffProfile("sharp")
-    for level in (0, 1, 2):
-        gf = green_field(1.0, psi, level, grid32)
-        c_n = renorm_constant(psi, level, grid32)
-        assert gf.values()[0, 0] == pytest.approx(c_n, rel=1e-12)
-
-
-def test_norm_spec_validation():
-    with pytest.raises(ValueError):
-        NormSpec(0.5, p=0.5)
-    with pytest.raises(ValueError):
-        NormSpec(0.5, q=0.9)
-    spec = NormSpec(-0.5)
-    assert (spec.s, spec.p, spec.q) == (-0.5, 2.0, 2.0)
 
 
 def test_from_spectral_of_single_mode(grid32):
