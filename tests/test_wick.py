@@ -27,6 +27,7 @@ from expsqlab import (
     wick_exp_ou,
     wick_exp_values,
 )
+from expsqlab.spectral import to_values
 from expsqlab.wick import scaled_exp
 
 # sharp-cutoff constants, frozen from the lattice sums they define:
@@ -253,6 +254,18 @@ def test_green_kernel_point_at_origin(grid32, sharp, smooth):
             assert green_kernel_point(psi, level, grid32, (0.0, 0.0)) == pytest.approx(
                 renorm_constant(psi, level, grid32), rel=1e-12
             )
+
+
+def test_green_field_matches_point_sum(grid32, smooth):
+    # the kernel as a field, coefficients psi^2 / (1 + |k|^2) / (2 pi)
+    # through one inverse FFT, against direct mode summation
+    m = smooth.multiplier(grid32, 2)
+    vals = to_values((m * m / (1.0 + grid32.ksq) / (2.0 * math.pi)).astype(complex), grid32)
+    for i, j in ((0, 0), (3, 1), (17, 30), (16, 16)):
+        z = (i * grid32.spacing, j * grid32.spacing)
+        assert vals[i, j] == pytest.approx(
+            green_kernel_point(smooth, 2, grid32, z), abs=1e-10
+        )
 
 
 def test_analytic_wick_cov_diagonal(grid32, sharp):
