@@ -16,8 +16,9 @@ comment.  Keys are dotted by concern:
     tilt = auto            # auto | none | a finite float
     eps = 0.125            # negative Sobolev order used by observables
 
-Unknown keys, unparsable values and violated ranges raise ConfigError,
-which the command line maps to exit code 3.
+Unknown keys, a key given twice, unparsable values and violated ranges
+raise ConfigError, which the command line maps to exit code 3.
+Command-line flags override the file's keys.
 """
 
 from __future__ import annotations
@@ -145,6 +146,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse key = value text into an ExperimentConfig; ``overrides`` maps
     attribute names to already-typed values (command-line flags)."""
     values: dict = {}
+    seen: dict = {}  # key -> line it was first given on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -156,6 +158,11 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         if key not in _SCHEMA:
             known = ", ".join(sorted(_SCHEMA))
             raise ConfigError(f"line {lineno}: unknown key {key!r} (known: {known})")
+        if key in seen:
+            raise ConfigError(
+                f"line {lineno}: key {key!r} given twice (lines {seen[key]} and {lineno})"
+            )
+        seen[key] = lineno
         attr, conv = _SCHEMA[key]
         try:
             values[attr] = conv(val)

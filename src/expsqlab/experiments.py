@@ -7,8 +7,8 @@ returns an ExperimentReport.  It starts the wall clock, maps a numeric
 failure to its body (``WickOverflowError`` to ``{"overflow_exponent": x}``,
 ``DegenerateEnsembleError`` to ``{"error": msg}``, both exit 4), builds
 the one report, records ``timing["wall_s"]`` and writes ``report.json``
-into ``out_dir`` when one is given.  A ConfigError propagates: no report
-is built or written.  Exit codes:
+into ``out_dir`` when one is given.  A ConfigError, ``threads < 1``
+included, propagates: no report is built or written.  Exit codes:
 
     0  ran and passed its built-in checks (or is purely informational)
     2  ran but a convergence / invariance check failed
@@ -85,6 +85,8 @@ def _driver(command: str):
     def decorate(run):
         @functools.wraps(run)
         def cmd(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> ExperimentReport:
+            if threads < 1:
+                raise ConfigError(f"threads must be at least 1, got {threads}")
             started = time.perf_counter()
             try:
                 body, exit_code = run(cfg, out_dir, threads)
@@ -110,19 +112,27 @@ def cmd_sample_gff(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
 
     Draws are made in blocks (``spectral.blocks``); each block's norms
     and constant modes are recorded and the block goes to the dump, then
-    is dropped, so memory holds one block whatever ``samples`` is.
-    ``threads`` is ignored."""
+    is dropped, so memory holds one block whatever ``samples`` is.  Every
+    block is drawn into one pair of workspaces, allocated for the first
+    block: a yielded block is a view that the next block overwrites, so
+    its consumer must be done with it before pulling the next (as
+    ``save_fields`` is).  ``threads`` is ignored."""
     grid = cfg.build_grid()
     stream = RngStream(cfg.seed, purpose="sample-gff")
     s = -cfg.eps
     sq_norms = np.empty(cfg.samples)
     mode0 = np.empty(cfg.samples)
+    ranges = blocks(cfg.samples, grid)
+    M = grid.modes_per_dim
+    white = np.empty((len(ranges[0]), M, M))
+    spec = np.empty(white.shape, dtype=np.complex128)
 
     def draws():
-        for rows in blocks(cfg.samples, grid):
-            block = gff_sample(grid, [stream.for_replica(i) for i in rows])
-            for i, f in zip(rows, block.unstack()):
-                sq_norms[i] = sobolev_norm(f, s) ** 2
+        for rows in ranges:
+            n = len(rows)
+            block = gff_sample(grid, [stream.for_replica(i) for i in rows], white[:n], spec[:n])
+            norms = sobolev_norms(block.coeffs, grid, (s,))[0].tolist()
+            sq_norms[rows.start : rows.stop] = [x ** 2 for x in norms]
             mode0[rows.start : rows.stop] = block.coeffs[:, 0, 0].real
             yield block
 

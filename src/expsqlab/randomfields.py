@@ -18,6 +18,15 @@ has exactly this law with v = 1, including the self-conjugate Nyquist
 modes.  ``white_noise_fft`` is the one forward FFT outside ``spectral``:
 it is the raw fft2 without the 2*pi/M^2 field normalization.
 
+Workspaces (the rule of ``spectral``): ``white_noise_fft``, and through
+it ``gff_sample`` and ``ou_chain``, draw the real noise into a ``white``
+array and transform it in place in a complex ``out`` array, both
+allocated only when not given.  Copying the noise into ``out`` is the
+same real -> complex cast that ``fft2`` makes of real input into a
+temporary of its own, so every bit is the same and a caller that holds
+the two workspaces (``experiments.cmd_sample_gff``, ``ou_chain``)
+allocates no noise or transform array per draw.
+
 Parameters named ``stream`` are :class:`~expsqlab.rng.RngStream` values;
 every sampler is a pure function of (inputs, stream).  The samplers work
 on stacks of fields (n, M, M) with one generator per row, and a single
@@ -79,14 +88,19 @@ class FieldPath:
 def white_noise_fft(grid: TorusGrid, generators, white=None, out=None) -> np.ndarray:
     """fft2 of grid white noise, a stack (n, M, M) with row i drawn from
     ``generators[i]``: the one white-noise sampler behind every Gaussian
-    draw of the package.  The noise is drawn into ``white`` (real) and
-    transformed into ``out`` (complex) when they are given."""
+    draw of the package.  The noise is drawn into ``white`` (real),
+    copied into ``out`` (complex) and transformed there in place; either
+    workspace is allocated only when not given."""
     M = grid.modes_per_dim
     if white is None:
         white = np.empty((len(generators), M, M))
     for row, g in zip(white, generators):
         g.standard_normal(out=row)
-    return np.fft.fft2(white, out=out)
+    if out is None:
+        out = np.empty(white.shape, dtype=np.complex128)
+    # the same real -> complex cast fft2 makes of real input, into out
+    np.copyto(out, white)
+    return np.fft.fft2(out, out=out)
 
 
 def _white_spectral(grid: TorusGrid, generators, white=None, out=None) -> np.ndarray:
@@ -102,18 +116,21 @@ def gff_mode_variance(grid: TorusGrid) -> np.ndarray:
     return 1.0 / (1.0 + grid.ksq)
 
 
-def gff_sample(grid: TorusGrid, stream) -> SpectralField:
+def gff_sample(grid: TorusGrid, stream, white=None, out=None) -> SpectralField:
     """One draw from the massive free field: independent mode coefficients
     with E|coeff(k)|^2 = (1+|k|^2)^{-1}, coeff(0) real with variance 1.
 
     Given a sequence of streams instead of one, returns the stack of their
-    draws in one pass, row i the draw of ``stream[i]``.
+    draws in one pass, row i the draw of ``stream[i]``.  ``white`` and
+    ``out`` are the workspaces of ``white_noise_fft``; when ``out`` is
+    given the draw is a read-only view of it, valid until ``out`` is
+    written again.
     """
     streams = [stream] if isinstance(stream, RngStream) else stream
-    coeffs = _white_spectral(grid, [s.generator() for s in streams]) * np.sqrt(
-        gff_mode_variance(grid)
-    )
-    return SpectralField(grid, coeffs[0] if isinstance(stream, RngStream) else coeffs)
+    coeffs = _white_spectral(grid, [s.generator() for s in streams], white, out)
+    coeffs *= np.sqrt(gff_mode_variance(grid))
+    # a view: the field freezes it, not the caller's workspace
+    return SpectralField(grid, coeffs[0] if isinstance(stream, RngStream) else coeffs[:])
 
 
 def ou_noise_variance(grid: TorusGrid, dt: float) -> np.ndarray:

@@ -31,11 +31,18 @@ Workspaces: ``to_coeffs``, ``to_values`` and ``wick.scaled_exp`` take
 optional output arrays, so a step loop allocates its spectral and grid
 temporaries once per call and overwrites them every step, with the same
 ufuncs on the same operands as the allocating path, so every bit is the
-same.  A loop's yielded or kept states are still fresh arrays, never a
-workspace.  The inverse transform calls ``ifftn`` over the last two
+same.  A solver loop's yielded or kept states are still fresh arrays,
+never a workspace (``experiments.cmd_sample_gff`` yields workspace views,
+each written to the dump before the next block is drawn).  The inverse transform calls ``ifftn`` over the last two
 axes, not ``ifft2``: numpy's ``ifft2`` (2.4) does not pass ``out`` on to
 the transform and returns a new array, while ``ifftn`` over those axes is
-the same transform and writes into ``out``.
+the same transform and writes into ``out``.  ``to_coeffs`` leaves the
+real -> complex cast of its input to ``fft2``, which makes a complex
+temporary per call: casting into ``out`` and transforming in place is
+bit-identical, but in ``sqe`` at M = 256 it moved glibc's heap so that
+the per-step norm temporaries faulted again (about 20k -> 99k minor
+faults, 0.1 s more system time).  ``randomfields.white_noise_fft`` does
+cast in place, where it removes nearly every fault of ``sample-gff``.
 
 ``blocks`` is the package's one block policy: stacks of fields are
 evaluated BLOCK_BYTES per complex (n, M, M) array at a time, and dumps

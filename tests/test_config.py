@@ -52,6 +52,13 @@ def test_overrides_win():
     assert cfg.replicas == 12
 
 
+def test_key_given_twice():
+    with pytest.raises(ConfigError, match=r"line 3: key 'samples' given twice \(lines 1 and 3\)"):
+        parse_config("samples = 10\nseed = 2\nsamples = 20\n")
+    # a command-line flag still overrides the file's one value
+    assert parse_config("samples = 10\n", overrides={"samples": 20}).samples == 20
+
+
 def test_unknown_key_lists_known():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("grid.modes = 64\n")

@@ -166,6 +166,18 @@ def test_cli_bad_tilt_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "run" / "report.json").exists()
 
 
+def test_cli_threads_below_one_is_a_config_error(tmp_path, capsys):
+    for threads in ("0", "-2"):
+        run = tmp_path / f"run{threads}"
+        rc = main([
+            "sample-gff", "--threads", threads, "--out-dir", str(run),
+            "--config", _write_cfg(tmp_path, "grid.M = 16\nwick.N = 1\nsamples = 4\n"),
+        ])
+        assert rc == 3
+        assert "configuration error: threads must be at least 1" in capsys.readouterr().err
+        assert not (run / "report.json").exists()
+
+
 def test_cli_unknown_command():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -119,6 +119,49 @@ def test_wiener_increment_variance(grid8):
     assert np.abs(acc / n / dt - 1.0).max() < 5.0 * math.sqrt(2.0 / n)
 
 
+def _generators(base, n):
+    return [base.for_replica(i).generator() for i in range(n)]
+
+
+def test_white_noise_fft_workspaces_are_bit_for_bit(grid8):
+    base = RngStream(41, purpose="workspace")
+    fresh = white_noise_fft(grid8, _generators(base, 5))
+    # the in-place transform is numpy's fft2 of the real noise
+    white = np.empty((5, 8, 8))
+    for row, g in zip(white, _generators(base, 5)):
+        g.standard_normal(out=row)
+    assert fresh.tobytes() == np.fft.fft2(white).tobytes()
+    # a full stack, then a ragged view of larger workspaces
+    out = np.empty((5, 8, 8), dtype=np.complex128)
+    full = white_noise_fft(grid8, _generators(base, 5), np.empty((5, 8, 8)), out)
+    assert np.shares_memory(full, out)
+    assert full.tobytes() == fresh.tobytes()
+    white, out = np.empty((7, 8, 8)), np.empty((7, 8, 8), dtype=np.complex128)
+    ragged = white_noise_fft(grid8, _generators(base, 3), white[:3], out[:3])
+    assert np.shares_memory(ragged, out)
+    assert ragged.tobytes() == fresh[:3].tobytes()
+
+
+def test_gff_sample_workspaces_are_bit_for_bit(grid8):
+    base = RngStream(43, purpose="workspace")
+    streams = [base.for_replica(i) for i in range(5)]
+    fresh = gff_sample(grid8, streams)
+    white = np.empty((5, 8, 8))
+    out = np.empty((5, 8, 8), dtype=np.complex128)
+    full = gff_sample(grid8, streams, white, out)
+    assert np.shares_memory(full.coeffs, out)
+    assert full.coeffs.tobytes() == fresh.coeffs.tobytes()
+    # a ragged block drawn into views of larger workspaces, which stay
+    # writable for the next block
+    white, out = np.empty((8, 8, 8)), np.empty((8, 8, 8), dtype=np.complex128)
+    ragged = gff_sample(grid8, streams[:3], white[:3], out[:3])
+    assert np.shares_memory(ragged.coeffs, out)
+    assert ragged.coeffs.tobytes() == fresh.coeffs[:3].tobytes()
+    assert out.flags.writeable
+    single = gff_sample(grid8, streams[4], white[:1], out[:1])
+    assert single.coeffs.tobytes() == fresh.coeffs[4].tobytes()
+
+
 def test_field_path_validation(grid8, grid32):
     f8 = zero_field(grid8)
     with pytest.raises(ValueError):

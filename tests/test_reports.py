@@ -15,7 +15,7 @@ from expsqlab import (
     write_report,
     zero_field,
 )
-from expsqlab.spectral import BLOCK_BYTES
+from expsqlab.spectral import BLOCK_BYTES, SpectralField
 from expsqlab.reports import DUMP_VERSION, _HEADER, _MAGIC
 
 
@@ -91,6 +91,25 @@ def test_field_dump_round_trip(tmp_path, grid32, stream):
     for f, g in zip(fields, back):
         assert np.array_equal(f.coeffs, g.coeffs)
         assert g.grid.modes_per_dim == 32
+
+
+def test_field_dump_streams_reused_buffer(tmp_path, grid32, stream):
+    # save_fields writes each item before pulling the next, so a
+    # generator may yield views of one buffer it refills every time
+    stacks = [gff_sample(grid32, [stream.for_replica(i) for i in rows])
+              for rows in (range(0, 4), range(4, 8), range(8, 10))]
+    buffer = np.empty((4, 32, 32), dtype=np.complex128)
+
+    def reused():
+        for stack in stacks:
+            view = buffer[: len(stack.coeffs)]
+            view[...] = stack.coeffs
+            yield SpectralField(grid32, view)
+
+    fresh = save_fields(tmp_path / "fresh.bin", stacks)
+    views = save_fields(tmp_path / "views.bin", reused())
+    assert views.read_bytes() == fresh.read_bytes()
+    assert len(load_fields(views)) == 10
 
 
 def test_field_dump_validation(tmp_path, grid32, grid8):
