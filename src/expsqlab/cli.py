@@ -7,7 +7,8 @@
     expsqlab norms-bench    ...
 
 Flags override config-file keys; see config.py for the key schema.
-Exit codes: 0 ok, 2 check failed, 3 bad configuration, 4 numeric guard.
+Exit codes: 0 ok, 2 check failed, 3 bad configuration or command line,
+4 numeric guard.  ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -36,8 +37,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors on exit code 3: a malformed command
+    line is a bad configuration, not a failed check (exit 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="expsqlab",
         description="Spectral laboratory for the exponential-interaction stochastic dynamics on the 2-torus.",
     )

@@ -96,7 +96,6 @@ class ExperimentConfig:
                 horizon=self.horizon,
                 dt=self.dt,
                 params=self.build_params(grid, level),
-                psi=self.build_psi(),
             )
         except ValueError as e:
             raise ConfigError(str(e)) from e

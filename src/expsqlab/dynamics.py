@@ -86,7 +86,6 @@ from .spectral import (
 )
 from .wick import (
     OVERFLOW_EXPONENT,
-    CutoffProfile,
     WickOverflowError,
     WickParams,
     guarded_exp,
@@ -121,13 +120,14 @@ CONTRACTION_TOLERANCE = 0.01
 
 @dataclass(frozen=True)
 class SqeConfig:
-    """Solver configuration: horizon T, step dt, Wick parameters and
-    cutoff profile.  It names no equation: the solver called does."""
+    """Solver configuration: horizon T, step dt and the Wick parameters,
+    which carry the cutoff profile (``params.psi``), so the drift's shift
+    and its projection come from one cutoff.  It names no equation: the
+    solver called does."""
 
     horizon: float
     dt: float
     params: WickParams
-    psi: CutoffProfile
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -304,7 +304,7 @@ def _full_flow(grid: TorusGrid, coeffs: np.ndarray, psi_mult: np.ndarray, config
     config = configs[0]
     mult = heat_multiplier(grid, config.dt)
     alpha = config.params.alpha
-    shift = np.array([0.5 * alpha**2 * c.params.c_n for c in configs])[:, None, None]
+    shift = np.array([c.params.shift for c in configs])[:, None, None]
     half_adt = 0.5 * alpha * config.dt
     spec = np.empty_like(coeffs)
     values = np.empty(coeffs.shape)
@@ -330,7 +330,7 @@ def evolve_levels(
     Args:
         phi0: initial datum, projected by each level's cutoff.
         configs: one configuration per level; they may differ only in
-            their Wick parameters and cutoff.
+            their Wick parameters (level, cutoff and C_N).
         stream: noise stream, as for ``solve_sqe_full``; each increment
             is computed once per step and drives every level.
         x_traj: optional OU trajectory, as for ``solve_sqe_full``.
@@ -353,7 +353,7 @@ def evolve_levels(
         noise = _ou_increments(grid, (s.coeffs for s in x_traj.states), config.dt)
     else:
         noise = _noise_stacks(grid, phi0.coeffs[None], config, [stream])
-    psi_mult = np.stack([c.psi.multiplier(grid, c.params.level) for c in configs])
+    psi_mult = np.stack([c.params.multiplier(grid) for c in configs])
     coeffs = psi_mult * phi0.coeffs
     return _guarded(coeffs, _full_flow(grid, coeffs, psi_mult, configs, noise))
 
@@ -413,10 +413,10 @@ def decompose(
     """
     _validate_path_times(path.times, config)
     grid = path.grid
-    psi_mult = config.psi.multiplier(grid, config.params.level)
+    psi_mult = config.params.multiplier(grid)
     x_part = [SpectralField(grid, psi_mult * s.coeffs) for s in x_traj.states]
     y_part = [st - xp for st, xp in zip(path.states, x_part)]
-    chi_path = wick_exp_ou(x_traj, config.params, config.psi)
+    chi_path = wick_exp_ou(x_traj, config.params)
     shifted = solve_shifted(zero_field(grid), chi_path, config)
     return FieldPath(path.times, x_part), FieldPath(path.times, y_part), shifted
 
@@ -425,10 +425,10 @@ def _projected_flow(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, nois
     """The projected equation's one step loop, on a stack of replicas
     (n, M, M): yields the state stack after each step with its rows' Wick
     exponents, each step driven by the next increment stack of ``noise``."""
-    psi_mult = config.psi.multiplier(grid, config.params.level)
+    psi_mult = config.params.multiplier(grid)
     mult = heat_multiplier(grid, config.dt)
     alpha = config.params.alpha
-    shift = 0.5 * alpha**2 * config.params.c_n
+    shift = config.params.shift
     half_adt = 0.5 * alpha * config.dt
     spec = np.empty_like(coeffs)
     values = np.empty(coeffs.shape)

@@ -165,8 +165,7 @@ def cmd_wick_converge(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     common free-field draws: the negative-order Sobolev gap between
     consecutive levels must decrease at a positive dyadic rate."""
     grid = cfg.build_grid()
-    psi = cfg.build_psi()
-    top = min(5, psi.max_level(grid), max(cfg.level, 2))
+    top = min(5, cfg.build_psi().max_level(grid), max(cfg.level, 2))
     if top < 2:
         raise ConfigError(f"need at least levels 1..2; grid M={grid.modes_per_dim} is too small")
     levels = list(range(1, top + 1))
@@ -178,7 +177,7 @@ def cmd_wick_converge(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
 
     def one(i: int):
         field = gff_sample(grid, stream.for_replica(i))
-        wicks = [wick_exp_gff(field, p, psi) for p in params]
+        wicks = [wick_exp_gff(field, p) for p in params]
         return [sobolev_norm(b - a, -beta) for a, b in zip(wicks, wicks[1:])]
 
     gaps = np.array(_map_replicas(one, cfg.replicas, threads))
@@ -265,13 +264,11 @@ def cmd_invariance(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     projected dynamics, and z-test observable stationarity."""
     grid = cfg.build_grid()
     sqe_cfg = cfg.build_sqe(grid)
-    params, psi = sqe_cfg.params, sqe_cfg.psi
+    params = sqe_cfg.params
     stream = RngStream(cfg.seed, purpose="invariance")
-    ensemble = sample_ensemble(
-        grid, params, psi, cfg.samples, stream.child("ensemble"), tilt=cfg.tilt
-    )
+    ensemble = sample_ensemble(grid, params, cfg.samples, stream.child("ensemble"), tilt=cfg.tilt)
     partition = estimate_partition(ensemble)
-    obs = standard_observables(params, psi, eps=cfg.eps)
+    obs = standard_observables(params, eps=cfg.eps)
     result = invariance_test(ensemble, sqe_cfg, obs, stream.child("evolve"), replicas=cfg.replicas)
 
     if out_dir is not None:

@@ -4,12 +4,15 @@ The level-N measure reweights the free field by
 
     weight(phi) = exp( - integral of exp(alpha P_N phi - alpha^2 C_N / 2) ),
 
-so plain importance sampling from the free field is unbiased for every
-expectation and for the partition function.  It is also numerically
-useless here: the integrand is dominated by the constant mode, the log
-weight has mean about -4 pi^2 and standard deviation of several units,
-and the effective sample size saturates at a handful of draws no matter
-how many are taken.
+where the Wick parameters (``wick.WickParams``) carry the cutoff psi and
+level N that define P_N next to the C_N computed from them, so every
+function here takes the parameters alone.  Plain importance sampling
+from the free field is unbiased for every expectation and for the
+partition function.  It is also numerically useless here: the
+integrand is dominated by the constant mode, the log weight has mean
+about -4 pi^2 and standard deviation of several units, and the
+effective sample size saturates at a handful of draws no matter how
+many are taken.
 
 ``sample_ensemble`` therefore tilts the constant mode of the proposal to
 the mode of its marginal under the target (a one-dimensional fixed point
@@ -48,7 +51,7 @@ from .dynamics import SqeConfig, evolve_projected
 from .randomfields import gff_sample
 from .rng import RngStream
 from .spectral import SpectralField, TorusGrid, TWO_PI, blocks, grid_quadrature, sobolev_norm
-from .wick import CutoffProfile, WickParams, wick_exp_values
+from .wick import WickParams, wick_exp_values
 
 __all__ = [
     "DegenerateEnsembleError",
@@ -81,11 +84,11 @@ class DegenerateEnsembleError(ValueError):
     """Raised when an ensemble's ESS is too low to resample from."""
 
 
-def rn_log_weight(field: SpectralField, params: WickParams, psi: CutoffProfile):
+def rn_log_weight(field: SpectralField, params: WickParams):
     """log of the unnormalized density of the level-N measure against the
     free field: minus the integral of the Wick exponential over the torus.
     A stack of fields gives the array of their log-weights."""
-    return -grid_quadrature(wick_exp_values(field, params, psi), field.grid)
+    return -grid_quadrature(wick_exp_values(field, params), field.grid)
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,6 @@ def mode0_tilt_mean(alpha: float) -> float:
 def sample_ensemble(
     grid: TorusGrid,
     params: WickParams,
-    psi: CutoffProfile,
     count: int,
     stream: RngStream,
     tilt: float | str = "auto",
@@ -220,7 +222,7 @@ def sample_ensemble(
     for rows in blocks(count, grid):
         block = proposals(rows)
         u0 = np.real(block.coeffs[:, 0, 0])
-        log_w[rows.start : rows.stop] = rn_log_weight(block, params, psi) - m * u0 + 0.5 * m * m
+        log_w[rows.start : rows.stop] = rn_log_weight(block, params) - m * u0 + 0.5 * m * m
 
     return WeightedEnsemble(
         grid=grid,
@@ -300,7 +302,7 @@ def resample_stationary(ensemble: WeightedEnsemble, count: int, stream: RngStrea
     return StationaryDraws(fields=tuple(fields), ancestors=ancestors, source_ess=ess)
 
 
-def standard_observables(params: WickParams, psi: CutoffProfile, eps: float = 0.125) -> dict:
+def standard_observables(params: WickParams, eps: float = 0.125) -> dict:
     """Default observable battery for invariance runs: negative-order
     Sobolev norm and its square, the constant-mode coefficient and its
     square, and the spatial mean of the Wick exponential."""
@@ -314,7 +316,7 @@ def standard_observables(params: WickParams, psi: CutoffProfile, eps: float = 0.
         "mode0": u0,
         "mode0_sq": lambda f: u0(f) ** 2,
         "wick_mean": lambda f: float(
-            grid_quadrature(wick_exp_values(f, params, psi), f.grid) / AREA
+            grid_quadrature(wick_exp_values(f, params), f.grid) / AREA
         ),
     }
 

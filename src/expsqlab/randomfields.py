@@ -124,11 +124,12 @@ def gff_sample(grid: TorusGrid, stream, white=None, out=None) -> SpectralField:
     draws in one pass, row i the draw of ``stream[i]``.  ``white`` and
     ``out`` are the workspaces of ``white_noise_fft``; when ``out`` is
     given the draw is a read-only view of it, valid until ``out`` is
-    written again.
+    written again.  The mode standard deviation is computed once per grid
+    (``TorusGrid.cached``).
     """
     streams = [stream] if isinstance(stream, RngStream) else stream
     coeffs = _white_spectral(grid, [s.generator() for s in streams], white, out)
-    coeffs *= np.sqrt(gff_mode_variance(grid))
+    coeffs *= grid.cached("gff_sd", lambda: np.sqrt(gff_mode_variance(grid)))
     # a view: the field freezes it, not the caller's workspace
     return SpectralField(grid, coeffs[0] if isinstance(stream, RngStream) else coeffs[:])
 

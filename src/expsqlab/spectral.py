@@ -81,7 +81,8 @@ TWO_PI = 2.0 * np.pi
 class TorusGrid:
     """Uniform M x M collocation grid on the torus, M a power of two, M >= 8.
 
-    Mode arrays and Sobolev weights are precomputed lazily and cached;
+    Mode arrays are precomputed; Sobolev weights and other per-grid mode
+    arrays are computed lazily once (``cached``) and kept read-only, so
     instances are immutable and safe to share between workers.
     """
 
@@ -101,7 +102,7 @@ class TorusGrid:
         self.mode_axis = np.fft.fftfreq(M, d=1.0 / M).astype(np.int64)
         self.kx, self.ky = np.meshgrid(self.mode_axis, self.mode_axis, indexing="ij")
         self.ksq = (self.kx * self.kx + self.ky * self.ky).astype(np.float64)
-        self._sobolev_cache: dict[float, np.ndarray] = {}
+        self._cache: dict = {}
         for arr in (self.points, self.mode_axis, self.kx, self.ky, self.ksq):
             arr.setflags(write=False)
 
@@ -113,15 +114,20 @@ class TorusGrid:
     def cell_area(self) -> float:
         return self.spacing**2
 
+    def cached(self, key, build) -> np.ndarray:
+        """The array ``build()`` returns, computed on the first call with
+        ``key`` on this grid and kept read-only for the later ones."""
+        arr = self._cache.get(key)
+        if arr is None:
+            arr = build()
+            arr.setflags(write=False)
+            self._cache[key] = arr
+        return arr
+
     def sobolev_weight(self, s: float) -> np.ndarray:
         """Flattened (1 + |k|^2)^s over all grid modes."""
         s = float(s)
-        w = self._sobolev_cache.get(s)
-        if w is None:
-            w = (1.0 + self.ksq.ravel()) ** s
-            w.setflags(write=False)
-            self._sobolev_cache[s] = w
-        return w
+        return self.cached(("sobolev", s), lambda: (1.0 + self.ksq.ravel()) ** s)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TorusGrid) and other.modes_per_dim == self.modes_per_dim

@@ -6,6 +6,14 @@ the closed form exp(alpha * P_N phi(x) - alpha^2 C_N / 2), with C_N the
 variance of P_N phi at a point under the free field.  The Hermite series
 that defines it is kept only as a test oracle (see hermite); the closed
 form is exact and cheaper.
+
+``WickParams`` is the one description of that exponential: it carries
+its cutoff profile psi next to the level N and the C_N computed from
+them, so the projection P_N (``WickParams.multiplier``) and the shift
+alpha^2 C_N / 2 (``WickParams.shift``) cannot come from different
+cutoffs.  Every Wick-facing function takes the parameters alone; only
+the primitives C_N is computed from (``CutoffProfile``, ``apply_PN``,
+``renorm_constant``, ``green_kernel_point``) take a profile and a level.
 """
 
 from __future__ import annotations
@@ -113,11 +121,13 @@ class CutoffProfile:
 
 @dataclass(frozen=True)
 class WickParams:
-    """Charge alpha, cutoff level, derived renormalization constant c_n and
-    the regularity exponent beta in (alpha^2/(4 pi), 1)."""
+    """Charge alpha, cutoff level and profile psi, the renormalization
+    constant c_n derived from them and the regularity exponent beta in
+    (alpha^2/(4 pi), 1)."""
 
     alpha: float
     level: int
+    psi: CutoffProfile
     c_n: float
     beta: float
 
@@ -132,6 +142,15 @@ class WickParams:
         if not (lo < self.beta < 1.0):
             raise ValueError(f"beta must lie strictly inside ({lo:.4f}, 1), got {self.beta}")
 
+    @property
+    def shift(self) -> float:
+        """The Wick shift alpha^2 C_N / 2 subtracted in the exponent."""
+        return 0.5 * self.alpha**2 * self.c_n
+
+    def multiplier(self, grid: TorusGrid) -> np.ndarray:
+        """The cutoff multiplier psi(2^{-N} k) of P_N over the grid modes."""
+        return self.psi.multiplier(grid, self.level)
+
 
 def make_wick_params(
     alpha: float,
@@ -140,12 +159,15 @@ def make_wick_params(
     grid: TorusGrid,
     beta: float | None = None,
 ) -> WickParams:
-    """WickParams with c_n computed from (psi, level, grid); beta defaults
-    to 0.5 when admissible, else the midpoint of the admissible window."""
+    """WickParams holding ``psi`` and c_n computed from (psi, level, grid);
+    beta defaults to 0.5 when admissible, else the midpoint of the
+    admissible window."""
     lo = alpha**2 / (4.0 * math.pi)
     if beta is None:
         beta = 0.5 if lo < 0.5 else 0.5 * (lo + 1.0)
-    return WickParams(alpha=alpha, level=level, c_n=renorm_constant(psi, level, grid), beta=beta)
+    return WickParams(
+        alpha=alpha, level=level, psi=psi, c_n=renorm_constant(psi, level, grid), beta=beta
+    )
 
 
 def hermite(n: int, x, sigma: float):
@@ -214,17 +236,17 @@ def guarded_exp(
     return out
 
 
-def wick_exp_values(field: SpectralField, params: WickParams, psi: CutoffProfile) -> np.ndarray:
+def wick_exp_values(field: SpectralField, params: WickParams) -> np.ndarray:
     """Physical-grid values of the Wick exponential (shared fast path); a
     stack of fields gives the stack of their values."""
-    vals = apply_PN(field, psi, params.level).values()
-    return guarded_exp(vals, params.alpha, 0.5 * params.alpha**2 * params.c_n)
+    vals = apply_PN(field, params.psi, params.level).values()
+    return guarded_exp(vals, params.alpha, params.shift)
 
 
-def wick_exp_gff(field: SpectralField, params: WickParams, psi: CutoffProfile) -> SpectralField:
+def wick_exp_gff(field: SpectralField, params: WickParams) -> SpectralField:
     """Wick exponential exp(alpha P_N phi - alpha^2 C_N / 2) of one draw,
     returned in spectral form; strictly positive on the physical grid."""
-    return to_spectral(wick_exp_values(field, params, psi), field.grid)
+    return to_spectral(wick_exp_values(field, params), field.grid)
 
 
 def green_kernel_point(psi: CutoffProfile, level: int, grid: TorusGrid, z) -> float:
@@ -236,14 +258,14 @@ def green_kernel_point(psi: CutoffProfile, level: int, grid: TorusGrid, z) -> fl
     return float(np.sum(m * m * np.cos(phase) / (1.0 + grid.ksq))) / (4.0 * math.pi**2)
 
 
-def analytic_wick_cov(params: WickParams, psi: CutoffProfile, x, y, grid: TorusGrid) -> float:
+def analytic_wick_cov(params: WickParams, x, y, grid: TorusGrid) -> float:
     """Second-moment oracle E[wick(x) wick(y)] = exp(alpha^2 K_N(x - y))."""
     z = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return math.exp(params.alpha**2 * green_kernel_point(psi, params.level, grid, z))
+    return math.exp(params.alpha**2 * green_kernel_point(params.psi, params.level, grid, z))
 
 
-def wick_exp_ou(traj: FieldPath, params: WickParams, psi: CutoffProfile) -> FieldPath:
+def wick_exp_ou(traj: FieldPath, params: WickParams) -> FieldPath:
     """Wick exponential applied along an OU trajectory."""
-    states = [wick_exp_gff(state, params, psi) for state in traj.states]
+    states = [wick_exp_gff(state, params) for state in traj.states]
     return FieldPath(times=traj.times, states=states)
 

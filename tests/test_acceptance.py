@@ -99,7 +99,7 @@ def test_criterion_02_wick_mean_one():
     for i in range(n_draws):
         f = gff_sample(grid, base.for_replica(i))
         for n in (1, 3):
-            vals[n][i] = wick_exp_values(f, params[n], psi)[5, 11]
+            vals[n][i] = wick_exp_values(f, params[n])[5, 11]
     zs = {}
     for n in (1, 3):
         se = vals[n].std(ddof=1) / math.sqrt(n_draws)
@@ -124,14 +124,14 @@ def test_criterion_03_wick_covariance():
     n_draws = 10_000
     prods = np.empty((len(pairs), n_draws))
     for i in range(n_draws):
-        w = wick_exp_values(gff_sample(grid, base.for_replica(i)), params, psi)
+        w = wick_exp_values(gff_sample(grid, base.for_replica(i)), params)
         for j, (a, b) in enumerate(pairs):
             prods[j, i] = w[a] * w[b]
     worst = 0.0
     h = grid.spacing
     for j, (a, b) in enumerate(pairs):
         target = analytic_wick_cov(
-            params, psi, (a[0] * h, a[1] * h), (b[0] * h, b[1] * h), grid
+            params, (a[0] * h, a[1] * h), (b[0] * h, b[1] * h), grid
         )
         se = prods[j].std(ddof=1) / math.sqrt(n_draws)
         worst = max(worst, abs((prods[j].mean() - target) / se))
@@ -156,11 +156,11 @@ def test_criterion_04_cutoff_cauchy_decay():
     cross  = np.empty(n_rep)
     for r in range(n_rep):
         f = gff_sample(grid, base.for_replica(r))
-        wicks = {n: wick_exp_values(f, p_sharp[n], sharp) for n in levels}
+        wicks = {n: wick_exp_values(f, p_sharp[n]) for n in levels}
         spectral = {n: to_spectral(wicks[n], grid) for n in levels}
         for j, n in enumerate(levels[:-1]):
             sq_gaps[r, j] = sobolev_norm(spectral[n + 1] - spectral[n], -beta) ** 2
-        w_smooth = to_spectral(wick_exp_values(f, p_smooth, smooth), grid)
+        w_smooth = to_spectral(wick_exp_values(f, p_smooth), grid)
         cross[r] = sobolev_norm(spectral[5] - w_smooth, -beta) ** 2
     means = sq_gaps.mean(axis=0)
     lam = -float(np.polyfit(levels[:-1], np.log2(means), 1)[0])
@@ -208,7 +208,7 @@ def test_criterion_06_sign_comparison():
     grid = make_grid(32)
     psi = CutoffProfile("sharp")
     params = make_wick_params(1.0, 2, psi, grid)
-    config = SqeConfig(horizon=0.5, dt=1.0 / 32, params=params, psi=psi)
+    config = SqeConfig(horizon=0.5, dt=1.0 / 32, params=params)
     times = time_grid(config)
     base = _stream("c06")
     worst = -math.inf
@@ -216,7 +216,7 @@ def test_criterion_06_sign_comparison():
     for r in range(100):
         sub = base.for_replica(r)
         traj = ou_path(gff_sample(grid, sub.child("x0")), times, sub.child("ou"))
-        chi = wick_exp_ou(traj, params, psi)
+        chi = wick_exp_ou(traj, params)
         path = solve_shifted(zero_field(grid), chi, config)
         m = float(max(s.values().max() for s in path.states))
         worst = max(worst, m)
@@ -230,7 +230,7 @@ def test_criterion_07_energy_contraction():
     grid = make_grid(32)
     psi = CutoffProfile("sharp")
     params = make_wick_params(1.0, 2, psi, grid)
-    config = SqeConfig(horizon=1.0, dt=1.0 / 64, params=params, psi=psi)
+    config = SqeConfig(horizon=1.0, dt=1.0 / 64, params=params)
     times = time_grid(config)
     base = _stream("c07")
     rates = []
@@ -238,7 +238,7 @@ def test_criterion_07_energy_contraction():
     for r in range(20):
         sub = base.for_replica(r)
         traj = ou_path(gff_sample(grid, sub.child("x0")), times, sub.child("ou"))
-        chi = wick_exp_ou(traj, params, psi)
+        chi = wick_exp_ou(traj, params)
         u1 = heat_semigroup(gff_sample(grid, sub.child("u1")), 0.05)
         u2 = heat_semigroup(gff_sample(grid, sub.child("u2")), 0.05)
         rep = contraction_check(u1, u2, chi, config)
@@ -268,17 +268,17 @@ def test_criterion_08_splitting_order():
         phi0 = heat_semigroup(gff_sample(grid, sub.child("init")), 0.1)
         fine_times = np.arange(2**p_ref + 1) * 2.0**-p_ref
         fine = ou_path(phi0, fine_times, sub.child("ou"))
-        chi = wick_exp_ou(fine, params, psi)
+        chi = wick_exp_ou(fine, params)
         # the coarse solves read only every 2^(p_ref - max(ps))-th fine state
         thin = 2 ** (p_ref - ps[-1])
         fine = FieldPath(times=fine.times[::thin], states=fine.states[::thin])
-        fine_cfg = SqeConfig(horizon=1.0, dt=2.0**-p_ref, params=params, psi=psi)
+        fine_cfg = SqeConfig(horizon=1.0, dt=2.0**-p_ref, params=params)
         y_fine = solve_shifted(zero_field(grid), chi, fine_cfg).states[::thin]
         del chi
         for c, p in enumerate(ps):
             stride = 2 ** (ps[-1] - p)
             x_traj = FieldPath(times=fine.times[::stride], states=fine.states[::stride])
-            cfg = SqeConfig(horizon=1.0, dt=2.0**-p, params=params, psi=psi)
+            cfg = SqeConfig(horizon=1.0, dt=2.0**-p, params=params)
             direct = solve_sqe_full(phi0, cfg, sub, x_traj=x_traj)
             if r == 0 and p == 5:
                 # record the same-grid exactness while we are here
@@ -312,7 +312,7 @@ def test_criterion_09_level_gap_decreasing():
     levels = [1, 2, 3, 4, 5]
     params = {n: make_wick_params(1.0, n, psi, grid) for n in levels}
     cfgs = {
-        n: SqeConfig(horizon=1.0, dt=2.0**-6, params=params[n], psi=psi)
+        n: SqeConfig(horizon=1.0, dt=2.0**-6, params=params[n])
         for n in levels
     }
     base = _stream("c09")
@@ -341,9 +341,9 @@ def test_criterion_10_invariance_and_control():
     psi = CutoffProfile("sharp")
     params = make_wick_params(1.0, 2, psi, grid)
     base = _stream("c10")
-    ens = sample_ensemble(grid, params, psi, 20_000, base.child("ens"))
-    obs = standard_observables(params, psi)
-    good_cfg = SqeConfig(horizon=1.0, dt=1.0 / 64, params=params, psi=psi)
+    ens = sample_ensemble(grid, params, 20_000, base.child("ens"))
+    obs = standard_observables(params)
+    good_cfg = SqeConfig(horizon=1.0, dt=1.0 / 64, params=params)
     good = invariance_test(ens, good_cfg, obs, base.child("dyn"), replicas=1000)
     bad_cfg = replace(good_cfg, params=replace(params, c_n=0.0))
     control = invariance_test(ens, bad_cfg, obs, base.child("control"), replicas=1000)
@@ -360,13 +360,13 @@ def test_criterion_11_partition_bounds():
     psi = CutoffProfile("sharp")
     params = make_wick_params(1.0, 2, psi, grid)
     base = _stream("c11")
-    ens = sample_ensemble(grid, params, psi, 3000, base.child("untilted"), tilt="none")
+    ens = sample_ensemble(grid, params, 3000, base.child("untilted"), tilt="none")
     max_lw = float(ens.log_weights.max())
     est = estimate_partition(ens)
     lower = math.exp(-AREA) * (1.0 - 3.0 * est.std_error / est.value)
     bound_ok = max_lw <= 1e-9 and est.value >= lower
     params0 = make_wick_params(0.0, 2, psi, grid)
-    ens0 = sample_ensemble(grid, params0, psi, 200, base.child("zero"))
+    ens0 = sample_ensemble(grid, params0, 200, base.child("zero"))
     rel = float(np.abs(ens0.log_weights + AREA).max()) / AREA
     est0 = estimate_partition(ens0)
     exact_ok = rel <= 1e-12 and abs(est0.log_value + AREA) / AREA <= 1e-12

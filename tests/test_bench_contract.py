@@ -4,13 +4,19 @@ The benchmark wraps named functions, calls every ``cmd_*`` driver with
 ``threads=1`` and stamps ``expsqlab.KERNEL_BACKEND``; deleting or renaming
 any of these must fail here rather than in a benchmark run.  Every
 benchmark run also checks each workload's report body against a digest
-pinned at seed 0, so a body drift must fail here too.  The tracing and
-workload modules are loaded from their files and nothing is installed.
+pinned at seed 0, so a body drift must fail here too.  Before the digest,
+each body is compared field by field with its value golden in
+``tests/golden/workloads.json`` (``json.loads(report.body_bytes())`` of
+each workload at seed 0): floats to a relative 1e-12, every other value
+exactly, so a drift names the field that moved.  The tracing and workload
+modules are loaded from their files and nothing is installed.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -19,6 +25,7 @@ import expsqlab
 from expsqlab import experiments, parse_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "workloads.json"
 
 
 def _load(name: str):
@@ -51,6 +58,37 @@ def test_kernel_backend_is_stamped():
     assert isinstance(expsqlab.KERNEL_BACKEND, str)
 
 
+def value_drift(got, want, path="body") -> list[str]:
+    """Paths at which the JSON value ``got`` differs from ``want``:
+    floats beyond a relative 1e-12, anything else at all."""
+    if isinstance(want, float) and isinstance(got, float):
+        if math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0):
+            return []
+        return [f"{path}: {got!r} != {want!r}"]
+    if isinstance(want, dict) and isinstance(got, dict):
+        if got.keys() != want.keys():
+            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
+        return [d for k in sorted(want) for d in value_drift(got[k], want[k], f"{path}.{k}")]
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return [
+            d for i, (g, w) in enumerate(zip(got, want)) for d in value_drift(g, w, f"{path}[{i}]")
+        ]
+    if type(got) is not type(want) or got != want:
+        return [f"{path}: {got!r} != {want!r}"]
+    return []
+
+
+def test_value_drift_names_the_field():
+    want = {"a": 1.0, "b": [1, "x"], "c": {"d": True}}
+    assert value_drift({"a": 1.0 + 1e-13, "b": [1, "x"], "c": {"d": True}}, want) == []
+    assert value_drift({"a": 1.0 + 1e-11, "b": [1.0, "x"], "c": {"d": 1}}, want) == [
+        f"body.a: {1.0 + 1e-11!r} != 1.0", "body.b[0]: 1.0 != 1", "body.c.d: 1 != True"
+    ]
+    assert value_drift({"a": 1.0, "b": [1], "c": {}}, want) == [
+        "body.b: [1] != [1, 'x']", "body.c: keys [] != ['d']"
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
 def test_workload_digest_at_seed_0(name):
     # the full config as the benchmark child parses it; no out_dir, so
@@ -60,4 +98,6 @@ def test_workload_digest_at_seed_0(name):
     cmd = getattr(experiments, "cmd_" + spec["command"].replace("-", "_"))
     report = cmd(cfg, out_dir=None, threads=1)
     assert report.exit_code == 0
+    golden = json.loads(GOLDEN.read_text())[name]
+    assert value_drift(json.loads(report.body_bytes()), golden) == []
     assert report.body_digest() == spec["digest"]

@@ -56,15 +56,14 @@ from expsqlab.spectral import BLOCK_BYTES, to_coeffs, to_values
 
 
 def _setup(grid, alpha=1.0, level=2):
-    psi = CutoffProfile("sharp")
-    return make_wick_params(alpha, level, psi, grid), psi
+    return make_wick_params(alpha, level, CutoffProfile("sharp"), grid)
 
 
 def _block_rows(grid):
     return BLOCK_BYTES // (16 * grid.npoints)
 
 
-def _reference_ensemble(grid, params, psi, count, stream, m):
+def _reference_ensemble(grid, params, count, stream, m):
     """The one-proposal-at-a-time loop sample_ensemble must reproduce."""
     base = stream.child("proposal")
     samples, log_w = [], []
@@ -75,7 +74,7 @@ def _reference_ensemble(grid, params, psi, count, stream, m):
             coeffs[0, 0] += m
             draw = SpectralField(grid, coeffs)
         u0 = float(np.real(draw.coeffs[0, 0]))
-        log_w.append(rn_log_weight(draw, params, psi) - m * u0 + 0.5 * m * m)
+        log_w.append(rn_log_weight(draw, params) - m * u0 + 0.5 * m * m)
         samples.append(draw)
     return samples, np.array(log_w)
 
@@ -138,11 +137,11 @@ def test_transform_stack_rows_match_single_fields(M, n, seed):
 
 @pytest.mark.parametrize("tilt", ["auto", "none"])
 def test_ensemble_matches_single_proposal_loop(grid32, tilt):
-    params, psi = _setup(grid32)
+    params = _setup(grid32)
     stream = RngStream(610, purpose="blocked")
-    ens = sample_ensemble(grid32, params, psi, 101, stream, tilt=tilt)
+    ens = sample_ensemble(grid32, params, 101, stream, tilt=tilt)
     m = mode0_tilt_mean(params.alpha) if tilt == "auto" else 0.0
-    samples, log_w = _reference_ensemble(grid32, params, psi, 101, stream, m)
+    samples, log_w = _reference_ensemble(grid32, params, 101, stream, m)
     assert np.array_equal(ens.log_weights, log_w)
     assert ens.n_underflow == int((log_w < UNDERFLOW_LOG).sum())
     # the proposals are rebuilt from their streams, bit for bit as drawn
@@ -157,11 +156,11 @@ def test_resample_rebuilds_repeated_unordered_ancestors(grid32):
     # order; each draw must be its reference proposal's bytes, across the
     # block boundaries of the rebuild (the untilted proposal is too
     # degenerate to resample at any size a test can afford)
-    params, psi = _setup(grid32, alpha=0.5, level=1)
+    params = _setup(grid32, alpha=0.5, level=1)
     stream = RngStream(622, purpose="rebuild")
-    ens = sample_ensemble(grid32, params, psi, 64, stream)
+    ens = sample_ensemble(grid32, params, 64, stream)
     m = mode0_tilt_mean(params.alpha)
-    samples, _ = _reference_ensemble(grid32, params, psi, 64, stream, m)
+    samples, _ = _reference_ensemble(grid32, params, 64, stream, m)
     draws = resample_stationary(ens, 70, stream.child("pick"))
     ancestors = draws.ancestors.tolist()
     assert len(set(ancestors)) < len(ancestors)
@@ -172,8 +171,8 @@ def test_resample_rebuilds_repeated_unordered_ancestors(grid32):
 
 
 def test_evolve_projected_matches_single_solves(grid32):
-    params, psi = _setup(grid32)
-    config = SqeConfig(horizon=0.125, dt=1.0 / 64, params=params, psi=psi)
+    params = _setup(grid32)
+    config = SqeConfig(horizon=0.125, dt=1.0 / 64, params=params)
     base = RngStream(612, purpose="evolve")
     phi0 = gff_sample(grid32, [base.child("init").for_replica(i) for i in range(3)])
     streams = [base.for_replica(i) for i in range(3)]
@@ -202,8 +201,8 @@ def _stacks_until_overflow(flow):
 def test_failing_replica_leaves_other_replicas_unharmed(grid32):
     # one hot constant replica among ordinary draws fails at step 0; every
     # other replica steps on exactly as its own solve
-    params, psi = _setup(grid32)
-    config = SqeConfig(horizon=0.125, dt=1.0 / 64, params=params, psi=psi)
+    params = _setup(grid32)
+    config = SqeConfig(horizon=0.125, dt=1.0 / 64, params=params)
     base = RngStream(624, purpose="failing-replica")
     streams = [base.for_replica(i) for i in range(4)]
     coeffs = gff_sample(grid32, [base.child("init").for_replica(i) for i in range(4)]).copy_coeffs()
@@ -223,10 +222,10 @@ def test_failing_replica_leaves_other_replicas_unharmed(grid32):
 
 
 def test_invariance_matches_single_replica_loop(grid32):
-    params, psi = _setup(grid32)
+    params = _setup(grid32)
     stream = RngStream(613, purpose="blocked-inv")
-    ens = sample_ensemble(grid32, params, psi, 101, stream.child("ens"))
-    config = SqeConfig(horizon=0.125, dt=1.0 / 64, params=params, psi=psi)
+    ens = sample_ensemble(grid32, params, 101, stream.child("ens"))
+    config = SqeConfig(horizon=0.125, dt=1.0 / 64, params=params)
     seen = []
 
     def record(f):
@@ -249,13 +248,13 @@ def test_ensemble_overflow_names_lowest_failing_proposal(grid32):
     # pick a tilt whose guard threshold falls between the exponents of the
     # proposals of the first block, so that the lowest failing proposal k
     # is neither the block's first row nor its largest exponent
-    params, psi = _setup(grid32)
+    params = _setup(grid32)
     stream = RngStream(614, purpose="overflow")
     base = stream.child("proposal")
     shift = 0.5 * params.alpha**2 * params.c_n
     rows = _block_rows(grid32)
     peaks = [
-        params.alpha * apply_PN(gff_sample(grid32, base.for_replica(i)), psi, params.level)
+        params.alpha * apply_PN(gff_sample(grid32, base.for_replica(i)), params.psi, params.level)
         .values().max() - shift
         for i in range(rows)
     ]
@@ -270,12 +269,12 @@ def test_ensemble_overflow_names_lowest_failing_proposal(grid32):
         draw = gff_sample(grid32, base.for_replica(i))
         coeffs = draw.copy_coeffs()
         coeffs[0, 0] += m
-        rn_log_weight(SpectralField(grid32, coeffs), params, psi)
+        rn_log_weight(SpectralField(grid32, coeffs), params)
 
     index, exponent = _first_overflow(one, 40)
     assert index == k
     with pytest.raises(WickOverflowError) as info:
-        sample_ensemble(grid32, params, psi, 40, stream, tilt=m)
+        sample_ensemble(grid32, params, 40, stream, tilt=m)
     assert info.value.max_exponent == exponent
 
 
@@ -283,13 +282,13 @@ def test_solver_overflow_names_lowest_failing_replica(grid32):
     # an equal-weight ensemble with a few constant fields hot enough to
     # trip the guard; the first hot replica sits inside a block, followed
     # by hotter ones in the same block
-    params, psi = _setup(grid32)
+    params = _setup(grid32)
     hot = {48 + j: constant_field(grid32, 700.0 + params.c_n / 2 + j + 1) for j in range(16)}
     samples = tuple(hot.get(i, zero_field(grid32)) for i in range(64))
     ens = WeightedEnsemble(grid=grid32, proposals=_stored(samples),
                            log_weights=np.full(64, -1.0))
-    config = SqeConfig(horizon=0.0625, dt=1.0 / 64, params=params, psi=psi)
-    obs = standard_observables(params, psi)
+    config = SqeConfig(horizon=0.0625, dt=1.0 / 64, params=params)
+    obs = standard_observables(params)
     stream = RngStream(617, purpose="overflow-dyn")
     draws = resample_stationary(ens, 40, stream)
 
@@ -307,8 +306,8 @@ def test_solver_overflow_names_lowest_failing_replica(grid32):
 
 
 def test_degenerate_ensemble_has_its_own_error(grid32):
-    params, psi = _setup(grid32)
-    plain = sample_ensemble(grid32, params, psi, 60, RngStream(616, purpose="d"), tilt="none")
+    params = _setup(grid32)
+    plain = sample_ensemble(grid32, params, 60, RngStream(616, purpose="d"), tilt="none")
     with pytest.raises(DegenerateEnsembleError, match="ESS"):
         resample_stationary(plain, 10, RngStream(616))
 
@@ -316,8 +315,7 @@ def test_degenerate_ensemble_has_its_own_error(grid32):
 def _level_configs(grid, kind, levels, horizon=0.125):
     psi = CutoffProfile(kind)
     return [
-        SqeConfig(horizon=horizon, dt=1.0 / 64, params=make_wick_params(1.0, n, psi, grid),
-                  psi=psi)
+        SqeConfig(horizon=horizon, dt=1.0 / 64, params=make_wick_params(1.0, n, psi, grid))
         for n in levels
     ]
 
@@ -481,12 +479,12 @@ def test_ensemble_memory_does_not_grow_with_samples(grid32):
     # the resampled ancestors block by block: eight times the proposals
     # may add one block and the log-weights to the peak, never the
     # proposals themselves (16 KiB each at M = 32)
-    params, psi = _setup(grid32)
+    params = _setup(grid32)
     stream = RngStream(623, purpose="ensemble-memory")
 
     def run(samples):
         def go():
-            ens = sample_ensemble(grid32, params, psi, samples, stream)
+            ens = sample_ensemble(grid32, params, samples, stream)
             resample_stationary(ens, 40, stream)
         return go
 

@@ -33,9 +33,8 @@ from expsqlab import (
 from expsqlab.spectral import heat_multiplier
 
 
-def _params(grid, alpha=1.0, level=2, sharp=None):
-    psi = sharp or CutoffProfile("sharp")
-    return make_wick_params(alpha, level, psi, grid), psi
+def _params(grid, alpha=1.0, level=2):
+    return make_wick_params(alpha, level, CutoffProfile("sharp"), grid)
 
 
 def _constant_forcing(config, grid, value=1.0):
@@ -44,8 +43,8 @@ def _constant_forcing(config, grid, value=1.0):
 
 
 def _shifted_config(grid, dt, horizon=1.0, alpha=1.0, level=0, **kw):
-    params, psi = _params(grid, alpha=alpha, level=level)
-    return SqeConfig(horizon=horizon, dt=dt, params=params, psi=psi, **kw)
+    params = _params(grid, alpha=alpha, level=level)
+    return SqeConfig(horizon=horizon, dt=dt, params=params, **kw)
 
 
 def _constant_mode_final(grid, dt, u0, alpha=1.0):
@@ -97,12 +96,12 @@ def test_zero_forcing_is_heat_flow(grid32, stream):
 
 
 def test_alpha_zero_full_solve_is_projected_ou(grid32, stream):
-    params, psi = _params(grid32, alpha=0.0, level=2)
-    config = SqeConfig(horizon=0.5, dt=1.0 / 32, params=params, psi=psi)
+    params = _params(grid32, alpha=0.0, level=2)
+    config = SqeConfig(horizon=0.5, dt=1.0 / 32, params=params)
     phi0 = gff_sample(grid32, stream.child("init"))
     x_traj = ou_path(phi0, time_grid(config), stream.child("noise"))
     path = solve_sqe_full(phi0, config, stream, x_traj=x_traj)
-    mult = psi.multiplier(grid32, 2)
+    mult = params.multiplier(grid32)
     for state, x in zip(path.states, x_traj.states):
         assert np.abs(state.coeffs - mult * x.coeffs).max() < 1e-12
     _, y_part, _ = decompose(path, x_traj, config)
@@ -119,8 +118,8 @@ def test_alpha_zero_full_solve_is_projected_ou(grid32, stream):
 
 
 def _decomposed_full_solve(grid, stream):
-    params, psi = _params(grid, alpha=1.0, level=2)
-    config = SqeConfig(horizon=0.5, dt=1.0 / 32, params=params, psi=psi)
+    params = _params(grid, alpha=1.0, level=2)
+    config = SqeConfig(horizon=0.5, dt=1.0 / 32, params=params)
     phi0 = gff_sample(grid, stream.child("init"))
     path = solve_sqe_full(phi0, config, stream.child("noise"))
     # without x_traj the solve draws its OU trajectory from the "ou" child
@@ -151,7 +150,7 @@ def test_remainder_sign_structure(grid32, stream):
     config = _shifted_config(grid32, dt=1.0 / 32, horizon=0.5, level=2)
     times = time_grid(config)
     traj = ou_path(gff_sample(grid32, stream.child("x0")), times, stream.child("ou"))
-    chi = wick_exp_ou(traj, config.params, config.psi)
+    chi = wick_exp_ou(traj, config.params)
     path = solve_shifted(zero_field(grid32), chi, config)
     assert max(s.values().max() for s in path.states) <= 1e-12
 
@@ -169,7 +168,7 @@ def test_contraction_random_pair(grid32, stream):
     config = _shifted_config(grid32, dt=1.0 / 32, horizon=0.5, level=2)
     times = time_grid(config)
     traj = ou_path(gff_sample(grid32, stream.child("x0")), times, stream.child("ou"))
-    chi = wick_exp_ou(traj, config.params, config.psi)
+    chi = wick_exp_ou(traj, config.params)
     u1 = heat_semigroup(gff_sample(grid32, stream.child("a")), 0.1)
     u2 = heat_semigroup(gff_sample(grid32, stream.child("b")), 0.1)
     report = contraction_check(u1, u2, chi, config)
@@ -192,18 +191,18 @@ def test_negative_forcing_rejected(grid32, stream):
 
 
 def test_config_validation(grid32):
-    params, psi = _params(grid32, level=2)
+    params = _params(grid32, level=2)
     with pytest.raises(ValueError):
-        SqeConfig(horizon=0.0, dt=0.1, params=params, psi=psi)
+        SqeConfig(horizon=0.0, dt=0.1, params=params)
     with pytest.raises(ValueError):
-        SqeConfig(horizon=1.0, dt=2.0, params=params, psi=psi)
+        SqeConfig(horizon=1.0, dt=2.0, params=params)
     with pytest.raises(ValueError):
         # dt * 4^N = 2 * 16 above the stability cap
-        SqeConfig(horizon=4.0, dt=2.0, params=params, psi=psi)
-    bad = SqeConfig(horizon=1.0, dt=0.3, params=params, psi=psi)
+        SqeConfig(horizon=4.0, dt=2.0, params=params)
+    bad = SqeConfig(horizon=1.0, dt=0.3, params=params)
     with pytest.raises(ValueError):
         bad.n_steps()
-    ok = SqeConfig(horizon=1.0, dt=0.25, params=params, psi=psi)
+    ok = SqeConfig(horizon=1.0, dt=0.25, params=params)
     assert ok.n_steps() == 4
     assert np.array_equal(time_grid(ok), np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
 
@@ -231,8 +230,8 @@ def test_rough_initial_datum_rejected(stream):
 
 
 def test_x_traj_validation(grid32, stream):
-    params, psi = _params(grid32, level=2)
-    config = SqeConfig(horizon=0.25, dt=1.0 / 16, params=params, psi=psi)
+    params = _params(grid32, level=2)
+    config = SqeConfig(horizon=0.25, dt=1.0 / 16, params=params)
     phi0 = gff_sample(grid32, stream.child("init"))
     other = gff_sample(grid32, stream.child("other"))
     traj = ou_path(other, time_grid(config), stream.child("ou"))
@@ -244,8 +243,8 @@ def test_x_traj_validation(grid32, stream):
 
 
 def test_projected_solver_deterministic(grid32, stream):
-    params, psi = _params(grid32, alpha=1.0, level=2)
-    config = SqeConfig(horizon=0.25, dt=1.0 / 16, params=params, psi=psi)
+    params = _params(grid32, alpha=1.0, level=2)
+    config = SqeConfig(horizon=0.25, dt=1.0 / 16, params=params)
     phi0 = gff_sample(grid32, stream.child("init"))
     a = solve_sqe_projected(phi0, config, stream.child("n"))
     b = solve_sqe_projected(phi0, config, stream.child("n"))
@@ -257,9 +256,9 @@ def test_projected_solver_deterministic(grid32, stream):
 def test_flows_yield_fresh_states(grid32, stream):
     # the step loops overwrite their workspaces, never a state: kept
     # states share no memory, and no yielded stack changes afterwards
-    params, psi = _params(grid32, level=2)
-    config = SqeConfig(horizon=0.25, dt=1.0 / 16, params=params, psi=psi)
-    coarse = SqeConfig(horizon=0.25, dt=1.0 / 16, params=_params(grid32, level=1)[0], psi=psi)
+    params = _params(grid32, level=2)
+    config = SqeConfig(horizon=0.25, dt=1.0 / 16, params=params)
+    coarse = SqeConfig(horizon=0.25, dt=1.0 / 16, params=_params(grid32, level=1))
     phi0 = gff_sample(grid32, stream.child("init"))
     for path in (
         solve_sqe_full(phi0, config, stream),

@@ -178,9 +178,29 @@ def test_cli_threads_below_one_is_a_config_error(tmp_path, capsys):
         assert not (run / "report.json").exists()
 
 
-def test_cli_unknown_command():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+def test_cli_unknown_command(tmp_path, capsys):
+    # argparse's own code 2 would read as a failed check: a malformed
+    # command line is a bad configuration, with argparse's message and
+    # no report
+    run = tmp_path / "run"
+    for argv in (
+        ["frobnicate"],
+        [],
+        ["sqe", "--threads", "x", "--out-dir", str(run)],
+        ["sqe", "--out-dir", str(run), "--frobnicate"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 3, argv
+        assert "error:" in capsys.readouterr().err
+    assert not run.exists()
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sqe", "--help"])
+    assert info.value.code == 0
+    assert "--threads" in capsys.readouterr().out
 
 
 def _write_cfg(tmp_path, text):

@@ -225,7 +225,7 @@ def test_solver_states_golden(name):
     params = make_wick_params(1.0, 2, psi, grid)
     stream = RngStream(21, purpose="golden")
     phi0 = gff_sample(grid, stream.child("init"))
-    config = SqeConfig(horizon=0.25, dt=1 / 64, params=params, psi=psi)
+    config = SqeConfig(horizon=0.25, dt=1 / 64, params=params)
     if name == "full-decomposed":
         x_traj = ou_path(phi0, time_grid(config), stream.child("ou"))
         path = solve_sqe_full(phi0, config, stream, x_traj=x_traj)

@@ -16,7 +16,11 @@ value that is only validated and echoed into report bodies changes no
 result.  Every name in ``expsqlab.__all__`` must be read outside its own
 definition by the package, the acceptance battery or the benchmark, or
 be on the short ``UNREAD_EXPORTS`` list with its reason: a public name
-that only its unit tests call is surface without a use.
+that only its unit tests call is surface without a use.  No package
+function takes a ``CutoffProfile`` next to a ``WickParams``, and
+``SqeConfig`` holds no ``CutoffProfile``: the Wick parameters carry the
+cutoff their C_N was computed from, and a second profile beside them
+could disagree with it.
 """
 
 import ast
@@ -187,3 +191,60 @@ def test_scan_finds_name_reads():
 def test_every_export_is_read():
     read = set().union(*(name_reads(p.read_text()) for p in READERS))
     assert sorted(set(expsqlab.__all__) - read) == sorted(UNREAD_EXPORTS)
+
+
+def _annotation_names(node) -> set[str]:
+    """Names an annotation mentions, bare, as an attribute or inside a
+    string annotation."""
+    names = set()
+    for n in ast.walk(node) if node is not None else ():
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names |= _annotation_names(ast.parse(n.value, mode="eval"))
+    return names
+
+
+def split_cutoffs(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every function with a ``WickParams``-annotated and
+    a ``CutoffProfile``-annotated parameter, and of every
+    ``CutoffProfile`` field of a class named ``SqeConfig``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = (*a.posonlyargs, *a.args, *a.kwonlyargs)
+            kinds = set().union(*(_annotation_names(x.annotation) for x in params))
+            if {"WickParams", "CutoffProfile"} <= kinds:
+                found.append((node.lineno, node.name))
+        elif isinstance(node, ast.ClassDef) and node.name == "SqeConfig":
+            found += [
+                (f.lineno, f"SqeConfig.{f.target.id}")
+                for f in node.body
+                if isinstance(f, ast.AnnAssign)
+                and "CutoffProfile" in _annotation_names(f.annotation)
+            ]
+    return found
+
+
+def test_scan_finds_a_split_cutoff():
+    source = (
+        "def f(x, params: WickParams, psi: 'wick.CutoffProfile | None' = None):\n    pass\n"
+        "def g(params: WickParams, *, psi: wick.CutoffProfile):\n    pass\n"
+        "def h(params: WickParams, grid: TorusGrid):\n    pass\n"
+        "def k(psi: CutoffProfile, level: int):\n    pass\n"
+        "class SqeConfig:\n    params: WickParams\n    psi: CutoffProfile\n"
+        "class WickParams:\n    psi: CutoffProfile\n"
+    )
+    assert split_cutoffs(source) == [(1, "f"), (3, "g"), (11, "SqeConfig.psi")]
+
+
+def test_no_cutoff_travels_beside_wick_params():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in PACKAGE
+        for line, name in split_cutoffs(path.read_text())
+    ]
+    assert found == []

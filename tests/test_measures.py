@@ -31,15 +31,14 @@ from expsqlab.measures import AREA, _cluster_se
 
 
 def _setup(grid, alpha=1.0, level=2):
-    psi = CutoffProfile("sharp")
-    return make_wick_params(alpha, level, psi, grid), psi
+    return make_wick_params(alpha, level, CutoffProfile("sharp"), grid)
 
 
 def test_rn_weight_range(grid32, stream):
-    params, psi = _setup(grid32)
+    params = _setup(grid32)
     for i in range(20):
         f = gff_sample(grid32, stream.for_replica(i))
-        lw = rn_log_weight(f, params, psi)
+        lw = rn_log_weight(f, params)
         assert lw < 0.0
         assert 0.0 < math.exp(lw) <= 1.0
 
@@ -47,8 +46,8 @@ def test_rn_weight_range(grid32, stream):
 def test_alpha_zero_exact_weights(grid32, stream):
     # alpha = 0: the Wick exponential is exp(0) = 1, the integral is the
     # torus area, every weight is exp(-4 pi^2) with no randomness at all
-    params, psi = _setup(grid32, alpha=0.0)
-    ens = sample_ensemble(grid32, params, psi, 40, stream)
+    params = _setup(grid32, alpha=0.0)
+    ens = sample_ensemble(grid32, params, 40, stream)
     assert ens.tilt_mean == 0.0
     assert np.allclose(ens.log_weights, -AREA, rtol=1e-12)
     assert ens.ess() == pytest.approx(40.0, rel=1e-12)
@@ -60,9 +59,9 @@ def test_alpha_zero_exact_weights(grid32, stream):
 def test_constant_field_log_weight(grid32):
     # for a constant field c the projected field is c, so the weight is
     # exp(-4 pi^2 exp(alpha c - alpha^2 C_N / 2)) exactly
-    params, psi = _setup(grid32, alpha=1.0)
+    params = _setup(grid32, alpha=1.0)
     c = -0.7
-    lw = rn_log_weight(constant_field(grid32, c), params, psi)
+    lw = rn_log_weight(constant_field(grid32, c), params)
     assert lw == pytest.approx(-AREA * math.exp(c - 0.5 * params.c_n), rel=1e-12)
 
 
@@ -80,10 +79,10 @@ def test_mode0_tilt_mean():
 
 
 def test_tilt_lifts_ess(grid32):
-    params, psi = _setup(grid32, alpha=1.0)
+    params = _setup(grid32, alpha=1.0)
     base = RngStream(606, purpose="ess")
-    plain = sample_ensemble(grid32, params, psi, 300, base, tilt="none")
-    tilted = sample_ensemble(grid32, params, psi, 300, base, tilt="auto")
+    plain = sample_ensemble(grid32, params, 300, base, tilt="none")
+    tilted = sample_ensemble(grid32, params, 300, base, tilt="auto")
     assert plain.ess() < 30.0
     assert tilted.ess() > 150.0
     assert tilted.tilt_mean == pytest.approx(mode0_tilt_mean(1.0))
@@ -91,30 +90,30 @@ def test_tilt_lifts_ess(grid32):
 
 def test_tilt_choices_agree_on_partition(grid32):
     # different proposals, same target: estimates must agree within noise
-    params, psi = _setup(grid32, alpha=1.0)
+    params = _setup(grid32, alpha=1.0)
     base = RngStream(607, purpose="agree")
     a = estimate_partition(
-        sample_ensemble(grid32, params, psi, 1200, base.child("a"), tilt="auto")
+        sample_ensemble(grid32, params, 1200, base.child("a"), tilt="auto")
     )
     m = mode0_tilt_mean(1.0)
     b = estimate_partition(
-        sample_ensemble(grid32, params, psi, 1200, base.child("b"), tilt=m - 0.5)
+        sample_ensemble(grid32, params, 1200, base.child("b"), tilt=m - 0.5)
     )
     gap = abs(a.value - b.value)
     assert gap < 4.0 * math.hypot(a.std_error, b.std_error)
 
 
 def test_sample_ensemble_validation(grid32, stream):
-    params, psi = _setup(grid32)
+    params = _setup(grid32)
     with pytest.raises(ValueError):
-        sample_ensemble(grid32, params, psi, 0, stream)
+        sample_ensemble(grid32, params, 0, stream)
     with pytest.raises(ValueError):
-        sample_ensemble(grid32, params, psi, 5, stream, tilt="bogus")
+        sample_ensemble(grid32, params, 5, stream, tilt="bogus")
 
 
 def test_weighted_ensemble_invariants(grid32, stream):
-    params, psi = _setup(grid32)
-    ens = sample_ensemble(grid32, params, psi, 50, stream)
+    params = _setup(grid32)
+    ens = sample_ensemble(grid32, params, 50, stream)
     assert len(ens) == 50
     assert ens.weights.max() == 1.0
     assert 1.0 <= ens.ess() <= 50.0
@@ -148,12 +147,12 @@ def test_weighted_ensemble_invariants(grid32, stream):
 
 
 def test_resample_refuses_degenerate(grid32):
-    params, psi = _setup(grid32, alpha=1.0)
+    params = _setup(grid32, alpha=1.0)
     base = RngStream(608, purpose="degen")
-    plain = sample_ensemble(grid32, params, psi, 200, base, tilt="none")
+    plain = sample_ensemble(grid32, params, 200, base, tilt="none")
     with pytest.raises(ValueError, match="ESS"):
         resample_stationary(plain, 100, base)
-    tilted = sample_ensemble(grid32, params, psi, 200, base, tilt="auto")
+    tilted = sample_ensemble(grid32, params, 200, base, tilt="auto")
     draws = resample_stationary(tilted, 100, base)
     assert len(draws.fields) == 100
     assert draws.ancestors.shape == (100,)
@@ -180,8 +179,8 @@ def test_cluster_se_oracle():
 
 
 def test_standard_observables(grid32, stream):
-    params, psi = _setup(grid32)
-    obs = standard_observables(params, psi)
+    params = _setup(grid32)
+    obs = standard_observables(params)
     assert set(obs) == {"hneg_norm", "hneg_norm_sq", "mode0", "mode0_sq", "wick_mean"}
     f = gff_sample(grid32, stream)
     vals = {k: fn(f) for k, fn in obs.items()}
@@ -192,11 +191,11 @@ def test_standard_observables(grid32, stream):
 
 def test_invariance_quick(grid8):
     # small but real end-to-end run; the acceptance suite does the heavy one
-    params, psi = _setup(grid8, alpha=1.0, level=0)
+    params = _setup(grid8, alpha=1.0, level=0)
     base = RngStream(609, purpose="inv-quick")
-    ens = sample_ensemble(grid8, params, psi, 1500, base.child("ens"))
-    config = SqeConfig(horizon=0.5, dt=1.0 / 32, params=params, psi=psi)
-    obs = standard_observables(params, psi)
+    ens = sample_ensemble(grid8, params, 1500, base.child("ens"))
+    config = SqeConfig(horizon=0.5, dt=1.0 / 32, params=params)
+    obs = standard_observables(params)
     report = invariance_test(ens, config, obs, base.child("test"), replicas=120)
     assert report.replicas == 120
     assert 0 < report.clusters <= 120

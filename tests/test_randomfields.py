@@ -11,6 +11,7 @@ from expsqlab import (
     gff_mode_variance,
     gff_sample,
     hermitian_defect,
+    make_grid,
     ou_noise_variance,
     ou_path,
     zero_field,
@@ -24,6 +25,19 @@ def test_gff_sample_is_real(grid32, stream):
     f = gff_sample(grid32, stream)
     assert hermitian_defect(f) < 1e-12
     assert np.abs(f.coeffs[0, 0].imag) < 1e-12
+
+
+def test_gff_mode_sd_is_computed_once_per_grid(stream):
+    # gff_sample scales by one read-only standard deviation per grid,
+    # the same expression it used to evaluate on every call
+    grid = make_grid(16)
+    first = gff_sample(grid, stream.child("a"))
+    sd = grid.cached("gff_sd", lambda: None)
+    assert not sd.flags.writeable
+    assert sd.tobytes() == np.sqrt(gff_mode_variance(grid)).tobytes()
+    gff_sample(grid, stream.child("b"))
+    assert grid.cached("gff_sd", lambda: None) is sd
+    assert first.coeffs.tobytes() == gff_sample(make_grid(16), stream.child("a")).coeffs.tobytes()
 
 
 def test_gff_mode_variances(grid8):

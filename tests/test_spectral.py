@@ -37,6 +37,24 @@ def test_grid_validation():
     assert g.spacing == pytest.approx(TWO_PI / 8)
 
 
+def test_grid_cache_builds_once_read_only():
+    g = make_grid(8)
+    calls = []
+
+    def build():
+        calls.append(1)
+        return np.ones(3)
+
+    first = g.cached("ones", build)
+    assert g.cached("ones", build) is first
+    assert len(calls) == 1
+    assert not first.flags.writeable
+    # the Sobolev weights live in the same cache, one per order
+    assert g.sobolev_weight(-0.5) is g.sobolev_weight(-0.5)
+    assert not g.sobolev_weight(-0.5).flags.writeable
+    assert g.sobolev_weight(1).tobytes() == (1.0 + g.ksq.ravel()).tobytes()
+
+
 def test_constant_field_coefficient():
     # a constant c transforms to coeff(0) = 2 pi c and nothing else
     g = make_grid(16)

@@ -1,6 +1,7 @@
 """Renormalization constants and Wick exponentials against hand oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from expsqlab import (
     wick_exp_values,
 )
 from expsqlab.spectral import to_values
-from expsqlab.wick import scaled_exp
+from expsqlab.wick import guarded_exp, scaled_exp
 
 # sharp-cutoff constants, frozen from the lattice sums they define:
 # level 0 keeps |k| <= 1, so 4 pi^2 C_0 = 1 + 4 * (1/2) = 3 exactly
@@ -215,22 +216,41 @@ def test_make_wick_params_beta_default(grid32, sharp):
 
 def test_wick_params_validation(grid32, sharp):
     with pytest.raises(ValueError):
-        WickParams(alpha=ALPHA_MAX, level=2, c_n=0.2, beta=0.999)
+        WickParams(alpha=ALPHA_MAX, level=2, psi=sharp, c_n=0.2, beta=0.999)
     with pytest.raises(ValueError):
-        WickParams(alpha=-ALPHA_MAX - 0.1, level=2, c_n=0.2, beta=0.999)
+        WickParams(alpha=-ALPHA_MAX - 0.1, level=2, psi=sharp, c_n=0.2, beta=0.999)
     with pytest.raises(ValueError):
-        WickParams(alpha=1.0, level=-1, c_n=0.2, beta=0.5)
+        WickParams(alpha=1.0, level=-1, psi=sharp, c_n=0.2, beta=0.5)
     with pytest.raises(ValueError):
-        WickParams(alpha=1.0, level=2, c_n=-0.1, beta=0.5)
+        WickParams(alpha=1.0, level=2, psi=sharp, c_n=-0.1, beta=0.5)
     with pytest.raises(ValueError):
-        WickParams(alpha=1.0, level=2, c_n=0.2, beta=0.05)  # below alpha^2/(4 pi)
+        WickParams(alpha=1.0, level=2, psi=sharp, c_n=0.2, beta=0.05)  # below alpha^2/(4 pi)
     with pytest.raises(ValueError):
-        WickParams(alpha=1.0, level=2, c_n=0.2, beta=1.0)
+        WickParams(alpha=1.0, level=2, psi=sharp, c_n=0.2, beta=1.0)
+
+
+def test_wick_params_carry_their_cutoff(smooth):
+    # the profile c_n is computed from stays in the parameters, and the
+    # shift and the cutoff multiplier are the spelled-out expressions
+    grid = make_grid(64)
+    params = make_wick_params(1.0, 3, smooth, grid)
+    assert params.psi is smooth
+    assert params.c_n == renorm_constant(smooth, 3, grid)
+    shift = 0.5 * params.alpha**2 * params.c_n
+    assert params.shift == shift
+    assert params.multiplier(grid).tobytes() == smooth.multiplier(grid, 3).tobytes()
+    f = gff_sample(grid, RngStream(77, purpose="wick-fold"))
+    expected = guarded_exp(apply_PN(f, smooth, 3).values(), params.alpha, shift)
+    assert wick_exp_values(f, params).tobytes() == expected.tobytes()
+    # the c10 control: zeroing C_N keeps the cutoff
+    control = replace(params, c_n=0.0)
+    assert control.psi is smooth
+    assert control.shift == 0.0
 
 
 def test_wick_exp_of_zero_field(grid32, sharp):
     params = make_wick_params(1.0, 2, sharp, grid32)
-    vals = wick_exp_values(constant_field(grid32, 0.0), params, sharp)
+    vals = wick_exp_values(constant_field(grid32, 0.0), params)
     assert np.allclose(vals, math.exp(-0.5 * params.c_n), rtol=1e-14)
 
 
@@ -242,7 +262,7 @@ def test_wick_mean_one(grid32, sharp):
     acc = 0.0
     for i in range(n):
         f = gff_sample(grid32, base.for_replica(i))
-        acc += wick_exp_values(f, params, sharp)[0, 0]
+        acc += wick_exp_values(f, params)[0, 0]
     # per-point variance exp(alpha^2 C_N) - 1 ~ 0.25, 5 sigma gate
     se = math.sqrt((math.exp(params.c_n) - 1.0) / n)
     assert abs(acc / n - 1.0) < 5.0 * se
@@ -270,7 +290,7 @@ def test_green_field_matches_point_sum(grid32, smooth):
 
 def test_analytic_wick_cov_diagonal(grid32, sharp):
     params = make_wick_params(1.2, 2, sharp, grid32)
-    got = analytic_wick_cov(params, sharp, (0.3, 0.4), (0.3, 0.4), grid32)
+    got = analytic_wick_cov(params, (0.3, 0.4), (0.3, 0.4), grid32)
     assert got == pytest.approx(math.exp(1.2**2 * params.c_n), rel=1e-12)
 
 
@@ -278,7 +298,7 @@ def test_overflow_guard(grid32, sharp):
     params = make_wick_params(1.0, 2, sharp, grid32)
     big = constant_field(grid32, 800.0)
     with pytest.raises(WickOverflowError) as info:
-        wick_exp_values(big, params, sharp)
+        wick_exp_values(big, params)
     assert info.value.max_exponent == pytest.approx(800.0 - 0.5 * params.c_n, rel=1e-12)
 
 
@@ -295,7 +315,7 @@ def test_wick_exp_ou_path(grid32, sharp, stream):
     params = make_wick_params(1.0, 2, sharp, grid32)
     times = np.linspace(0.0, 0.5, 5)
     traj = ou_path(gff_sample(grid32, stream.child("init")), times, stream.child("path"))
-    path = wick_exp_ou(traj, params, sharp)
+    path = wick_exp_ou(traj, params)
     assert np.array_equal(path.times, times)
     assert all(f.values().min() > 0.0 for f in path.states)
 
