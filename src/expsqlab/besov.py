@@ -26,9 +26,6 @@ __all__ = [
     "besov_norm",
 ]
 
-_weight_cache: dict = {}
-
-
 def _smooth_step(t: np.ndarray) -> np.ndarray:
     """0 for t <= 0, 1 for t >= 1, C^inf monotone in between."""
     t = np.asarray(t, dtype=np.float64)
@@ -55,24 +52,26 @@ def dyadic_blocks(grid) -> list[int]:
     return list(range(-1, int(math.floor(math.log2(r_max))) + 1))
 
 
-def block_weights(grid) -> list[tuple[int, np.ndarray]]:
-    """(j, multiplier array) pairs for the grid; weights sum to 1 per mode."""
-    cached = _weight_cache.get(grid)
-    if cached is None:
+def block_weights(grid) -> np.ndarray:
+    """The multipliers of the blocks ``dyadic_blocks(grid)``, one row each
+    of a read-only (J, M, M) array computed once per grid
+    (``TorusGrid.cached``); they sum to 1 per mode.  No block vanishes on
+    a grid (M a power of two, M >= 8): block -1 holds k = 0, block j below
+    the top one the mode (2^{j+1}, 0), and the top block J = log2(M) - 1
+    the mode (M/2, M/2), each with weight 1."""
+
+    def build():
         r = np.sqrt(grid.ksq)
-        cached = [(-1, chi(r))]
-        for j in dyadic_blocks(grid)[1:]:
-            w = rho(r / 2.0**j)
-            if np.any(w != 0.0):
-                cached.append((j, w))
-        _weight_cache[grid] = cached
-    return cached
+        return np.stack([chi(r)] + [rho(r / 2.0**j) for j in dyadic_blocks(grid)[1:]])
+
+    return grid.cached("besov_blocks", build)
 
 
 def besov_norm(field: SpectralField, s: float) -> float:
     """l^2 over blocks j >= -1 of 2^{js} ||Delta_j field||_{L^2}."""
+    grid = field.grid
     terms = [
-        2.0 ** (j * s) * sobolev_norm(SpectralField(field.grid, field.coeffs * w), 0.0)
-        for j, w in block_weights(field.grid)
+        2.0 ** (j * s) * sobolev_norm(SpectralField(grid, field.coeffs * w), 0.0)
+        for j, w in zip(dyadic_blocks(grid), block_weights(grid))
     ]
     return float(np.sum(np.asarray(terms) ** 2.0) ** (1.0 / 2.0))

@@ -45,8 +45,11 @@ Workspace rule: each loop allocates its spectral and grid temporaries
 once per call and overwrites them every step, through the ``out``
 arguments of the transform pair and of wick.scaled_exp, with the same
 ufuncs on the same operands as the allocating expressions, so every bit
-is theirs.  Every state a loop yields or keeps is a new array, never a
-workspace, so a caller may hold any number of them.
+is theirs.  The two stochastic flows also write each new state into one
+state buffer per call, so every stack they yield is that buffer, valid
+until the next stack is pulled; a caller that keeps a state copies it
+(``solve_sqe_full``, ``solve_sqe_projected``).  The states
+``solve_shifted`` keeps are new arrays.
 
 The two stochastic equations step a stack of rows at once under one
 flow contract.  ``evolve_levels`` steps the cutoff levels (L, M, M) of
@@ -54,8 +57,9 @@ the full equation under one common noise (each increment computed once
 per step drives every level); ``evolve_projected`` steps replicas
 (n, M, M) of the projected equation, each drawing its noise from its own
 stream.  Either call checks its arguments at once and returns a
-generator of the state stack at every time of ``time_grid``, each row
-bit-for-bit the solve of that row alone.  Both share one overflow rule:
+generator of the state stack at every time of ``time_grid`` (one buffer,
+overwritten by the next step), each row bit-for-bit the solve of that
+row alone.  Both share one overflow rule:
 a row whose Wick exponent passes the guard is flagged at its first
 overflowing step and zeroed from then on, so the other rows step on
 unharmed; the flow stops once every row has failed, and after its last
@@ -277,7 +281,8 @@ def _guarded(initial: np.ndarray, steps):
     guard is flagged at its first overflowing step and zeroed from then
     on.  Stops once every row has failed; after the last step, raises
     WickOverflowError with the flagged exponent of the lowest failing
-    row."""
+    row.  ``initial`` is the flow's state buffer, which every step
+    overwrites, so nothing is held beyond the current stack."""
     yield initial
     overflow = np.full(len(initial), np.nan)
     failed = np.zeros(len(initial), dtype=bool)
@@ -297,10 +302,10 @@ def _guarded(initial: np.ndarray, steps):
 
 def _full_flow(grid: TorusGrid, coeffs: np.ndarray, psi_mult: np.ndarray, configs, noise):
     """The full equation's one step loop, on a stack of cutoff levels
-    (L, M, M) with row l under ``configs[l]``: yields the state stack
-    after each step with its rows' Wick exponents, each step driven by the
-    next increment of ``noise``, which every level projects with its own
-    cutoff multiplier ``psi_mult[l]``."""
+    (L, M, M) with row l under ``configs[l]``: writes the state after each
+    step into the buffer ``coeffs`` and yields it with its rows' Wick
+    exponents, each step driven by the next increment of ``noise``, which
+    every level projects with its own cutoff multiplier ``psi_mult[l]``."""
     config = configs[0]
     mult = heat_multiplier(grid, config.dt)
     alpha = config.params.alpha
@@ -313,7 +318,7 @@ def _full_flow(grid: TorusGrid, coeffs: np.ndarray, psi_mult: np.ndarray, config
         np.multiply(half_adt, values, out=values)
         drift = np.subtract(coeffs, to_coeffs(values, grid, out=spec), out=spec)
         np.multiply(mult, drift, out=drift)
-        coeffs = np.multiply(psi_mult, eta)
+        np.multiply(psi_mult, eta, out=coeffs)
         np.add(drift, coeffs, out=coeffs)
         yield coeffs, peaks
 
@@ -338,7 +343,8 @@ def evolve_levels(
     Returns:
         a generator of the coefficient stack (L, M, M) at each time of
         ``time_grid(configs[0])``, row l bit-for-bit the state of
-        ``solve_sqe_full(phi0, configs[l], stream, x_traj)``.  The
+        ``solve_sqe_full(phi0, configs[l], stream, x_traj)``.  Every stack
+        is one buffer, overwritten when the next is pulled.  The
         arguments are checked on the call.  After the last step it raises
         WickOverflowError if a level overflowed, with the exponent of the
         lowest failing level at its first overflowing step.
@@ -383,10 +389,12 @@ def solve_sqe_full(
         the FieldPath of states on ``time_grid(config)``; ``decompose``
         splits it into its OU and remainder parts.
 
-    This is ``evolve_levels`` on one level that keeps every state.
+    This is ``evolve_levels`` on one level that keeps a copy of every
+    state.
     """
     grid = phi0.grid
-    states = [SpectralField(grid, s[0]) for s in evolve_levels(phi0, [config], stream, x_traj)]
+    flow = evolve_levels(phi0, [config], stream, x_traj)
+    states = [SpectralField(grid, s[0].copy()) for s in flow]
     return FieldPath(times=time_grid(config), states=states)
 
 
@@ -423,8 +431,9 @@ def decompose(
 
 def _projected_flow(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, noise):
     """The projected equation's one step loop, on a stack of replicas
-    (n, M, M): yields the state stack after each step with its rows' Wick
-    exponents, each step driven by the next increment stack of ``noise``."""
+    (n, M, M): writes the state after each step into the buffer ``coeffs``
+    and yields it with its rows' Wick exponents, each step driven by the
+    next increment stack of ``noise``."""
     psi_mult = config.params.multiplier(grid)
     mult = heat_multiplier(grid, config.dt)
     alpha = config.params.alpha
@@ -439,7 +448,7 @@ def _projected_flow(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, nois
         drift = np.multiply(psi_mult, to_coeffs(values, grid, out=spec), out=spec)
         np.subtract(coeffs, drift, out=drift)
         np.multiply(mult, drift, out=drift)
-        coeffs = np.add(drift, eta)
+        np.add(drift, eta, out=coeffs)
         yield coeffs, peaks
 
 
@@ -454,7 +463,8 @@ def evolve_projected(phi0: SpectralField, config: SqeConfig, streams):
     Returns:
         a generator of the coefficient stack (n, M, M) at each time of
         ``time_grid(config)``, row i bit-for-bit the state of
-        ``solve_sqe_projected(phi0 row i, config, streams[i])``.  The
+        ``solve_sqe_projected(phi0 row i, config, streams[i])``.  Every
+        stack is one buffer, overwritten when the next is pulled.  The
         arguments are checked on the call.  After the last step it raises
         WickOverflowError if a replica overflowed, with the exponent of
         the lowest failing replica at its first overflowing step.
@@ -463,7 +473,8 @@ def evolve_projected(phi0: SpectralField, config: SqeConfig, streams):
         raise ValueError("need a stack of initial data and one stream per row")
     grid = phi0.grid
     noise = _noise_stacks(grid, phi0.coeffs, config, streams)
-    return _guarded(phi0.coeffs, _projected_flow(grid, phi0.coeffs, config, noise))
+    coeffs = phi0.coeffs.copy()
+    return _guarded(coeffs, _projected_flow(grid, coeffs, config, noise))
 
 
 def solve_sqe_projected(
@@ -477,11 +488,13 @@ def solve_sqe_projected(
     identically 1 on the grid this coincides with solve_sqe_full applied
     to a projected datum.
 
-    This is ``evolve_projected`` on a stack of one that keeps every state.
+    This is ``evolve_projected`` on a stack of one that keeps a copy of
+    every state.
     """
     grid = phi0.grid
     stack = SpectralField(grid, phi0.coeffs[None])
-    states = [SpectralField(grid, s[0]) for s in evolve_projected(stack, config, [stream])]
+    flow = evolve_projected(stack, config, [stream])
+    states = [SpectralField(grid, s[0].copy()) for s in flow]
     return FieldPath(times=time_grid(config), states=states)
 
 

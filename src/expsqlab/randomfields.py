@@ -105,9 +105,13 @@ def white_noise_fft(grid: TorusGrid, generators, white=None, out=None) -> np.nda
 
 def _white_spectral(grid: TorusGrid, generators, white=None, out=None) -> np.ndarray:
     """Hermitian coefficient stack with unit variance per mode, through the
-    workspaces of ``white_noise_fft``."""
+    workspaces of ``white_noise_fft``.  The scaling divides the float64
+    view: numpy divides a complex array by a complex scalar (Smith's
+    rule, which multiplies by 1/M), about ten times slower, and with M a
+    power of two both give the same bits."""
     coeffs = white_noise_fft(grid, generators, white, out)
-    coeffs /= grid.modes_per_dim
+    parts = coeffs.view(np.float64)
+    parts /= grid.modes_per_dim
     return coeffs
 
 

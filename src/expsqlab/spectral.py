@@ -31,18 +31,19 @@ Workspaces: ``to_coeffs``, ``to_values`` and ``wick.scaled_exp`` take
 optional output arrays, so a step loop allocates its spectral and grid
 temporaries once per call and overwrites them every step, with the same
 ufuncs on the same operands as the allocating path, so every bit is the
-same.  A solver loop's yielded or kept states are still fresh arrays,
-never a workspace (``experiments.cmd_sample_gff`` yields workspace views,
-each written to the dump before the next block is drawn).  The inverse transform calls ``ifftn`` over the last two
-axes, not ``ifft2``: numpy's ``ifft2`` (2.4) does not pass ``out`` on to
-the transform and returns a new array, while ``ifftn`` over those axes is
-the same transform and writes into ``out``.  ``to_coeffs`` leaves the
-real -> complex cast of its input to ``fft2``, which makes a complex
-temporary per call: casting into ``out`` and transforming in place is
-bit-identical, but in ``sqe`` at M = 256 it moved glibc's heap so that
-the per-step norm temporaries faulted again (about 20k -> 99k minor
-faults, 0.1 s more system time).  ``randomfields.white_noise_fft`` does
-cast in place, where it removes nearly every fault of ``sample-gff``.
+same.  The stochastic flows of ``dynamics`` yield one state buffer that
+the next step overwrites, as ``experiments.cmd_sample_gff`` yields
+workspace views, each written to the dump before the next block is
+drawn; a caller that keeps a state copies it.  The inverse transform
+calls ``ifftn`` over the last two axes, not ``ifft2``: numpy's ``ifft2``
+(2.4) does not pass ``out`` on to the transform and returns a new array,
+while ``ifftn`` over those axes is the same transform and writes into
+``out``.  Given ``out``, ``to_coeffs`` casts its real input into it and
+transforms there in place, as ``randomfields.white_noise_fft`` does:
+``fft2`` of real input would make a complex temporary of the cast per
+call, and the pocketfft gufunc has complex loops only, so the in-place
+transform of the same cast gives the same bits.  ``sobolev_norms``
+likewise forms |coeff|^2 one field at a time in a workspace of one field.
 
 ``blocks`` is the package's one block policy: stacks of fields are
 evaluated BLOCK_BYTES per complex (n, M, M) array at a time, and dumps
@@ -235,8 +236,13 @@ def constant_field(grid: TorusGrid, value: float) -> SpectralField:
 
 def to_coeffs(values: np.ndarray, grid: TorusGrid, out: np.ndarray | None = None) -> np.ndarray:
     """Grid samples -> coefficients, (2*pi / M^2) * fft2(values), per field
-    of a stack; unvalidated.  Written into ``out`` (complex, the shape of
-    ``values``) when given."""
+    of a stack; unvalidated.  When ``out`` (complex, the shape of
+    ``values``) is given, ``values`` is cast into it and transformed there
+    in place."""
+    if out is not None:
+        # the same real -> complex cast fft2 makes of real input, into out
+        np.copyto(out, values)
+        values = out
     coeffs = np.fft.fft2(values, out=out)
     coeffs *= TWO_PI / grid.npoints
     return coeffs
@@ -289,14 +295,21 @@ def sobolev_norms(coeffs: np.ndarray, grid: TorusGrid, orders) -> np.ndarray:
     """``sobolev_norm`` at each of ``orders`` for each field of a bare
     coefficient stack (n, M, M), as an array (len(orders), n).
 
-    |coeff|^2 is formed once per field for all orders, and each sum is
-    the ``np.dot`` of one field's row (a matrix product would sum in
-    another order), so every entry is bit-for-bit ``sobolev_norm``'s.
+    |coeff|^2 is formed once per field for all orders, one field at a time
+    in two (M^2,) workspace rows, and each sum is the ``np.dot`` of it (a
+    matrix product would sum in another order), so every entry is
+    bit-for-bit ``sobolev_norm``'s and no stack-sized temporary is made.
     """
-    flat = coeffs.reshape(len(coeffs), grid.npoints)
-    abs2 = flat.real * flat.real + flat.imag * flat.imag
     weights = [grid.sobolev_weight(s) for s in orders]
-    return np.sqrt([[np.dot(w, row) for row in abs2] for w in weights])
+    sums = np.empty((len(weights), len(coeffs)))
+    abs2, im2 = np.empty((2, grid.npoints))
+    for i, field in enumerate(coeffs.reshape(len(coeffs), grid.npoints)):
+        np.multiply(field.real, field.real, out=abs2)
+        np.multiply(field.imag, field.imag, out=im2)
+        np.add(abs2, im2, out=abs2)
+        for k, w in enumerate(weights):
+            sums[k, i] = np.dot(w, abs2)
+    return np.sqrt(sums)
 
 
 def sobolev_norm(field: SpectralField, s: float) -> float:

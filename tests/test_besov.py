@@ -39,13 +39,29 @@ def test_weights_sum_to_one(grid32, grid8):
     # telescoping chi(r) + sum_j rho(r / 2^j) must rebuild 1 at every mode
     for grid in (grid32, grid8):
         total = np.zeros((grid.modes_per_dim,) * 2)
-        for _, w in block_weights(grid):
+        for w in block_weights(grid):
             total += w
         assert np.abs(total - 1.0).max() < 1e-12
 
 
 def test_block_weights_cached(grid32):
     assert block_weights(grid32) is block_weights(grid32)
+
+
+@pytest.mark.parametrize("M", [8, 16, 32, 64, 128, 256])
+def test_block_weights_are_one_read_only_row_per_block(M):
+    # the grid keeps one (J, M, M) array, row i the block dyadic_blocks[i];
+    # no block vanishes on any grid, so every block is a row
+    grid = make_grid(M)
+    weights = block_weights(grid)
+    js = dyadic_blocks(grid)
+    r = np.sqrt(grid.ksq)
+    assert weights.shape == (len(js), M, M)
+    assert not weights.flags.writeable
+    assert weights[0].tobytes() == chi(r).tobytes()
+    for j, w in zip(js[1:], weights[1:]):
+        assert w.tobytes() == rho(r / 2.0**j).tobytes()
+    assert all(w.any() for w in weights)
 
 
 def test_block_count_matches_grid(grid32):

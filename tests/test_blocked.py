@@ -52,7 +52,7 @@ from expsqlab import (
 )
 from expsqlab import dynamics, randomfields
 from expsqlab.measures import UNDERFLOW_LOG
-from expsqlab.spectral import BLOCK_BYTES, to_coeffs, to_values
+from expsqlab.spectral import BLOCK_BYTES, sobolev_norms, to_coeffs, to_values
 
 
 def _setup(grid, alpha=1.0, level=2):
@@ -176,7 +176,7 @@ def test_evolve_projected_matches_single_solves(grid32):
     base = RngStream(612, purpose="evolve")
     phi0 = gff_sample(grid32, [base.child("init").for_replica(i) for i in range(3)])
     streams = [base.for_replica(i) for i in range(3)]
-    stacks = list(evolve_projected(phi0, config, streams))
+    stacks = [s.copy() for s in evolve_projected(phi0, config, streams)]
     assert len(stacks) == config.n_steps() + 1
     for i, (field, s) in enumerate(zip(phi0.unstack(), streams)):
         path = solve_sqe_projected(field, config, s)
@@ -189,12 +189,12 @@ def test_evolve_projected_matches_single_solves(grid32):
 
 
 def _stacks_until_overflow(flow):
-    """Every stack a flow yields before it raises, and the exponent it
-    raises."""
+    """A copy of every stack a flow yields before it raises (the flow
+    overwrites its one buffer), and the exponent it raises."""
     stacks = []
     with pytest.raises(WickOverflowError) as info:
         for stack in flow:
-            stacks.append(stack)
+            stacks.append(stack.copy())
     return stacks, info.value.max_exponent
 
 
@@ -329,7 +329,7 @@ def test_evolve_levels_match_single_level_solves(grid32, kind):
     phi0 = gff_sample(grid32, stream.child("init"))
     x_traj = ou_path(phi0, time_grid(configs[0]), stream.child("ou"))
     paths = [solve_sqe_full(phi0, c, stream, x_traj=x_traj) for c in configs]
-    stacks = list(evolve_levels(phi0, configs, stream))
+    stacks = [s.copy() for s in evolve_levels(phi0, configs, stream)]
     assert len(stacks) == len(x_traj.times)
     for j, stack in enumerate(stacks):
         assert stack.shape == (3, 32, 32)
@@ -492,3 +492,31 @@ def test_ensemble_memory_does_not_grow_with_samples(grid32):
     small = _peak_traced_bytes(run(150))
     large = _peak_traced_bytes(run(1200))
     assert large - small <= BLOCK_BYTES + 8 * (1200 - 150)
+
+
+def test_level_flow_holds_one_state_stack():
+    # evolve_levels at M = 64 with three levels, reduced to its norms at
+    # every step as cmd_sqe does.  The flow holds its one state buffer,
+    # its spectral workspace and the real (L, M, M) values and cutoff
+    # multipliers (3 stacks), the noise of one field with its OU chain
+    # (about 2.2 stacks at three levels) and numpy's buffers for the
+    # real -> complex casts of its ufuncs (8192 elements per cast operand,
+    # 1.3 stacks here): 6.9 stacks at the peak.  A second live state, a
+    # held initial stack or a cast temporary of the forward transform
+    # adds a whole stack (a flow that yields new arrays peaks at 8.9).
+    grid = make_grid(64)
+    configs = _level_configs(grid, "sharp", (1, 2, 3), horizon=4 / 64)
+    stream = RngStream(626, purpose="flow-memory")
+    phi0 = gff_sample(grid, stream.child("init"))
+    stack_bytes = 3 * grid.npoints * 16
+
+    def run():
+        for stack in evolve_levels(phi0, configs, stream):
+            sobolev_norms(stack, grid, (0.0, -0.5))
+
+    run()  # warm caches (weights, cutoff multipliers) outside the measurement
+    assert _peak_traced_bytes(run) < 7.5 * stack_bytes
+    # the norms form |coeff|^2 in two rows of M^2 floats, a third of this
+    # stack; (n, M^2) temporaries would take 1.5 stacks
+    stack = gff_sample(grid, [stream.for_replica(i) for i in range(3)]).coeffs
+    assert _peak_traced_bytes(lambda: sobolev_norms(stack, grid, (0.0, -0.5))) < stack_bytes / 2

@@ -254,8 +254,7 @@ def test_projected_solver_deterministic(grid32, stream):
 
 
 def test_flows_yield_fresh_states(grid32, stream):
-    # the step loops overwrite their workspaces, never a state: kept
-    # states share no memory, and no yielded stack changes afterwards
+    # the paths keep their own states: kept states share no memory
     params = _params(grid32, level=2)
     config = SqeConfig(horizon=0.25, dt=1.0 / 16, params=params)
     coarse = SqeConfig(horizon=0.25, dt=1.0 / 16, params=_params(grid32, level=1))
@@ -268,13 +267,25 @@ def test_flows_yield_fresh_states(grid32, stream):
         for a, b in combinations(path.states, 2):
             assert not np.shares_memory(a.coeffs, b.coeffs)
 
+    # a flow yields its one state buffer at every step, and what it holds
+    # then is, byte for byte, the state the solve_* wrapper keeps there
     stack = gff_sample(grid32, [stream.for_replica(i) for i in range(3)])
     streams = [stream.for_replica(i).child("dyn") for i in range(3)]
-    for flow in (
-        evolve_levels(phi0, [coarse, config], stream),
-        evolve_projected(stack, config, streams),
+    levels = [coarse, config]
+    for flow, paths in (
+        (
+            evolve_levels(phi0, levels, stream),
+            [solve_sqe_full(phi0, c, stream) for c in levels],
+        ),
+        (
+            evolve_projected(stack, config, streams),
+            [solve_sqe_projected(f, config, s) for f, s in zip(stack.unstack(), streams)],
+        ),
     ):
-        kept = [(s, s.copy()) for s in flow]
-        assert len(kept) == config.n_steps() + 1
-        for s, copy in kept:
-            assert s.tobytes() == copy.tobytes()
+        yielded = []
+        for j, s in enumerate(flow):
+            yielded.append(s)
+            assert s is yielded[0]
+            for row, path in zip(s, paths):
+                assert row.tobytes() == path.states[j].coeffs.tobytes()
+        assert len(yielded) == config.n_steps() + 1

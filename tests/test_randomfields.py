@@ -17,7 +17,7 @@ from expsqlab import (
     zero_field,
 )
 from expsqlab.dynamics import _ou_increments
-from expsqlab.randomfields import white_noise_fft
+from expsqlab.randomfields import _white_spectral, white_noise_fft
 from expsqlab.spectral import heat_multiplier
 
 
@@ -154,6 +154,22 @@ def test_white_noise_fft_workspaces_are_bit_for_bit(grid8):
     ragged = white_noise_fft(grid8, _generators(base, 3), white[:3], out[:3])
     assert np.shares_memory(ragged, out)
     assert ragged.tobytes() == fresh[:3].tobytes()
+
+
+@pytest.mark.parametrize("M", [8, 16, 32, 64, 128, 256])
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_white_noise_scaling_is_the_complex_division(M, n):
+    # the unit-variance scaling divides the float64 view by M; with M a
+    # power of two that is numpy's complex division by M to the byte,
+    # signed zeros included: the imaginary parts of the self-conjugate
+    # modes are exact zeros
+    grid = make_grid(M)
+    base = RngStream(45, purpose="scaling")
+    expected = white_noise_fft(grid, _generators(base, n)) / M
+    got = _white_spectral(grid, _generators(base, n))
+    assert got.tobytes() == expected.tobytes()
+    half = M // 2
+    assert not got[:, [0, 0, half, half], [0, half, 0, half]].imag.any()
 
 
 def test_gff_sample_workspaces_are_bit_for_bit(grid8):

@@ -20,7 +20,7 @@ from expsqlab import (
     to_spectral,
     zero_field,
 )
-from expsqlab.spectral import to_coeffs, to_values
+from expsqlab.spectral import sobolev_norms, to_coeffs, to_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -181,6 +181,22 @@ def test_transform_round_trip_any_real_array(grid_and_values):
     grid, v = grid_and_values
     back = to_values(to_coeffs(v, grid), grid)
     assert np.abs(back - v).max() <= 1e-12 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("M", [8, 16, 32, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sobolev_norms_match_the_stack_formula(M, n):
+    # one field at a time in a workspace, with the same re*re + im*im and
+    # the same per-row np.dot as the (n, M^2) formula it replaced
+    grid = make_grid(M)
+    rng = np.random.default_rng(100 * M + n)
+    coeffs = rng.standard_normal((n, M, M)) + 1j * rng.standard_normal((n, M, M))
+    orders = (0.0, -0.75, 1.5)
+    flat = coeffs.reshape(n, grid.npoints)
+    abs2 = flat.real * flat.real + flat.imag * flat.imag
+    weights = [grid.sobolev_weight(s) for s in orders]
+    expected = np.sqrt([[np.dot(w, row) for row in abs2] for w in weights])
+    assert sobolev_norms(coeffs, grid, orders).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(32, 32), (3, 32, 32)])
