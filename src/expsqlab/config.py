@@ -180,7 +180,11 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config(p.read_text(), overrides)
+    try:
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {p}: {e}") from e
+    return parse_config(text, overrides)
 
 
 def _validate(cfg: ExperimentConfig):

@@ -48,18 +48,25 @@ ufuncs on the same operands as the allocating expressions, so every bit
 is theirs.  The two stochastic flows also write each new state into one
 state buffer per call, so every stack they yield is that buffer, valid
 until the next stack is pulled; a caller that keeps a state copies it
-(``solve_sqe_full``, ``solve_sqe_projected``).  The states
-``solve_shifted`` keeps are new arrays.
+(``solve_sqe_full``, ``solve_sqe_projected``).  Their noise allocates
+nothing per step either: the live OU chain steps in one state buffer
+(``randomfields.ou_chain``) and every increment is written over one
+workspace, so neither the initial datum nor any previous noise state
+is held past the step that reads it.  The full flow steps its levels
+one at a time through workspaces of one field; the projected flow steps
+its replicas (small blocks at M = 32, where per-call overhead dominates)
+as one stack.  The states ``solve_shifted`` keeps are new arrays.
 
-The two stochastic equations step a stack of rows at once under one
-flow contract.  ``evolve_levels`` steps the cutoff levels (L, M, M) of
-the full equation under one common noise (each increment computed once
-per step drives every level); ``evolve_projected`` steps replicas
-(n, M, M) of the projected equation, each drawing its noise from its own
-stream.  Either call checks its arguments at once and returns a
-generator of the state stack at every time of ``time_grid`` (one buffer,
-overwritten by the next step), each row bit-for-bit the solve of that
-row alone.  Both share one overflow rule:
+The two stochastic equations step a stack of rows under one flow
+contract, every row advancing one step before any row takes the next.
+``evolve_levels`` steps the cutoff levels (L, M, M) of the full
+equation under one common noise (each increment computed once per step
+drives every level); ``evolve_projected`` steps replicas (n, M, M) of
+the projected equation, each drawing its noise from its own stream.
+Either call checks its arguments at once and returns a generator of
+the state stack at every time of ``time_grid`` (one buffer, overwritten
+by the next step), each row bit-for-bit the solve of that row alone.
+Both share one overflow rule:
 a row whose Wick exponent passes the guard is flagged at its first
 overflowing step and zeroed from then on, so the other rows step on
 unharmed; the flow stops once every row has failed, and after its last
@@ -73,7 +80,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -244,18 +250,20 @@ def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig
     return FieldPath(times=np.array(chi_path.times), states=states)
 
 
-def _ou_increments(grid: TorusGrid, states, dt: float):
+def _ou_increments(grid: TorusGrid, initial: np.ndarray, states, dt: float):
     """Exact OU increments next - exp((Lap-1) dt/2) * prev, one per step,
-    over consecutive coefficient arrays of ``states`` (a stored trajectory
-    or the live OU chain).  The decayed state is formed in one workspace;
-    every increment is a new array."""
+    over the coefficient array ``initial`` and the arrays of ``states``
+    after it (a stored trajectory or the live OU chain).  The decayed
+    state is formed in one workspace before the next state is pulled, and
+    every increment is written over it: every yielded increment is that
+    buffer, valid until the next is pulled, and neither ``initial`` nor
+    any previous state is held."""
     decay = heat_multiplier(grid, dt)
-    states = iter(states)
-    prev = next(states)
-    decayed = np.empty(prev.shape, dtype=np.complex128)
+    work = np.multiply(decay, initial)
+    del initial
     for state in states:
-        yield state - np.multiply(decay, prev, out=decayed)
-        prev = state
+        yield np.subtract(state, work, out=work)
+        np.multiply(decay, state, out=work)
 
 
 def _noise_stacks(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, streams):
@@ -263,7 +271,7 @@ def _noise_stacks(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, stream
     streams[i].child("ou")."""
     generators = [s.child("ou").generator() for s in streams]
     x_chain = ou_chain(grid, coeffs, time_grid(config), generators)
-    return _ou_increments(grid, chain([coeffs], x_chain), config.dt)
+    return _ou_increments(grid, coeffs, x_chain, config.dt)
 
 
 def _check_x_traj(phi0: SpectralField, config: SqeConfig, x_traj: FieldPath):
@@ -305,21 +313,29 @@ def _full_flow(grid: TorusGrid, coeffs: np.ndarray, psi_mult: np.ndarray, config
     (L, M, M) with row l under ``configs[l]``: writes the state after each
     step into the buffer ``coeffs`` and yields it with its rows' Wick
     exponents, each step driven by the next increment of ``noise``, which
-    every level projects with its own cutoff multiplier ``psi_mult[l]``."""
+    every level projects with its own cutoff multiplier ``psi_mult[l]``.
+    The levels are stepped one at a time, each row through the same
+    spectral and grid workspaces of one field, so no temporary is
+    stack-sized."""
     config = configs[0]
     mult = heat_multiplier(grid, config.dt)
     alpha = config.params.alpha
-    shift = np.array([c.params.shift for c in configs])[:, None, None]
+    shifts = [c.params.shift for c in configs]
     half_adt = 0.5 * alpha * config.dt
-    spec = np.empty_like(coeffs)
-    values = np.empty(coeffs.shape)
+    spec = np.empty(coeffs.shape[1:], dtype=np.complex128)
+    values = np.empty(coeffs.shape[1:])
+    peaks = np.empty(len(coeffs))
     for eta in noise:
-        _, peaks = scaled_exp(to_values(coeffs, grid, spec, values), alpha, shift, out=values)
-        np.multiply(half_adt, values, out=values)
-        drift = np.subtract(coeffs, to_coeffs(values, grid, out=spec), out=spec)
-        np.multiply(mult, drift, out=drift)
-        np.multiply(psi_mult, eta, out=coeffs)
-        np.add(drift, coeffs, out=coeffs)
+        # the live chain's increment is a stack of one
+        eta = eta.reshape(spec.shape)
+        for level, (row, psi_row, shift) in enumerate(zip(coeffs, psi_mult, shifts)):
+            _, peak = scaled_exp(to_values(row, grid, spec, values), alpha, shift, out=values)
+            peaks[level] = peak[0]
+            np.multiply(half_adt, values, out=values)
+            drift = np.subtract(row, to_coeffs(values, grid, out=spec), out=spec)
+            np.multiply(mult, drift, out=drift)
+            np.multiply(psi_row, eta, out=row)
+            np.add(drift, row, out=row)
         yield coeffs, peaks
 
 
@@ -356,7 +372,8 @@ def evolve_levels(
     grid = phi0.grid
     if x_traj is not None:
         _check_x_traj(phi0, config, x_traj)
-        noise = _ou_increments(grid, (s.coeffs for s in x_traj.states), config.dt)
+        states = (s.coeffs for s in x_traj.states[1:])
+        noise = _ou_increments(grid, x_traj.states[0].coeffs, states, config.dt)
     else:
         noise = _noise_stacks(grid, phi0.coeffs[None], config, [stream])
     psi_mult = np.stack([c.params.multiplier(grid) for c in configs])

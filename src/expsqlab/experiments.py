@@ -221,14 +221,16 @@ def cmd_sqe(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
 
     def one(r: int):
         sub = stream.for_replica(r)
-        phi0 = gff_sample(grid, sub.child("init"))
         # per level and time: L2 norm, H^-beta norm, H^-beta gap to level n-1
         l2, hneg = np.empty((2, len(levels), len(times)))
         gaps = np.full((len(levels), len(times)), np.nan)
         # each level gap from one row difference in a one-field workspace,
         # bit for bit the norms of stack[1:] - stack[:-1]
         diff = np.empty((1, grid.modes_per_dim, grid.modes_per_dim), dtype=np.complex128)
-        for j, stack in enumerate(evolve_levels(phi0, configs, sub)):
+        # no local keeps the initial datum: the flow drops it after its
+        # first step
+        flow = evolve_levels(gff_sample(grid, sub.child("init")), configs, sub)
+        for j, stack in enumerate(flow):
             l2[:, j], hneg[:, j] = sobolev_norms(stack, grid, (0.0, -beta))
             for n in range(1, len(levels)):
                 np.subtract(stack[n], stack[n - 1], out=diff[0])

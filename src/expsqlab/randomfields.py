@@ -25,7 +25,10 @@ allocated only when not given.  Copying the noise into ``out`` is the
 same real -> complex cast that ``fft2`` makes of real input into a
 temporary of its own, so every bit is the same and a caller that holds
 the two workspaces (``experiments.cmd_sample_gff``, ``ou_chain``)
-allocates no noise or transform array per draw.
+allocates no noise or transform array per draw.  ``ou_chain`` also
+writes every state into one state buffer, so it allocates nothing per
+step and yields that buffer each time, as the flows of ``dynamics`` do;
+``ou_path`` copies the states it keeps.
 
 Parameters named ``stream`` are :class:`~expsqlab.rng.RngStream` values;
 every sampler is a pure function of (inputs, stream).  The samplers work
@@ -155,8 +158,11 @@ def ou_chain(grid: TorusGrid, coeffs: np.ndarray, times, generators):
     bit-for-bit the chain of that generator alone.  The decay and the
     noise scale are computed again only when the step changes (the steps
     of ``np.diff(times)`` may differ in the last bit, so they are compared,
-    not assumed equal).  The noise is drawn and transformed in workspaces
-    allocated once; every yielded stack is a new array."""
+    not assumed equal).  Every state is written into one state buffer,
+    and the noise is drawn and transformed in workspaces, all allocated
+    once: every yielded stack is that buffer, valid until the next stack
+    is pulled, and ``coeffs`` is not held past the first step."""
+    state = np.empty(coeffs.shape, dtype=np.complex128)
     white = np.empty(coeffs.shape)
     noise = np.empty(coeffs.shape, dtype=np.complex128)
     step = None
@@ -165,22 +171,23 @@ def ou_chain(grid: TorusGrid, coeffs: np.ndarray, times, generators):
             step = dt
             decay = heat_multiplier(grid, dt)
             noise_sd = np.sqrt(ou_noise_variance(grid, dt))
-        coeffs = decay * coeffs
+        coeffs = np.multiply(decay, coeffs, out=state)
         np.multiply(_white_spectral(grid, generators, white, noise), noise_sd, out=noise)
-        np.add(coeffs, noise, out=coeffs)
-        yield coeffs
+        np.add(state, noise, out=state)
+        yield state
 
 
 def ou_path(init: SpectralField, times, stream: RngStream) -> FieldPath:
     """Chain exact transitions over the given times (increasing from 0).
 
     The noise is drawn sequentially from one generator, so the same
-    (stream, times) always yields the identical trajectory.
+    (stream, times) always yields the identical trajectory.  Each state
+    is a copy of the ``ou_chain`` buffer.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or len(times) < 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a 1-d strictly increasing array starting at 0")
     grid = init.grid
     chain = ou_chain(grid, init.coeffs[None], times, [stream.generator()])
-    states = [init] + [SpectralField(grid, coeffs[0]) for coeffs in chain]
+    states = [init] + [SpectralField(grid, coeffs[0].copy()) for coeffs in chain]
     return FieldPath(times=times, states=states)

@@ -101,10 +101,12 @@ class TorusGrid:
         self.points = np.arange(M) * self.spacing
         # integer wavenumbers in FFT layout: 0, 1, ..., M/2-1, -M/2, ..., -1
         self.mode_axis = np.fft.fftfreq(M, d=1.0 / M).astype(np.int64)
-        self.kx, self.ky = np.meshgrid(self.mode_axis, self.mode_axis, indexing="ij")
-        self.ksq = (self.kx * self.kx + self.ky * self.ky).astype(np.float64)
+        # |k|^2 at [i, j] for k = (mode_axis[i], mode_axis[j]), broadcast
+        # from the axis in exact int64 arithmetic
+        kx, ky = self.mode_axis[:, None], self.mode_axis[None, :]
+        self.ksq = (kx * kx + ky * ky).astype(np.float64)
         self._cache: dict = {}
-        for arr in (self.points, self.mode_axis, self.kx, self.ky, self.ksq):
+        for arr in (self.points, self.mode_axis, self.ksq):
             arr.setflags(write=False)
 
     @property

@@ -254,7 +254,8 @@ def green_kernel_point(psi: CutoffProfile, level: int, grid: TorusGrid, z) -> fl
     cos(k.z) / (1 + |k|^2) by direct mode summation; K_N(0) = C_N."""
     z = np.asarray(z, dtype=np.float64)
     m = psi.multiplier(grid, level)
-    phase = grid.kx * z[0] + grid.ky * z[1]
+    k = grid.mode_axis
+    phase = k[:, None] * z[0] + k[None, :] * z[1]
     return float(np.sum(m * m * np.cos(phase) / (1.0 + grid.ksq))) / (4.0 * math.pi**2)
 
 

@@ -155,6 +155,20 @@ def test_cli_config_error(tmp_path, capsys):
     assert rc == 3
 
 
+def test_cli_undecodable_config_is_a_config_error(tmp_path, capsys):
+    # a UTF-16 byte-order mark is not UTF-8: exit 3 with a message, no
+    # traceback and no report
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes("grid.M = 16\n".encode("utf-16"))
+    assert cfg.read_bytes().startswith(b"\xff\xfe")
+    rc = main(["sqe", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "configuration error: cannot read config file" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
 def test_cli_bad_tilt_is_a_config_error(tmp_path, capsys):
     # sqe never reads the tilt; it is still checked before any run
     rc = main([

@@ -17,8 +17,8 @@ from expsqlab import (
     zero_field,
 )
 from expsqlab.dynamics import _ou_increments
-from expsqlab.randomfields import _white_spectral, white_noise_fft
-from expsqlab.spectral import heat_multiplier
+from expsqlab.randomfields import _white_spectral, ou_chain, white_noise_fft
+from expsqlab.spectral import SpectralField, heat_multiplier
 
 
 def test_gff_sample_is_real(grid32, stream):
@@ -113,12 +113,59 @@ def test_increments_rebuild_path(grid8, stream):
     init = gff_sample(grid8, stream.child("init"))
     traj = ou_path(init, times, stream.child("path"))
     h = times[1]
-    etas = list(_ou_increments(grid8, (x.coeffs for x in traj.states), h))
+    states = (x.coeffs for x in traj.states[1:])
+    # each increment is the one buffer of the generator: keep copies
+    etas = [eta.copy() for eta in _ou_increments(grid8, traj.states[0].coeffs, states, h)]
     assert len(etas) == len(times) - 1
     coeffs = traj.states[0].coeffs.copy()
     for j, eta in enumerate(etas):
         coeffs = heat_multiplier(grid8, h) * coeffs + eta
         assert np.abs(coeffs - traj.states[j + 1].coeffs).max() < 1e-12
+
+
+def _allocating_ou_chain(grid, coeffs, times, generators):
+    """``ou_chain`` as it was before it stepped in one buffer: a new state
+    stack every step, noise = white * sd added to the decayed state."""
+    step = None
+    for dt in np.diff(times):
+        if dt != step:
+            step = dt
+            decay = heat_multiplier(grid, dt)
+            noise_sd = np.sqrt(ou_noise_variance(grid, dt))
+        coeffs = decay * coeffs + _white_spectral(grid, generators) * noise_sd
+        yield coeffs
+
+
+def _one_buffer(flow):
+    """Copies of everything ``flow`` yields, after checking that it yields
+    one array every time."""
+    items = [(item, item.copy()) for item in flow]
+    assert all(item is items[0][0] for item, _ in items)
+    return [copy for _, copy in items]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_ou_chain_and_increments_step_in_one_buffer(grid8, rows):
+    # the steps change length (and back), so the decay is recomputed
+    times = np.array([0.0, 0.125, 0.25, 0.625, 0.75, 0.875])
+    base = RngStream(46, purpose="ou-buffer")
+    init = gff_sample(grid8, [base.for_replica(i).child("init") for i in range(rows)]).coeffs
+    reference = list(_allocating_ou_chain(grid8, init, times, _generators(base, rows)))
+    states = _one_buffer(ou_chain(grid8, init, times, _generators(base, rows)))
+    assert [s.tobytes() for s in states] == [s.tobytes() for s in reference]
+    if rows == 1:
+        path = ou_path(SpectralField(grid8, init[0]), times, base.for_replica(0))
+        assert [s.coeffs.tobytes() for s in path.states[1:]] == [s[0].tobytes() for s in reference]
+    # increments over a uniform grid: of the stored trajectory, then of
+    # the live chain, each the allocating next - decay * prev
+    times = np.linspace(0.0, 0.5, 5)
+    h = times[1]
+    stored = [init] + list(_allocating_ou_chain(grid8, init, times, _generators(base, rows)))
+    expected = [nxt - heat_multiplier(grid8, h) * prev for prev, nxt in zip(stored, stored[1:])]
+    live = ou_chain(grid8, init, times, _generators(base, rows))
+    for states in (iter(stored[1:]), live):
+        etas = _one_buffer(_ou_increments(grid8, init, states, h))
+        assert [e.tobytes() for e in etas] == [e.tobytes() for e in expected]
 
 
 def test_wiener_increment_variance(grid8):

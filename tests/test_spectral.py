@@ -37,6 +37,16 @@ def test_grid_validation():
     assert g.spacing == pytest.approx(TWO_PI / 8)
 
 
+@pytest.mark.parametrize("M", [8, 16, 32, 64, 128, 256])
+def test_ksq_is_the_meshgrid_formula(M):
+    # |k|^2 by broadcasting the mode axis, byte for byte the int64
+    # meshgrid pair's kx*kx + ky*ky
+    g = make_grid(M)
+    kx, ky = np.meshgrid(g.mode_axis, g.mode_axis, indexing="ij")
+    assert g.ksq.tobytes() == (kx * kx + ky * ky).astype(np.float64).tobytes()
+    assert not g.ksq.flags.writeable
+
+
 def test_grid_cache_builds_once_read_only():
     g = make_grid(8)
     calls = []

@@ -276,6 +276,21 @@ def test_green_kernel_point_at_origin(grid32, sharp, smooth):
             )
 
 
+@pytest.mark.parametrize("M", [8, 16, 32, 64, 128, 256])
+def test_green_kernel_point_is_the_meshgrid_sum(M, sharp, smooth):
+    # the phase k.z by broadcasting the mode axis gives the sum the int64
+    # meshgrid pair gave, to the bit
+    grid = make_grid(M)
+    kx, ky = np.meshgrid(grid.mode_axis, grid.mode_axis, indexing="ij")
+    for psi in (sharp, smooth):
+        level = psi.max_level(grid)
+        m = psi.multiplier(grid, level)
+        for z in ((0.0, 0.0), (0.3, -1.7), (math.pi, 0.5 * grid.spacing), (5.9, 2.0)):
+            phase = kx * z[0] + ky * z[1]
+            expected = float(np.sum(m * m * np.cos(phase) / (1.0 + grid.ksq))) / (4.0 * math.pi**2)
+            assert green_kernel_point(psi, level, grid, z) == expected
+
+
 def test_green_field_matches_point_sum(grid32, smooth):
     # the kernel as a field, coefficients psi^2 / (1 + |k|^2) / (2 pi)
     # through one inverse FFT, against direct mode summation
