@@ -3,6 +3,16 @@ stochastic dynamics on the two-dimensional torus: cutoff Wick calculus,
 exact-noise mild solvers, weighted Gibbs ensembles and the experiment
 drivers that check their convergence and invariance."""
 
+import os
+
+# One BLAS thread, set before the package imports numpy:
+# spectral.sobolev_norms sums with np.dot, whose summation order, and so
+# every report digest, follows the OpenBLAS thread count.  A count
+# already in the environment wins, and numpy imported before this
+# package keeps the count it started with.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .besov import besov_norm
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .dynamics import (

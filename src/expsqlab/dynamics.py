@@ -43,19 +43,27 @@ stored for the whole horizon.
 
 Workspace rule: each loop allocates its spectral and grid temporaries
 once per call and overwrites them every step, through the ``out``
-arguments of the transform pair and of wick.scaled_exp, with the same
-ufuncs on the same operands as the allocating expressions, so every bit
-is theirs.  The two stochastic flows also write each new state into one
-state buffer per call, so every stack they yield is that buffer, valid
+arguments of the transform pair, of wick.scaled_exp and of the cutoff
+multiplier (``WickParams.multiplier``), with the same ufuncs on the same
+operands as the allocating expressions, so every bit is theirs.  The
+two stochastic flows also write each new state into one state buffer
+per call, so every stack they yield is that buffer, valid
 until the next stack is pulled; a caller that keeps a state copies it
 (``solve_sqe_full``, ``solve_sqe_projected``).  Their noise allocates
 nothing per step either: the live OU chain steps in one state buffer
 (``randomfields.ou_chain``) and every increment is written over one
 workspace, so neither the initial datum nor any previous noise state
-is held past the step that reads it.  The full flow steps its levels
-one at a time through workspaces of one field; the projected flow steps
-its replicas (small blocks at M = 32, where per-call overhead dominates)
-as one stack.  The states ``solve_shifted`` keeps are new arrays.
+is held past the step that reads it.  The chain draws its noise in the
+flow's own spectral and grid workspaces, which it writes only while the
+next increment is pulled, and it drops the initial datum at its first
+decay, before it computes its noise scale.  The chain, the increments
+and the step loop share the grid's one heat multiplier
+(``spectral.heat_multiplier``).  The full flow steps its levels one at
+a time through workspaces of one field and writes each level's cutoff
+multiplier into the grid workspace once that level's drift is formed,
+so it holds no stack of multipliers; the projected flow steps its
+replicas (small blocks at M = 32, where per-call overhead dominates) as
+one stack.  The states ``solve_shifted`` keeps are new arrays.
 
 The two stochastic equations step a stack of rows under one flow
 contract, every row advancing one step before any row takes the next.
@@ -266,11 +274,14 @@ def _ou_increments(grid: TorusGrid, initial: np.ndarray, states, dt: float):
         np.multiply(decay, state, out=work)
 
 
-def _noise_stacks(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, streams):
+def _noise_stacks(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, streams, values, spec):
     """Noise increment stacks from ``coeffs``, row i from the OU chain of
-    streams[i].child("ou")."""
+    streams[i].child("ou"), which draws in the flow's grid and spectral
+    workspaces ``values`` and ``spec`` (the shape of ``coeffs``): it
+    writes them only while the next increment is pulled, and the
+    increment itself is held in ``_ou_increments``' own buffer."""
     generators = [s.child("ou").generator() for s in streams]
-    x_chain = ou_chain(grid, coeffs, time_grid(config), generators)
+    x_chain = ou_chain(grid, coeffs, time_grid(config), generators, values, spec)
     return _ou_increments(grid, coeffs, x_chain, config.dt)
 
 
@@ -308,33 +319,33 @@ def _guarded(initial: np.ndarray, steps):
         raise WickOverflowError(float(overflow[failed][0]))
 
 
-def _full_flow(grid: TorusGrid, coeffs: np.ndarray, psi_mult: np.ndarray, configs, noise):
+def _full_flow(grid: TorusGrid, coeffs: np.ndarray, configs, noise, spec, values):
     """The full equation's one step loop, on a stack of cutoff levels
     (L, M, M) with row l under ``configs[l]``: writes the state after each
     step into the buffer ``coeffs`` and yields it with its rows' Wick
     exponents, each step driven by the next increment of ``noise``, which
-    every level projects with its own cutoff multiplier ``psi_mult[l]``.
-    The levels are stepped one at a time, each row through the same
-    spectral and grid workspaces of one field, so no temporary is
-    stack-sized."""
+    every level projects with its own cutoff multiplier.  The levels are
+    stepped one at a time, each row through the spectral and grid
+    workspaces ``spec`` and ``values`` of one field, so no temporary is
+    stack-sized; once a level's drift is formed, its cutoff multiplier is
+    written into the free grid workspace, so no multiplier is held."""
     config = configs[0]
     mult = heat_multiplier(grid, config.dt)
     alpha = config.params.alpha
-    shifts = [c.params.shift for c in configs]
     half_adt = 0.5 * alpha * config.dt
-    spec = np.empty(coeffs.shape[1:], dtype=np.complex128)
-    values = np.empty(coeffs.shape[1:])
+    levels = [c.params for c in configs]
     peaks = np.empty(len(coeffs))
     for eta in noise:
         # the live chain's increment is a stack of one
         eta = eta.reshape(spec.shape)
-        for level, (row, psi_row, shift) in enumerate(zip(coeffs, psi_mult, shifts)):
-            _, peak = scaled_exp(to_values(row, grid, spec, values), alpha, shift, out=values)
+        for level, (row, params) in enumerate(zip(coeffs, levels)):
+            to_values(row, grid, spec, values)
+            _, peak = scaled_exp(values, alpha, params.shift, out=values)
             peaks[level] = peak[0]
             np.multiply(half_adt, values, out=values)
             drift = np.subtract(row, to_coeffs(values, grid, out=spec), out=spec)
             np.multiply(mult, drift, out=drift)
-            np.multiply(psi_row, eta, out=row)
+            np.multiply(params.multiplier(grid, out=values), eta, out=row)
             np.add(drift, row, out=row)
         yield coeffs, peaks
 
@@ -370,15 +381,19 @@ def evolve_levels(
         if (c.horizon, c.dt, c.params.alpha) != (config.horizon, config.dt, config.params.alpha):
             raise ValueError("levels must share horizon, dt and alpha")
     grid = phi0.grid
+    # the one field's workspaces of the step loop and the OU chain
+    spec = np.empty(phi0.coeffs.shape, dtype=np.complex128)
+    values = np.empty(phi0.coeffs.shape)
     if x_traj is not None:
         _check_x_traj(phi0, config, x_traj)
         states = (s.coeffs for s in x_traj.states[1:])
         noise = _ou_increments(grid, x_traj.states[0].coeffs, states, config.dt)
     else:
-        noise = _noise_stacks(grid, phi0.coeffs[None], config, [stream])
-    psi_mult = np.stack([c.params.multiplier(grid) for c in configs])
-    coeffs = psi_mult * phi0.coeffs
-    return _guarded(coeffs, _full_flow(grid, coeffs, psi_mult, configs, noise))
+        noise = _noise_stacks(grid, phi0.coeffs[None], config, [stream], values[None], spec[None])
+    coeffs = np.empty((len(configs), *phi0.coeffs.shape), dtype=np.complex128)
+    for row, c in zip(coeffs, configs):
+        np.multiply(c.params.multiplier(grid, out=values), phi0.coeffs, out=row)
+    return _guarded(coeffs, _full_flow(grid, coeffs, configs, noise, spec, values))
 
 
 def solve_sqe_full(
@@ -446,18 +461,17 @@ def decompose(
     return FieldPath(path.times, x_part), FieldPath(path.times, y_part), shifted
 
 
-def _projected_flow(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, noise):
+def _projected_flow(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, noise, spec, values):
     """The projected equation's one step loop, on a stack of replicas
     (n, M, M): writes the state after each step into the buffer ``coeffs``
     and yields it with its rows' Wick exponents, each step driven by the
-    next increment stack of ``noise``."""
+    next increment stack of ``noise``, through the spectral and grid
+    workspaces ``spec`` and ``values`` of the stack."""
     psi_mult = config.params.multiplier(grid)
     mult = heat_multiplier(grid, config.dt)
     alpha = config.params.alpha
     shift = config.params.shift
     half_adt = 0.5 * alpha * config.dt
-    spec = np.empty_like(coeffs)
-    values = np.empty(coeffs.shape)
     for eta in noise:
         proj = np.multiply(psi_mult, coeffs, out=spec)
         _, peaks = scaled_exp(to_values(proj, grid, spec, values), alpha, shift, out=values)
@@ -489,9 +503,12 @@ def evolve_projected(phi0: SpectralField, config: SqeConfig, streams):
     if phi0.coeffs.ndim != 3 or len(streams) != len(phi0.coeffs):
         raise ValueError("need a stack of initial data and one stream per row")
     grid = phi0.grid
-    noise = _noise_stacks(grid, phi0.coeffs, config, streams)
+    # the stack's workspaces of the step loop and the OU chain
+    spec = np.empty(phi0.coeffs.shape, dtype=np.complex128)
+    values = np.empty(phi0.coeffs.shape)
+    noise = _noise_stacks(grid, phi0.coeffs, config, streams, values, spec)
     coeffs = phi0.coeffs.copy()
-    return _guarded(coeffs, _projected_flow(grid, coeffs, config, noise))
+    return _guarded(coeffs, _projected_flow(grid, coeffs, config, noise, spec, values))
 
 
 def solve_sqe_projected(

@@ -24,8 +24,9 @@ one thread.
 The drivers stream what they can: cmd_sample_gff hands each block of
 draws to the dump and drops it, and cmd_sqe steps the cutoff levels of a
 replica in lockstep (dynamics.evolve_levels) and reduces each step's
-states to their norms and level gaps at once, so neither holds a path or
-the draws whole.
+states to their norms and level gaps at once (the gaps without forming
+the differences, ``spectral.sobolev_norms(..., minus=)``), so neither
+holds a path or the draws whole.
 """
 
 from __future__ import annotations
@@ -224,17 +225,14 @@ def cmd_sqe(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
         # per level and time: L2 norm, H^-beta norm, H^-beta gap to level n-1
         l2, hneg = np.empty((2, len(levels), len(times)))
         gaps = np.full((len(levels), len(times)), np.nan)
-        # each level gap from one row difference in a one-field workspace,
-        # bit for bit the norms of stack[1:] - stack[:-1]
-        diff = np.empty((1, grid.modes_per_dim, grid.modes_per_dim), dtype=np.complex128)
         # no local keeps the initial datum: the flow drops it after its
         # first step
         flow = evolve_levels(gff_sample(grid, sub.child("init")), configs, sub)
         for j, stack in enumerate(flow):
             l2[:, j], hneg[:, j] = sobolev_norms(stack, grid, (0.0, -beta))
-            for n in range(1, len(levels)):
-                np.subtract(stack[n], stack[n - 1], out=diff[0])
-                gaps[n, j] = sobolev_norms(diff, grid, (-beta,))[0, 0]
+            # the level gaps, bit for bit the norms of stack[1:] - stack[:-1]
+            # without forming that difference
+            gaps[1:, j] = sobolev_norms(stack[1:], grid, (-beta,), minus=stack[:-1])[0]
         ts = [float(t) for t in times]
         rows = [
             (r, n, t, a, b, g)

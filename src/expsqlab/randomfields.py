@@ -25,10 +25,11 @@ allocated only when not given.  Copying the noise into ``out`` is the
 same real -> complex cast that ``fft2`` makes of real input into a
 temporary of its own, so every bit is the same and a caller that holds
 the two workspaces (``experiments.cmd_sample_gff``, ``ou_chain``)
-allocates no noise or transform array per draw.  ``ou_chain`` also
-writes every state into one state buffer, so it allocates nothing per
-step and yields that buffer each time, as the flows of ``dynamics`` do;
-``ou_path`` copies the states it keeps.
+allocates no noise or transform array per draw.  ``ou_chain`` takes
+the same two workspaces, so the flows of ``dynamics`` lend it their step
+workspaces, and writes every state into one state buffer, so it
+allocates nothing per step and yields that buffer each time, as the
+flows do; ``ou_path`` copies the states it keeps.
 
 Parameters named ``stream`` are :class:`~expsqlab.rng.RngStream` values;
 every sampler is a pure function of (inputs, stream).  The samplers work
@@ -151,27 +152,33 @@ def ou_noise_variance(grid: TorusGrid, dt: float) -> np.ndarray:
     return -np.expm1(-dt * c) / c
 
 
-def ou_chain(grid: TorusGrid, coeffs: np.ndarray, times, generators):
+def ou_chain(grid: TorusGrid, coeffs: np.ndarray, times, generators, white=None, noise=None):
     """The exact OU chain: yields the coefficient stack after each step of
     ``times``, starting from the stack ``coeffs`` (n, M, M).  Row i draws
     its noise from ``generators[i]``, one step at a time, so a row is
-    bit-for-bit the chain of that generator alone.  The decay and the
-    noise scale are computed again only when the step changes (the steps
-    of ``np.diff(times)`` may differ in the last bit, so they are compared,
+    bit-for-bit the chain of that generator alone.  The decay is the
+    grid's one heat multiplier of the step, and the noise scale is
+    computed again only when the step changes (the steps of
+    ``np.diff(times)`` may differ in the last bit, so they are compared,
     not assumed equal).  Every state is written into one state buffer,
-    and the noise is drawn and transformed in workspaces, all allocated
-    once: every yielded stack is that buffer, valid until the next stack
-    is pulled, and ``coeffs`` is not held past the first step."""
+    allocated once: every yielded stack is that buffer, valid until the
+    next stack is pulled.  The first step writes the decayed datum there
+    before it computes the noise scale, so ``coeffs`` is not held beside
+    that scale's temporaries nor past the first step.  ``white`` (real)
+    and ``noise`` (complex) are the workspaces of ``white_noise_fft``,
+    allocated once when not given; the chain writes them only while the
+    next stack is pulled, so a caller may use them between pulls."""
     state = np.empty(coeffs.shape, dtype=np.complex128)
-    white = np.empty(coeffs.shape)
-    noise = np.empty(coeffs.shape, dtype=np.complex128)
+    if white is None:
+        white = np.empty(coeffs.shape)
+    if noise is None:
+        noise = np.empty(coeffs.shape, dtype=np.complex128)
     step = None
     for dt in np.diff(times):
+        coeffs = np.multiply(heat_multiplier(grid, dt), coeffs, out=state)
         if dt != step:
             step = dt
-            decay = heat_multiplier(grid, dt)
             noise_sd = np.sqrt(ou_noise_variance(grid, dt))
-        coeffs = np.multiply(decay, coeffs, out=state)
         np.multiply(_white_spectral(grid, generators, white, noise), noise_sd, out=noise)
         np.add(state, noise, out=state)
         yield state

@@ -25,7 +25,9 @@ and without validation; the solver loops call them directly,
 ``SpectralField.values`` the inverse one.  ``heat_multiplier``
 is the one symbol of the semigroup exp(t (Lap - 1)/2), shared by
 ``heat_semigroup``, the OU decay and the exponential-Euler step, and
-``TorusGrid.sobolev_weight`` the one Sobolev symbol (1 + |k|^2)^s.
+``TorusGrid.sobolev_weight`` the one Sobolev symbol (1 + |k|^2)^s; both
+are computed once per grid and argument (``TorusGrid.cached``), so every
+user of one holds the same read-only array.
 
 Workspaces: ``to_coeffs``, ``to_values`` and ``wick.scaled_exp`` take
 optional output arrays, so a step loop allocates its spectral and grid
@@ -43,7 +45,9 @@ transforms there in place, as ``randomfields.white_noise_fft`` does:
 ``fft2`` of real input would make a complex temporary of the cast per
 call, and the pocketfft gufunc has complex loops only, so the in-place
 transform of the same cast gives the same bits.  ``sobolev_norms``
-likewise forms |coeff|^2 one field at a time in a workspace of one field.
+likewise forms |coeff|^2 one field at a time in a workspace of one field,
+and the norms of a difference (``minus``) from its real and imaginary
+parts in the same workspace, so no complex difference is formed.
 
 ``blocks`` is the package's one block policy: stacks of fields are
 evaluated BLOCK_BYTES per complex (n, M, M) array at a time, and dumps
@@ -293,21 +297,32 @@ def grid_quadrature(values: np.ndarray, grid: TorusGrid):
     return values.reshape(len(values), grid.npoints).sum(axis=1) * grid.cell_area
 
 
-def sobolev_norms(coeffs: np.ndarray, grid: TorusGrid, orders) -> np.ndarray:
+def sobolev_norms(coeffs: np.ndarray, grid: TorusGrid, orders, minus=None) -> np.ndarray:
     """``sobolev_norm`` at each of ``orders`` for each field of a bare
-    coefficient stack (n, M, M), as an array (len(orders), n).
+    coefficient stack (n, M, M), as an array (len(orders), n); given a
+    stack ``minus`` of the same shape, the norms of ``coeffs - minus``.
 
     |coeff|^2 is formed once per field for all orders, one field at a time
     in two (M^2,) workspace rows, and each sum is the ``np.dot`` of it (a
     matrix product would sum in another order), so every entry is
     bit-for-bit ``sobolev_norm``'s and no stack-sized temporary is made.
+    With ``minus`` the rows first take the real and imaginary differences,
+    which is how complex subtraction works, so no complex difference is
+    formed and the bits are those of the norms of the difference.
     """
     weights = [grid.sobolev_weight(s) for s in orders]
     sums = np.empty((len(weights), len(coeffs)))
     abs2, im2 = np.empty((2, grid.npoints))
-    for i, field in enumerate(coeffs.reshape(len(coeffs), grid.npoints)):
-        np.multiply(field.real, field.real, out=abs2)
-        np.multiply(field.imag, field.imag, out=im2)
+    flat = coeffs.reshape(len(coeffs), grid.npoints)
+    if minus is not None:
+        minus = minus.reshape(flat.shape)
+    for i, field in enumerate(flat):
+        re, im = field.real, field.imag
+        if minus is not None:
+            re = np.subtract(re, minus[i].real, out=abs2)
+            im = np.subtract(im, minus[i].imag, out=im2)
+        np.multiply(re, re, out=abs2)
+        np.multiply(im, im, out=im2)
         np.add(abs2, im2, out=abs2)
         for k, w in enumerate(weights):
             sums[k, i] = np.dot(w, abs2)
@@ -320,8 +335,15 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
 
 
 def heat_multiplier(grid: TorusGrid, t: float) -> np.ndarray:
-    """exp(-(1+|k|^2) t / 2) over the grid modes: the symbol of exp(t*(Lap - 1)/2)."""
-    return np.exp(-0.5 * t * (1.0 + grid.ksq))
+    """exp(-(1+|k|^2) t / 2) over the grid modes: the symbol of exp(t*(Lap - 1)/2).
+
+    Computed once per (grid, t) (``TorusGrid.cached``) and read-only, so
+    the OU chain, its increments and the step loop of a flow share one
+    array.  The steps of a time grid whose dt is not a power of two
+    differ in the last bit, and each distinct step keeps its own array:
+    8 for dt = 0.01 over 100 steps, 19 for dt = 1e-4 over 100000."""
+    t = float(t)
+    return grid.cached(("heat", t), lambda: np.exp(-0.5 * t * (1.0 + grid.ksq)))
 
 
 def heat_semigroup(field: SpectralField, t: float) -> SpectralField:

@@ -83,17 +83,25 @@ class CutoffProfile:
 
     def evaluate(self, r):
         """psi as a function of the radius |x| (profiles are radial)."""
-        r = np.asarray(r, dtype=np.float64)
+        # [()] gives a 0-d input back as a scalar
+        return self._radial(np.array(r, dtype=np.float64))[()]
+
+    def _radial(self, r: np.ndarray) -> np.ndarray:
+        """psi(r) written over the float64 array ``r``."""
         if self.kind == "sharp":
-            return (r <= 1.0).astype(np.float64)
-        return np.exp(-r * r)
+            np.copyto(r, r <= 1.0)
+        else:
+            # square before negating: r is also the output
+            np.exp(np.negative(np.multiply(r, r, out=r), out=r), out=r)
+        return r
 
     def max_level(self, grid: TorusGrid) -> int:
         """Largest admissible cutoff level: 2^(N+2) <= M/2."""
         return int(math.floor(math.log2(grid.modes_per_dim / 2))) - 2
 
-    def multiplier(self, grid: TorusGrid, level: int) -> np.ndarray:
-        """psi(2^{-N} k) over the grid modes."""
+    def multiplier(self, grid: TorusGrid, level: int, out: np.ndarray | None = None) -> np.ndarray:
+        """psi(2^{-N} k) over the grid modes, written into ``out`` (real,
+        (M, M)) when given, with the ufuncs of the allocating path."""
         if level < 0:
             raise ValueError(f"cutoff level must be nonnegative, got {level}")
         if 2 ** (level + 2) > grid.modes_per_dim // 2:
@@ -101,7 +109,9 @@ class CutoffProfile:
                 f"cutoff level {level} too high for grid M={grid.modes_per_dim} "
                 f"(need 2^(N+2) <= M/2)"
             )
-        return self.evaluate(np.sqrt(grid.ksq) / 2.0**level)
+        r = np.sqrt(grid.ksq, out=out)
+        r /= 2.0**level
+        return self._radial(r)
 
     def tail_bound(self, grid: TorusGrid, level: int) -> float:
         """Upper bound on the part of the renormalization sum carried by
@@ -147,9 +157,10 @@ class WickParams:
         """The Wick shift alpha^2 C_N / 2 subtracted in the exponent."""
         return 0.5 * self.alpha**2 * self.c_n
 
-    def multiplier(self, grid: TorusGrid) -> np.ndarray:
-        """The cutoff multiplier psi(2^{-N} k) of P_N over the grid modes."""
-        return self.psi.multiplier(grid, self.level)
+    def multiplier(self, grid: TorusGrid, out: np.ndarray | None = None) -> np.ndarray:
+        """The cutoff multiplier psi(2^{-N} k) of P_N over the grid modes,
+        written into ``out`` when given (``CutoffProfile.multiplier``)."""
+        return self.psi.multiplier(grid, self.level, out)
 
 
 def make_wick_params(

@@ -497,15 +497,18 @@ def test_ensemble_memory_does_not_grow_with_samples(grid32):
 def test_level_flow_holds_one_state_stack():
     # evolve_levels at M = 64 with three levels, reduced to its norms at
     # every step as cmd_sqe does; a complex field is a third of a stack
-    # here.  The flow holds its one state buffer and the real (L, M, M)
-    # cutoff multipliers (1.5 stacks), the spectral and grid workspaces of
-    # the one level it steps with the heat multiplier (2/3 of a stack),
-    # and the noise of one field: the OU chain's state, noise and white
-    # workspaces, the increment buffer and their real multipliers (about
-    # 1.7 stacks).  That is 3.9 stacks live at a yield, and the norms' two
-    # rows or numpy's real -> complex cast buffers add a third: 4.2 at the
-    # peak.  Stack-sized step workspaces or a second live state add at
-    # least a whole stack (stepping the levels together peaked at 6.9).
+    # here and a real one a sixth.  The flow holds its one state buffer
+    # (1 stack), the spectral and grid workspaces of the one level it
+    # steps (half a stack), which also take each level's cutoff multiplier
+    # once its drift is formed and the OU chain's noise draw, and the
+    # noise of one field: the chain's state, its noise scale and the
+    # increment buffer (5/6 of a stack).  The heat multiplier is the
+    # grid's one cached array, warmed outside the measurement.  That is
+    # 2.3 stacks live at a yield, and the norms' two rows or numpy's
+    # real -> complex cast buffers add a third: 2.7 at the peak.  A
+    # stack of multipliers, noise workspaces of the chain's own or a heat
+    # multiplier per user each add half a stack, and stack-sized step
+    # workspaces or a second live state a whole stack.
     grid = make_grid(64)
     configs = _level_configs(grid, "sharp", (1, 2, 3), horizon=4 / 64)
     stream = RngStream(626, purpose="flow-memory")
@@ -516,9 +519,31 @@ def test_level_flow_holds_one_state_stack():
         for stack in evolve_levels(phi0, configs, stream):
             sobolev_norms(stack, grid, (0.0, -0.5))
 
-    run()  # warm caches (weights, cutoff multipliers) outside the measurement
-    assert _peak_traced_bytes(run) < 5 * stack_bytes
+    run()  # warm caches (weights, heat multiplier) outside the measurement
+    assert _peak_traced_bytes(run) < 3.25 * stack_bytes
     # the norms form |coeff|^2 in two rows of M^2 floats, a third of this
-    # stack; (n, M^2) temporaries would take 1.5 stacks
+    # stack, and the norms of a difference form its real and imaginary
+    # parts in the same rows; (n, M^2) temporaries or a complex
+    # difference would take a stack or more
     stack = gff_sample(grid, [stream.for_replica(i) for i in range(3)]).coeffs
     assert _peak_traced_bytes(lambda: sobolev_norms(stack, grid, (0.0, -0.5))) < stack_bytes / 2
+
+    def gaps():
+        sobolev_norms(stack[1:], grid, (-0.5,), minus=stack[:-1])
+
+    assert _peak_traced_bytes(gaps) < stack_bytes / 2
+
+
+def test_sqe_memory_is_the_flow_and_the_grid_caches():
+    # cmd_sqe at M = 64 with three levels, in stacks of three complex
+    # fields as above.  Unlike the flow test, the run draws its initial
+    # datum, builds the grid's cached arrays (free-field scale, heat
+    # multiplier, two Sobolev weights: 2/3 of a stack) and takes the
+    # level gaps: 3.7 stacks at the peak.  Each of these adds at least a
+    # sixth of a stack: the OU chain computing its noise scale before it
+    # drops the datum, an uncached heat multiplier, noise workspaces of
+    # the chain's own and a complex gap difference.
+    cfg = ExperimentConfig(modes=64, level=3, seed=627, replicas=2, horizon=4 / 64, dt=1 / 64)
+    stack_bytes = 3 * 64 * 64 * 16
+    assert cmd_sqe(cfg).exit_code == 0  # warm imports and FFT plans
+    assert _peak_traced_bytes(lambda: cmd_sqe(cfg)) < 3.85 * stack_bytes

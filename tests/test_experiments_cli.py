@@ -1,10 +1,15 @@
 """Experiment drivers and the command line: determinism, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import expsqlab
 from expsqlab import (
     ExperimentConfig,
     cmd_invariance,
@@ -17,6 +22,27 @@ from expsqlab import (
 from expsqlab.cli import main
 
 TINY = dict(modes=16, level=1, seed=31, replicas=4, samples=60)
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given", [None, "2"])
+def test_import_sets_one_blas_thread_unless_given(given):
+    # sobolev_norms sums with np.dot, whose summation order follows the
+    # BLAS thread count, so a report digest would depend on the host: the
+    # package sets one thread before numpy loads, and a count already in
+    # the environment wins
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if given is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, given))
+    src = str(Path(expsqlab.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = f"import expsqlab, os; print(*(os.environ[k] for k in {BLAS_THREAD_VARS}))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [given or "1"] * 3
 
 
 def test_sample_gff_report_and_artifacts(tmp_path):

@@ -136,6 +136,16 @@ def _allocating_ou_chain(grid, coeffs, times, generators):
         yield coeffs
 
 
+def _scribbled(chain, *workspaces):
+    """The stacks of ``chain``, with ``workspaces`` overwritten by NaN after
+    each stack is taken, as a flow's step loop overwrites the workspaces it
+    lends to its OU chain."""
+    for state in chain:
+        yield state
+        for work in workspaces:
+            work.fill(np.nan)
+
+
 def _one_buffer(flow):
     """Copies of everything ``flow`` yields, after checking that it yields
     one array every time."""
@@ -152,6 +162,15 @@ def test_ou_chain_and_increments_step_in_one_buffer(grid8, rows):
     init = gff_sample(grid8, [base.for_replica(i).child("init") for i in range(rows)]).coeffs
     reference = list(_allocating_ou_chain(grid8, init, times, _generators(base, rows)))
     states = _one_buffer(ou_chain(grid8, init, times, _generators(base, rows)))
+    assert [s.tobytes() for s in states] == [s.tobytes() for s in reference]
+    # in lent workspaces, which the chain writes only while a stack is
+    # pulled: the caller may overwrite them between pulls
+    white, noise = np.full(init.shape, np.nan), np.full(init.shape, np.nan, dtype=np.complex128)
+    lent = ou_chain(grid8, init, times, _generators(base, rows), white, noise)
+    next(lent)
+    assert np.isfinite(white).all() and np.isfinite(noise).all()
+    lent = ou_chain(grid8, init, times, _generators(base, rows), white, noise)
+    states = _one_buffer(_scribbled(lent, white, noise))
     assert [s.tobytes() for s in states] == [s.tobytes() for s in reference]
     if rows == 1:
         path = ou_path(SpectralField(grid8, init[0]), times, base.for_replica(0))

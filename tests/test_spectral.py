@@ -20,7 +20,7 @@ from expsqlab import (
     to_spectral,
     zero_field,
 )
-from expsqlab.spectral import sobolev_norms, to_coeffs, to_values
+from expsqlab.spectral import heat_multiplier, sobolev_norms, to_coeffs, to_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,6 +63,13 @@ def test_grid_cache_builds_once_read_only():
     assert g.sobolev_weight(-0.5) is g.sobolev_weight(-0.5)
     assert not g.sobolev_weight(-0.5).flags.writeable
     assert g.sobolev_weight(1).tobytes() == (1.0 + g.ksq.ravel()).tobytes()
+    # so do the heat multipliers, one per time, shared by every flow
+    heat = heat_multiplier(g, 0.25)
+    assert heat_multiplier(g, np.float64(0.25)) is heat
+    assert not heat.flags.writeable
+    assert heat.tobytes() == np.exp(-0.5 * 0.25 * (1.0 + g.ksq)).tobytes()
+    assert heat_multiplier(g, 0.5).tobytes() == np.exp(-0.5 * 0.5 * (1.0 + g.ksq)).tobytes()
+    assert heat_multiplier(make_grid(8), 0.25) is not heat
 
 
 def test_constant_field_coefficient():
@@ -207,6 +214,11 @@ def test_sobolev_norms_match_the_stack_formula(M, n):
     weights = [grid.sobolev_weight(s) for s in orders]
     expected = np.sqrt([[np.dot(w, row) for row in abs2] for w in weights])
     assert sobolev_norms(coeffs, grid, orders).tobytes() == expected.tobytes()
+    # the norms of a difference, formed component by component in the
+    # workspace rows, are those of the complex difference
+    other = rng.standard_normal((n, M, M)) + 1j * rng.standard_normal((n, M, M))
+    got = sobolev_norms(coeffs, grid, orders, minus=other)
+    assert got.tobytes() == sobolev_norms(coeffs - other, grid, orders).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(32, 32), (3, 32, 32)])

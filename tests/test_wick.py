@@ -169,6 +169,23 @@ def test_sharp_multiplier_is_indicator(grid8, sharp):
         sharp.multiplier(grid8, -1)
 
 
+@pytest.mark.parametrize("M", [8, 16, 32, 64, 128, 256])
+def test_multiplier_into_a_workspace_is_the_spelled_out_profile(M, sharp, smooth):
+    # psi(2^-N k) at every admissible level, allocated and written into
+    # ``out``, byte for byte r = sqrt(|k|^2) / 2^N through the sharp
+    # indicator cast or the smooth exp(-r * r); into ``out`` the smooth
+    # profile must square r before negating it, since out is r
+    grid = make_grid(M)
+    for psi in (sharp, smooth):
+        for level in range(psi.max_level(grid) + 1):
+            r = np.sqrt(grid.ksq) / 2.0**level
+            spelled = (r <= 1.0).astype(np.float64) if psi is sharp else np.exp(-r * r)
+            out = np.full((M, M), np.nan)
+            assert psi.multiplier(grid, level, out=out) is out
+            assert out.tobytes() == spelled.tobytes()
+            assert psi.multiplier(grid, level).tobytes() == spelled.tobytes()
+
+
 def test_max_level(grid32, sharp):
     assert sharp.max_level(grid32) == 2
     assert sharp.max_level(make_grid(256)) == 5
@@ -239,6 +256,9 @@ def test_wick_params_carry_their_cutoff(smooth):
     shift = 0.5 * params.alpha**2 * params.c_n
     assert params.shift == shift
     assert params.multiplier(grid).tobytes() == smooth.multiplier(grid, 3).tobytes()
+    out = np.empty((64, 64))
+    assert params.multiplier(grid, out=out) is out
+    assert out.tobytes() == smooth.multiplier(grid, 3).tobytes()
     f = gff_sample(grid, RngStream(77, purpose="wick-fold"))
     expected = guarded_exp(apply_PN(f, smooth, 3).values(), params.alpha, shift)
     assert wick_exp_values(f, params).tobytes() == expected.tobytes()
