@@ -46,8 +46,13 @@ from expsqlab import (
 )
 from expsqlab.measures import AREA
 from expsqlab.spectral import heat_multiplier, sobolev_norms
+from golden_values import load_golden, value_drift
 
 SEED = 20260814
+
+# c06-c08's measured quantities by value (tests/golden/shifted.json): each
+# criterion matches them to a relative 1e-12, finer than its verdict prints
+SHIFTED = load_golden("shifted")
 
 
 def _stream(tag: str) -> RngStream:
@@ -223,6 +228,8 @@ def test_criterion_06_sign_comparison():
         violations += int(m > 1e-12)
     _verdict(6, "sign comparison", violations == 0,
              f"violations = {violations}/100 replicas, worst max value {worst:.1e}")
+    got = {"violations": violations, "worst_max_value": worst}
+    assert value_drift(got, SHIFTED["c06"], "c06") == []
 
 
 def test_criterion_07_energy_contraction():
@@ -247,6 +254,7 @@ def test_criterion_07_energy_contraction():
     _verdict(7, "energy contraction", all_passed,
              f"max growth rate {max(rates):.3f} per unit time over 20 replicas, "
              f"gate log(1.01) = {math.log1p(0.01):.4f}")
+    assert value_drift({"rates": rates}, SHIFTED["c07"], "c07") == []
 
 
 def test_criterion_08_splitting_order():
@@ -298,9 +306,12 @@ def test_criterion_08_splitting_order():
         del fine, y_fine
     means = residuals.mean(axis=0)
     order = -float(np.polyfit(ps, np.log2(means), 1)[0])
-    _verdict(8, "splitting refinement order", order >= 0.9,
+    # the same-grid split is exact up to rounding
+    _verdict(8, "splitting refinement order", order >= 0.9 and split_defect <= 1e-12,
              f"residual order {order:.3f} >= 0.9 against the dt = 2^-{p_ref} "
              f"reconstruction; same-grid split defect {split_defect:.1e}")
+    got = {"residual_means": means.tolist(), "order": order}
+    assert value_drift(got, SHIFTED["c08"], "c08") == []
 
 
 def test_criterion_09_level_gap_decreasing():

@@ -16,16 +16,16 @@ import importlib
 import importlib.util
 import inspect
 import json
-import math
 from pathlib import Path
 
 import pytest
 
 import expsqlab
 from expsqlab import experiments, parse_config
+from golden_values import GOLDEN_DIR, value_drift
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-GOLDEN = Path(__file__).resolve().parent / "golden" / "workloads.json"
+GOLDEN = GOLDEN_DIR / "workloads.json"
 
 
 def _load(name: str):
@@ -56,26 +56,6 @@ def test_every_command_accepts_threads():
 
 def test_kernel_backend_is_stamped():
     assert isinstance(expsqlab.KERNEL_BACKEND, str)
-
-
-def value_drift(got, want, path="body") -> list[str]:
-    """Paths at which the JSON value ``got`` differs from ``want``:
-    floats beyond a relative 1e-12, anything else at all."""
-    if isinstance(want, float) and isinstance(got, float):
-        if math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0):
-            return []
-        return [f"{path}: {got!r} != {want!r}"]
-    if isinstance(want, dict) and isinstance(got, dict):
-        if got.keys() != want.keys():
-            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
-        return [d for k in sorted(want) for d in value_drift(got[k], want[k], f"{path}.{k}")]
-    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
-        return [
-            d for i, (g, w) in enumerate(zip(got, want)) for d in value_drift(g, w, f"{path}[{i}]")
-        ]
-    if type(got) is not type(want) or got != want:
-        return [f"{path}: {got!r} != {want!r}"]
-    return []
 
 
 def test_value_drift_names_the_field():

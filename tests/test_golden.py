@@ -6,6 +6,9 @@ the sha256 of the report body (and of ``samples.bin`` and ``paths.csv``)
 at small configs for all five commands, plus the raw state bytes of the
 full solve with its X + Y split and of the projected solve, so any bit
 drift in sampling, weighting, stepping, norms or dumping fails here.
+The shifted states of the split are also pinned by value, as their L2
+norms in ``tests/golden/shifted.json`` (to a relative 1e-12), so a
+re-pinned digest still shows how far they moved.
 The digests were recorded with numpy 2.4; a different numpy may
 legitimately change the last bits of its FFTs.
 """
@@ -39,6 +42,7 @@ from expsqlab import (
 )
 from expsqlab import dynamics, wick
 from expsqlab.spectral import heat_multiplier
+from golden_values import load_golden, value_drift
 
 INVARIANCE = {
     # 37 replicas and 300 draws: blocks of 16 fields at M = 32 end ragged
@@ -231,6 +235,11 @@ def test_solver_states_golden(name):
         path = solve_sqe_full(phi0, config, stream, x_traj=x_traj)
         x_part, y_part, shifted = decompose(path, x_traj, config)
         got = _states_digest(path.states, x_part.states, y_part.states, shifted.states)
+        # the shifted states by value, so a re-pin of the digest shows how
+        # far they moved
+        norms = [sobolev_norm(s, 0.0) for s in shifted.states]
+        golden = load_golden("shifted")[name]
+        assert value_drift({"shifted_l2": norms}, golden, name) == []
     else:
         # drives itself from stream.child("ou"), the OU chain the pin was
         # recorded with (then passed in as a trajectory)
