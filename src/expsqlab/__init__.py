@@ -82,7 +82,6 @@ from .wick import (
     make_wick_params,
     renorm_constant,
     wick_exp_gff,
-    wick_exp_ou,
     wick_exp_values,
 )
 
@@ -155,7 +154,6 @@ __all__ = [
     "time_grid",
     "to_spectral",
     "wick_exp_gff",
-    "wick_exp_ou",
     "wick_exp_values",
     "write_csv",
     "write_report",

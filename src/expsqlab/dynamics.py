@@ -10,8 +10,8 @@ names the equation:
               d Phi = (Lap-1)/2 Phi dt - (alpha/2) P_N exp(alpha P_N Phi - a^2 C_N/2) dt + dW,
               initial datum phi (the ensemble-stationary variant);
   shifted (``solve_shifted``):
-              d Y = (Lap-1)/2 Y dt - (alpha/2) M(exp(alpha Y), chi_t) dt,
-              deterministic, driven by a nonnegative forcing path chi.
+              d Y = (Lap-1)/2 Y dt - (alpha/2) exp(alpha Y) exp(alpha P_N X_t - a^2 C_N/2) dt,
+              deterministic, driven by an OU trajectory X.
 
 Every solver steps in exponential-Euler (mild) form: the nonlinear term
 is frozen over the step and the exact semigroup is applied afterwards,
@@ -29,17 +29,18 @@ noise stream, which is what makes common-noise coupling across cutoff
 levels and across dt refinements exact.
 
 Every solver returns a randomfields.FieldPath of its states on the time
-grid 0, dt, ..., T, and the shifted equation takes its forcing as one.
-The split Phi = X + Y of a full solve is a separate step,
+grid 0, dt, ..., T, and the shifted equation reads its OU trajectory X
+as one.  The split Phi = X + Y of a full solve is a separate step,
 ``decompose(path, x_traj, config)``: X is the projected OU trajectory
-that drove the solve, Y = Phi - X, and the shifted equation forced by
-the Wick exponential of X gives Y again, solved on its own.
+that drove the solve, Y = Phi - X, and the shifted equation driven by
+X gives Y again, solved on its own.
 
 Every loop moves between the grid and spectral space with the pair
 spectral.to_values/to_coeffs, and the exponential-Euler step multiplier
 is spectral.heat_multiplier, the same symbol as the OU decay.  Noise
-increments and forcing values are produced one step at a time, never
-stored for the whole horizon.
+increments and the shifted equation's Wick forcing exp(alpha P_N X_t -
+a^2 C_N/2) are formed from X one step at a time, never stored for the
+whole horizon.
 
 Workspace rule: each loop allocates its spectral and grid temporaries
 once per call and overwrites them every step, through the ``out``
@@ -108,7 +109,6 @@ from .wick import (
     WickParams,
     guarded_exp,
     scaled_exp,
-    wick_exp_ou,
 )
 
 __all__ = [
@@ -128,8 +128,6 @@ __all__ = [
 # hard guard on dt * 2^(2N): the linear part is handled exactly, so this
 # only rules out grossly inaccurate steps
 STABILITY_CAP = 16.0
-
-NONNEG_TOL = -1e-10
 
 # contraction_check passes when exp(t/2) ||Y1_t - Y2_t|| grows by at most
 # this fraction per unit time
@@ -178,15 +176,6 @@ class ContractionReport:
     passed: bool
 
 
-def _forcing_values(xi: SpectralField, work=None, out=None) -> np.ndarray:
-    """Grid values of the forcing state xi, through the ``to_values``
-    workspaces; rejects values below the -1e-10 tolerance."""
-    vals = to_values(xi.coeffs, xi.grid, work, out)
-    if vals.min() < NONNEG_TOL:
-        raise ValueError(f"forcing has negative values (min {vals.min():.3e}) below tolerance")
-    return vals
-
-
 def _check_initial_regularity(upsilon: SpectralField, beta: float):
     """Numerical stand-in for 'initial datum lies in H^{2-beta}': finite
     coefficients and no rough-field signature (at most half of the
@@ -209,32 +198,37 @@ def _check_initial_regularity(upsilon: SpectralField, beta: float):
 
 
 def _validate_path_times(times: np.ndarray, config: SqeConfig):
-    n = config.n_steps()
-    expected = np.arange(n + 1) * config.dt
-    if len(times) != n + 1 or not np.allclose(times, expected, rtol=0, atol=1e-9 * config.dt):
+    expected = time_grid(config)
+    if len(times) != len(expected) or not np.allclose(
+        times, expected, rtol=0, atol=1e-9 * config.dt
+    ):
         raise ValueError("path times must be the uniform solver grid 0, dt, ..., T")
 
 
-def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig) -> FieldPath:
+def solve_shifted(upsilon: SpectralField, x_traj: FieldPath, config: SqeConfig) -> FieldPath:
     """Integrate the deterministic shifted equation from ``upsilon`` driven
-    by the nonnegative forcing path ``chi_path`` (given on the solver's
-    own time grid).
+    by the OU trajectory ``x_traj`` (given on the solver's own time grid).
+
+    The step from time t_j is forced by the Wick exponential
+    exp(alpha P_N X_{t_j} - shift) of ``x_traj.states[j]``, formed in the
+    solver's grid workspace with the ufuncs of ``wick.wick_exp_values``,
+    so it is that function's value bit for bit; it raises
+    WickOverflowError at the first step whose exponent passes the guard.
+    The last state, which no step reads, is not evaluated.
 
     The per-step update freezes the nonlinearity and applies the exact
     semigroup, so with zero initial datum the state keeps the sign
-    opposite to alpha at every grid point (comparison structure), and
-    with zero forcing the flow is the exact heat semigroup.  Each forcing
-    state is turned into grid values and checked for sign at the step
-    that reads it; the last state, which no step reads, is checked first.
+    opposite to alpha at every grid point (comparison structure), and at
+    alpha = 0 the flow is the exact heat semigroup.
     """
-    _validate_path_times(chi_path.times, config)
+    _validate_path_times(x_traj.times, config)
     params = config.params
     _check_initial_regularity(upsilon, params.beta)
     grid = upsilon.grid
-    if chi_path.grid != grid:
-        raise ValueError("forcing path and initial datum live on different grids")
-    _forcing_values(chi_path.states[-1])
+    if x_traj.grid != grid:
+        raise ValueError("OU trajectory and initial datum live on different grids")
 
+    psi_mult = params.multiplier(grid)
     mult = heat_multiplier(grid, config.dt)
     alpha = params.alpha
     half_adt = 0.5 * alpha * config.dt
@@ -244,10 +238,11 @@ def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig
     u, forcing = np.empty((2, *coeffs.shape))
     to_values(coeffs, grid, spec, u)
     states = [SpectralField(grid, coeffs)]
-    for j, chi in enumerate(chi_path.states[:-1]):
+    for j, x in enumerate(x_traj.states[:-1]):
         nonlin = guarded_exp(u, alpha, 0.0, out=u)
         np.multiply(half_adt, nonlin, out=nonlin)
-        nonlin *= _forcing_values(chi, spec, forcing)
+        to_values(np.multiply(psi_mult, x.coeffs, out=spec), grid, spec, forcing)
+        nonlin *= guarded_exp(forcing, alpha, params.shift, out=forcing)
         coeffs = np.subtract(coeffs, to_coeffs(nonlin, grid, out=spec))
         np.multiply(mult, coeffs, out=coeffs)
         if not np.isfinite(coeffs[0, 0]):
@@ -255,7 +250,7 @@ def solve_shifted(upsilon: SpectralField, chi_path: FieldPath, config: SqeConfig
         to_values(coeffs, grid, spec, u)
         states.append(SpectralField(grid, coeffs))
 
-    return FieldPath(times=np.array(chi_path.times), states=states)
+    return FieldPath(times=np.array(x_traj.times), states=states)
 
 
 def _ou_increments(grid: TorusGrid, initial: np.ndarray, states, dt: float):
@@ -444,7 +439,7 @@ def decompose(
         (x_part, y_part, shifted): x_part = P_N x_traj and y_part =
         state - x_part, so x + y = state exactly; ``shifted`` is the
         remainder solved independently from zero as the shifted equation
-        forced by the Wick exponential of x_traj.  On a shared time grid
+        driven by x_traj.  On a shared time grid
         the two remainders coincide to rounding: the splitting commutes
         with this discretization because the full nonlinearity factors as
         exp(alpha y) * exp(alpha P_N x - shift) pointwise.  A genuine
@@ -456,8 +451,7 @@ def decompose(
     psi_mult = config.params.multiplier(grid)
     x_part = [SpectralField(grid, psi_mult * s.coeffs) for s in x_traj.states]
     y_part = [st - xp for st, xp in zip(path.states, x_part)]
-    chi_path = wick_exp_ou(x_traj, config.params)
-    shifted = solve_shifted(zero_field(grid), chi_path, config)
+    shifted = solve_shifted(zero_field(grid), x_traj, config)
     return FieldPath(path.times, x_part), FieldPath(path.times, y_part), shifted
 
 
@@ -535,14 +529,14 @@ def solve_sqe_projected(
 def contraction_check(
     upsilon1: SpectralField,
     upsilon2: SpectralField,
-    chi_path: FieldPath,
+    x_traj: FieldPath,
     config: SqeConfig,
 ) -> ContractionReport:
-    """Run the shifted solve from two initial data over one forcing path
-    and check the energy contraction: exp(t/2) ||Y1_t - Y2_t||_{L2} must
-    be nonincreasing within CONTRACTION_TOLERANCE per unit time."""
-    path1 = solve_shifted(upsilon1, chi_path, config)
-    path2 = solve_shifted(upsilon2, chi_path, config)
+    """Run the shifted solve from two initial data driven by one OU
+    trajectory and check the energy contraction: exp(t/2) ||Y1_t - Y2_t||_{L2}
+    must be nonincreasing within CONTRACTION_TOLERANCE per unit time."""
+    path1 = solve_shifted(upsilon1, x_traj, config)
+    path2 = solve_shifted(upsilon2, x_traj, config)
     times = path1.times
     gaps = np.array(
         [sobolev_norm(s1 - s2, 0.0) for s1, s2 in zip(path1.states, path2.states)]

@@ -38,8 +38,8 @@ field is the stack of one: row i of a stack is bit-for-bit the field its
 own stream gives alone.
 
 A path of fields is a :class:`FieldPath` (times, states): ``ou_path``
-returns one, and the Wick-exponential forcing and every solver in
-``dynamics`` use the same type.  The OU decay is
+returns one, every solver in ``dynamics`` returns one, and the shifted
+equation reads its OU trajectory as one.  The OU decay is
 ``spectral.heat_multiplier``, the symbol of the drift (Lap-1)/2.
 """
 
@@ -66,8 +66,8 @@ __all__ = [
 @dataclass(frozen=True)
 class FieldPath:
     """Fields on one grid at strictly increasing times, one state per
-    time: the package's one path type (OU trajectories, Wick-exponential
-    forcing paths and solver outputs alike)."""
+    time: the package's one path type (OU trajectories and solver outputs
+    alike)."""
 
     times: np.ndarray
     states: list

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .randomfields import FieldPath
 from .spectral import SpectralField, TorusGrid, to_spectral
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "guarded_exp",
     "analytic_wick_cov",
     "green_kernel_point",
-    "wick_exp_ou",
     "ALPHA_MAX",
 ]
 
@@ -274,10 +272,4 @@ def analytic_wick_cov(params: WickParams, x, y, grid: TorusGrid) -> float:
     """Second-moment oracle E[wick(x) wick(y)] = exp(alpha^2 K_N(x - y))."""
     z = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
     return math.exp(params.alpha**2 * green_kernel_point(params.psi, params.level, grid, z))
-
-
-def wick_exp_ou(traj: FieldPath, params: WickParams) -> FieldPath:
-    """Wick exponential applied along an OU trajectory."""
-    states = [wick_exp_gff(state, params) for state in traj.states]
-    return FieldPath(times=traj.times, states=states)
 

@@ -40,7 +40,6 @@ from expsqlab import (
     standard_observables,
     time_grid,
     to_spectral,
-    wick_exp_ou,
     wick_exp_values,
     zero_field,
 )
@@ -221,8 +220,7 @@ def test_criterion_06_sign_comparison():
     for r in range(100):
         sub = base.for_replica(r)
         traj = ou_path(gff_sample(grid, sub.child("x0")), times, sub.child("ou"))
-        chi = wick_exp_ou(traj, params)
-        path = solve_shifted(zero_field(grid), chi, config)
+        path = solve_shifted(zero_field(grid), traj, config)
         m = float(max(s.values().max() for s in path.states))
         worst = max(worst, m)
         violations += int(m > 1e-12)
@@ -245,10 +243,9 @@ def test_criterion_07_energy_contraction():
     for r in range(20):
         sub = base.for_replica(r)
         traj = ou_path(gff_sample(grid, sub.child("x0")), times, sub.child("ou"))
-        chi = wick_exp_ou(traj, params)
         u1 = heat_semigroup(gff_sample(grid, sub.child("u1")), 0.05)
         u2 = heat_semigroup(gff_sample(grid, sub.child("u2")), 0.05)
-        rep = contraction_check(u1, u2, chi, config)
+        rep = contraction_check(u1, u2, traj, config)
         rates.append(rep.max_rate_per_unit_time)
         all_passed = all_passed and rep.passed
     _verdict(7, "energy contraction", all_passed,
@@ -276,13 +273,11 @@ def test_criterion_08_splitting_order():
         phi0 = heat_semigroup(gff_sample(grid, sub.child("init")), 0.1)
         fine_times = np.arange(2**p_ref + 1) * 2.0**-p_ref
         fine = ou_path(phi0, fine_times, sub.child("ou"))
-        chi = wick_exp_ou(fine, params)
+        fine_cfg = SqeConfig(horizon=1.0, dt=2.0**-p_ref, params=params)
         # the coarse solves read only every 2^(p_ref - max(ps))-th fine state
         thin = 2 ** (p_ref - ps[-1])
+        y_fine = solve_shifted(zero_field(grid), fine, fine_cfg).states[::thin]
         fine = FieldPath(times=fine.times[::thin], states=fine.states[::thin])
-        fine_cfg = SqeConfig(horizon=1.0, dt=2.0**-p_ref, params=params)
-        y_fine = solve_shifted(zero_field(grid), chi, fine_cfg).states[::thin]
-        del chi
         for c, p in enumerate(ps):
             stride = 2 ** (ps[-1] - p)
             x_traj = FieldPath(times=fine.times[::stride], states=fine.states[::stride])

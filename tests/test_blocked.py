@@ -43,6 +43,7 @@ from expsqlab import (
     sample_ensemble,
     save_fields,
     sobolev_norm,
+    solve_shifted,
     solve_sqe_full,
     solve_sqe_projected,
     standard_observables,
@@ -547,3 +548,26 @@ def test_sqe_memory_is_the_flow_and_the_grid_caches():
     stack_bytes = 3 * 64 * 64 * 16
     assert cmd_sqe(cfg).exit_code == 0  # warm imports and FFT plans
     assert _peak_traced_bytes(lambda: cmd_sqe(cfg)) < 3.85 * stack_bytes
+
+
+def test_shifted_solve_holds_its_states_and_a_few_fields():
+    # solve_shifted at M = 32 over a 65-state OU trajectory keeps its 65
+    # states, 16 KiB each.  Beside them it holds the zero datum, one
+    # spectral and two grid workspaces, the cutoff multiplier and the
+    # initial-regularity check's temporaries: 70.6 fields at the peak.
+    # Each step forms its Wick forcing from its state of X in the grid
+    # workspace, so a stored path of forcing states (65 more fields)
+    # cannot fit under the bound.
+    grid = make_grid(32)
+    params = make_wick_params(1.0, 2, CutoffProfile("sharp"), grid)
+    config = SqeConfig(horizon=1.0, dt=1 / 64, params=params)
+    stream = RngStream(628, purpose="shifted-memory")
+    traj = ou_path(gff_sample(grid, stream.child("x0")), time_grid(config), stream.child("ou"))
+    assert len(traj.states) == 65
+    field_bytes = grid.npoints * 16
+
+    def run():
+        solve_shifted(zero_field(grid), traj, config)
+
+    run()  # warm caches (weights, heat multiplier) outside the measurement
+    assert _peak_traced_bytes(run) < (65 + 7) * field_bytes

@@ -12,6 +12,7 @@ from expsqlab import (
     CutoffProfile,
     FieldPath,
     SqeConfig,
+    WickOverflowError,
     constant_field,
     contraction_check,
     decompose,
@@ -27,7 +28,7 @@ from expsqlab import (
     solve_sqe_projected,
     time_grid,
     to_spectral,
-    wick_exp_ou,
+    wick_exp_values,
     zero_field,
 )
 from expsqlab.spectral import heat_multiplier
@@ -37,9 +38,11 @@ def _params(grid, alpha=1.0, level=2):
     return make_wick_params(alpha, level, CutoffProfile("sharp"), grid)
 
 
-def _constant_forcing(config, grid, value=1.0):
+def _zero_trajectory(config, grid):
+    """The OU trajectory X = 0 on the solver grid: its Wick forcing is the
+    constant exp(-shift)."""
     times = time_grid(config)
-    return FieldPath(times=times, states=[constant_field(grid, value)] * len(times))
+    return FieldPath(times=times, states=[zero_field(grid)] * len(times))
 
 
 def _shifted_config(grid, dt, horizon=1.0, alpha=1.0, level=0, **kw):
@@ -49,20 +52,20 @@ def _shifted_config(grid, dt, horizon=1.0, alpha=1.0, level=0, **kw):
 
 def _constant_mode_final(grid, dt, u0, alpha=1.0):
     config = _shifted_config(grid, dt, alpha=alpha)
-    path = solve_shifted(
-        constant_field(grid, u0), _constant_forcing(config, grid), config
-    )
+    path = solve_shifted(constant_field(grid, u0), _zero_trajectory(config, grid), config)
     return float(path.final().values()[0, 0])
 
 
 def test_scalar_ode_oracle():
-    # constant data and forcing reduce every grid point to the scalar ODE
-    # u' = -u/2 - (alpha/2) e^{alpha u}; integrate it to rtol 1e-12 and
-    # check the stepper converges at first order to that value
+    # constant data and X = 0, whose Wick forcing is the constant
+    # exp(-shift), reduce every grid point to the scalar ODE
+    # u' = -u/2 - (alpha/2) e^{-shift} e^{alpha u}; integrate it to rtol
+    # 1e-12 and check the stepper converges at first order to that value
     grid = make_grid(8)
     u0, alpha = 0.4, 1.0
+    forcing = np.exp(-_params(grid, alpha=alpha, level=0).shift)
     ivp = solve_ivp(
-        lambda t, u: -0.5 * u - 0.5 * alpha * np.exp(alpha * u),
+        lambda t, u: -0.5 * u - 0.5 * alpha * forcing * np.exp(alpha * u),
         (0.0, 1.0),
         [u0],
         rtol=1e-12,
@@ -84,13 +87,13 @@ def test_scalar_ode_oracle():
 
 
 def test_zero_forcing_is_heat_flow(grid32, stream):
-    # chi = 0 switches the nonlinearity off: the flow must be the exact
-    # per-mode decay of (Lap - 1)/2
-    config = _shifted_config(grid32, dt=1.0 / 16, level=1)
+    # alpha = 0 switches the drift off whatever X is: the flow must be the
+    # exact per-mode decay of (Lap - 1)/2
+    config = _shifted_config(grid32, dt=1.0 / 16, alpha=0.0, level=1)
     times = time_grid(config)
-    zeros = FieldPath(times=times, states=[zero_field(grid32)] * len(times))
+    traj = ou_path(gff_sample(grid32, stream.child("x0")), times, stream.child("ou"))
     upsilon = heat_semigroup(gff_sample(grid32, stream), 0.2)
-    path = solve_shifted(upsilon, zeros, config)
+    path = solve_shifted(upsilon, traj, config)
     expected = upsilon.coeffs * heat_multiplier(grid32, 1.0)
     assert np.abs(path.final().coeffs - expected).max() < 1e-13
 
@@ -150,15 +153,14 @@ def test_remainder_sign_structure(grid32, stream):
     config = _shifted_config(grid32, dt=1.0 / 32, horizon=0.5, level=2)
     times = time_grid(config)
     traj = ou_path(gff_sample(grid32, stream.child("x0")), times, stream.child("ou"))
-    chi = wick_exp_ou(traj, config.params)
-    path = solve_shifted(zero_field(grid32), chi, config)
+    path = solve_shifted(zero_field(grid32), traj, config)
     assert max(s.values().max() for s in path.states) <= 1e-12
 
 
 def test_contraction_identical_inputs(grid32, stream):
     config = _shifted_config(grid32, dt=1.0 / 16, horizon=0.5, level=1)
     upsilon = heat_semigroup(gff_sample(grid32, stream), 0.2)
-    report = contraction_check(upsilon, upsilon, _constant_forcing(config, grid32), config)
+    report = contraction_check(upsilon, upsilon, _zero_trajectory(config, grid32), config)
     assert isinstance(report, ContractionReport)
     assert report.max_rate_per_unit_time == float("-inf")
     assert report.passed
@@ -168,26 +170,48 @@ def test_contraction_random_pair(grid32, stream):
     config = _shifted_config(grid32, dt=1.0 / 32, horizon=0.5, level=2)
     times = time_grid(config)
     traj = ou_path(gff_sample(grid32, stream.child("x0")), times, stream.child("ou"))
-    chi = wick_exp_ou(traj, config.params)
     u1 = heat_semigroup(gff_sample(grid32, stream.child("a")), 0.1)
     u2 = heat_semigroup(gff_sample(grid32, stream.child("b")), 0.1)
-    report = contraction_check(u1, u2, chi, config)
+    report = contraction_check(u1, u2, traj, config)
     assert report.passed
     assert report.gaps[0] > 0
 
 
-def test_negative_forcing_rejected(grid32, stream):
-    # a forcing state with negative values is rejected wherever it sits,
-    # the last one included although no step reads it
+def test_shifted_step_is_forced_by_wick_exp_values(grid32, stream):
+    # the step from t_j is forced by wick_exp_values of X_{t_j}, bit for
+    # bit: one step spelled out with it gives the solver's bytes
+    config = _shifted_config(grid32, dt=1.0 / 16, horizon=1.0 / 16, level=2)
+    params = config.params
+    traj = ou_path(gff_sample(grid32, stream.child("x0")), time_grid(config), stream.child("ou"))
+    upsilon = heat_semigroup(gff_sample(grid32, stream.child("u")), 0.2)
+    path = solve_shifted(upsilon, traj, config)
+    drift = 0.5 * params.alpha * config.dt * np.exp(params.alpha * upsilon.values())
+    drift *= wick_exp_values(traj.states[0], params)
+    mult = heat_multiplier(grid32, config.dt)
+    expected = mult * (upsilon.coeffs - to_spectral(drift, grid32).coeffs)
+    assert path.final().coeffs.tobytes() == expected.tobytes()
+
+
+def test_forcing_overflow_raises_at_its_step(grid32):
+    # a state of X whose Wick exponent passes the guard raises at the step
+    # that reads it, with its own exponent though a later state's is
+    # larger; the last state, which no step reads, is not evaluated
     config = _shifted_config(grid32, dt=1.0 / 16, horizon=0.5, level=1)
-    upsilon = heat_semigroup(gff_sample(grid32, stream), 0.2)
-    signed = to_spectral(0.5 + np.cos(grid32.points)[:, None] + np.zeros((32, 32)), grid32)
+    shift = config.params.shift
     times = time_grid(config)
-    for j in (0, 3, len(times) - 1):
-        states = [constant_field(grid32, 2.0)] * len(times)
-        states[j] = signed
-        with pytest.raises(ValueError, match="negative"):
-            solve_shifted(upsilon, FieldPath(times=times, states=states), config)
+
+    def solve(big):
+        states = [zero_field(grid32)] * len(times)
+        for j, value in big.items():
+            states[j] = constant_field(grid32, value)
+        return solve_shifted(zero_field(grid32), FieldPath(times=times, states=states), config)
+
+    for j in (0, 3, len(times) - 2):
+        with pytest.raises(WickOverflowError) as info:
+            solve({j: 800.0 + j, len(times) - 1: 900.0})
+        assert info.value.max_exponent == pytest.approx(800.0 + j - shift, rel=1e-12)
+    path = solve({len(times) - 1: 900.0})
+    assert np.all(np.isfinite(path.final().coeffs))
 
 
 def test_config_validation(grid32):
@@ -208,7 +232,7 @@ def test_config_validation(grid32):
 
 
 def test_forcing_times_enforced(grid32):
-    # the forcing path must sit on the solver's own grid of times
+    # the OU trajectory must sit on the solver's own grid of times
     config = _shifted_config(grid32, dt=1.0 / 16, horizon=0.25, level=2)
     wrong_times = FieldPath(
         times=np.array([0.0, 0.3]), states=[zero_field(grid32)] * 2
@@ -221,11 +245,11 @@ def test_rough_initial_datum_rejected(stream):
     grid = make_grid(64)
     config = _shifted_config(grid, dt=1.0 / 16, horizon=0.25, level=2)
     rough = gff_sample(grid, stream)
-    forcing = _constant_forcing(config, grid)
+    zeros = _zero_trajectory(config, grid)
     with pytest.raises(ValueError, match="rough"):
-        solve_shifted(rough, forcing, config)
+        solve_shifted(rough, zeros, config)
     smooth = heat_semigroup(rough, 0.1)
-    path = solve_shifted(smooth, forcing, config)
+    path = solve_shifted(smooth, zeros, config)
     assert np.all(np.isfinite(path.final().coeffs))
 
 

@@ -157,7 +157,7 @@ OVERFLOW = {
 }
 
 SOLVER_STATES = {
-    "full-decomposed": "d60632726b5100f2781e853aea8f032a84f1f4e5d10d41f7806a5a390169d7f8",
+    "full-decomposed": "3226ae73f3303ce32be563b63a110c21fd389f61a716a25b57c8908fb1040ddc",
     "projected": "817cbe37c95183aad390daf668f75d5b7900a41d0c7ff9778d153a45d2ec8d5c",
 }
 

@@ -13,6 +13,7 @@ from expsqlab import (
     ALPHA_MAX,
     CutoffProfile,
     RngStream,
+    SpectralField,
     WickOverflowError,
     WickParams,
     analytic_wick_cov,
@@ -25,7 +26,6 @@ from expsqlab import (
     make_wick_params,
     ou_path,
     renorm_constant,
-    wick_exp_ou,
     wick_exp_values,
 )
 from expsqlab.spectral import to_values
@@ -346,11 +346,13 @@ def test_apply_pn_sharp_idempotent(grid32, sharp, stream):
     assert np.all(once.coeffs[(f.grid.ksq > 16.0)] == 0.0)
 
 
-def test_wick_exp_ou_path(grid32, sharp, stream):
+def test_wick_exp_values_of_ou_states_are_positive(grid32, sharp, stream):
+    # the Wick forcing of the shifted equation, on a stack of OU states
     params = make_wick_params(1.0, 2, sharp, grid32)
     times = np.linspace(0.0, 0.5, 5)
     traj = ou_path(gff_sample(grid32, stream.child("init")), times, stream.child("path"))
-    path = wick_exp_ou(traj, params)
-    assert np.array_equal(path.times, times)
-    assert all(f.values().min() > 0.0 for f in path.states)
+    stack = SpectralField(grid32, np.stack([s.coeffs for s in traj.states]))
+    values = wick_exp_values(stack, params)
+    assert values.shape == (len(times), 32, 32)
+    assert values.min() > 0.0
 
