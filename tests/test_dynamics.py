@@ -194,8 +194,8 @@ def test_shifted_step_is_forced_by_wick_exp_values(grid32, stream):
 
 def test_forcing_overflow_raises_at_its_step(grid32):
     # a state of X whose Wick exponent passes the guard raises at the step
-    # that reads it, with its own exponent though a later state's is
-    # larger; the last state, which no step reads, is not evaluated
+    # that reads it, with its own exponent, before the next state's larger
+    # one is read; the last state, which no step reads, is not evaluated
     config = _shifted_config(grid32, dt=1.0 / 16, horizon=0.5, level=1)
     shift = config.params.shift
     times = time_grid(config)
@@ -208,7 +208,7 @@ def test_forcing_overflow_raises_at_its_step(grid32):
 
     for j in (0, 3, len(times) - 2):
         with pytest.raises(WickOverflowError) as info:
-            solve({j: 800.0 + j, len(times) - 1: 900.0})
+            solve({j: 800.0 + j, j + 1: 900.0})
         assert info.value.max_exponent == pytest.approx(800.0 + j - shift, rel=1e-12)
     path = solve({len(times) - 1: 900.0})
     assert np.all(np.isfinite(path.final().coeffs))
