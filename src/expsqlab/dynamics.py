@@ -58,7 +58,7 @@ is held past the step that reads it.  The chain draws its noise in the
 flow's own spectral and grid workspaces, which it writes only while the
 next increment is pulled, and it drops the initial datum at its first
 decay, before it computes its noise scale.  The chain, the increments
-and the step loop share the grid's one heat multiplier
+and the step loop step by ``config.dt`` and share its one heat multiplier
 (``spectral.heat_multiplier``).  The full flow steps its levels one at
 a time through workspaces of one field and writes each level's cutoff
 multiplier into the grid workspace once that level's drift is formed,
@@ -197,11 +197,8 @@ def _check_initial_regularity(upsilon: SpectralField, beta: float):
         )
 
 
-def _validate_path_times(times: np.ndarray, config: SqeConfig):
-    expected = time_grid(config)
-    if len(times) != len(expected) or not np.allclose(
-        times, expected, rtol=0, atol=1e-9 * config.dt
-    ):
+def _validate_path_times(path: FieldPath, config: SqeConfig):
+    if len(path.states) != config.n_steps() + 1 or abs(path.dt - config.dt) > 1e-9 * config.dt:
         raise ValueError("path times must be the uniform solver grid 0, dt, ..., T")
 
 
@@ -221,7 +218,7 @@ def solve_shifted(upsilon: SpectralField, x_traj: FieldPath, config: SqeConfig) 
     opposite to alpha at every grid point (comparison structure), and at
     alpha = 0 the flow is the exact heat semigroup.
     """
-    _validate_path_times(x_traj.times, config)
+    _validate_path_times(x_traj, config)
     params = config.params
     _check_initial_regularity(upsilon, params.beta)
     grid = upsilon.grid
@@ -250,7 +247,7 @@ def solve_shifted(upsilon: SpectralField, x_traj: FieldPath, config: SqeConfig) 
         to_values(coeffs, grid, spec, u)
         states.append(SpectralField(grid, coeffs))
 
-    return FieldPath(times=np.array(x_traj.times), states=states)
+    return FieldPath(x_traj.dt, states)
 
 
 def _ou_increments(grid: TorusGrid, initial: np.ndarray, states, dt: float):
@@ -276,12 +273,12 @@ def _noise_stacks(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, stream
     writes them only while the next increment is pulled, and the
     increment itself is held in ``_ou_increments``' own buffer."""
     generators = [s.child("ou").generator() for s in streams]
-    x_chain = ou_chain(grid, coeffs, time_grid(config), generators, values, spec)
+    x_chain = ou_chain(grid, coeffs, config.dt, config.n_steps(), generators, values, spec)
     return _ou_increments(grid, coeffs, x_chain, config.dt)
 
 
 def _check_x_traj(phi0: SpectralField, config: SqeConfig, x_traj: FieldPath):
-    _validate_path_times(x_traj.times, config)
+    _validate_path_times(x_traj, config)
     if x_traj.grid != phi0.grid:
         raise ValueError("OU trajectory and initial datum live on different grids")
     if not np.allclose(x_traj.states[0].coeffs, phi0.coeffs, rtol=0, atol=1e-12):
@@ -408,8 +405,8 @@ def solve_sqe_full(
         x_traj: optional precomputed OU trajectory on the solver grid,
             starting at phi0; its exact increments drive the solve.
             Without it the solve is driven by the increments of the OU
-            chain of ``stream.child("ou")``,
-            bit-for-bit those of ``ou_path(phi0, time_grid(config),
+            chain of ``stream.child("ou")``, bit-for-bit those of
+            ``ou_path(phi0, config.dt, config.n_steps(),
             stream.child("ou"))``, drawn one step at a time.
 
     Returns:
@@ -422,7 +419,7 @@ def solve_sqe_full(
     grid = phi0.grid
     flow = evolve_levels(phi0, [config], stream, x_traj)
     states = [SpectralField(grid, s[0].copy()) for s in flow]
-    return FieldPath(times=time_grid(config), states=states)
+    return FieldPath(config.dt, states)
 
 
 def decompose(
@@ -446,13 +443,13 @@ def decompose(
         O(dt) residual appears only against a reconstruction on a finer
         grid driven by the same noise.
     """
-    _validate_path_times(path.times, config)
+    _validate_path_times(path, config)
     grid = path.grid
     psi_mult = config.params.multiplier(grid)
     x_part = [SpectralField(grid, psi_mult * s.coeffs) for s in x_traj.states]
     y_part = [st - xp for st, xp in zip(path.states, x_part)]
     shifted = solve_shifted(zero_field(grid), x_traj, config)
-    return FieldPath(path.times, x_part), FieldPath(path.times, y_part), shifted
+    return FieldPath(config.dt, x_part), FieldPath(config.dt, y_part), shifted
 
 
 def _projected_flow(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, noise, spec, values):
@@ -523,7 +520,7 @@ def solve_sqe_projected(
     stack = SpectralField(grid, phi0.coeffs[None])
     flow = evolve_projected(stack, config, [stream])
     states = [SpectralField(grid, s[0].copy()) for s in flow]
-    return FieldPath(times=time_grid(config), states=states)
+    return FieldPath(config.dt, states)
 
 
 def contraction_check(

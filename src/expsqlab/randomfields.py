@@ -37,10 +37,10 @@ on stacks of fields (n, M, M) with one generator per row, and a single
 field is the stack of one: row i of a stack is bit-for-bit the field its
 own stream gives alone.
 
-A path of fields is a :class:`FieldPath` (times, states): ``ou_path``
-returns one, every solver in ``dynamics`` returns one, and the shifted
-equation reads its OU trajectory as one.  The OU decay is
-``spectral.heat_multiplier``, the symbol of the drift (Lap-1)/2.
+A path of fields is a :class:`FieldPath` (dt, states) at the times 0, dt,
+2 dt, ...: ``ou_path`` returns one, every solver in ``dynamics`` returns
+one, and the shifted equation reads its OU trajectory as one.  The OU
+decay is ``spectral.heat_multiplier``, the symbol of the drift (Lap-1)/2.
 """
 
 from __future__ import annotations
@@ -65,21 +65,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FieldPath:
-    """Fields on one grid at strictly increasing times, one state per
+    """Fields on one grid at the times 0, dt, 2 dt, ..., one state per
     time: the package's one path type (OU trajectories and solver outputs
     alike)."""
 
-    times: np.ndarray
+    dt: float
     states: list
 
     def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must have equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not self.states:
+            raise ValueError("a path needs at least one state")
         grids = {s.grid for s in self.states}
         if len(grids) > 1:
             raise ValueError("all states must share one grid")
+
+    @property
+    def times(self) -> np.ndarray:
+        """0, dt, ..., as ``dynamics.time_grid`` spells it."""
+        return np.arange(len(self.states)) * self.dt
 
     @property
     def grid(self) -> TorusGrid:
@@ -152,49 +157,45 @@ def ou_noise_variance(grid: TorusGrid, dt: float) -> np.ndarray:
     return -np.expm1(-dt * c) / c
 
 
-def ou_chain(grid: TorusGrid, coeffs: np.ndarray, times, generators, white=None, noise=None):
-    """The exact OU chain: yields the coefficient stack after each step of
-    ``times``, starting from the stack ``coeffs`` (n, M, M).  Row i draws
-    its noise from ``generators[i]``, one step at a time, so a row is
-    bit-for-bit the chain of that generator alone.  The decay is the
-    grid's one heat multiplier of the step, and the noise scale is
-    computed again only when the step changes (the steps of
-    ``np.diff(times)`` may differ in the last bit, so they are compared,
-    not assumed equal).  Every state is written into one state buffer,
-    allocated once: every yielded stack is that buffer, valid until the
-    next stack is pulled.  The first step writes the decayed datum there
-    before it computes the noise scale, so ``coeffs`` is not held beside
-    that scale's temporaries nor past the first step.  ``white`` (real)
-    and ``noise`` (complex) are the workspaces of ``white_noise_fft``,
-    allocated once when not given; the chain writes them only while the
-    next stack is pulled, so a caller may use them between pulls."""
+def ou_chain(grid: TorusGrid, coeffs: np.ndarray, dt, n_steps, generators, white=None, noise=None):
+    """The exact OU chain: yields the coefficient stack after each of
+    ``n_steps`` steps of ``dt`` from the stack ``coeffs`` (n, M, M).  Row
+    i draws its noise from ``generators[i]``, one step at a time, so a
+    row is bit-for-bit the chain of that generator alone.  The decay is
+    the grid's one heat multiplier of ``dt``.  Every state is written
+    into one state buffer, allocated once: every yielded stack is that
+    buffer, valid until the next stack is pulled.  The first step writes
+    the decayed datum there before it computes the noise scale, once, so
+    ``coeffs`` is not held beside that scale's temporaries nor past the
+    first step.  ``white`` (real) and ``noise`` (complex) are the
+    workspaces of ``white_noise_fft``, allocated once when not given;
+    the chain writes them only while the next stack is pulled, so a
+    caller may use them between pulls."""
     state = np.empty(coeffs.shape, dtype=np.complex128)
     if white is None:
         white = np.empty(coeffs.shape)
     if noise is None:
         noise = np.empty(coeffs.shape, dtype=np.complex128)
-    step = None
-    for dt in np.diff(times):
-        coeffs = np.multiply(heat_multiplier(grid, dt), coeffs, out=state)
-        if dt != step:
-            step = dt
+    decay = heat_multiplier(grid, dt)
+    for step in range(n_steps):
+        coeffs = np.multiply(decay, coeffs, out=state)
+        if step == 0:
             noise_sd = np.sqrt(ou_noise_variance(grid, dt))
         np.multiply(_white_spectral(grid, generators, white, noise), noise_sd, out=noise)
         np.add(state, noise, out=state)
         yield state
 
 
-def ou_path(init: SpectralField, times, stream: RngStream) -> FieldPath:
-    """Chain exact transitions over the given times (increasing from 0).
+def ou_path(init: SpectralField, dt: float, n_steps: int, stream: RngStream) -> FieldPath:
+    """Chain ``n_steps`` exact transitions of ``dt`` from ``init``.
 
     The noise is drawn sequentially from one generator, so the same
-    (stream, times) always yields the identical trajectory.  Each state
-    is a copy of the ``ou_chain`` buffer.
+    (stream, dt, n_steps) always yields the identical trajectory.  Each
+    state is a copy of the ``ou_chain`` buffer.
     """
-    times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or len(times) < 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be a 1-d strictly increasing array starting at 0")
+    if not (np.isfinite(dt) and dt > 0 and n_steps >= 0):
+        raise ValueError(f"need dt > 0 finite and n_steps >= 0, got {dt}, {n_steps}")
     grid = init.grid
-    chain = ou_chain(grid, init.coeffs[None], times, [stream.generator()])
+    chain = ou_chain(grid, init.coeffs[None], dt, n_steps, [stream.generator()])
     states = [init] + [SpectralField(grid, coeffs[0].copy()) for coeffs in chain]
-    return FieldPath(times=times, states=states)
+    return FieldPath(dt, states)

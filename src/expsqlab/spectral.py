@@ -23,11 +23,11 @@ transform pair, on bare arrays of one field (M, M) or a stack (n, M, M)
 and without validation; the solver loops call them directly,
 ``to_spectral`` wraps the forward one for fields and
 ``SpectralField.values`` the inverse one.  ``heat_multiplier``
-is the one symbol of the semigroup exp(t (Lap - 1)/2), shared by
-``heat_semigroup``, the OU decay and the exponential-Euler step, and
-``TorusGrid.sobolev_weight`` the one Sobolev symbol (1 + |k|^2)^s; both
-are computed once per grid and argument (``TorusGrid.cached``), so every
-user of one holds the same read-only array.
+is the symbol of the semigroup exp(t (Lap - 1)/2) for the OU decay and
+the exponential-Euler step, and ``TorusGrid.sobolev_weight`` the one
+Sobolev symbol (1 + |k|^2)^s; both are computed once per grid and
+argument (``TorusGrid.cached``), so every user of one holds the same
+read-only array (``heat_semigroup`` forms the symbol uncached, at any t).
 
 Workspaces: ``to_coeffs``, ``to_values`` and ``wick.scaled_exp`` take
 optional output arrays, so a step loop allocates its spectral and grid
@@ -334,21 +334,22 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     return float(sobolev_norms(field.coeffs[None], field.grid, (s,))[0, 0])
 
 
+def _heat_symbol(grid: TorusGrid, t: float) -> np.ndarray:
+    return np.exp(-0.5 * t * (1.0 + grid.ksq))
+
+
 def heat_multiplier(grid: TorusGrid, t: float) -> np.ndarray:
     """exp(-(1+|k|^2) t / 2) over the grid modes: the symbol of exp(t*(Lap - 1)/2).
 
     Computed once per (grid, t) (``TorusGrid.cached``) and read-only, so
     the OU chain, its increments and the step loop of a flow share one
-    array.  The steps of a time grid whose dt is not a power of two
-    differ in the last bit, and each distinct step keeps its own array:
-    8 for dt = 0.01 over 100 steps, 19 for dt = 1e-4 over 100000."""
+    array."""
     t = float(t)
-    return grid.cached(("heat", t), lambda: np.exp(-0.5 * t * (1.0 + grid.ksq)))
+    return grid.cached(("heat", t), lambda: _heat_symbol(grid, t))
 
 
 def heat_semigroup(field: SpectralField, t: float) -> SpectralField:
     """exp(t*(Lap - 1)/2): multiplies coeff(k) by exp(-(1+|k|^2) t / 2)."""
     if t < 0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    return SpectralField(field.grid, heat_multiplier(field.grid, t) * field.coeffs)
-
+    return SpectralField(field.grid, _heat_symbol(field.grid, float(t)) * field.coeffs)

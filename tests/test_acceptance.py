@@ -11,6 +11,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from expsqlab import (
     CutoffProfile,
@@ -38,7 +39,6 @@ from expsqlab import (
     solve_shifted,
     solve_sqe_full,
     standard_observables,
-    time_grid,
     to_spectral,
     wick_exp_values,
     zero_field,
@@ -182,10 +182,9 @@ def test_criterion_05_ou_exactness():
     base = _stream("c05")
     n_rep = 4000
     acc = np.zeros((8, 8))
-    times = np.arange(11) * 0.1
     for r in range(n_rep):
         sub = base.for_replica(r)
-        traj = ou_path(gff_sample(grid, sub.child("init")), times, sub.child("path"))
+        traj = ou_path(gff_sample(grid, sub.child("init")), 0.1, 10, sub.child("path"))
         acc += np.abs(traj.states[-1].coeffs) ** 2
     mean = acc / n_rep
     v = gff_mode_variance(grid)
@@ -213,13 +212,13 @@ def test_criterion_06_sign_comparison():
     psi = CutoffProfile("sharp")
     params = make_wick_params(1.0, 2, psi, grid)
     config = SqeConfig(horizon=0.5, dt=1.0 / 32, params=params)
-    times = time_grid(config)
     base = _stream("c06")
     worst = -math.inf
     violations = 0
     for r in range(100):
         sub = base.for_replica(r)
-        traj = ou_path(gff_sample(grid, sub.child("x0")), times, sub.child("ou"))
+        traj = ou_path(gff_sample(grid, sub.child("x0")), config.dt, config.n_steps(),
+                       sub.child("ou"))
         path = solve_shifted(zero_field(grid), traj, config)
         m = float(max(s.values().max() for s in path.states))
         worst = max(worst, m)
@@ -236,13 +235,13 @@ def test_criterion_07_energy_contraction():
     psi = CutoffProfile("sharp")
     params = make_wick_params(1.0, 2, psi, grid)
     config = SqeConfig(horizon=1.0, dt=1.0 / 64, params=params)
-    times = time_grid(config)
     base = _stream("c07")
     rates = []
     all_passed = True
     for r in range(20):
         sub = base.for_replica(r)
-        traj = ou_path(gff_sample(grid, sub.child("x0")), times, sub.child("ou"))
+        traj = ou_path(gff_sample(grid, sub.child("x0")), config.dt, config.n_steps(),
+                       sub.child("ou"))
         u1 = heat_semigroup(gff_sample(grid, sub.child("u1")), 0.05)
         u2 = heat_semigroup(gff_sample(grid, sub.child("u2")), 0.05)
         rep = contraction_check(u1, u2, traj, config)
@@ -254,6 +253,7 @@ def test_criterion_07_energy_contraction():
     assert value_drift({"rates": rates}, SHIFTED["c07"], "c07") == []
 
 
+@pytest.mark.slow
 def test_criterion_08_splitting_order():
     # on a shared grid the rough/smooth splitting is exact by algebra, so
     # the residual is measured against a much finer solve driven by the
@@ -271,16 +271,15 @@ def test_criterion_08_splitting_order():
     for r in range(4):
         sub = base.for_replica(r)
         phi0 = heat_semigroup(gff_sample(grid, sub.child("init")), 0.1)
-        fine_times = np.arange(2**p_ref + 1) * 2.0**-p_ref
-        fine = ou_path(phi0, fine_times, sub.child("ou"))
+        fine = ou_path(phi0, 2.0**-p_ref, 2**p_ref, sub.child("ou"))
         fine_cfg = SqeConfig(horizon=1.0, dt=2.0**-p_ref, params=params)
         # the coarse solves read only every 2^(p_ref - max(ps))-th fine state
         thin = 2 ** (p_ref - ps[-1])
         y_fine = solve_shifted(zero_field(grid), fine, fine_cfg).states[::thin]
-        fine = FieldPath(times=fine.times[::thin], states=fine.states[::thin])
+        fine = FieldPath(fine.dt * thin, fine.states[::thin])
         for c, p in enumerate(ps):
             stride = 2 ** (ps[-1] - p)
-            x_traj = FieldPath(times=fine.times[::stride], states=fine.states[::stride])
+            x_traj = FieldPath(fine.dt * stride, fine.states[::stride])
             cfg = SqeConfig(horizon=1.0, dt=2.0**-p, params=params)
             direct = solve_sqe_full(phi0, cfg, sub, x_traj=x_traj)
             if r == 0 and p == 5:
@@ -309,6 +308,7 @@ def test_criterion_08_splitting_order():
     assert value_drift(got, SHIFTED["c08"], "c08") == []
 
 
+@pytest.mark.slow
 def test_criterion_09_level_gap_decreasing():
     # common-noise sup-in-time H^{-eps} gaps between consecutive cutoff
     # levels must decrease strictly in N in the 50-replica mean
@@ -339,6 +339,7 @@ def test_criterion_09_level_gap_decreasing():
              "mean sup gaps " + " > ".join(f"{m:.3f}" for m in means))
 
 
+@pytest.mark.slow
 def test_criterion_10_invariance_and_control():
     # observables must be stationary under the correctly renormalized
     # dynamics (|z| <= 3 across the battery at 10^3 replicas) and the

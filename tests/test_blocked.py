@@ -47,7 +47,6 @@ from expsqlab import (
     solve_sqe_full,
     solve_sqe_projected,
     standard_observables,
-    time_grid,
     to_spectral,
     zero_field,
 )
@@ -328,7 +327,7 @@ def test_evolve_levels_match_single_level_solves(grid32, kind):
     configs = _level_configs(grid32, kind, (0, 1, 2))
     stream = RngStream(618, purpose="levels")
     phi0 = gff_sample(grid32, stream.child("init"))
-    x_traj = ou_path(phi0, time_grid(configs[0]), stream.child("ou"))
+    x_traj = ou_path(phi0, configs[0].dt, configs[0].n_steps(), stream.child("ou"))
     paths = [solve_sqe_full(phi0, c, stream, x_traj=x_traj) for c in configs]
     stacks = [s.copy() for s in evolve_levels(phi0, configs, stream)]
     assert len(stacks) == len(x_traj.times)
@@ -562,7 +561,8 @@ def test_shifted_solve_holds_its_states_and_a_few_fields():
     params = make_wick_params(1.0, 2, CutoffProfile("sharp"), grid)
     config = SqeConfig(horizon=1.0, dt=1 / 64, params=params)
     stream = RngStream(628, purpose="shifted-memory")
-    traj = ou_path(gff_sample(grid, stream.child("x0")), time_grid(config), stream.child("ou"))
+    traj = ou_path(gff_sample(grid, stream.child("x0")), config.dt, config.n_steps(),
+                   stream.child("ou"))
     assert len(traj.states) == 65
     field_bytes = grid.npoints * 16
 

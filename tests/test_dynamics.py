@@ -31,6 +31,7 @@ from expsqlab import (
     wick_exp_values,
     zero_field,
 )
+from expsqlab.randomfields import ou_chain
 from expsqlab.spectral import heat_multiplier
 
 
@@ -41,8 +42,7 @@ def _params(grid, alpha=1.0, level=2):
 def _zero_trajectory(config, grid):
     """The OU trajectory X = 0 on the solver grid: its Wick forcing is the
     constant exp(-shift)."""
-    times = time_grid(config)
-    return FieldPath(times=times, states=[zero_field(grid)] * len(times))
+    return FieldPath(config.dt, [zero_field(grid)] * (config.n_steps() + 1))
 
 
 def _shifted_config(grid, dt, horizon=1.0, alpha=1.0, level=0, **kw):
@@ -90,8 +90,8 @@ def test_zero_forcing_is_heat_flow(grid32, stream):
     # alpha = 0 switches the drift off whatever X is: the flow must be the
     # exact per-mode decay of (Lap - 1)/2
     config = _shifted_config(grid32, dt=1.0 / 16, alpha=0.0, level=1)
-    times = time_grid(config)
-    traj = ou_path(gff_sample(grid32, stream.child("x0")), times, stream.child("ou"))
+    traj = ou_path(gff_sample(grid32, stream.child("x0")), config.dt, config.n_steps(),
+                   stream.child("ou"))
     upsilon = heat_semigroup(gff_sample(grid32, stream), 0.2)
     path = solve_shifted(upsilon, traj, config)
     expected = upsilon.coeffs * heat_multiplier(grid32, 1.0)
@@ -102,7 +102,7 @@ def test_alpha_zero_full_solve_is_projected_ou(grid32, stream):
     params = _params(grid32, alpha=0.0, level=2)
     config = SqeConfig(horizon=0.5, dt=1.0 / 32, params=params)
     phi0 = gff_sample(grid32, stream.child("init"))
-    x_traj = ou_path(phi0, time_grid(config), stream.child("noise"))
+    x_traj = ou_path(phi0, config.dt, config.n_steps(), stream.child("noise"))
     path = solve_sqe_full(phi0, config, stream, x_traj=x_traj)
     mult = params.multiplier(grid32)
     for state, x in zip(path.states, x_traj.states):
@@ -112,12 +112,30 @@ def test_alpha_zero_full_solve_is_projected_ou(grid32, stream):
     # a trajectory at dt/2 thinned to every other state drives the dt
     # solve: its increments compose two fine ones, so the solve still
     # reproduces P_N x at the coarse times
-    fine = ou_path(phi0, np.arange(2 * config.n_steps() + 1) * (config.dt / 2),
-                   stream.child("fine"))
-    coarse = FieldPath(time_grid(config), fine.states[::2])
+    fine = ou_path(phi0, config.dt / 2, 2 * config.n_steps(), stream.child("fine"))
+    coarse = FieldPath(fine.dt * 2, fine.states[::2])
     path = solve_sqe_full(phi0, config, stream, x_traj=coarse)
     for state, x in zip(path.states, coarse.states):
         assert np.abs(state.coeffs - mult * x.coeffs).max() < 1e-12
+
+
+def test_non_dyadic_step_is_one_step(stream):
+    # at dt = 0.01 the steps of time_grid differ from dt in the last bit;
+    # the chain, a stored path and the solver all step by config.dt, so the
+    # live chain is ou_path byte for byte, the stored path drives the live
+    # solve's bytes, and the grid holds one heat multiplier
+    grid = make_grid(16)
+    config = SqeConfig(horizon=1.0, dt=0.01, params=_params(grid, level=1))
+    n = config.n_steps()
+    phi0 = gff_sample(grid, stream.child("init"))
+    live = ou_chain(grid, phi0.coeffs[None], config.dt, n, [stream.child("ou").generator()])
+    stored = ou_path(phi0, config.dt, n, stream.child("ou"))
+    assert [s[0].tobytes() for s in live] == [s.coeffs.tobytes() for s in stored.states[1:]]
+    a = solve_sqe_full(phi0, config, stream)
+    b = solve_sqe_full(phi0, config, stream, x_traj=stored)
+    assert [s.coeffs.tobytes() for s in a.states] == [s.coeffs.tobytes() for s in b.states]
+    heat = [k for k in grid._cache if isinstance(k, tuple) and k[0] == "heat"]
+    assert heat == [("heat", 0.01)]
 
 
 def _decomposed_full_solve(grid, stream):
@@ -126,7 +144,7 @@ def _decomposed_full_solve(grid, stream):
     phi0 = gff_sample(grid, stream.child("init"))
     path = solve_sqe_full(phi0, config, stream.child("noise"))
     # without x_traj the solve draws its OU trajectory from the "ou" child
-    x_traj = ou_path(phi0, time_grid(config), stream.child("noise").child("ou"))
+    x_traj = ou_path(phi0, config.dt, config.n_steps(), stream.child("noise").child("ou"))
     return path, decompose(path, x_traj, config)
 
 
@@ -151,8 +169,8 @@ def test_remainder_sign_structure(grid32, stream):
     # from zero initial datum with positive charge the remainder stays
     # nonpositive at every grid point and every step
     config = _shifted_config(grid32, dt=1.0 / 32, horizon=0.5, level=2)
-    times = time_grid(config)
-    traj = ou_path(gff_sample(grid32, stream.child("x0")), times, stream.child("ou"))
+    traj = ou_path(gff_sample(grid32, stream.child("x0")), config.dt, config.n_steps(),
+                   stream.child("ou"))
     path = solve_shifted(zero_field(grid32), traj, config)
     assert max(s.values().max() for s in path.states) <= 1e-12
 
@@ -168,8 +186,8 @@ def test_contraction_identical_inputs(grid32, stream):
 
 def test_contraction_random_pair(grid32, stream):
     config = _shifted_config(grid32, dt=1.0 / 32, horizon=0.5, level=2)
-    times = time_grid(config)
-    traj = ou_path(gff_sample(grid32, stream.child("x0")), times, stream.child("ou"))
+    traj = ou_path(gff_sample(grid32, stream.child("x0")), config.dt, config.n_steps(),
+                   stream.child("ou"))
     u1 = heat_semigroup(gff_sample(grid32, stream.child("a")), 0.1)
     u2 = heat_semigroup(gff_sample(grid32, stream.child("b")), 0.1)
     report = contraction_check(u1, u2, traj, config)
@@ -182,7 +200,8 @@ def test_shifted_step_is_forced_by_wick_exp_values(grid32, stream):
     # bit: one step spelled out with it gives the solver's bytes
     config = _shifted_config(grid32, dt=1.0 / 16, horizon=1.0 / 16, level=2)
     params = config.params
-    traj = ou_path(gff_sample(grid32, stream.child("x0")), time_grid(config), stream.child("ou"))
+    traj = ou_path(gff_sample(grid32, stream.child("x0")), config.dt, config.n_steps(),
+                   stream.child("ou"))
     upsilon = heat_semigroup(gff_sample(grid32, stream.child("u")), 0.2)
     path = solve_shifted(upsilon, traj, config)
     drift = 0.5 * params.alpha * config.dt * np.exp(params.alpha * upsilon.values())
@@ -198,19 +217,19 @@ def test_forcing_overflow_raises_at_its_step(grid32):
     # one is read; the last state, which no step reads, is not evaluated
     config = _shifted_config(grid32, dt=1.0 / 16, horizon=0.5, level=1)
     shift = config.params.shift
-    times = time_grid(config)
+    n = config.n_steps()
 
     def solve(big):
-        states = [zero_field(grid32)] * len(times)
+        states = [zero_field(grid32)] * (n + 1)
         for j, value in big.items():
             states[j] = constant_field(grid32, value)
-        return solve_shifted(zero_field(grid32), FieldPath(times=times, states=states), config)
+        return solve_shifted(zero_field(grid32), FieldPath(config.dt, states), config)
 
-    for j in (0, 3, len(times) - 2):
+    for j in (0, 3, n - 1):
         with pytest.raises(WickOverflowError) as info:
             solve({j: 800.0 + j, j + 1: 900.0})
         assert info.value.max_exponent == pytest.approx(800.0 + j - shift, rel=1e-12)
-    path = solve({len(times) - 1: 900.0})
+    path = solve({n: 900.0})
     assert np.all(np.isfinite(path.final().coeffs))
 
 
@@ -232,13 +251,13 @@ def test_config_validation(grid32):
 
 
 def test_forcing_times_enforced(grid32):
-    # the OU trajectory must sit on the solver's own grid of times
+    # the OU trajectory must sit on the solver's own grid of times: its
+    # dt and its state count
     config = _shifted_config(grid32, dt=1.0 / 16, horizon=0.25, level=2)
-    wrong_times = FieldPath(
-        times=np.array([0.0, 0.3]), states=[zero_field(grid32)] * 2
-    )
-    with pytest.raises(ValueError, match="uniform solver grid"):
-        solve_shifted(zero_field(grid32), wrong_times, config)
+    for dt, n in ((0.3, 2), (1.0 / 32, 5), (1.0 / 16, 4), (1.0 / 16, 6)):
+        wrong_times = FieldPath(dt, [zero_field(grid32)] * n)
+        with pytest.raises(ValueError, match="uniform solver grid"):
+            solve_shifted(zero_field(grid32), wrong_times, config)
 
 
 def test_rough_initial_datum_rejected(stream):
@@ -258,10 +277,10 @@ def test_x_traj_validation(grid32, stream):
     config = SqeConfig(horizon=0.25, dt=1.0 / 16, params=params)
     phi0 = gff_sample(grid32, stream.child("init"))
     other = gff_sample(grid32, stream.child("other"))
-    traj = ou_path(other, time_grid(config), stream.child("ou"))
+    traj = ou_path(other, config.dt, config.n_steps(), stream.child("ou"))
     with pytest.raises(ValueError, match="start"):
         solve_sqe_full(phi0, config, stream, x_traj=traj)
-    short = ou_path(phi0, np.array([0.0, 0.25]), stream.child("ou"))
+    short = ou_path(phi0, 0.25, 1, stream.child("ou"))
     with pytest.raises(ValueError):
         solve_sqe_full(phi0, config, stream, x_traj=short)
 
@@ -286,7 +305,7 @@ def test_flows_yield_fresh_states(grid32, stream):
     for path in (
         solve_sqe_full(phi0, config, stream),
         solve_sqe_projected(phi0, config, stream),
-        ou_path(phi0, time_grid(config), stream.child("ou")),
+        ou_path(phi0, config.dt, config.n_steps(), stream.child("ou")),
     ):
         for a, b in combinations(path.states, 2):
             assert not np.shares_memory(a.coeffs, b.coeffs)

@@ -38,7 +38,6 @@ from expsqlab import (
     sobolev_norm,
     solve_sqe_full,
     solve_sqe_projected,
-    time_grid,
 )
 from expsqlab import dynamics, wick
 from expsqlab.spectral import heat_multiplier
@@ -231,7 +230,7 @@ def test_solver_states_golden(name):
     phi0 = gff_sample(grid, stream.child("init"))
     config = SqeConfig(horizon=0.25, dt=1 / 64, params=params)
     if name == "full-decomposed":
-        x_traj = ou_path(phi0, time_grid(config), stream.child("ou"))
+        x_traj = ou_path(phi0, config.dt, config.n_steps(), stream.child("ou"))
         path = solve_sqe_full(phi0, config, stream, x_traj=x_traj)
         x_part, y_part, shifted = decompose(path, x_traj, config)
         got = _states_digest(path.states, x_part.states, y_part.states, shifted.states)

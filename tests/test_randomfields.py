@@ -81,57 +81,55 @@ def test_ou_transition_stationarity(grid8):
     for i in range(n):
         s = base.for_replica(i)
         f = gff_sample(grid8, s.child("init"))
-        g = ou_path(f, [0.0, dt], s.child("step")).final()
+        g = ou_path(f, dt, 1, s.child("step")).final()
         acc += np.abs(g.coeffs) ** 2
     mean = acc / n
     assert np.abs(mean / gff_mode_variance(grid8) - 1.0).max() < 5.0 * math.sqrt(2.0 / n)
 
 
 def test_ou_path_deterministic(grid8, stream):
-    times = np.linspace(0.0, 1.0, 9)
     init = gff_sample(grid8, stream.child("init"))
-    a = ou_path(init, times, stream.child("path"))
-    b = ou_path(init, times, stream.child("path"))
+    a = ou_path(init, 0.125, 8, stream.child("path"))
+    b = ou_path(init, 0.125, 8, stream.child("path"))
+    assert np.array_equal(a.times, np.linspace(0.0, 1.0, 9))
     for x, y in zip(a.states, b.states):
         assert np.array_equal(x.coeffs, y.coeffs)
-    c = ou_path(init, times, stream.child("other"))
+    c = ou_path(init, 0.125, 8, stream.child("other"))
     assert not np.allclose(a.states[-1].coeffs, c.states[-1].coeffs)
 
 
 def test_ou_path_validates_times(grid8, stream):
+    # a step that is not positive and finite, or a negative step count,
+    # is rejected before any noise is drawn
     init = zero_field(grid8)
-    with pytest.raises(ValueError):
-        ou_path(init, [0.5, 1.0], stream)
-    with pytest.raises(ValueError):
-        ou_path(init, [0.0, 0.5, 0.5], stream)
+    for dt, n_steps in ((0.0, 2), (-0.5, 2), (np.nan, 2), (np.inf, 2), (0.5, -1)):
+        with pytest.raises(ValueError):
+            ou_path(init, dt, n_steps, stream)
+    assert len(ou_path(init, 0.5, 0, stream).states) == 1
 
 
 def test_increments_rebuild_path(grid8, stream):
     # eta_j = X_{t+h} - decay(h) X_t: chaining them back must reproduce
     # the trajectory bit for bit up to one multiply-add of rounding
-    times = np.linspace(0.0, 2.0, 17)
+    h = 0.125
     init = gff_sample(grid8, stream.child("init"))
-    traj = ou_path(init, times, stream.child("path"))
-    h = times[1]
+    traj = ou_path(init, h, 16, stream.child("path"))
     states = (x.coeffs for x in traj.states[1:])
     # each increment is the one buffer of the generator: keep copies
     etas = [eta.copy() for eta in _ou_increments(grid8, traj.states[0].coeffs, states, h)]
-    assert len(etas) == len(times) - 1
+    assert len(etas) == 16
     coeffs = traj.states[0].coeffs.copy()
     for j, eta in enumerate(etas):
         coeffs = heat_multiplier(grid8, h) * coeffs + eta
         assert np.abs(coeffs - traj.states[j + 1].coeffs).max() < 1e-12
 
 
-def _allocating_ou_chain(grid, coeffs, times, generators):
+def _allocating_ou_chain(grid, coeffs, dt, n_steps, generators):
     """``ou_chain`` as it was before it stepped in one buffer: a new state
     stack every step, noise = white * sd added to the decayed state."""
-    step = None
-    for dt in np.diff(times):
-        if dt != step:
-            step = dt
-            decay = heat_multiplier(grid, dt)
-            noise_sd = np.sqrt(ou_noise_variance(grid, dt))
+    decay = heat_multiplier(grid, dt)
+    noise_sd = np.sqrt(ou_noise_variance(grid, dt))
+    for _ in range(n_steps):
         coeffs = decay * coeffs + _white_spectral(grid, generators) * noise_sd
         yield coeffs
 
@@ -156,34 +154,31 @@ def _one_buffer(flow):
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_ou_chain_and_increments_step_in_one_buffer(grid8, rows):
-    # the steps change length (and back), so the decay is recomputed
-    times = np.array([0.0, 0.125, 0.25, 0.625, 0.75, 0.875])
+    dt, n_steps = 0.125, 5
     base = RngStream(46, purpose="ou-buffer")
     init = gff_sample(grid8, [base.for_replica(i).child("init") for i in range(rows)]).coeffs
-    reference = list(_allocating_ou_chain(grid8, init, times, _generators(base, rows)))
-    states = _one_buffer(ou_chain(grid8, init, times, _generators(base, rows)))
+    reference = list(_allocating_ou_chain(grid8, init, dt, n_steps, _generators(base, rows)))
+    states = _one_buffer(ou_chain(grid8, init, dt, n_steps, _generators(base, rows)))
     assert [s.tobytes() for s in states] == [s.tobytes() for s in reference]
     # in lent workspaces, which the chain writes only while a stack is
     # pulled: the caller may overwrite them between pulls
     white, noise = np.full(init.shape, np.nan), np.full(init.shape, np.nan, dtype=np.complex128)
-    lent = ou_chain(grid8, init, times, _generators(base, rows), white, noise)
+    lent = ou_chain(grid8, init, dt, n_steps, _generators(base, rows), white, noise)
     next(lent)
     assert np.isfinite(white).all() and np.isfinite(noise).all()
-    lent = ou_chain(grid8, init, times, _generators(base, rows), white, noise)
+    lent = ou_chain(grid8, init, dt, n_steps, _generators(base, rows), white, noise)
     states = _one_buffer(_scribbled(lent, white, noise))
     assert [s.tobytes() for s in states] == [s.tobytes() for s in reference]
     if rows == 1:
-        path = ou_path(SpectralField(grid8, init[0]), times, base.for_replica(0))
+        path = ou_path(SpectralField(grid8, init[0]), dt, n_steps, base.for_replica(0))
         assert [s.coeffs.tobytes() for s in path.states[1:]] == [s[0].tobytes() for s in reference]
-    # increments over a uniform grid: of the stored trajectory, then of
-    # the live chain, each the allocating next - decay * prev
-    times = np.linspace(0.0, 0.5, 5)
-    h = times[1]
-    stored = [init] + list(_allocating_ou_chain(grid8, init, times, _generators(base, rows)))
-    expected = [nxt - heat_multiplier(grid8, h) * prev for prev, nxt in zip(stored, stored[1:])]
-    live = ou_chain(grid8, init, times, _generators(base, rows))
+    # increments: of the stored trajectory, then of the live chain, each
+    # the allocating next - decay * prev
+    stored = [init] + reference
+    expected = [nxt - heat_multiplier(grid8, dt) * prev for prev, nxt in zip(stored, stored[1:])]
+    live = ou_chain(grid8, init, dt, n_steps, _generators(base, rows))
     for states in (iter(stored[1:]), live):
-        etas = _one_buffer(_ou_increments(grid8, init, states, h))
+        etas = _one_buffer(_ou_increments(grid8, init, states, dt))
         assert [e.tobytes() for e in etas] == [e.tobytes() for e in expected]
 
 
@@ -260,11 +255,15 @@ def test_gff_sample_workspaces_are_bit_for_bit(grid8):
 
 def test_field_path_validation(grid8, grid32):
     f8 = zero_field(grid8)
-    with pytest.raises(ValueError):
-        FieldPath(times=np.array([0.0, 1.0]), states=[f8])
-    with pytest.raises(ValueError):
-        FieldPath(times=np.array([0.0, 0.0]), states=[f8, f8])
-    with pytest.raises(ValueError):
-        FieldPath(times=np.array([0.0, 1.0]), states=[f8, zero_field(grid32)])
-    path = FieldPath(times=np.array([0.0, 1.0]), states=[f8, f8])
+    for dt in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="dt"):
+            FieldPath(dt, [f8, f8])
+    with pytest.raises(ValueError, match="state"):
+        FieldPath(1.0, [])
+    with pytest.raises(ValueError, match="grid"):
+        FieldPath(1.0, [f8, zero_field(grid32)])
+    path = FieldPath(1.0, [f8, f8])
     assert path.grid is f8.grid
+    # the times are time_grid's expression, bit for bit
+    path = FieldPath(0.01, [f8] * 101)
+    assert path.times.tobytes() == (np.arange(101) * 0.01).tobytes()

@@ -150,6 +150,20 @@ def test_heat_semigroup_identity_and_law(grid32, stream):
         heat_semigroup(f, -0.1)
 
 
+def test_heat_semigroup_caches_nothing(stream):
+    # the semigroup at 50 distinct times leaves the grid cache as it was,
+    # and its symbol is the cached multiplier's, bit for bit
+    g = make_grid(16)
+    f = to_spectral(stream.generator().standard_normal((16, 16)), g)
+    before = dict(g._cache)
+    for t in np.linspace(0.0, 2.0, 50):
+        heat_semigroup(f, t)
+    assert g._cache.keys() == before.keys()
+    assert all(g._cache[k] is v for k, v in before.items())
+    expected = heat_multiplier(make_grid(16), 0.3) * f.coeffs
+    assert heat_semigroup(f, 0.3).coeffs.tobytes() == expected.tobytes()
+
+
 def test_heat_semigroup_mass_decay(grid32):
     # the constant mode decays like e^{-t/2} under the massive semigroup
     f = constant_field(grid32, 1.0)

@@ -349,10 +349,9 @@ def test_apply_pn_sharp_idempotent(grid32, sharp, stream):
 def test_wick_exp_values_of_ou_states_are_positive(grid32, sharp, stream):
     # the Wick forcing of the shifted equation, on a stack of OU states
     params = make_wick_params(1.0, 2, sharp, grid32)
-    times = np.linspace(0.0, 0.5, 5)
-    traj = ou_path(gff_sample(grid32, stream.child("init")), times, stream.child("path"))
+    traj = ou_path(gff_sample(grid32, stream.child("init")), 0.125, 4, stream.child("path"))
     stack = SpectralField(grid32, np.stack([s.coeffs for s in traj.states]))
     values = wick_exp_values(stack, params)
-    assert values.shape == (len(times), 32, 32)
+    assert values.shape == (5, 32, 32)
     assert values.min() > 0.0
 
