@@ -22,6 +22,7 @@ from .dynamics import (
     decompose,
     evolve_levels,
     evolve_projected,
+    evolve_shifted,
     solve_shifted,
     solve_sqe_full,
     solve_sqe_projected,
@@ -124,6 +125,7 @@ __all__ = [
     "estimate_partition",
     "evolve_levels",
     "evolve_projected",
+    "evolve_shifted",
     "field_from_coeffs",
     "gff_mode_variance",
     "gff_sample",

@@ -9,7 +9,7 @@ names the equation:
   projected (``evolve_projected``, ``solve_sqe_projected``):
               d Phi = (Lap-1)/2 Phi dt - (alpha/2) P_N exp(alpha P_N Phi - a^2 C_N/2) dt + dW,
               initial datum phi (the ensemble-stationary variant);
-  shifted (``solve_shifted``):
+  shifted (``evolve_shifted``, ``solve_shifted``):
               d Y = (Lap-1)/2 Y dt - (alpha/2) exp(alpha Y) exp(alpha P_N X_t - a^2 C_N/2) dt,
               deterministic, driven by an OU trajectory X.
 
@@ -47,42 +47,32 @@ once per call and overwrites them every step, through the ``out``
 arguments of the transform pair, of wick.scaled_exp and of the cutoff
 multiplier (``WickParams.multiplier``), with the same ufuncs on the same
 operands as the allocating expressions, so every bit is theirs.  The
-two stochastic flows also write each new state into one state buffer
-per call, so every stack they yield is that buffer, valid
-until the next stack is pulled; a caller that keeps a state copies it
-(``solve_sqe_full``, ``solve_sqe_projected``).  Their noise allocates
-nothing per step either: the live OU chain steps in one state buffer
-(``randomfields.ou_chain``) and every increment is written over one
-workspace, so neither the initial datum nor any previous noise state
-is held past the step that reads it.  The chain draws its noise in the
-flow's own spectral and grid workspaces, which it writes only while the
-next increment is pulled, and it drops the initial datum at its first
-decay, before it computes its noise scale.  The chain, the increments
-and the step loop step by ``config.dt`` and share its one heat multiplier
-(``spectral.heat_multiplier``).  The full flow steps its levels one at
-a time through workspaces of one field and writes each level's cutoff
-multiplier into the grid workspace once that level's drift is formed,
-so it holds no stack of multipliers; the projected flow steps its
-replicas (small blocks at M = 32, where per-call overhead dominates) as
-one stack.  The states ``solve_shifted`` keeps are new arrays.
+live OU chain (``randomfields.ou_chain``) steps in one state buffer and
+draws its noise in the flow's own workspaces while the next increment
+is pulled; every increment is written over one workspace, and the chain
+drops the initial datum at its first decay, before it computes its
+noise scale.  The chain, the increments and the step loop step by
+``config.dt`` and share its one heat multiplier.  The full flow steps
+its levels one at a time through workspaces of one field and writes
+each level's cutoff multiplier into the grid workspace once that
+level's drift is formed; the projected flow steps its replicas (small
+blocks at M = 32, where per-call overhead dominates) as one stack.
 
-The two stochastic equations step a stack of rows under one flow
-contract, every row advancing one step before any row takes the next.
-``evolve_levels`` steps the cutoff levels (L, M, M) of the full
-equation under one common noise (each increment computed once per step
-drives every level); ``evolve_projected`` steps replicas (n, M, M) of
-the projected equation, each drawing its noise from its own stream.
-Either call checks its arguments at once and returns a generator of
-the state stack at every time of ``time_grid`` (one buffer, overwritten
-by the next step), each row bit-for-bit the solve of that row alone.
-Both share one overflow rule:
-a row whose Wick exponent passes the guard is flagged at its first
-overflowing step and zeroed from then on, so the other rows step on
-unharmed; the flow stops once every row has failed, and after its last
-step raises WickOverflowError with the lowest failing row's exponent,
-the error a loop over the rows one at a time raises first.
-``solve_sqe_full`` and ``solve_sqe_projected`` are these flows on one
-row that keep every state.
+Three flows, one contract: ``evolve_levels``, ``evolve_projected`` and
+``evolve_shifted`` check their arguments on the call and return a
+generator of the state at every time of ``time_grid``, one buffer per
+call overwritten by the next step; ``solve_sqe_full``,
+``solve_sqe_projected`` and ``solve_shifted`` are these flows on one
+field that keep a copy of every state.  The stochastic flows step a
+stack of rows in lockstep, each row bit-for-bit the solve of that row
+alone: the cutoff levels (L, M, M) of the full equation under one
+common noise, or replicas (n, M, M) of the projected equation, each
+with its own stream.  A row whose Wick exponent passes the guard is
+zeroed from its first overflowing step while the others step on, and
+after its last step the flow raises WickOverflowError with the lowest
+failing row's exponent (``_guarded``).  The shifted flow steps one
+field over the states of X, a stored path's or the live chain's, and
+raises WickOverflowError at its first overflowing step.
 """
 
 from __future__ import annotations
@@ -115,6 +105,7 @@ __all__ = [
     "SqeConfig",
     "ContractionReport",
     "STABILITY_CAP",
+    "evolve_shifted",
     "solve_shifted",
     "solve_sqe_full",
     "evolve_levels",
@@ -197,57 +188,69 @@ def _check_initial_regularity(upsilon: SpectralField, beta: float):
         )
 
 
-def _validate_path_times(path: FieldPath, config: SqeConfig):
+def _check_path(path: FieldPath, config: SqeConfig, grid: TorusGrid):
     if len(path.states) != config.n_steps() + 1 or abs(path.dt - config.dt) > 1e-9 * config.dt:
         raise ValueError("path times must be the uniform solver grid 0, dt, ..., T")
+    if path.grid != grid:
+        raise ValueError("path lives on a different grid")
 
 
-def solve_shifted(upsilon: SpectralField, x_traj: FieldPath, config: SqeConfig) -> FieldPath:
-    """Integrate the deterministic shifted equation from ``upsilon`` driven
-    by the OU trajectory ``x_traj`` (given on the solver's own time grid).
+def evolve_shifted(upsilon: SpectralField, x_states, config: SqeConfig):
+    """States of the deterministic shifted equation from ``upsilon``,
+    driven by ``x_states``, the coefficient arrays of X at the times of
+    ``time_grid(config)`` (a stored path's states or the live OU chain):
+    a generator of the state at each of those times, one buffer
+    overwritten by the next step.  ``upsilon`` is checked on the call; once
+    ``x_states`` ends, a count other than n_steps + 1 raises ValueError.
 
-    The step from time t_j is forced by the Wick exponential
-    exp(alpha P_N X_{t_j} - shift) of ``x_traj.states[j]``, formed in the
-    solver's grid workspace with the ufuncs of ``wick.wick_exp_values``,
-    so it is that function's value bit for bit; it raises
-    WickOverflowError at the first step whose exponent passes the guard.
-    The last state, which no step reads, is not evaluated.
-
-    The per-step update freezes the nonlinearity and applies the exact
-    semigroup, so with zero initial datum the state keeps the sign
-    opposite to alpha at every grid point (comparison structure), and at
-    alpha = 0 the flow is the exact heat semigroup.
+    The step from t_j is forced by exp(alpha P_N X_{t_j} - shift), formed
+    in the grid workspace with the ufuncs of ``wick.wick_exp_values``, so
+    it is that function's value bit for bit; it raises WickOverflowError
+    at the first step whose exponent passes the guard, before the next
+    state of X is read.  The last state, which no step reads, is not
+    evaluated.
     """
-    _validate_path_times(x_traj, config)
-    params = config.params
-    _check_initial_regularity(upsilon, params.beta)
-    grid = upsilon.grid
-    if x_traj.grid != grid:
-        raise ValueError("OU trajectory and initial datum live on different grids")
+    _check_initial_regularity(upsilon, config.params.beta)
+    return _shifted_flow(upsilon.grid, upsilon.coeffs.copy(), x_states, config)
 
+
+def _shifted_flow(grid: TorusGrid, coeffs: np.ndarray, x_states, config: SqeConfig):
+    """The shifted equation's step loop in the state buffer ``coeffs``."""
+    n_steps = config.n_steps()
+    params = config.params
     psi_mult = params.multiplier(grid)
     mult = heat_multiplier(grid, config.dt)
     alpha = params.alpha
     half_adt = 0.5 * alpha * config.dt
-
-    coeffs = upsilon.coeffs.copy()
     spec = np.empty_like(coeffs)
     u, forcing = np.empty((2, *coeffs.shape))
     to_values(coeffs, grid, spec, u)
-    states = [SpectralField(grid, coeffs)]
-    for j, x in enumerate(x_traj.states[:-1]):
+    yield coeffs
+    j = -1
+    for j, x in enumerate(x_states):
+        if j >= n_steps:
+            continue
         nonlin = guarded_exp(u, alpha, 0.0, out=u)
         np.multiply(half_adt, nonlin, out=nonlin)
-        to_values(np.multiply(psi_mult, x.coeffs, out=spec), grid, spec, forcing)
+        to_values(np.multiply(psi_mult, x, out=spec), grid, spec, forcing)
         nonlin *= guarded_exp(forcing, alpha, params.shift, out=forcing)
-        coeffs = np.subtract(coeffs, to_coeffs(nonlin, grid, out=spec))
+        np.subtract(coeffs, to_coeffs(nonlin, grid, out=spec), out=coeffs)
         np.multiply(mult, coeffs, out=coeffs)
         if not np.isfinite(coeffs[0, 0]):
             raise FloatingPointError(f"shifted solve lost finiteness at step {j}")
         to_values(coeffs, grid, spec, u)
-        states.append(SpectralField(grid, coeffs))
+        yield coeffs
+    if j != n_steps:
+        raise ValueError(f"the shifted flow needs {n_steps + 1} states of X, got {j + 1}")
 
-    return FieldPath(x_traj.dt, states)
+
+def solve_shifted(upsilon: SpectralField, x_traj: FieldPath, config: SqeConfig) -> FieldPath:
+    """The shifted equation driven by the OU trajectory ``x_traj`` on the
+    solver's time grid: ``evolve_shifted`` over its states, keeping a copy
+    of every state."""
+    _check_path(x_traj, config, upsilon.grid)
+    flow = evolve_shifted(upsilon, (s.coeffs for s in x_traj.states), config)
+    return FieldPath(x_traj.dt, [SpectralField(upsilon.grid, c.copy()) for c in flow])
 
 
 def _ou_increments(grid: TorusGrid, initial: np.ndarray, states, dt: float):
@@ -275,14 +278,6 @@ def _noise_stacks(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, stream
     generators = [s.child("ou").generator() for s in streams]
     x_chain = ou_chain(grid, coeffs, config.dt, config.n_steps(), generators, values, spec)
     return _ou_increments(grid, coeffs, x_chain, config.dt)
-
-
-def _check_x_traj(phi0: SpectralField, config: SqeConfig, x_traj: FieldPath):
-    _validate_path_times(x_traj, config)
-    if x_traj.grid != phi0.grid:
-        raise ValueError("OU trajectory and initial datum live on different grids")
-    if not np.allclose(x_traj.states[0].coeffs, phi0.coeffs, rtol=0, atol=1e-12):
-        raise ValueError("OU trajectory must start at the initial datum")
 
 
 def _guarded(initial: np.ndarray, steps):
@@ -377,7 +372,9 @@ def evolve_levels(
     spec = np.empty(phi0.coeffs.shape, dtype=np.complex128)
     values = np.empty(phi0.coeffs.shape)
     if x_traj is not None:
-        _check_x_traj(phi0, config, x_traj)
+        _check_path(x_traj, config, grid)
+        if not np.allclose(x_traj.states[0].coeffs, phi0.coeffs, rtol=0, atol=1e-12):
+            raise ValueError("OU trajectory must start at the initial datum")
         states = (s.coeffs for s in x_traj.states[1:])
         noise = _ou_increments(grid, x_traj.states[0].coeffs, states, config.dt)
     else:
@@ -443,8 +440,8 @@ def decompose(
         O(dt) residual appears only against a reconstruction on a finer
         grid driven by the same noise.
     """
-    _validate_path_times(path, config)
     grid = path.grid
+    _check_path(path, config, x_traj.grid)
     psi_mult = config.params.multiplier(grid)
     x_part = [SpectralField(grid, psi_mult * s.coeffs) for s in x_traj.states]
     y_part = [st - xp for st, xp in zip(path.states, x_part)]
@@ -529,15 +526,16 @@ def contraction_check(
     x_traj: FieldPath,
     config: SqeConfig,
 ) -> ContractionReport:
-    """Run the shifted solve from two initial data driven by one OU
-    trajectory and check the energy contraction: exp(t/2) ||Y1_t - Y2_t||_{L2}
+    """Step the shifted flows from two data in lockstep over one OU
+    trajectory, keeping only their gaps: exp(t/2) ||Y1_t - Y2_t||_{L2}
     must be nonincreasing within CONTRACTION_TOLERANCE per unit time."""
-    path1 = solve_shifted(upsilon1, x_traj, config)
-    path2 = solve_shifted(upsilon2, x_traj, config)
-    times = path1.times
-    gaps = np.array(
-        [sobolev_norm(s1 - s2, 0.0) for s1, s2 in zip(path1.states, path2.states)]
-    )
+    grid = x_traj.grid
+    flows = []
+    for upsilon in (upsilon1, upsilon2):
+        _check_path(x_traj, config, upsilon.grid)
+        flows.append(evolve_shifted(upsilon, (s.coeffs for s in x_traj.states), config))
+    gaps = np.array([sobolev_norm(SpectralField(grid, s1 - s2), 0.0) for s1, s2 in zip(*flows)])
+    times = x_traj.times
     weighted = np.exp(0.5 * times) * gaps
     if np.all(gaps == 0.0):
         return ContractionReport(times, gaps, weighted, float("-inf"), True)

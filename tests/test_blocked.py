@@ -30,9 +30,11 @@ from expsqlab import (
     cmd_sample_gff,
     cmd_sqe,
     constant_field,
+    contraction_check,
     evolve_levels,
     evolve_projected,
     gff_sample,
+    heat_semigroup,
     invariance_test,
     make_grid,
     make_wick_params,
@@ -571,3 +573,27 @@ def test_shifted_solve_holds_its_states_and_a_few_fields():
 
     run()  # warm caches (weights, heat multiplier) outside the measurement
     assert _peak_traced_bytes(run) < (65 + 7) * field_bytes
+
+
+def test_contraction_check_holds_a_few_fields_not_its_paths():
+    # contraction_check steps its two shifted flows in lockstep over the
+    # 65-state trajectory above and keeps one gap per state.  Each flow
+    # holds its state buffer, one spectral and two grid workspaces and a
+    # cutoff multiplier; with the gap's difference field that is 9.4
+    # fields at the peak.  Two kept 65-state paths (130 fields) cannot fit.
+    grid = make_grid(32)
+    params = make_wick_params(1.0, 2, CutoffProfile("sharp"), grid)
+    config = SqeConfig(horizon=1.0, dt=1 / 64, params=params)
+    stream = RngStream(628, purpose="shifted-memory")
+    traj = ou_path(gff_sample(grid, stream.child("x0")), config.dt, config.n_steps(),
+                   stream.child("ou"))
+    assert len(traj.states) == 65
+    u1 = heat_semigroup(gff_sample(grid, stream.child("u1")), 0.05)
+    u2 = heat_semigroup(gff_sample(grid, stream.child("u2")), 0.05)
+    field_bytes = grid.npoints * 16
+
+    def run():
+        contraction_check(u1, u2, traj, config)
+
+    run()  # warm caches (weights, heat multiplier) outside the measurement
+    assert _peak_traced_bytes(run) < 12 * field_bytes

@@ -1,7 +1,7 @@
 """Solver checks: scalar ODE oracle, exact linear limits, splitting
 bookkeeping, sign structure and contraction."""
 
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from expsqlab import (
     decompose,
     evolve_levels,
     evolve_projected,
+    evolve_shifted,
     gff_sample,
     heat_semigroup,
     make_grid,
@@ -259,6 +260,17 @@ def test_forcing_times_enforced(grid32):
         with pytest.raises(ValueError, match="uniform solver grid"):
             solve_shifted(zero_field(grid32), wrong_times, config)
 
+    # the flow counts the states of X it streams: too few or too many
+    # raise once the iterable ends, after every state a step could make
+    for n in (4, 6):
+        x_states = iter([zero_field(grid32).coeffs] * n)
+        yielded = 0
+        with pytest.raises(ValueError, match="needs 5 states of X, got " + str(n)):
+            for _ in evolve_shifted(zero_field(grid32), x_states, config):
+                yielded += 1
+        assert yielded == 5
+        assert next(x_states, None) is None
+
 
 def test_rough_initial_datum_rejected(stream):
     grid = make_grid(64)
@@ -267,6 +279,9 @@ def test_rough_initial_datum_rejected(stream):
     zeros = _zero_trajectory(config, grid)
     with pytest.raises(ValueError, match="rough"):
         solve_shifted(rough, zeros, config)
+    # the flow checks its datum on the call, before any state is pulled
+    with pytest.raises(ValueError, match="rough"):
+        evolve_shifted(rough, iter(()), config)
     smooth = heat_semigroup(rough, 0.1)
     path = solve_shifted(smooth, zeros, config)
     assert np.all(np.isfinite(path.final().coeffs))
@@ -302,10 +317,14 @@ def test_flows_yield_fresh_states(grid32, stream):
     config = SqeConfig(horizon=0.25, dt=1.0 / 16, params=params)
     coarse = SqeConfig(horizon=0.25, dt=1.0 / 16, params=_params(grid32, level=1))
     phi0 = gff_sample(grid32, stream.child("init"))
+    x_traj = ou_path(phi0, config.dt, config.n_steps(), stream.child("ou"))
+    y0 = heat_semigroup(phi0, 0.1)
+    kept = solve_shifted(y0, x_traj, config)
     for path in (
         solve_sqe_full(phi0, config, stream),
         solve_sqe_projected(phi0, config, stream),
-        ou_path(phi0, config.dt, config.n_steps(), stream.child("ou")),
+        x_traj,
+        kept,
     ):
         for a, b in combinations(path.states, 2):
             assert not np.shares_memory(a.coeffs, b.coeffs)
@@ -331,4 +350,19 @@ def test_flows_yield_fresh_states(grid32, stream):
             assert s is yielded[0]
             for row, path in zip(s, paths):
                 assert row.tobytes() == path.states[j].coeffs.tobytes()
+        assert len(yielded) == config.n_steps() + 1
+
+    # the shifted flow, over the stored trajectory's states or over the
+    # live OU chain that ou_path copies them from, alike
+    chain_states = ou_chain(grid32, phi0.coeffs[None], config.dt, config.n_steps(),
+                            [stream.child("ou").generator()])
+    for x_states in (
+        (s.coeffs for s in x_traj.states),
+        chain([phi0.coeffs], (s[0] for s in chain_states)),
+    ):
+        yielded = []
+        for j, s in enumerate(evolve_shifted(y0, x_states, config)):
+            yielded.append(s)
+            assert s is yielded[0]
+            assert s.tobytes() == kept.states[j].coeffs.tobytes()
         assert len(yielded) == config.n_steps() + 1

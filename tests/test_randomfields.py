@@ -223,12 +223,13 @@ def test_white_noise_scaling_is_the_complex_division(M, n):
     # the unit-variance scaling divides the float64 view by M; with M a
     # power of two that is numpy's complex division by M to the byte,
     # signed zeros included: the imaginary parts of the self-conjugate
-    # modes are exact zeros
+    # modes are exact zeros.  The uint64 views compare the bits without
+    # copying the stacks
     grid = make_grid(M)
     base = RngStream(45, purpose="scaling")
     expected = white_noise_fft(grid, _generators(base, n)) / M
     got = _white_spectral(grid, _generators(base, n))
-    assert got.tobytes() == expected.tobytes()
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     half = M // 2
     assert not got[:, [0, 0, half, half], [0, half, 0, half]].imag.any()
 
