@@ -53,9 +53,11 @@ from golden_values import load_golden, value_drift
 
 SEED = 20260814
 
-# c06-c08's measured quantities by value (tests/golden/shifted.json): each
+# c06-c08's measured quantities by value (tests/golden/shifted.json), and
+# those behind every other verdict (tests/golden/criteria.json): each
 # criterion matches them to a relative 1e-12, finer than its verdict prints
 SHIFTED = load_golden("shifted")
+CRITERIA = load_golden("criteria")
 
 
 def _stream(tag: str) -> RngStream:
@@ -103,6 +105,8 @@ def test_criterion_01_hermite_orthogonality():
                 count += 1
     _verdict(1, "hermite orthogonality", worst <= 3.0,
              f"worst |z| = {worst:.2f} over {count} statistics, gate 3")
+    got = {"worst_abs_z": worst, "statistics": count}
+    assert value_drift(got, CRITERIA["c01"], "c01") == []
 
 
 def test_criterion_02_wick_mean_one():
@@ -124,6 +128,8 @@ def test_criterion_02_wick_mean_one():
     worst = max(abs(z) for z in zs.values())
     _verdict(2, "wick mean one", worst <= 3.0,
              f"z(N=1) = {zs[1]:.2f}, z(N=3) = {zs[3]:.2f}, gate 3")
+    got = {"z": [float(zs[1]), float(zs[3])]}
+    assert value_drift(got, CRITERIA["c02"], "c02") == []
 
 
 def test_criterion_03_wick_covariance():
@@ -154,6 +160,7 @@ def test_criterion_03_wick_covariance():
         worst = max(worst, abs((prods[j].mean() - target) / se))
     _verdict(3, "wick covariance oracle", worst <= 3.0,
              f"worst |z| = {worst:.2f} over {len(pairs)} point pairs, gate 3")
+    assert value_drift({"worst_abs_z": float(worst)}, CRITERIA["c03"], "c03") == []
 
 
 def test_criterion_04_cutoff_cauchy_decay():
@@ -185,6 +192,8 @@ def test_criterion_04_cutoff_cauchy_decay():
     _verdict(4, "cutoff cauchy decay", lam >= 0.2 and cross_ok,
              f"fitted lambda = {lam:.3f} >= 0.2; cross-profile {cross.mean():.3f} "
              f"< first gap {means[0]:.3f}")
+    got = {"gap_means": means.tolist(), "lambda": lam, "cross_mean": float(cross.mean())}
+    assert value_drift(got, CRITERIA["c04"], "c04") == []
 
 
 def test_criterion_05_ou_exactness():
@@ -216,6 +225,8 @@ def test_criterion_05_ou_exactness():
     _verdict(5, "ou transition exactness", worst <= 3.0 and ident <= 1e-12,
              f"max mode |z| = {worst:.2f} after 10 transitions, gate 3; "
              f"half-step identity defect {ident:.1e} <= 1e-12")
+    got = {"worst_abs_z": worst, "identity_defect": ident}
+    assert value_drift(got, CRITERIA["c05"], "c05") == []
 
 
 def test_criterion_06_sign_comparison():
@@ -356,6 +367,7 @@ def test_criterion_09_level_gap_decreasing():
     decreasing = bool(np.all(np.diff(means) < 0.0))
     _verdict(9, "level gaps decreasing", decreasing,
              "mean sup gaps " + " > ".join(f"{m:.3f}" for m in means))
+    assert value_drift({"sup_gap_means": means.tolist()}, CRITERIA["c09"], "c09") == []
 
 
 @pytest.mark.slow
@@ -377,6 +389,9 @@ def test_criterion_10_invariance_and_control():
     _verdict(10, "invariance with negative control", passed,
              f"max |z| = {good.max_abs_z:.2f} <= 3 (ESS {ens.ess():.0f}/{len(ens)}); "
              f"mis-renormalized control max |z| = {control.max_abs_z:.2f} > 3")
+    got = {"max_abs_z": float(good.max_abs_z), "control_max_abs_z": float(control.max_abs_z),
+           "ess": float(ens.ess())}
+    assert value_drift(got, CRITERIA["c10"], "c10") == []
 
 
 def test_criterion_11_partition_bounds():
@@ -400,6 +415,9 @@ def test_criterion_11_partition_bounds():
              f"max log weight {max_lw:.2e} <= 0; mean {est.value:.3e} >= "
              f"e^(-4 pi^2) (1 - 3 sigma) = {lower:.3e} where e^(-4 pi^2) = "
              f"{math.exp(-AREA):.3e}; alpha = 0 relative defect {rel:.1e}")
+    got = {"max_log_weight": max_lw, "mean": float(est.value), "lower": lower,
+           "alpha0_defect": rel, "alpha0_log_value": float(est0.log_value)}
+    assert value_drift(got, CRITERIA["c11"], "c11") == []
 
 
 def test_criterion_12_norms_and_semigroup():
@@ -438,3 +456,6 @@ def test_criterion_12_norms_and_semigroup():
              f"mode-sweep ratio in [{ratios.min():.2f}, {ratios.max():.2f}] within "
              f"[0.2, 5]; smoothing sup {smooth_sup:.3f} <= 1; difference sup "
              f"{diff_sup:.3f} <= 1; semigroup law defect {law:.1e}")
+    got = {"ratios": [float(ratios.min()), float(ratios.max())], "smooth_sup": float(smooth_sup),
+           "diff_sup": float(diff_sup), "semigroup_defect": law}
+    assert value_drift(got, CRITERIA["c12"], "c12") == []

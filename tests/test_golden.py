@@ -6,14 +6,18 @@ the sha256 of the report body (and of ``samples.bin`` and ``paths.csv``)
 at small configs for all five commands, plus the raw state bytes of the
 full solve with its X + Y split and of the projected solve, so any bit
 drift in sampling, weighting, stepping, norms or dumping fails here.
-The shifted states of the split are also pinned by value, as their L2
-norms in ``tests/golden/shifted.json`` (to a relative 1e-12), so a
-re-pinned digest still shows how far they moved.
+Every pin is also held by value, to a relative 1e-12, so a re-pinned
+digest still shows how far it moved: each report body as
+``json.loads(report.body_bytes())`` in ``tests/golden/bodies.json``
+(compared before its digest), the shifted states of the split as their
+L2 norms in ``tests/golden/shifted.json`` and the projected solve's
+states as theirs in ``tests/golden/solver_states.json``.
 The digests were recorded with numpy 2.4; a different numpy may
 legitimately change the last bits of its FFTs.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -102,6 +106,7 @@ def test_invariance_golden(name, tmp_path):
     kwargs, exit_code, digest = INVARIANCE[name]
     report = cmd_invariance(ExperimentConfig(**kwargs), out_dir=tmp_path)
     assert report.exit_code == exit_code
+    assert _body_drift(report, f"invariance/{name}") == []
     assert report.body_digest() == digest
 
 
@@ -110,6 +115,7 @@ def test_sample_gff_golden(name, tmp_path):
     kwargs, digest, dump_sha = SAMPLE_GFF[name]
     report = cmd_sample_gff(ExperimentConfig(**kwargs), out_dir=tmp_path)
     assert report.exit_code == 0
+    assert _body_drift(report, f"sample-gff/{name}") == []
     assert report.body_digest() == digest
     assert hashlib.sha256((tmp_path / "samples.bin").read_bytes()).hexdigest() == dump_sha
 
@@ -169,12 +175,21 @@ OPERATORS = {
     "sobolev_norm": "4966605f7809e090101d39660b7b05f6ab034995fed2066a26212b0221adb4fa",
 }
 
+# the bodies behind the digests above, keyed "<command>/<name>"
+BODIES = load_golden("bodies")
+
+
+def _body_drift(report, key: str) -> list[str]:
+    """Where the body of ``report`` differs from its value golden."""
+    return value_drift(json.loads(report.body_bytes()), BODIES[key], key)
+
 
 @pytest.mark.parametrize("name", sorted(SQE))
 def test_sqe_golden(name, tmp_path):
     kwargs, digest, paths_sha = SQE[name]
     report = cmd_sqe(ExperimentConfig(**kwargs), out_dir=tmp_path)
     assert report.exit_code == 0
+    assert _body_drift(report, f"sqe/{name}") == []
     assert report.body_digest() == digest
     assert hashlib.sha256((tmp_path / "paths.csv").read_bytes()).hexdigest() == paths_sha
 
@@ -184,6 +199,7 @@ def test_wick_converge_golden(name):
     kwargs, digest = WICK_CONVERGE[name]
     report = cmd_wick_converge(ExperimentConfig(**kwargs))
     assert report.exit_code == 0
+    assert _body_drift(report, f"wick-converge/{name}") == []
     assert report.body_digest() == digest
 
 
@@ -192,6 +208,7 @@ def test_norms_bench_golden(name):
     kwargs, digest = NORMS_BENCH[name]
     report = cmd_norms_bench(ExperimentConfig(**kwargs))
     assert report.exit_code == 0
+    assert _body_drift(report, f"norms-bench/{name}") == []
     assert report.body_digest() == digest
 
 
@@ -202,6 +219,7 @@ def test_overflow_golden(name, tmp_path, monkeypatch):
     report = cmd(ExperimentConfig(**kwargs), out_dir=tmp_path)
     assert report.exit_code == 4
     assert list(report.body) == ["overflow_exponent"]
+    assert _body_drift(report, f"overflow/{name}") == []
     assert report.body_digest() == digest
     assert (tmp_path / "report.json").is_file()
 
@@ -244,6 +262,9 @@ def test_solver_states_golden(name):
         # recorded with (then passed in as a trajectory)
         path = solve_sqe_projected(phi0, config, stream)
         got = _states_digest(path.states)
+        norms = [sobolev_norm(s, 0.0) for s in path.states]
+        golden = load_golden("solver_states")[name]
+        assert value_drift({"l2": norms}, golden, name) == []
     assert got == SOLVER_STATES[name]
 
 
