@@ -16,7 +16,11 @@ Re/Im each of variance v/2, and the k = 0 coefficient real with variance
 v.  Sampling is realized by transforming grid white noise: fft2(white)/M
 has exactly this law with v = 1, including the self-conjugate Nyquist
 modes.  ``white_noise_fft`` is the one forward FFT outside ``spectral``:
-it is the raw fft2 without the 2*pi/M^2 field normalization.
+it is the raw fft2 without the 2*pi/M^2 field normalization.  The 1/M
+lives in each sampler's per-mode standard deviation sqrt(v)/M, so a draw
+is scaled in one multiply.  M is a power of two (``TorusGrid``), so x/M
+is exact and fft2(white) * (sqrt(v)/M) is (fft2(white)/M) * sqrt(v) to
+the bit, signed zeros of the self-conjugate modes included.
 
 Workspaces (the rule of ``spectral``): ``white_noise_fft``, and through
 it ``gff_sample`` and ``ou_chain``, draw the real noise into a ``white``
@@ -112,18 +116,6 @@ def white_noise_fft(grid: TorusGrid, generators, white=None, out=None) -> np.nda
     return np.fft.fft2(out, out=out)
 
 
-def _white_spectral(grid: TorusGrid, generators, white=None, out=None) -> np.ndarray:
-    """Hermitian coefficient stack with unit variance per mode, through the
-    workspaces of ``white_noise_fft``.  The scaling divides the float64
-    view: numpy divides a complex array by a complex scalar (Smith's
-    rule, which multiplies by 1/M), about ten times slower, and with M a
-    power of two both give the same bits."""
-    coeffs = white_noise_fft(grid, generators, white, out)
-    parts = coeffs.view(np.float64)
-    parts /= grid.modes_per_dim
-    return coeffs
-
-
 def gff_mode_variance(grid: TorusGrid) -> np.ndarray:
     """Stationary per-mode variance (1 + |k|^2)^{-1}."""
     return 1.0 / (1.0 + grid.ksq)
@@ -137,12 +129,15 @@ def gff_sample(grid: TorusGrid, stream, white=None, out=None) -> SpectralField:
     draws in one pass, row i the draw of ``stream[i]``.  ``white`` and
     ``out`` are the workspaces of ``white_noise_fft``; when ``out`` is
     given the draw is a read-only view of it, valid until ``out`` is
-    written again.  The mode standard deviation is computed once per grid
-    (``TorusGrid.cached``).
+    written again.  The scale sqrt(v)/M, the mode standard deviation with
+    the noise's 1/M, is computed once per grid (``TorusGrid.cached``).
     """
     streams = [stream] if isinstance(stream, RngStream) else stream
-    coeffs = _white_spectral(grid, [s.generator() for s in streams], white, out)
-    coeffs *= grid.cached("gff_sd", lambda: np.sqrt(gff_mode_variance(grid)))
+    M = grid.modes_per_dim
+    coeffs = white_noise_fft(grid, [s.generator() for s in streams], white, out)
+    coeffs *= grid.cached(
+        "gff_sd", lambda: np.divide(sd := np.sqrt(gff_mode_variance(grid)), M, out=sd)
+    )
     # a view: the field freezes it, not the caller's workspace
     return SpectralField(grid, coeffs[0] if isinstance(stream, RngStream) else coeffs[:])
 
@@ -164,9 +159,11 @@ def ou_chain(grid: TorusGrid, coeffs: np.ndarray, dt, n_steps, generators, white
     row is bit-for-bit the chain of that generator alone.  The decay is
     the grid's one heat multiplier of ``dt``.  Every state is written
     into one state buffer, allocated once: every yielded stack is that
-    buffer, valid until the next stack is pulled.  The first step writes
-    the decayed datum there before it computes the noise scale, once, so
-    ``coeffs`` is not held beside that scale's temporaries nor past the
+    buffer, valid until the next stack is pulled.  The noise is the raw
+    ``white_noise_fft`` times the scale sqrt(ou_noise_variance)/M, which
+    carries the white noise's 1/M.  The first step writes the decayed
+    datum there before it computes that scale, once, dividing in place,
+    so ``coeffs`` is not held beside the scale's temporaries nor past the
     first step.  ``white`` (real) and ``noise`` (complex) are the
     workspaces of ``white_noise_fft``, allocated once when not given;
     the chain writes them only while the next stack is pulled, so a
@@ -181,7 +178,8 @@ def ou_chain(grid: TorusGrid, coeffs: np.ndarray, dt, n_steps, generators, white
         coeffs = np.multiply(decay, coeffs, out=state)
         if step == 0:
             noise_sd = np.sqrt(ou_noise_variance(grid, dt))
-        np.multiply(_white_spectral(grid, generators, white, noise), noise_sd, out=noise)
+            noise_sd /= grid.modes_per_dim
+        np.multiply(white_noise_fft(grid, generators, white, noise), noise_sd, out=noise)
         np.add(state, noise, out=state)
         yield state
 

@@ -20,7 +20,10 @@ that only its unit tests call is surface without a use.  No package
 function takes a ``CutoffProfile`` next to a ``WickParams``, and
 ``SqeConfig`` holds no ``CutoffProfile``: the Wick parameters carry the
 cutoff their C_N was computed from, and a second profile beside them
-could disagree with it.
+could disagree with it.  numpy's FFT module is used only by the
+transform pair (``spectral.to_coeffs``, ``spectral.to_values``), the
+grid's mode axis (``fftfreq`` in ``TorusGrid.__init__``) and the white
+noise's raw transform (``randomfields.white_noise_fft``).
 """
 
 import ast
@@ -248,3 +251,62 @@ def test_no_cutoff_travels_beside_wick_params():
         for line, name in split_cutoffs(path.read_text())
     ]
     assert found == []
+
+
+# the functions that may use numpy's FFT module, per package module: the
+# transform pair, the grid's mode axis and the white noise's raw transform
+FFT_USERS = {
+    "spectral.py": {"to_coeffs", "to_values", "TorusGrid.__init__"},
+    "randomfields.py": {"white_noise_fft"},
+}
+
+
+def _imports_numpy_fft(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.fft") for a in node.names)
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return node.module.startswith("numpy.fft") or (
+            node.module == "numpy" and any(a.name == "fft" for a in node.names)
+        )
+    return False
+
+
+def fft_uses(source: str) -> list[tuple[int, str]]:
+    """(line, dotted qualified name of the enclosing function or class, or
+    ``<module>``) of every ``np.fft``/``numpy.fft`` expression and every
+    import of ``numpy.fft`` in ``source``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if _imports_numpy_fft(child) or (
+                isinstance(child, ast.Attribute)
+                and child.attr == "fft"
+                and isinstance(child.value, ast.Name)
+                and child.value.id in ("np", "numpy")
+            ):
+                found.append((child.lineno, owner or "<module>"))
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_scan_finds_a_stray_fft():
+    source = (
+        "import numpy as np\n"
+        "from numpy.fft import rfft\n"
+        "class G:\n    def __init__(self):\n        self.k = np.fft.fftfreq(4)\n"
+        "def f(x):\n    return numpy.fft.ifft(x)\n"
+        "def g(x):\n    fft = np.fft\n    return fft.fft(x)\n"
+        "def h(x):\n    from numpy import fft\n    return np.sum(x)\n"
+    )
+    assert fft_uses(source) == [(2, "<module>"), (5, "G.__init__"), (7, "f"), (9, "g"), (12, "h")]
+
+
+def test_numpy_fft_is_used_only_by_the_transforms():
+    found = {(path.name, owner) for path in PACKAGE for _, owner in fft_uses(path.read_text())}
+    assert found == {(name, owner) for name, owners in FFT_USERS.items() for owner in owners}

@@ -17,7 +17,7 @@ from expsqlab import (
     zero_field,
 )
 from expsqlab.dynamics import _ou_increments
-from expsqlab.randomfields import _white_spectral, ou_chain, white_noise_fft
+from expsqlab.randomfields import ou_chain, white_noise_fft
 from expsqlab.spectral import SpectralField, heat_multiplier
 
 
@@ -29,12 +29,12 @@ def test_gff_sample_is_real(grid32, stream):
 
 def test_gff_mode_sd_is_computed_once_per_grid(stream):
     # gff_sample scales by one read-only standard deviation per grid,
-    # the same expression it used to evaluate on every call
+    # sqrt(v)/M with the white noise's 1/M in it
     grid = make_grid(16)
     first = gff_sample(grid, stream.child("a"))
     sd = grid.cached("gff_sd", lambda: None)
     assert not sd.flags.writeable
-    assert sd.tobytes() == np.sqrt(gff_mode_variance(grid)).tobytes()
+    assert sd.tobytes() == (np.sqrt(gff_mode_variance(grid)) / 16).tobytes()
     gff_sample(grid, stream.child("b"))
     assert grid.cached("gff_sd", lambda: None) is sd
     assert first.coeffs.tobytes() == gff_sample(make_grid(16), stream.child("a")).coeffs.tobytes()
@@ -126,11 +126,13 @@ def test_increments_rebuild_path(grid8, stream):
 
 def _allocating_ou_chain(grid, coeffs, dt, n_steps, generators):
     """``ou_chain`` as it was before it stepped in one buffer: a new state
-    stack every step, noise = white * sd added to the decayed state."""
+    stack every step, noise = (fft2(white) / M) * sd added to the decayed
+    state."""
     decay = heat_multiplier(grid, dt)
     noise_sd = np.sqrt(ou_noise_variance(grid, dt))
+    M = grid.modes_per_dim
     for _ in range(n_steps):
-        coeffs = decay * coeffs + _white_spectral(grid, generators) * noise_sd
+        coeffs = decay * coeffs + (white_noise_fft(grid, generators) / M) * noise_sd
         yield coeffs
 
 
@@ -220,18 +222,29 @@ def test_white_noise_fft_workspaces_are_bit_for_bit(grid8):
 @pytest.mark.parametrize("M", [8, 16, 32, 64, 128, 256])
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
 def test_white_noise_scaling_is_the_complex_division(M, n):
-    # the unit-variance scaling divides the float64 view by M; with M a
-    # power of two that is numpy's complex division by M to the byte,
-    # signed zeros included: the imaginary parts of the self-conjugate
-    # modes are exact zeros.  The uint64 views compare the bits without
-    # copying the stacks
+    # the samplers scale the raw transform once, by a standard deviation
+    # that carries the white noise's 1/M; with M a power of two that is
+    # numpy's complex division by M followed by the multiply by the
+    # standard deviation, to the byte, signed zeros included: the
+    # imaginary parts of the self-conjugate modes are exact zeros.  Each
+    # row is drawn from its own generator, one at a time, and the uint64
+    # views compare the bits without copying
     grid = make_grid(M)
     base = RngStream(45, purpose="scaling")
-    expected = white_noise_fft(grid, _generators(base, n)) / M
-    got = _white_spectral(grid, _generators(base, n))
-    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    dt = 0.25
+    gff_sd = np.sqrt(gff_mode_variance(grid))
+    ou_sd = np.sqrt(ou_noise_variance(grid, dt))
     half = M // 2
-    assert not got[:, [0, 0, half, half], [0, half, 0, half]].imag.any()
+    for i in range(n):
+        sub = base.for_replica(i)
+        draw = gff_sample(grid, sub).coeffs
+        expected = (white_noise_fft(grid, [sub.generator()]) / M)[0] * gff_sd
+        assert np.array_equal(draw.view(np.uint64), expected.view(np.uint64))
+        assert not draw[[0, 0, half, half], [0, half, 0, half]].imag.any()
+        step = next(ou_chain(grid, draw[None], dt, 1, [sub.child("ou").generator()]))
+        noise = (white_noise_fft(grid, [sub.child("ou").generator()]) / M) * ou_sd
+        expected = heat_multiplier(grid, dt) * draw + noise[0]
+        assert np.array_equal(step[0].view(np.uint64), expected.view(np.uint64))
 
 
 def test_gff_sample_workspaces_are_bit_for_bit(grid8):
