@@ -67,12 +67,12 @@ field that keep a copy of every state.  The stochastic flows step a
 stack of rows in lockstep, each row bit-for-bit the solve of that row
 alone: the cutoff levels (L, M, M) of the full equation under one
 common noise, or replicas (n, M, M) of the projected equation, each
-with its own stream.  A row whose Wick exponent passes the guard is
-zeroed from its first overflowing step while the others step on, and
-after its last step the flow raises WickOverflowError with the lowest
-failing row's exponent (``_guarded``).  The shifted flow steps one
-field over the states of X, a stored path's or the live chain's, and
-raises WickOverflowError at its first overflowing step.
+with its own stream; the shifted flow steps a stack of one over the
+states of X.  One guard, ``_guarded``, fails a row of any of them at its
+first step whose Wick exponent passes the guard or whose state lost
+finiteness (exponent inf).  A failed row is zeroed while the others
+step on, and the flow then raises WickOverflowError with the lowest
+failing row's exponent.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ from .wick import (
     OVERFLOW_EXPONENT,
     WickOverflowError,
     WickParams,
-    guarded_exp,
     scaled_exp,
 )
 
@@ -205,17 +204,21 @@ def evolve_shifted(upsilon: SpectralField, x_states, config: SqeConfig):
 
     The step from t_j is forced by exp(alpha P_N X_{t_j} - shift), formed
     in the grid workspace with the ufuncs of ``wick.wick_exp_values``, so
-    it is that function's value bit for bit; it raises WickOverflowError
-    at the first step whose exponent passes the guard, before the next
-    state of X is read.  The last state, which no step reads, is not
-    evaluated.
+    it is that function's value bit for bit.  As ``_guarded`` on a stack
+    of one, it raises WickOverflowError at the first step that fails the
+    guard, before the next state of X is read.  The last state, which no
+    step reads, is not evaluated.
     """
     _check_initial_regularity(upsilon, config.params.beta)
-    return _shifted_flow(upsilon.grid, upsilon.coeffs.copy(), x_states, config)
+    coeffs = upsilon.coeffs[None].copy()
+    state = coeffs[0]
+    flow = _shifted_flow(upsilon.grid, coeffs, x_states, config)
+    return (state for _ in _guarded(coeffs, flow))
 
 
 def _shifted_flow(grid: TorusGrid, coeffs: np.ndarray, x_states, config: SqeConfig):
-    """The shifted equation's step loop in the state buffer ``coeffs``."""
+    """The shifted equation's step loop in the state buffer ``coeffs``, a
+    stack of one, yielded with the larger exponent of its two factors."""
     n_steps = config.n_steps()
     params = config.params
     psi_mult = params.multiplier(grid)
@@ -224,22 +227,18 @@ def _shifted_flow(grid: TorusGrid, coeffs: np.ndarray, x_states, config: SqeConf
     half_adt = 0.5 * alpha * config.dt
     spec = np.empty_like(coeffs)
     u, forcing = np.empty((2, *coeffs.shape))
-    to_values(coeffs, grid, spec, u)
-    yield coeffs
     j = -1
     for j, x in enumerate(x_states):
         if j >= n_steps:
             continue
-        nonlin = guarded_exp(u, alpha, 0.0, out=u)
+        nonlin, y_peaks = scaled_exp(to_values(coeffs, grid, spec, u), alpha, 0.0, out=u)
         np.multiply(half_adt, nonlin, out=nonlin)
         to_values(np.multiply(psi_mult, x, out=spec), grid, spec, forcing)
-        nonlin *= guarded_exp(forcing, alpha, params.shift, out=forcing)
+        wick, forcing_peaks = scaled_exp(forcing, alpha, params.shift, out=forcing)
+        nonlin *= wick
         np.subtract(coeffs, to_coeffs(nonlin, grid, out=spec), out=coeffs)
         np.multiply(mult, coeffs, out=coeffs)
-        if not np.isfinite(coeffs[0, 0]):
-            raise FloatingPointError(f"shifted solve lost finiteness at step {j}")
-        to_values(coeffs, grid, spec, u)
-        yield coeffs
+        yield coeffs, np.maximum(y_peaks, forcing_peaks)
     if j != n_steps:
         raise ValueError(f"the shifted flow needs {n_steps + 1} states of X, got {j + 1}")
 
@@ -281,21 +280,23 @@ def _noise_stacks(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, stream
 
 
 def _guarded(initial: np.ndarray, steps):
-    """The overflow rule of both stochastic flows.  Yields the initial
-    stack, then each step's stack from ``steps``, which pairs it with the
-    largest Wick exponent of each row: a row whose exponent passes the
-    guard is flagged at its first overflowing step and zeroed from then
-    on.  Stops once every row has failed; after the last step, raises
-    WickOverflowError with the flagged exponent of the lowest failing
-    row.  ``initial`` is the flow's state buffer, which every step
-    overwrites, so nothing is held beyond the current stack."""
+    """The overflow rule of every flow.  Yields the initial stack, then
+    each step's stack from ``steps``, which pairs it with the largest Wick
+    exponent of each row.  A row is flagged at its first step whose
+    exponent passes the guard or is NaN, or whose state has a non-finite
+    mode 0 (exponent inf: the nonlinearity is positive, so |F_k| <= F_0),
+    and zeroed from then on.  Stops once every row has failed; after the
+    last step, raises WickOverflowError with the flagged exponent of the
+    lowest failing row.  ``initial`` is the flow's state buffer, which
+    every step overwrites, so nothing is held beyond the current stack."""
     yield initial
     overflow = np.full(len(initial), np.nan)
     failed = np.zeros(len(initial), dtype=bool)
     for coeffs, peaks in steps:
-        new = ~failed & (peaks > OVERFLOW_EXPONENT)
+        passed = ~(peaks <= OVERFLOW_EXPONENT)
+        new = ~failed & (passed | ~np.isfinite(coeffs[:, 0, 0]))
         if new.any():
-            overflow[new] = peaks[new]
+            overflow[new] = np.where(passed, peaks, np.inf)[new]
             failed |= new
         if failed.any():
             coeffs[failed] = 0.0
@@ -359,9 +360,9 @@ def evolve_levels(
         ``time_grid(configs[0])``, row l bit-for-bit the state of
         ``solve_sqe_full(phi0, configs[l], stream, x_traj)``.  Every stack
         is one buffer, overwritten when the next is pulled.  The
-        arguments are checked on the call.  After the last step it raises
-        WickOverflowError if a level overflowed, with the exponent of the
-        lowest failing level at its first overflowing step.
+        arguments are checked on the call.  A level fails as ``_guarded``
+        rules, overflow or lost finiteness, and the flow then raises
+        WickOverflowError with the lowest failing level's exponent.
     """
     config = configs[0]
     for c in configs:
@@ -484,9 +485,9 @@ def evolve_projected(phi0: SpectralField, config: SqeConfig, streams):
         ``time_grid(config)``, row i bit-for-bit the state of
         ``solve_sqe_projected(phi0 row i, config, streams[i])``.  Every
         stack is one buffer, overwritten when the next is pulled.  The
-        arguments are checked on the call.  After the last step it raises
-        WickOverflowError if a replica overflowed, with the exponent of
-        the lowest failing replica at its first overflowing step.
+        arguments are checked on the call.  A replica fails as ``_guarded``
+        rules, overflow or lost finiteness, and the flow then raises
+        WickOverflowError with the lowest failing replica's exponent.
     """
     if phi0.coeffs.ndim != 3 or len(streams) != len(phi0.coeffs):
         raise ValueError("need a stack of initial data and one stream per row")

@@ -36,7 +36,6 @@ __all__ = [
     "wick_exp_gff",
     "wick_exp_values",
     "scaled_exp",
-    "guarded_exp",
     "analytic_wick_cov",
     "green_kernel_point",
     "ALPHA_MAX",
@@ -232,24 +231,16 @@ def scaled_exp(
     return np.exp(np.minimum(expo, _EXP_CAP, out=expo), out=expo), peaks
 
 
-def guarded_exp(
-    values: np.ndarray, alpha: float, shift: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``scaled_exp`` behind the overflow guard: raises WickOverflowError
-    with the exponent of the lowest-index field that passes it, which is
-    the error a loop over the fields one at a time raises first."""
-    out, peaks = scaled_exp(values, alpha, shift, out)
+def wick_exp_values(field: SpectralField, params: WickParams) -> np.ndarray:
+    """Physical-grid values of the Wick exponential (shared fast path); a
+    stack of fields gives the stack of their values, or WickOverflowError
+    with the exponent of the first field that passes the guard."""
+    vals = apply_PN(field, params.psi, params.level).values()
+    vals, peaks = scaled_exp(vals, params.alpha, params.shift, out=vals)
     over = np.flatnonzero(peaks > OVERFLOW_EXPONENT)
     if over.size:
         raise WickOverflowError(float(peaks[over[0]]))
-    return out
-
-
-def wick_exp_values(field: SpectralField, params: WickParams) -> np.ndarray:
-    """Physical-grid values of the Wick exponential (shared fast path); a
-    stack of fields gives the stack of their values."""
-    vals = apply_PN(field, params.psi, params.level).values()
-    return guarded_exp(vals, params.alpha, params.shift)
+    return vals
 
 
 def wick_exp_gff(field: SpectralField, params: WickParams) -> SpectralField:

@@ -223,6 +223,49 @@ def test_failing_replica_leaves_other_replicas_unharmed(grid32):
             assert stack[i].tobytes() == state.coeffs.tobytes()
 
 
+def _lost_datum():
+    """A constant datum at Wick exponent 699, under the guard, whose drift
+    overflows the FFT at alpha = 3.5, level 1, dt = 1, M = 256, so that
+    the state after step 0 is not finite; and its configuration."""
+    grid = make_grid(256)
+    params = make_wick_params(3.5, 1, CutoffProfile("sharp"), grid)
+    config = SqeConfig(horizon=2.0, dt=1.0, params=params)
+    return config, constant_field(grid, (699.0 + params.shift) / params.alpha)
+
+
+def test_lost_finiteness_fails_the_row():
+    # the exponent never passes the guard, yet both stochastic flows flag
+    # the row at step 0 with exponent inf and yield no non-finite state
+    # (numpy warns of the overflow the guard then flags)
+    config, phi0 = _lost_datum()
+    stream = RngStream(626, purpose="lost-finiteness")
+    stack = SpectralField(phi0.grid, phi0.coeffs[None])
+    for flow in (evolve_levels(phi0, [config], stream), evolve_projected(stack, config, [stream])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacks, exponent = _stacks_until_overflow(flow)
+        assert exponent == np.inf
+        assert len(stacks) == 1 and np.isfinite(stacks).all()
+
+
+def test_lost_replica_leaves_other_replicas_unharmed():
+    config, hot = _lost_datum()
+    grid = hot.grid
+    base = RngStream(627, purpose="lost-replica")
+    streams = [base.for_replica(i) for i in range(3)]
+    coeffs = gff_sample(grid, [base.child("init").for_replica(i) for i in range(3)]).copy_coeffs()
+    coeffs[1] = hot.coeffs
+    phi0 = SpectralField(grid, coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacks, exponent = _stacks_until_overflow(evolve_projected(phi0, config, streams))
+    assert exponent == np.inf
+    assert len(stacks) == config.n_steps() + 1
+    assert np.isfinite(stacks).all() and not any(stack[1].any() for stack in stacks[1:])
+    for i in (0, 2):
+        path = solve_sqe_projected(phi0.unstack()[i], config, streams[i])
+        for stack, state in zip(stacks, path.states):
+            assert stack[i].tobytes() == state.coeffs.tobytes()
+
+
 def test_invariance_matches_single_replica_loop(grid32):
     params = _setup(grid32)
     stream = RngStream(613, purpose="blocked-inv")

@@ -234,6 +234,33 @@ def test_forcing_overflow_raises_at_its_step(grid32):
     assert np.all(np.isfinite(path.final().coeffs))
 
 
+def test_shifted_flow_fails_a_state_that_lost_finiteness():
+    # Y_0 at exponent 699 passes the guard, but its drift overflows the
+    # FFT at alpha = 3.5, level 1, dt = 1, M = 256: the step raises
+    # WickOverflowError with exponent inf, as the stochastic flows do
+    # (numpy warns of the overflow the guard then flags)
+    grid = make_grid(256)
+    config = _shifted_config(grid, dt=1.0, horizon=2.0, alpha=3.5, level=1)
+    upsilon = constant_field(grid, 699.0 / 3.5)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(WickOverflowError) as info:
+        solve_shifted(upsilon, _zero_trajectory(config, grid), config)
+    assert info.value.max_exponent == np.inf
+
+
+@pytest.mark.parametrize("y_exponent, x_exponent", [(720.0, 750.0), (750.0, 720.0)])
+def test_shifted_overflow_reports_the_larger_factor(grid32, y_exponent, x_exponent):
+    # both factors of the step from t_0 pass the guard: the step reports
+    # the larger exponent, whichever factor carries it
+    config = _shifted_config(grid32, dt=1.0 / 16, horizon=0.25, level=1)
+    alpha, shift = config.params.alpha, config.params.shift
+    x0 = constant_field(grid32, (x_exponent + shift) / alpha)
+    states = [x0] + [zero_field(grid32)] * config.n_steps()
+    upsilon = constant_field(grid32, y_exponent / alpha)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(WickOverflowError) as info:
+        solve_shifted(upsilon, FieldPath(config.dt, states), config)
+    assert info.value.max_exponent == pytest.approx(750.0, rel=1e-12)
+
+
 def test_config_validation(grid32):
     params = _params(grid32, level=2)
     with pytest.raises(ValueError):

@@ -23,7 +23,11 @@ cutoff their C_N was computed from, and a second profile beside them
 could disagree with it.  numpy's FFT module is used only by the
 transform pair (``spectral.to_coeffs``, ``spectral.to_values``), the
 grid's mode axis (``fftfreq`` in ``TorusGrid.__init__``) and the white
-noise's raw transform (``randomfields.white_noise_fft``).
+noise's raw transform (``randomfields.white_noise_fft``).  The overflow
+bound ``OVERFLOW_EXPONENT`` is read, and ``WickOverflowError`` raised,
+only by the flows' guard (``dynamics._guarded``) and the Wick
+exponential's (``wick.wick_exp_values``), besides the error's message,
+which names the bound; the package raises no bare ``FloatingPointError``.
 """
 
 import ast
@@ -271,10 +275,9 @@ def _imports_numpy_fft(node) -> bool:
     return False
 
 
-def fft_uses(source: str) -> list[tuple[int, str]]:
+def owned_matches(source: str, match) -> list[tuple[int, str]]:
     """(line, dotted qualified name of the enclosing function or class, or
-    ``<module>``) of every ``np.fft``/``numpy.fft`` expression and every
-    import of ``numpy.fft`` in ``source``."""
+    ``<module>``) of every node of ``source`` that ``match`` accepts."""
     found = []
 
     def visit(node, owner):
@@ -282,17 +285,27 @@ def fft_uses(source: str) -> list[tuple[int, str]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{owner}.{child.name}" if owner else child.name)
                 continue
-            if _imports_numpy_fft(child) or (
-                isinstance(child, ast.Attribute)
-                and child.attr == "fft"
-                and isinstance(child.value, ast.Name)
-                and child.value.id in ("np", "numpy")
-            ):
+            if match(child):
                 found.append((child.lineno, owner or "<module>"))
             visit(child, owner)
 
     visit(ast.parse(source), "")
     return found
+
+
+def _uses_numpy_fft(node) -> bool:
+    return _imports_numpy_fft(node) or (
+        isinstance(node, ast.Attribute)
+        and node.attr == "fft"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    )
+
+
+def fft_uses(source: str) -> list[tuple[int, str]]:
+    """(line, owner) of every ``np.fft``/``numpy.fft`` expression and every
+    import of ``numpy.fft`` in ``source``, as ``owned_matches`` gives it."""
+    return owned_matches(source, _uses_numpy_fft)
 
 
 def test_scan_finds_a_stray_fft():
@@ -310,3 +323,72 @@ def test_scan_finds_a_stray_fft():
 def test_numpy_fft_is_used_only_by_the_transforms():
     found = {(path.name, owner) for path in PACKAGE for _, owner in fft_uses(path.read_text())}
     assert found == {(name, owner) for name, owners in FFT_USERS.items() for owner in owners}
+
+
+# the one guard of the flows and the one of the Wick exponential read the
+# overflow bound and raise its error; the error's message names the bound
+GUARD_USES = {
+    ("dynamics.py", "_guarded", "OVERFLOW_EXPONENT"),
+    ("dynamics.py", "_guarded", "raise WickOverflowError"),
+    ("wick.py", "wick_exp_values", "OVERFLOW_EXPONENT"),
+    ("wick.py", "wick_exp_values", "raise WickOverflowError"),
+    ("wick.py", "WickOverflowError.__init__", "OVERFLOW_EXPONENT"),
+}
+
+
+def _name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _raises(name: str):
+    def match(node) -> bool:
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        return _name(exc.func if isinstance(exc, ast.Call) else exc) == name
+
+    return match
+
+
+GUARD_MATCHES = {
+    "OVERFLOW_EXPONENT": lambda node: (
+        _name(node) == "OVERFLOW_EXPONENT" and isinstance(node.ctx, ast.Load)
+    ),
+    "raise WickOverflowError": _raises("WickOverflowError"),
+    "raise FloatingPointError": _raises("FloatingPointError"),
+}
+
+
+def guard_uses(source: str) -> list[tuple[int, str, str]]:
+    """(line, owner, what) of every read of ``OVERFLOW_EXPONENT``, bare or
+    as an attribute, and every raise of ``WickOverflowError`` or of a bare
+    ``FloatingPointError`` in ``source``, in line order."""
+    return sorted(
+        (line, owner, what)
+        for what, match in GUARD_MATCHES.items()
+        for line, owner in owned_matches(source, match)
+    )
+
+
+def test_scan_finds_a_stray_guard():
+    source = (
+        "OVERFLOW_EXPONENT = 700.0\n"
+        "def _guarded(peaks):\n"
+        "    if peaks > OVERFLOW_EXPONENT:\n        raise WickOverflowError(peaks)\n"
+        "class Flow:\n    def step(self, x):\n"
+        "        if x > wick.OVERFLOW_EXPONENT:\n            raise FloatingPointError('lost')\n"
+        "def f():\n    raise wick.WickOverflowError\n"
+        "def g():\n    raise ValueError(OVERFLOW)\n"
+    )
+    assert guard_uses(source) == [
+        (3, "_guarded", "OVERFLOW_EXPONENT"),
+        (4, "_guarded", "raise WickOverflowError"),
+        (7, "Flow.step", "OVERFLOW_EXPONENT"),
+        (8, "Flow.step", "raise FloatingPointError"),
+        (10, "f", "raise WickOverflowError"),
+    ]
+
+
+def test_one_guard_per_rule():
+    found = {(p.name, owner, what) for p in PACKAGE for _, owner, what in guard_uses(p.read_text())}
+    assert found == GUARD_USES
