@@ -82,7 +82,6 @@ from .wick import (
     hermite,
     make_wick_params,
     renorm_constant,
-    wick_exp_gff,
     wick_exp_values,
 )
 
@@ -155,7 +154,6 @@ __all__ = [
     "standard_observables",
     "time_grid",
     "to_spectral",
-    "wick_exp_gff",
     "wick_exp_values",
     "write_csv",
     "write_report",

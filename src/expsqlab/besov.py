@@ -9,14 +9,14 @@ nonzero for grid-resolved fields.  With this pair, B^s_{2,2} agrees with
 H^s up to a fixed grid-independent equivalence constant (measured by the
 norms-bench experiment, not asserted to a specific value).
 ``besov_norm`` computes B^s_{2,2}, the only Besov norm the package
-evaluates; the Sobolev norm is ``spectral.sobolev_norm``.
+evaluates, from one ``spectral.sobolev_norms`` call over its blocks.
 """
 
 import math
 
 import numpy as np
 
-from .spectral import SpectralField, sobolev_norm
+from .spectral import SpectralField, sobolev_norms
 
 __all__ = [
     "chi",
@@ -70,8 +70,6 @@ def block_weights(grid) -> np.ndarray:
 def besov_norm(field: SpectralField, s: float) -> float:
     """l^2 over blocks j >= -1 of 2^{js} ||Delta_j field||_{L^2}."""
     grid = field.grid
-    terms = [
-        2.0 ** (j * s) * sobolev_norm(SpectralField(grid, field.coeffs * w), 0.0)
-        for j, w in zip(dyadic_blocks(grid), block_weights(grid))
-    ]
+    norms = sobolev_norms(field.coeffs * block_weights(grid), grid, (0.0,))[0]
+    terms = [2.0 ** (j * s) * n for j, n in zip(dyadic_blocks(grid), norms.tolist())]
     return float(np.sum(np.asarray(terms) ** 2.0) ** (1.0 / 2.0))

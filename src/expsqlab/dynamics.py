@@ -88,7 +88,7 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     heat_multiplier,
-    sobolev_norm,
+    sobolev_norms,
     to_coeffs,
     to_values,
     zero_field,
@@ -288,11 +288,17 @@ def _guarded(initial: np.ndarray, steps):
     and zeroed from then on.  Stops once every row has failed; after the
     last step, raises WickOverflowError with the flagged exponent of the
     lowest failing row.  ``initial`` is the flow's state buffer, which
-    every step overwrites, so nothing is held beyond the current stack."""
+    every step overwrites, so nothing is held beyond the current stack.
+    Steps run with numpy's overflow and invalid warnings off: a row that
+    overflows is the guard's to flag, not a warning's."""
     yield initial
     overflow = np.full(len(initial), np.nan)
     failed = np.zeros(len(initial), dtype=bool)
-    for coeffs, peaks in steps:
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs, peaks = next(steps, (None, None))
+        if coeffs is None:
+            break
         passed = ~(peaks <= OVERFLOW_EXPONENT)
         new = ~failed & (passed | ~np.isfinite(coeffs[:, 0, 0]))
         if new.any():
@@ -535,7 +541,7 @@ def contraction_check(
     for upsilon in (upsilon1, upsilon2):
         _check_path(x_traj, config, upsilon.grid)
         flows.append(evolve_shifted(upsilon, (s.coeffs for s in x_traj.states), config))
-    gaps = np.array([sobolev_norm(SpectralField(grid, s1 - s2), 0.0) for s1, s2 in zip(*flows)])
+    gaps = np.ravel([sobolev_norms(a[None], grid, (0.0,), minus=b[None]) for a, b in zip(*flows)])
     times = x_traj.times
     weighted = np.exp(0.5 * times) * gaps
     if np.all(gaps == 0.0):

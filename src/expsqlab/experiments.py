@@ -24,9 +24,10 @@ one thread.
 The drivers stream what they can: cmd_sample_gff hands each block of
 draws to the dump and drops it, and cmd_sqe steps the cutoff levels of a
 replica in lockstep (dynamics.evolve_levels) and reduces each step's
-states to their norms and level gaps at once (the gaps without forming
-the differences, ``spectral.sobolev_norms(..., minus=)``), so neither
-holds a path or the draws whole.
+states to their norms and level gaps at once, so neither holds a path or
+the draws whole.  cmd_sqe and cmd_wick_converge take level gaps from a
+level stack without forming the differences
+(``spectral.sobolev_norms(..., minus=)``).
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from .randomfields import gff_sample
 from .reports import ExperimentReport, save_fields, write_csv, write_report
 from .rng import RngStream
 from .besov import besov_norm
-from .spectral import blocks, sobolev_norm, sobolev_norms
-from .wick import WickOverflowError, wick_exp_gff
+from .spectral import blocks, sobolev_norm, sobolev_norms, to_coeffs
+from .wick import WickOverflowError, wick_exp_values
 
 __all__ = [
     "cmd_sample_gff",
@@ -164,7 +165,8 @@ def cmd_sample_gff(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
 def cmd_wick_converge(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     """Measure the cutoff-level convergence of the Wick exponential on
     common free-field draws: the negative-order Sobolev gap between
-    consecutive levels must decrease at a positive dyadic rate."""
+    consecutive levels must decrease at a positive dyadic rate, or vanish
+    (every gap is exactly 0 at alpha = 0), and no rate is fitted then."""
     grid = cfg.build_grid()
     top = min(5, cfg.build_psi().max_level(grid), max(cfg.level, 2))
     if top < 2:
@@ -178,16 +180,17 @@ def cmd_wick_converge(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
 
     def one(i: int):
         field = gff_sample(grid, stream.for_replica(i))
-        wicks = [wick_exp_gff(field, p) for p in params]
-        return [sobolev_norm(b - a, -beta) for a, b in zip(wicks, wicks[1:])]
+        w = to_coeffs(np.stack([wick_exp_values(field, p) for p in params]), grid)
+        return sobolev_norms(w[1:], grid, (-beta,), minus=w[:-1])[0]
 
     gaps = np.array(_map_replicas(one, cfg.replicas, threads))
     mean_gaps = gaps.mean(axis=0)
     pairs = levels[:-1]
-    slope = float(np.polyfit(pairs, np.log2(mean_gaps), 1)[0]) if len(pairs) > 1 else 0.0
+    fitted = len(pairs) > 1 and bool(mean_gaps.all())
+    slope = float(np.polyfit(pairs, np.log2(mean_gaps), 1)[0]) if fitted else 0.0
     rate = -slope
-    decreasing = bool(np.all(np.diff(mean_gaps) < 0.0))
-    ok = decreasing and (rate >= 0.2 or len(pairs) < 2)
+    decreasing = bool(np.all((np.diff(mean_gaps) < 0.0) | (mean_gaps[1:] == 0.0)))
+    ok = decreasing and (rate >= 0.2 or not fitted)
 
     if out_dir is not None:
         rows = [

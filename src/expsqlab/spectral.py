@@ -102,7 +102,6 @@ class TorusGrid:
             raise ValueError(f"modes_per_dim must be a power of two, got {M}")
         self.modes_per_dim = M
         self.spacing = TWO_PI / M
-        self.points = np.arange(M) * self.spacing
         # integer wavenumbers in FFT layout: 0, 1, ..., M/2-1, -M/2, ..., -1
         self.mode_axis = np.fft.fftfreq(M, d=1.0 / M).astype(np.int64)
         # |k|^2 at [i, j] for k = (mode_axis[i], mode_axis[j]), broadcast
@@ -110,7 +109,7 @@ class TorusGrid:
         kx, ky = self.mode_axis[:, None], self.mode_axis[None, :]
         self.ksq = (kx * kx + ky * ky).astype(np.float64)
         self._cache: dict = {}
-        for arr in (self.points, self.mode_axis, self.ksq):
+        for arr in (self.mode_axis, self.ksq):
             arr.setflags(write=False)
 
     @property
@@ -298,9 +297,10 @@ def grid_quadrature(values: np.ndarray, grid: TorusGrid):
 
 
 def sobolev_norms(coeffs: np.ndarray, grid: TorusGrid, orders, minus=None) -> np.ndarray:
-    """``sobolev_norm`` at each of ``orders`` for each field of a bare
-    coefficient stack (n, M, M), as an array (len(orders), n); given a
-    stack ``minus`` of the same shape, the norms of ``coeffs - minus``.
+    """The package's one norm kernel (level and contraction gaps, Besov
+    blocks): ``sobolev_norm`` at each of ``orders`` for each field of a
+    bare coefficient stack (n, M, M), as an array (len(orders), n); given
+    a stack ``minus`` of the same shape, the norms of ``coeffs - minus``.
 
     |coeff|^2 is formed once per field for all orders, one field at a time
     in two (M^2,) workspace rows, and each sum is the ``np.dot`` of it (a

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid, to_spectral
+from .spectral import SpectralField, TorusGrid
 
 __all__ = [
     "WickOverflowError",
@@ -33,7 +33,6 @@ __all__ = [
     "hermite",
     "apply_PN",
     "renorm_constant",
-    "wick_exp_gff",
     "wick_exp_values",
     "scaled_exp",
     "analytic_wick_cov",
@@ -241,12 +240,6 @@ def wick_exp_values(field: SpectralField, params: WickParams) -> np.ndarray:
     if over.size:
         raise WickOverflowError(float(peaks[over[0]]))
     return vals
-
-
-def wick_exp_gff(field: SpectralField, params: WickParams) -> SpectralField:
-    """Wick exponential exp(alpha P_N phi - alpha^2 C_N / 2) of one draw,
-    returned in spectral form; strictly positive on the physical grid."""
-    return to_spectral(wick_exp_values(field, params), field.grid)
 
 
 def green_kernel_point(psi: CutoffProfile, level: int, grid: TorusGrid, z) -> float:

@@ -237,12 +237,12 @@ def test_forcing_overflow_raises_at_its_step(grid32):
 def test_shifted_flow_fails_a_state_that_lost_finiteness():
     # Y_0 at exponent 699 passes the guard, but its drift overflows the
     # FFT at alpha = 3.5, level 1, dt = 1, M = 256: the step raises
-    # WickOverflowError with exponent inf, as the stochastic flows do
-    # (numpy warns of the overflow the guard then flags)
+    # WickOverflowError with exponent inf, as the stochastic flows do, and
+    # numpy does not warn of the overflow (warnings fail the suite)
     grid = make_grid(256)
     config = _shifted_config(grid, dt=1.0, horizon=2.0, alpha=3.5, level=1)
     upsilon = constant_field(grid, 699.0 / 3.5)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(WickOverflowError) as info:
+    with pytest.raises(WickOverflowError) as info:
         solve_shifted(upsilon, _zero_trajectory(config, grid), config)
     assert info.value.max_exponent == np.inf
 
@@ -256,7 +256,7 @@ def test_shifted_overflow_reports_the_larger_factor(grid32, y_exponent, x_expone
     x0 = constant_field(grid32, (x_exponent + shift) / alpha)
     states = [x0] + [zero_field(grid32)] * config.n_steps()
     upsilon = constant_field(grid32, y_exponent / alpha)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(WickOverflowError) as info:
+    with pytest.raises(WickOverflowError) as info:
         solve_shifted(upsilon, FieldPath(config.dt, states), config)
     assert info.value.max_exponent == pytest.approx(750.0, rel=1e-12)
 

@@ -91,6 +91,21 @@ def test_wick_converge_tiny(tmp_path):
     assert len(lines) == 1 + 6 * 2
 
 
+def test_wick_converge_passes_on_vanishing_gaps():
+    # at alpha = 0 the Wick exponential is 1 at every level, so every gap
+    # is exactly 0: converged, with no rate fitted through log2(0) (whose
+    # warning would fail the suite) and no NaN in the body
+    cfg = ExperimentConfig(modes=128, level=4, seed=5, replicas=2, alpha=0.0)
+    report = cmd_wick_converge(cfg)
+    assert report.exit_code == 0
+    body = report.body
+    assert body["levels"] == [1, 2, 3, 4]
+    assert body["mean_gaps"] == [0.0, 0.0, 0.0]
+    assert body["decreasing"] is True and body["passed"] is True
+    assert body["dyadic_rate"] == 0.0
+    assert b"NaN" not in report.body_bytes()
+
+
 def test_sqe_tiny(tmp_path):
     cfg = ExperimentConfig(
         modes=32, level=2, seed=6, replicas=3, horizon=0.25, dt=1.0 / 32

@@ -28,6 +28,10 @@ bound ``OVERFLOW_EXPONENT`` is read, and ``WickOverflowError`` raised,
 only by the flows' guard (``dynamics._guarded``) and the Wick
 exponential's (``wick.wick_exp_values``), besides the error's message,
 which names the bound; the package raises no bare ``FloatingPointError``.
+No package code calls ``sobolev_norm`` or ``sobolev_norms`` on a
+subtraction or on a ``SpectralField(...)`` built in the call: a norm of
+a difference or of a block stack goes through ``sobolev_norms`` on bare
+arrays, the difference through its ``minus``.
 """
 
 import ast
@@ -392,3 +396,49 @@ def test_scan_finds_a_stray_guard():
 def test_one_guard_per_rule():
     found = {(p.name, owner, what) for p in PACKAGE for _, owner, what in guard_uses(p.read_text())}
     assert found == GUARD_USES
+
+
+# the norm kernel takes a difference through ``minus`` and a block stack as
+# one bare array, so no package code hands a norm a subtraction or a
+# field wrapped around an array for the call
+NORMS = ("sobolev_norm", "sobolev_norms")
+
+
+def _norm_of_a_temporary(node) -> bool:
+    if not (isinstance(node, ast.Call) and _name(node.func) in NORMS and node.args):
+        return False
+    arg = node.args[0]
+    return (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Sub)) or (
+        isinstance(arg, ast.Call) and _name(arg.func) == "SpectralField"
+    )
+
+
+def norms_of_temporaries(source: str) -> list[tuple[int, str]]:
+    """(line, owner) of every ``sobolev_norm``/``sobolev_norms`` call in
+    ``source`` whose field is a subtraction or a ``SpectralField(...)``
+    built in the call, as ``owned_matches`` gives it."""
+    return owned_matches(source, _norm_of_a_temporary)
+
+
+def test_scan_finds_a_norm_of_a_temporary():
+    source = (
+        "def f(a, b):\n    return sobolev_norm(a - b, 0.0)\n"
+        "def g(grid, c):\n    return spectral.sobolev_norm(SpectralField(grid, c), -1.0)\n"
+        "class K:\n    def h(self, a, b, grid):\n"
+        "        return sobolev_norms(a - b, grid, (0.0,))\n"
+        "def ok(a, b, grid, field, w):\n"
+        "    sobolev_norms(a, grid, (0.0,), minus=b)\n"
+        "    sobolev_norms(field.coeffs * w, grid, (0.0,))\n"
+        "    sobolev_norm(a + b, 0.5)\n"
+        "    sobolev_norm(field, 0.5) - sobolev_norm(field, 0.0)\n"
+    )
+    assert norms_of_temporaries(source) == [(2, "f"), (4, "g"), (7, "K.h")]
+
+
+def test_every_norm_reduces_through_the_kernel():
+    found = [
+        f"{path.name}:{line}: {owner}"
+        for path in PACKAGE
+        for line, owner in norms_of_temporaries(path.read_text())
+    ]
+    assert found == []
