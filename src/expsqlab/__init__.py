@@ -39,12 +39,10 @@ from .measures import (
     DegenerateEnsembleError,
     InvarianceReport,
     PartitionEstimate,
-    StationaryDraws,
     WeightedEnsemble,
     estimate_partition,
     invariance_test,
     mode0_tilt_mean,
-    resample_stationary,
     rn_log_weight,
     sample_ensemble,
     standard_observables,
@@ -105,7 +103,6 @@ __all__ = [
     "RngStream",
     "SpectralField",
     "SqeConfig",
-    "StationaryDraws",
     "TorusGrid",
     "WeightedEnsemble",
     "WickOverflowError",
@@ -143,7 +140,6 @@ __all__ = [
     "ou_path",
     "parse_config",
     "renorm_constant",
-    "resample_stationary",
     "rn_log_weight",
     "sample_ensemble",
     "save_fields",

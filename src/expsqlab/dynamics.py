@@ -161,7 +161,6 @@ def time_grid(config: SqeConfig) -> np.ndarray:
 class ContractionReport:
     times: np.ndarray
     gaps: np.ndarray
-    weighted: np.ndarray
     max_rate_per_unit_time: float
     passed: bool
 
@@ -545,7 +544,7 @@ def contraction_check(
     times = x_traj.times
     weighted = np.exp(0.5 * times) * gaps
     if np.all(gaps == 0.0):
-        return ContractionReport(times, gaps, weighted, float("-inf"), True)
+        return ContractionReport(times, gaps, float("-inf"), True)
     # worst pairwise growth rate of log(weighted) per unit time
     rate = float("-inf")
     logs = np.log(np.maximum(weighted, 1e-300))
@@ -553,4 +552,4 @@ def contraction_check(
         dt_ij = times[i + 1 :] - times[i]
         rate = max(rate, float(((logs[i + 1 :] - logs[i]) / dt_ij).max()))
     passed = rate <= math.log1p(CONTRACTION_TOLERANCE)
-    return ContractionReport(times, gaps, weighted, rate, passed)
+    return ContractionReport(times, gaps, rate, passed)

@@ -33,9 +33,10 @@ overflow errors included.
 
 An ensemble stores no proposal fields.  Each proposal is a pure function
 of its stream, so the ensemble keeps what rebuilds them (grid, proposal
-stream, tilt) next to its log-weights, and resampling rebuilds only the
-ancestors it picks, a block at a time.  Memory is O(count) in
-log-weights, 8 bytes a proposal, plus one block.
+stream, tilt) next to its log-weights, and ``invariance_test``, the one
+resampler, rebuilds only the ancestors it picks, a block at a time, and
+observes each block's start and end stacks in one call each.  Memory is
+O(count) in log-weights, 8 bytes a proposal, plus one block.
 """
 
 from __future__ import annotations
@@ -50,21 +51,19 @@ import numpy as np
 from .dynamics import SqeConfig, evolve_projected
 from .randomfields import gff_sample
 from .rng import RngStream
-from .spectral import SpectralField, TorusGrid, TWO_PI, blocks, grid_quadrature, sobolev_norm
+from .spectral import SpectralField, TorusGrid, TWO_PI, blocks, grid_quadrature, sobolev_norms
 from .wick import WickParams, wick_exp_values
 
 __all__ = [
     "DegenerateEnsembleError",
     "WeightedEnsemble",
     "PartitionEstimate",
-    "StationaryDraws",
     "ObservableStat",
     "InvarianceReport",
     "rn_log_weight",
     "mode0_tilt_mean",
     "sample_ensemble",
     "estimate_partition",
-    "resample_stationary",
     "standard_observables",
     "invariance_test",
 ]
@@ -81,7 +80,9 @@ INVARIANCE_THRESHOLD = 3.0
 
 
 class DegenerateEnsembleError(ValueError):
-    """Raised when an ensemble's ESS is too low to resample from."""
+    """Raised when an ensemble cannot be weighted, averaged or resampled:
+    a log-weight that is not finite, a partition estimate that underflows
+    to 0, or an ESS too low to resample from."""
 
 
 def rn_log_weight(field: SpectralField, params: WickParams):
@@ -205,6 +206,8 @@ def sample_ensemble(
     them from their streams on ``take``.  Proposals and log-weights are
     bit-identical to one proposal at a time, and an overflow raises the
     exponent of the lowest-index failing proposal, as that loop would.
+    A tilt so far out that a log-weight is not finite raises
+    DegenerateEnsembleError naming the lowest such proposal.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -222,7 +225,12 @@ def sample_ensemble(
     for rows in blocks(count, grid):
         block = proposals(rows)
         u0 = np.real(block.coeffs[:, 0, 0])
-        log_w[rows.start : rows.stop] = rn_log_weight(block, params) - m * u0 + 0.5 * m * m
+        with np.errstate(over="ignore", invalid="ignore"):
+            lw = log_w[rows.start : rows.stop] = rn_log_weight(block, params) - m * u0 + 0.5 * m * m
+        bad = rows.start + np.flatnonzero(~np.isfinite(lw))
+        if bad.size:
+            raise DegenerateEnsembleError(f"proposal {bad[0]} has log-weight {log_w[bad[0]]}: "
+                                          f"the tilt {m!r} is out of floating-point range")
 
     return WeightedEnsemble(
         grid=grid,
@@ -245,34 +253,27 @@ def estimate_partition(ensemble: WeightedEnsemble) -> PartitionEstimate:
     unnormalized weights, computed in shifted log form to dodge
     underflow.  The standard error is the iid one; it is honest only
     when the ESS is a reasonable fraction of n, which is what the tilt
-    is for."""
+    is for.  An estimate that underflows to 0 raises
+    DegenerateEnsembleError: no weight carries any mass."""
     lw = ensemble.log_weights
     shift = float(lw.max())
     r = np.exp(lw - shift)
     n = len(lw)
     mean_r = float(r.mean())
     se_r = float(r.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+    value = math.exp(shift) * mean_r
+    if value == 0.0:
+        raise DegenerateEnsembleError(f"partition underflows to 0 (max log-weight {shift:g})")
     return PartitionEstimate(
-        value=math.exp(shift) * mean_r,
+        value=value,
         std_error=math.exp(shift) * se_r,
         log_value=shift + math.log(mean_r),
     )
 
 
-@dataclass(frozen=True)
-class StationaryDraws:
-    """Equal-weight draws obtained by multinomial resampling; ancestors
-    index into the source ensemble so downstream inference can cluster
-    replicas sharing a parent."""
-
-    fields: tuple
-    ancestors: np.ndarray
-    source_ess: float
-
-
 def _resample_ancestors(ensemble: WeightedEnsemble, count: int, stream: RngStream):
-    """(ancestors, source ESS) of multinomial resampling, refusing a
-    degenerate ensemble."""
+    """Ancestors of multinomial resampling, refusing a degenerate
+    ensemble."""
     if count < 1:
         raise ValueError("count must be positive")
     ess = ensemble.ess()
@@ -284,41 +285,33 @@ def _resample_ancestors(ensemble: WeightedEnsemble, count: int, stream: RngStrea
     w = ensemble.weights
     p = w / w.sum()
     g = stream.child("resample").generator()
-    return g.choice(len(ensemble), size=count, p=p), ess
+    return g.choice(len(ensemble), size=count, p=p)
 
 
-def resample_stationary(ensemble: WeightedEnsemble, count: int, stream: RngStream) -> StationaryDraws:
-    """Multinomial resampling to an unweighted ensemble.  Refuses to
-    resample when the source ESS is below MIN_RESAMPLE_ESS: the output
-    would be near-duplicates of a handful of draws.
-
-    Only the picked ancestors are rebuilt, one block of BLOCK_BYTES at a
-    time, so memory is the ``count`` output fields plus O(len(ensemble))
-    in weights, never the ensemble's proposals."""
-    ancestors, ess = _resample_ancestors(ensemble, count, stream)
-    fields = []
-    for rows in blocks(count, ensemble.grid):
-        fields.extend(ensemble.take(ancestors[rows.start : rows.stop]).unstack())
-    return StationaryDraws(fields=tuple(fields), ancestors=ancestors, source_ess=ess)
-
-
-def standard_observables(params: WickParams, eps: float = 0.125) -> dict:
+def standard_observables(params: WickParams, eps: float = 0.125) -> Callable[[SpectralField], dict]:
     """Default observable battery for invariance runs: negative-order
     Sobolev norm and its square, the constant-mode coefficient and its
-    square, and the spatial mean of the Wick exponential."""
+    square, and the spatial mean of the Wick exponential.
 
-    def u0(f: SpectralField) -> float:
-        return float(np.real(f.coeffs[0, 0]))
+    Returns one function from a stack of fields (n, M, M) to a dict of
+    observable name to its n values, row j the value of field j.  Each
+    quantity is taken once for the whole stack, and the squares are
+    Python floats squared, so every value is bit-for-bit that of the
+    one-field formula (``sobolev_norm(f, -eps) ** 2`` and so on)."""
 
-    return {
-        "hneg_norm": lambda f: sobolev_norm(f, -eps),
-        "hneg_norm_sq": lambda f: sobolev_norm(f, -eps) ** 2,
-        "mode0": u0,
-        "mode0_sq": lambda f: u0(f) ** 2,
-        "wick_mean": lambda f: float(
-            grid_quadrature(wick_exp_values(f, params), f.grid) / AREA
-        ),
-    }
+    def observe(block: SpectralField) -> dict:
+        grid = block.grid
+        norms = sobolev_norms(block.coeffs, grid, (-eps,))[0].tolist()
+        mode0 = block.coeffs[:, 0, 0].real.tolist()
+        return {
+            "hneg_norm": norms,
+            "hneg_norm_sq": [x ** 2 for x in norms],
+            "mode0": mode0,
+            "mode0_sq": [x ** 2 for x in mode0],
+            "wick_mean": (grid_quadrature(wick_exp_values(block, params), grid) / AREA).tolist(),
+        }
+
+    return observe
 
 
 @dataclass(frozen=True)
@@ -358,7 +351,7 @@ def _cluster_se(diffs: np.ndarray, ancestors: np.ndarray) -> float:
 def invariance_test(
     initial_ensemble: WeightedEnsemble,
     config: SqeConfig,
-    observables: dict,
+    observables: Callable[[SpectralField], dict],
     stream: RngStream,
     replicas: int = 200,
 ) -> InvarianceReport:
@@ -373,35 +366,34 @@ def invariance_test(
     mis-scaled renormalization constant in ``config.params`` shifts the
     constant mode and fails loudly.
 
-    Replica i starts from the draw ``resample_stationary`` gives it and
-    evolves under ``stream.for_replica(i).child("dyn")``.  The replicas
-    are stepped together in blocks of BLOCK_BYTES per field stack, each
-    block's initial data rebuilt by ``initial_ensemble.take`` from its
-    ancestors, so memory holds one block of fields and O(count) floats.
-    Final states, observables and statistics are bit-identical to solving
-    one replica at a time, and an overflow raises the exponent of the
-    lowest failing replica at its first overflowing step, as that loop
-    would.
+    Replica i starts from the proposal that multinomial resampling
+    (``_resample_ancestors``) picks for it and evolves under
+    ``stream.for_replica(i).child("dyn")``.  The replicas are stepped
+    together in blocks of BLOCK_BYTES per field stack, each block's
+    initial data rebuilt by ``initial_ensemble.take`` from its ancestors,
+    so memory holds one block of fields and O(count) floats.
+    ``observables`` (``standard_observables``) is called twice a block,
+    on its start and its end stack.  Final states, observables and
+    statistics are bit-identical to solving one replica at a time, and
+    an overflow raises the exponent of the lowest failing replica at its
+    first overflowing step, as that loop would.
     """
-    ancestors, _ = _resample_ancestors(initial_ensemble, replicas, stream)
+    ancestors = _resample_ancestors(initial_ensemble, replicas, stream)
     grid = initial_ensemble.grid
-    names = list(observables)
-    start = {k: np.empty(replicas) for k in names}
-    end = {k: np.empty(replicas) for k in names}
+    start, end = {}, {}
     for rows in blocks(replicas, grid):
         phi0 = initial_ensemble.take(ancestors[rows.start : rows.stop])
         streams = [stream.for_replica(i).child("dyn") for i in rows]
         for finals in evolve_projected(phi0, config, streams):
             pass
-        for i, field, final in zip(rows, phi0.unstack(), SpectralField(grid, finals).unstack()):
-            for k in names:
-                start[k][i] = observables[k](field)
-                end[k][i] = observables[k](final)
+        for values, block in ((start, phi0), (end, SpectralField(grid, finals))):
+            for k, v in observables(block).items():
+                values.setdefault(k, []).extend(v)
 
     stats = {}
     max_abs_z = 0.0
-    for k in names:
-        d = end[k] - start[k]
+    for k in start:
+        d = np.subtract(end[k], start[k])
         se = _cluster_se(d, ancestors)
         mean_d = float(d.mean())
         if se == 0.0:
@@ -410,8 +402,8 @@ def invariance_test(
             z = mean_d / se
         stats[k] = ObservableStat(
             name=k,
-            mean_initial=float(start[k].mean()),
-            mean_final=float(end[k].mean()),
+            mean_initial=float(np.mean(start[k])),
+            mean_final=float(np.mean(end[k])),
             mean_diff=mean_d,
             std_error=se,
             z=z,

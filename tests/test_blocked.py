@@ -1,7 +1,8 @@
 """Blocked evaluation: stacks of fields against one field at a time.
 
-``sample_ensemble``, ``invariance_test`` and ``cmd_sample_gff`` evaluate
-fields in blocks of BLOCK_BYTES per stack (16 fields at M = 32), and
+``sample_ensemble``, ``invariance_test`` with its block observables
+(``standard_observables``) and ``cmd_sample_gff`` evaluate fields in
+blocks of BLOCK_BYTES per stack (16 fields at M = 32), and
 ``evolve_levels`` steps the cutoff levels of ``cmd_sqe`` as one stack.
 Their results, overflow errors included, must be bit-identical to a
 plain loop over the single-field functions; the counts here are not
@@ -34,13 +35,13 @@ from expsqlab import (
     evolve_levels,
     evolve_projected,
     gff_sample,
+    grid_quadrature,
     heat_semigroup,
     invariance_test,
     make_grid,
     make_wick_params,
     mode0_tilt_mean,
     ou_path,
-    resample_stationary,
     rn_log_weight,
     sample_ensemble,
     save_fields,
@@ -50,11 +51,12 @@ from expsqlab import (
     solve_sqe_projected,
     standard_observables,
     to_spectral,
+    wick_exp_values,
     zero_field,
 )
 from expsqlab import dynamics, randomfields
-from expsqlab.measures import UNDERFLOW_LOG
-from expsqlab.spectral import BLOCK_BYTES, sobolev_norms, to_coeffs, to_values
+from expsqlab.measures import AREA, UNDERFLOW_LOG, _resample_ancestors
+from expsqlab.spectral import BLOCK_BYTES, blocks, sobolev_norms, to_coeffs, to_values
 
 
 def _setup(grid, alpha=1.0, level=2):
@@ -163,13 +165,15 @@ def test_resample_rebuilds_repeated_unordered_ancestors(grid32):
     ens = sample_ensemble(grid32, params, 64, stream)
     m = mode0_tilt_mean(params.alpha)
     samples, _ = _reference_ensemble(grid32, params, 64, stream, m)
-    draws = resample_stationary(ens, 70, stream.child("pick"))
-    ancestors = draws.ancestors.tolist()
+    ancestors = _resample_ancestors(ens, 70, stream.child("pick")).tolist()
     assert len(set(ancestors)) < len(ancestors)
     assert ancestors != sorted(ancestors)
-    assert len(draws.fields) == 70
-    for a, field in zip(ancestors, draws.fields):
-        assert field.coeffs.tobytes() == samples[a].coeffs.tobytes()
+    rebuilt = [ens.take(ancestors[rows.start : rows.stop]) for rows in blocks(70, grid32)]
+    assert len(rebuilt) > 1
+    rows = np.concatenate([stack.coeffs for stack in rebuilt])
+    assert len(rows) == 70
+    for a, row in zip(ancestors, rows):
+        assert row.tobytes() == samples[a].coeffs.tobytes()
 
 
 def test_evolve_projected_matches_single_solves(grid32):
@@ -271,20 +275,53 @@ def test_invariance_matches_single_replica_loop(grid32):
     config = SqeConfig(horizon=0.125, dt=1.0 / 64, params=params)
     seen = []
 
-    def record(f):
-        seen.append(f.coeffs.copy())
-        return float(np.real(f.coeffs[0, 0]))
+    def record(block):
+        seen.append(block.coeffs.copy())
+        return {"mode0": block.coeffs[:, 0, 0].real.tolist()}
 
     evolve = stream.child("evolve")
-    report = invariance_test(ens, config, {"mode0": record}, evolve, replicas=37)
+    report = invariance_test(ens, config, record, evolve, replicas=37)
     assert report.replicas == 37
-    draws = resample_stationary(ens, 37, evolve)
-    starts, ends = seen[0::2], seen[1::2]
-    assert len(ends) == 37
-    for i, field in enumerate(draws.fields):
-        path = solve_sqe_projected(field, config, evolve.for_replica(i).child("dyn"))
-        assert np.array_equal(starts[i], field.coeffs)
-        assert np.array_equal(ends[i], path.final().coeffs)
+    # the observables see each block twice, its start stack then its end
+    # stack: 37 replicas are blocks of 16, 16 and 5
+    assert [len(stack) for stack in seen] == [16, 16, 16, 16, 5, 5]
+    starts, ends = np.concatenate(seen[0::2]), np.concatenate(seen[1::2])
+    samples, _ = _reference_ensemble(grid32, params, 101, stream.child("ens"),
+                                     mode0_tilt_mean(params.alpha))
+    ancestors = _resample_ancestors(ens, 37, evolve)
+    for i, a in enumerate(ancestors):
+        path = solve_sqe_projected(samples[a], config, evolve.for_replica(i).child("dyn"))
+        assert starts[i].tobytes() == samples[a].coeffs.tobytes()
+        assert ends[i].tobytes() == path.final().coeffs.tobytes()
+    assert report.stats["mode0"].mean_initial == float(starts[:, 0, 0].real.mean())
+    assert report.stats["mode0"].mean_final == float(ends[:, 0, 0].real.mean())
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smooth"])
+@pytest.mark.parametrize("M", [16, 32, 64])
+def test_standard_observables_rows_match_single_fields(M, kind):
+    # each row of a block's observables, for blocks of 1, 5 and 16 rows,
+    # is bit for bit the one-field formula of its field
+    grid = make_grid(M)
+    params = make_wick_params(1.0, 1, CutoffProfile(kind), grid)
+    observe = standard_observables(params, eps=0.125)
+    stream = RngStream(629, purpose="observables")
+    for n in (1, 5, 16):
+        block = gff_sample(grid, [stream.for_replica(i) for i in range(n)])
+        values = observe(block)
+        assert all(len(v) == n for v in values.values())
+        for j, f in enumerate(block.unstack()):
+            norm = sobolev_norm(f, -0.125)
+            u0 = float(f.coeffs[0, 0].real)
+            wick_mean = float(grid_quadrature(wick_exp_values(f, params), grid) / AREA)
+            expected = {"hneg_norm": norm, "hneg_norm_sq": norm ** 2, "mode0": u0,
+                        "mode0_sq": u0 ** 2, "wick_mean": wick_mean}
+            assert list(values) == list(expected)
+            assert _bits([v[j] for v in values.values()]) == _bits(list(expected.values()))
 
 
 def test_ensemble_overflow_names_lowest_failing_proposal(grid32):
@@ -333,16 +370,16 @@ def test_solver_overflow_names_lowest_failing_replica(grid32):
     config = SqeConfig(horizon=0.0625, dt=1.0 / 64, params=params)
     obs = standard_observables(params)
     stream = RngStream(617, purpose="overflow-dyn")
-    draws = resample_stationary(ens, 40, stream)
+    ancestors = _resample_ancestors(ens, 40, stream)
 
     def one(i):
-        solve_sqe_projected(draws.fields[i], config, stream.for_replica(i).child("dyn"))
+        solve_sqe_projected(samples[ancestors[i]], config, stream.for_replica(i).child("dyn"))
 
     index, exponent = _first_overflow(one, 40)
     rows = _block_rows(grid32)
     assert index % rows != 0
     block_end = (index // rows + 1) * rows
-    assert any(int(a) > int(draws.ancestors[index]) for a in draws.ancestors[index + 1 : block_end])
+    assert any(int(a) > int(ancestors[index]) for a in ancestors[index + 1 : block_end])
     with pytest.raises(WickOverflowError) as info:
         invariance_test(ens, config, obs, stream, replicas=40)
     assert info.value.max_exponent == exponent
@@ -351,8 +388,9 @@ def test_solver_overflow_names_lowest_failing_replica(grid32):
 def test_degenerate_ensemble_has_its_own_error(grid32):
     params = _setup(grid32)
     plain = sample_ensemble(grid32, params, 60, RngStream(616, purpose="d"), tilt="none")
+    config = SqeConfig(horizon=1.0 / 64, dt=1.0 / 64, params=params)
     with pytest.raises(DegenerateEnsembleError, match="ESS"):
-        resample_stationary(plain, 10, RngStream(616))
+        invariance_test(plain, config, standard_observables(params), RngStream(616), replicas=10)
 
 
 def _level_configs(grid, kind, levels, horizon=0.125):
@@ -518,17 +556,19 @@ def test_sample_gff_memory_does_not_grow_with_samples(tmp_path):
 
 
 def test_ensemble_memory_does_not_grow_with_samples(grid32):
-    # the ensemble keeps 8 bytes of log-weight a proposal and rebuilds
-    # the resampled ancestors block by block: eight times the proposals
-    # may add one block and the log-weights to the peak, never the
-    # proposals themselves (16 KiB each at M = 32)
+    # the ensemble keeps 8 bytes of log-weight a proposal and the
+    # invariance test rebuilds the resampled ancestors block by block:
+    # eight times the proposals may add one block and the log-weights to
+    # the peak, never the proposals themselves (16 KiB each at M = 32)
     params = _setup(grid32)
     stream = RngStream(623, purpose="ensemble-memory")
+    config = SqeConfig(horizon=1.0 / 64, dt=1.0 / 64, params=params)
+    obs = standard_observables(params)
 
     def run(samples):
         def go():
             ens = sample_ensemble(grid32, params, samples, stream)
-            resample_stationary(ens, 40, stream)
+            invariance_test(ens, config, obs, stream, replicas=40)
         return go
 
     run(150)()  # warm caches (weights, FFT plans) outside the measurement

@@ -258,6 +258,44 @@ def test_cli_help_exits_0(capsys):
     assert "--threads" in capsys.readouterr().out
 
 
+# configurations that parse but sit at the edges of their ranges, each
+# with the commands that read the keys it sets, on a small base run
+EDGE_BASE = {"grid.M": "16", "wick.N": "1", "samples": "64", "replicas": "4"}
+EDGE_CASES = {
+    # every weight underflows, so the partition estimate is 0
+    "tilt-1e20": ({"wick.alpha": "-1", "tilt": "1e20"}, ["invariance"]),
+    # m * u0 overflows, so the log-weights are -inf
+    "tilt-1.4e154": ({"wick.alpha": "-1", "tilt": "1.4e154"}, ["invariance"]),
+    "tilt-1e100": ({"wick.alpha": "-1", "tilt": "1e100"}, ["invariance"]),
+    "tilt--1e100": ({"wick.alpha": "-1", "tilt": "-1e100"}, ["invariance"]),
+    "alpha-3.5": ({"wick.alpha": "3.5"}, ["wick-converge", "sqe", "invariance"]),
+    "alpha--3.5": ({"wick.alpha": "-3.5"}, ["wick-converge", "sqe", "invariance"]),
+    "eps-1e-300": ({"eps": "1e-300"}, ["sample-gff", "invariance"]),
+    "eps-1e300": ({"eps": "1e300"}, ["sample-gff", "invariance"]),
+    "one-of-each": (
+        {"samples": "1", "replicas": "1"},
+        ["sample-gff", "wick-converge", "sqe", "invariance", "norms-bench"],
+    ),
+    "step-1e-9": ({"sqe.T": "1e-9", "sqe.dt": "1e-9"}, ["sqe", "invariance"]),
+}
+
+
+@pytest.mark.parametrize(
+    "case, command",
+    [(case, command) for case, (_, commands) in EDGE_CASES.items() for command in commands],
+)
+def test_cli_edge_configs_never_crash(tmp_path, case, command):
+    # a configuration that parses runs to a report (exit 0, 2 or 4) or
+    # is refused as a configuration error (exit 3, no report); it never
+    # ends in a traceback
+    keys = {**EDGE_BASE, **EDGE_CASES[case][0]}
+    text = "".join(f"{k} = {v}\n" for k, v in keys.items())
+    run = tmp_path / "run"
+    rc = main([command, "--out-dir", str(run), "--config", _write_cfg(tmp_path, text)])
+    assert rc in (0, 2, 3, 4)
+    assert (run / "report.json").is_file() == (rc != 3)
+
+
 def _write_cfg(tmp_path, text):
     p = tmp_path / "test.cfg"
     p.write_text(text)

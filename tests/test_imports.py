@@ -55,8 +55,6 @@ UNREAD_EXPORTS = {
     "constant_field",
     # the one reader of the dump format that save_fields writes
     "load_fields",
-    # the reference test_blocked compares invariance_test's resampling against
-    "resample_stationary",
     # read by the benchmark child through getattr, so no load names it
     "KERNEL_BACKEND",
     # wrapped by the benchmark's tracer, which names its targets as strings

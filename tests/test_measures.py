@@ -12,6 +12,7 @@ import pytest
 
 from expsqlab import (
     CutoffProfile,
+    DegenerateEnsembleError,
     RngStream,
     SqeConfig,
     WeightedEnsemble,
@@ -21,13 +22,12 @@ from expsqlab import (
     invariance_test,
     make_wick_params,
     mode0_tilt_mean,
-    resample_stationary,
     rn_log_weight,
     sample_ensemble,
     standard_observables,
     zero_field,
 )
-from expsqlab.measures import AREA, _cluster_se
+from expsqlab.measures import AREA, _cluster_se, _resample_ancestors
 
 
 def _setup(grid, alpha=1.0, level=2):
@@ -149,17 +149,33 @@ def test_weighted_ensemble_invariants(grid32, stream):
 def test_resample_refuses_degenerate(grid32):
     params = _setup(grid32, alpha=1.0)
     base = RngStream(608, purpose="degen")
+    config = SqeConfig(horizon=1.0 / 64, dt=1.0 / 64, params=params)
+    obs = standard_observables(params)
     plain = sample_ensemble(grid32, params, 200, base, tilt="none")
-    with pytest.raises(ValueError, match="ESS"):
-        resample_stationary(plain, 100, base)
+    with pytest.raises(DegenerateEnsembleError, match="ESS"):
+        invariance_test(plain, config, obs, base, replicas=100)
     tilted = sample_ensemble(grid32, params, 200, base, tilt="auto")
-    draws = resample_stationary(tilted, 100, base)
-    assert len(draws.fields) == 100
-    assert draws.ancestors.shape == (100,)
-    assert draws.source_ess == pytest.approx(tilted.ess())
-    # resampling is deterministic in the stream
-    again = resample_stationary(tilted, 100, base)
-    assert np.array_equal(draws.ancestors, again.ancestors)
+    ancestors = _resample_ancestors(tilted, 100, base)
+    assert ancestors.shape == (100,)
+    # resampling is deterministic in the stream, and its ancestors are
+    # the clusters of the invariance test run on that stream
+    assert np.array_equal(ancestors, _resample_ancestors(tilted, 100, base))
+    report = invariance_test(tilted, config, obs, base, replicas=100)
+    assert report.clusters == len(np.unique(ancestors)) < 100
+
+
+def test_out_of_range_tilts_are_degenerate(grid8):
+    # a tilt of 1e100 puts every log-weight below -1e199, so the partition
+    # estimate underflows to 0; at 1.4e154 the tilt's m * u0 overflows and
+    # the log-weights are -inf
+    params = _setup(grid8, alpha=-1.0, level=0)
+    base = RngStream(630, purpose="far-tilt")
+    far = sample_ensemble(grid8, params, 20, base, tilt=1e100)
+    assert far.log_weights.max() < -1e199
+    with pytest.raises(DegenerateEnsembleError, match="underflows"):
+        estimate_partition(far)
+    with pytest.raises(DegenerateEnsembleError, match="proposal 0 has log-weight -inf"):
+        sample_ensemble(grid8, params, 20, base, tilt=1.4e154)
 
 
 def test_cluster_se_oracle():
@@ -179,14 +195,15 @@ def test_cluster_se_oracle():
 
 
 def test_standard_observables(grid32, stream):
+    # one call takes a whole stack: one value per observable and row
     params = _setup(grid32)
-    obs = standard_observables(params)
-    assert set(obs) == {"hneg_norm", "hneg_norm_sq", "mode0", "mode0_sq", "wick_mean"}
-    f = gff_sample(grid32, stream)
-    vals = {k: fn(f) for k, fn in obs.items()}
-    assert vals["hneg_norm_sq"] == pytest.approx(vals["hneg_norm"] ** 2)
-    assert vals["mode0_sq"] == pytest.approx(vals["mode0"] ** 2)
-    assert vals["wick_mean"] > 0.0
+    observe = standard_observables(params)
+    vals = observe(gff_sample(grid32, [stream.for_replica(i) for i in range(3)]))
+    assert list(vals) == ["hneg_norm", "hneg_norm_sq", "mode0", "mode0_sq", "wick_mean"]
+    assert all(len(v) == 3 for v in vals.values())
+    assert vals["hneg_norm_sq"] == pytest.approx([x * x for x in vals["hneg_norm"]])
+    assert vals["mode0_sq"] == pytest.approx([x * x for x in vals["mode0"]])
+    assert min(vals["wick_mean"]) > 0.0
 
 
 def test_invariance_quick(grid8):
@@ -199,7 +216,7 @@ def test_invariance_quick(grid8):
     report = invariance_test(ens, config, obs, base.child("test"), replicas=120)
     assert report.replicas == 120
     assert 0 < report.clusters <= 120
-    assert set(report.stats) == set(obs)
+    assert list(report.stats) == ["hneg_norm", "hneg_norm_sq", "mode0", "mode0_sq", "wick_mean"]
     assert report.max_abs_z == pytest.approx(
         max(abs(s.z) for s in report.stats.values())
     )
