@@ -44,17 +44,17 @@ whole horizon.
 
 Workspace rule: each loop allocates its spectral and grid temporaries
 once per call and overwrites them every step, through the ``out``
-arguments of the transform pair, of wick.scaled_exp and of the cutoff
-multiplier (``WickParams.multiplier``), with the same ufuncs on the same
-operands as the allocating expressions, so every bit is theirs.  The
-live OU chain (``randomfields.ou_chain``) steps in one state buffer and
-draws its noise in the flow's own workspaces while the next increment
-is pulled; every increment is written over one workspace, and the chain
-drops the initial datum at its first decay, before it computes its
-noise scale.  The chain, the increments and the step loop step by
-``config.dt`` and share its one heat multiplier.  The full flow steps
-its levels one at a time through workspaces of one field and writes
-each level's cutoff multiplier into the grid workspace once that
+arguments of the transform pair and the cutoff multiplier
+(``WickParams.multiplier``) and in place by wick.scaled_exp, with the
+allocating expressions' ufuncs on the same operands, so every bit is
+theirs.  The live OU chain (``randomfields.ou_chain``) steps in one
+state buffer and draws its noise in the flow's own workspaces while the
+next increment is pulled; every increment is written over one workspace,
+and the chain drops the initial datum at its first decay, before it
+computes its noise scale.  The chain, the increments and the step loop
+step by ``config.dt`` and share its one heat multiplier.  The full flow
+steps its levels one at a time through workspaces of one field and
+writes each level's cutoff multiplier into the grid workspace once that
 level's drift is formed; the projected flow steps its replicas (small
 blocks at M = 32, where per-call overhead dominates) as one stack.
 
@@ -230,10 +230,10 @@ def _shifted_flow(grid: TorusGrid, coeffs: np.ndarray, x_states, config: SqeConf
     for j, x in enumerate(x_states):
         if j >= n_steps:
             continue
-        nonlin, y_peaks = scaled_exp(to_values(coeffs, grid, spec, u), alpha, 0.0, out=u)
+        nonlin, y_peaks = scaled_exp(to_values(coeffs, grid, spec, u), alpha, 0.0)
         np.multiply(half_adt, nonlin, out=nonlin)
         to_values(np.multiply(psi_mult, x, out=spec), grid, spec, forcing)
-        wick, forcing_peaks = scaled_exp(forcing, alpha, params.shift, out=forcing)
+        wick, forcing_peaks = scaled_exp(forcing, alpha, params.shift)
         nonlin *= wick
         np.subtract(coeffs, to_coeffs(nonlin, grid, out=spec), out=coeffs)
         np.multiply(mult, coeffs, out=coeffs)
@@ -333,7 +333,7 @@ def _full_flow(grid: TorusGrid, coeffs: np.ndarray, configs, noise, spec, values
         eta = eta.reshape(spec.shape)
         for level, (row, params) in enumerate(zip(coeffs, levels)):
             to_values(row, grid, spec, values)
-            _, peak = scaled_exp(values, alpha, params.shift, out=values)
+            _, peak = scaled_exp(values, alpha, params.shift)
             peaks[level] = peak[0]
             np.multiply(half_adt, values, out=values)
             drift = np.subtract(row, to_coeffs(values, grid, out=spec), out=spec)
@@ -468,7 +468,7 @@ def _projected_flow(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, nois
     half_adt = 0.5 * alpha * config.dt
     for eta in noise:
         proj = np.multiply(psi_mult, coeffs, out=spec)
-        _, peaks = scaled_exp(to_values(proj, grid, spec, values), alpha, shift, out=values)
+        _, peaks = scaled_exp(to_values(proj, grid, spec, values), alpha, shift)
         np.multiply(half_adt, values, out=values)
         drift = np.multiply(psi_mult, to_coeffs(values, grid, out=spec), out=spec)
         np.subtract(coeffs, drift, out=drift)

@@ -22,11 +22,12 @@ evaluate blocked stacks (measures.invariance_test, spectral.blocks) in
 one thread.
 
 The drivers stream what they can: cmd_sample_gff hands each block of
-draws to the dump and drops it, and cmd_sqe steps the cutoff levels of a
-replica in lockstep (dynamics.evolve_levels) and reduces each step's
-states to their norms and level gaps at once, so neither holds a path or
-the draws whole.  cmd_sqe and cmd_wick_converge take level gaps from a
-level stack without forming the differences
+draws to the dump and drops it, cmd_norms_bench reduces each draw to its
+ratios, and cmd_sqe steps the cutoff levels of a replica in lockstep
+(dynamics.evolve_levels), reduces each step's states to their norms and
+level gaps at once and writes a replica's rows before the next, so none
+holds a path or the draws whole.  cmd_sqe and cmd_wick_converge take
+level gaps from a level stack without forming the differences
 (``spectral.sobolev_norms(..., minus=)``).
 """
 
@@ -72,11 +73,13 @@ EXIT_NUMERIC = 4
 STATUS = {EXIT_OK: "ok", EXIT_CHECK_FAILED: "CHECK FAILED", EXIT_NUMERIC: "NUMERIC GUARD"}
 
 
-def _map_replicas(fn, n: int, threads: int) -> list:
+def _map_replicas(fn, n: int, threads: int):
+    """Yield fn(0), ..., fn(n - 1) in replica order, whatever ``threads``."""
     if threads <= 1:
-        return [fn(i) for i in range(n)]
+        yield from map(fn, range(n))
+        return
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(n)))
+        yield from ex.map(fn, range(n))
 
 
 def _driver(command: str):
@@ -183,7 +186,7 @@ def cmd_wick_converge(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
         w = to_coeffs(np.stack([wick_exp_values(field, p) for p in params]), grid)
         return sobolev_norms(w[1:], grid, (-beta,), minus=w[:-1])[0]
 
-    gaps = np.array(_map_replicas(one, cfg.replicas, threads))
+    gaps = np.array(list(_map_replicas(one, cfg.replicas, threads)))
     mean_gaps = gaps.mean(axis=0)
     pairs = levels[:-1]
     fitted = len(pairs) > 1 and bool(mean_gaps.all())
@@ -236,27 +239,24 @@ def cmd_sqe(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
             # the level gaps, bit for bit the norms of stack[1:] - stack[:-1]
             # without forming that difference
             gaps[1:, j] = sobolev_norms(stack[1:], grid, (-beta,), minus=stack[:-1])[0]
-        ts = [float(t) for t in times]
-        rows = [
-            (r, n, t, a, b, g)
-            for n, l2_n, hneg_n, gaps_n in zip(levels, l2.tolist(), hneg.tolist(), gaps.tolist())
-            for t, a, b, g in zip(ts, l2_n, hneg_n, gaps_n)
-        ]
-        sup_gaps = {n: max(g) for n, g in zip(levels[1:], gaps[1:].tolist())}
-        return rows, sup_gaps
+        return l2, hneg, gaps
 
-    results = _map_replicas(one, cfg.replicas, threads)
+    sup_gaps = []
+
+    def rows():
+        for r, (l2, hneg, gaps) in enumerate(_map_replicas(one, cfg.replicas, threads)):
+            sup_gaps.append({n: max(g) for n, g in zip(levels[1:], gaps[1:].tolist())})
+            if out_dir is not None:
+                for n, *columns in zip(levels, l2.tolist(), hneg.tolist(), gaps.tolist()):
+                    yield from ((r, n, *row) for row in zip(times.tolist(), *columns))
+
+    header = ["replica", "level", "t", "l2_norm", "hneg_norm", "gap_to_prev_level"]
     if out_dir is not None:
-        all_rows = [row for rows, _ in results for row in rows]
-        write_csv(
-            Path(out_dir) / "paths.csv",
-            ["replica", "level", "t", "l2_norm", "hneg_norm", "gap_to_prev_level"],
-            all_rows,
-        )
-    mean_sup_gaps = {
-        n: float(np.mean([sg[n] for _, sg in results]))
-        for n in levels[1:]
-    }
+        write_csv(Path(out_dir) / "paths.csv", header, rows())
+    else:
+        for _ in rows():
+            pass
+    mean_sup_gaps = {n: float(np.mean([sg[n] for sg in sup_gaps])) for n in levels[1:]}
     return {
         "levels": levels,
         "beta": beta,
@@ -310,13 +310,16 @@ def cmd_norms_bench(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     """Compare dyadic-block and Sobolev norms on free-field draws."""
     grid = cfg.build_grid()
     stream = RngStream(cfg.seed, purpose="norms-bench")
-    draws = _map_replicas(lambda i: gff_sample(grid, stream.for_replica(i)), cfg.replicas, threads)
-
     orders = [-1.0, -0.5, -0.25]
+
+    def one(i: int):
+        f = gff_sample(grid, stream.for_replica(i))
+        return [besov_norm(f, s) / sobolev_norm(f, s) for s in orders]
+
+    table = np.array(list(_map_replicas(one, cfg.replicas, threads))).T  # a row per order
     ratio_stats = {}
     ok = True
-    for s in orders:
-        ratios = np.array([besov_norm(f, s) / sobolev_norm(f, s) for f in draws])
+    for s, ratios in zip(orders, table):
         ratio_stats[f"{s:g}"] = {
             "min": float(ratios.min()),
             "max": float(ratios.max()),

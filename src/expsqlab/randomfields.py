@@ -15,21 +15,21 @@ so i.i.d. N(0, v) real coefficients correspond to E|coeff(k)|^2 = v with
 Re/Im each of variance v/2, and the k = 0 coefficient real with variance
 v.  Sampling is realized by transforming grid white noise: fft2(white)/M
 has exactly this law with v = 1, including the self-conjugate Nyquist
-modes.  ``white_noise_fft`` is the one forward FFT outside ``spectral``:
-it is the raw fft2 without the 2*pi/M^2 field normalization.  The 1/M
-lives in each sampler's per-mode standard deviation sqrt(v)/M, so a draw
-is scaled in one multiply.  M is a power of two (``TorusGrid``), so x/M
-is exact and fft2(white) * (sqrt(v)/M) is (fft2(white)/M) * sqrt(v) to
-the bit, signed zeros of the self-conjugate modes included.
+modes.  ``white_noise_fft`` draws that noise and transforms it through
+``spectral.scaled_fft``, the package's one forward FFT, at each
+sampler's per-mode standard deviation sqrt(v)/M, which carries the
+noise's 1/M, so a draw is scaled in the transform's one multiply.  M is
+a power of two (``TorusGrid``), so x/M is exact and fft2(white) *
+(sqrt(v)/M) is (fft2(white)/M) * sqrt(v) to the bit, signed zeros of the
+self-conjugate modes included.
 
-Workspaces (the rule of ``spectral``): ``white_noise_fft``, and through
-it ``gff_sample`` and ``ou_chain``, draw the real noise into a ``white``
-array and transform it in place in a complex ``out`` array, both
-allocated only when not given.  Copying the noise into ``out`` is the
-same real -> complex cast that ``fft2`` makes of real input into a
-temporary of its own, so every bit is the same and a caller that holds
-the two workspaces (``experiments.cmd_sample_gff``, ``ou_chain``)
-allocates no noise or transform array per draw.  ``ou_chain`` takes
+Workspaces (the rule of ``spectral``, whose docstring explains the
+in-place cast): ``white_noise_fft``, and through it ``gff_sample`` and
+``ou_chain``, draw the real noise into a ``white`` array and transform
+it in place in a complex ``out`` array, both allocated only when not
+given, so a caller that holds the two workspaces
+(``experiments.cmd_sample_gff``, ``ou_chain``) allocates no noise or
+transform array per draw.  ``ou_chain`` takes
 the same two workspaces, so the flows of ``dynamics`` lend it their step
 workspaces, and writes every state into one state buffer, so it
 allocates nothing per step and yields that buffer each time, as the
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngStream
-from .spectral import SpectralField, TorusGrid, heat_multiplier
+from .spectral import SpectralField, TorusGrid, heat_multiplier, scaled_fft
 
 __all__ = [
     "FieldPath",
@@ -98,22 +98,18 @@ class FieldPath:
         return self.states[-1]
 
 
-def white_noise_fft(grid: TorusGrid, generators, white=None, out=None) -> np.ndarray:
-    """fft2 of grid white noise, a stack (n, M, M) with row i drawn from
-    ``generators[i]``: the one white-noise sampler behind every Gaussian
-    draw of the package.  The noise is drawn into ``white`` (real),
-    copied into ``out`` (complex) and transformed there in place; either
-    workspace is allocated only when not given."""
+def white_noise_fft(grid: TorusGrid, generators, scale, white=None, out=None) -> np.ndarray:
+    """``scaled_fft`` of grid white noise at ``scale``, a stack (n, M, M)
+    with row i drawn from ``generators[i]``: the one white-noise sampler
+    behind every Gaussian draw of the package.  The noise is drawn into
+    ``white`` (real), allocated only when not given; ``out`` is
+    ``scaled_fft``'s."""
     M = grid.modes_per_dim
     if white is None:
         white = np.empty((len(generators), M, M))
     for row, g in zip(white, generators):
         g.standard_normal(out=row)
-    if out is None:
-        out = np.empty(white.shape, dtype=np.complex128)
-    # the same real -> complex cast fft2 makes of real input, into out
-    np.copyto(out, white)
-    return np.fft.fft2(out, out=out)
+    return scaled_fft(white, scale, out)
 
 
 def gff_mode_variance(grid: TorusGrid) -> np.ndarray:
@@ -134,10 +130,10 @@ def gff_sample(grid: TorusGrid, stream, white=None, out=None) -> SpectralField:
     """
     streams = [stream] if isinstance(stream, RngStream) else stream
     M = grid.modes_per_dim
-    coeffs = white_noise_fft(grid, [s.generator() for s in streams], white, out)
-    coeffs *= grid.cached(
+    sd = grid.cached(
         "gff_sd", lambda: np.divide(sd := np.sqrt(gff_mode_variance(grid)), M, out=sd)
     )
+    coeffs = white_noise_fft(grid, [s.generator() for s in streams], sd, white, out)
     # a view: the field freezes it, not the caller's workspace
     return SpectralField(grid, coeffs[0] if isinstance(stream, RngStream) else coeffs[:])
 
@@ -159,8 +155,8 @@ def ou_chain(grid: TorusGrid, coeffs: np.ndarray, dt, n_steps, generators, white
     row is bit-for-bit the chain of that generator alone.  The decay is
     the grid's one heat multiplier of ``dt``.  Every state is written
     into one state buffer, allocated once: every yielded stack is that
-    buffer, valid until the next stack is pulled.  The noise is the raw
-    ``white_noise_fft`` times the scale sqrt(ou_noise_variance)/M, which
+    buffer, valid until the next stack is pulled.  The noise is
+    ``white_noise_fft`` at the scale sqrt(ou_noise_variance)/M, which
     carries the white noise's 1/M.  The first step writes the decayed
     datum there before it computes that scale, once, dividing in place,
     so ``coeffs`` is not held beside the scale's temporaries nor past the
@@ -179,8 +175,7 @@ def ou_chain(grid: TorusGrid, coeffs: np.ndarray, dt, n_steps, generators, white
         if step == 0:
             noise_sd = np.sqrt(ou_noise_variance(grid, dt))
             noise_sd /= grid.modes_per_dim
-        np.multiply(white_noise_fft(grid, generators, white, noise), noise_sd, out=noise)
-        np.add(state, noise, out=state)
+        np.add(state, white_noise_fft(grid, generators, noise_sd, white, noise), out=state)
         yield state
 
 

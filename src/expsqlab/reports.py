@@ -92,7 +92,7 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:
     return path
 
 
-def write_csv(path: str | Path, header: list, rows: list) -> Path:
+def write_csv(path: str | Path, header: list, rows) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:

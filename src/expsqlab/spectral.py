@@ -22,14 +22,17 @@ and even in k.
 transform pair, on bare arrays of one field (M, M) or a stack (n, M, M)
 and without validation; the solver loops call them directly,
 ``to_spectral`` wraps the forward one for fields and
-``SpectralField.values`` the inverse one.  ``heat_multiplier``
-is the symbol of the semigroup exp(t (Lap - 1)/2) for the OU decay and
+``SpectralField.values`` the inverse one.  Beneath the forward one is
+the package's one forward FFT, ``scaled_fft``: ``to_coeffs`` is it at
+2*pi/M^2, and ``randomfields`` calls it on grid white noise at each
+mode's standard deviation.  ``heat_multiplier`` is the symbol of the
+semigroup exp(t (Lap - 1)/2) for the OU decay and
 the exponential-Euler step, and ``TorusGrid.sobolev_weight`` the one
 Sobolev symbol (1 + |k|^2)^s; both are computed once per grid and
 argument (``TorusGrid.cached``), so every user of one holds the same
 read-only array (``heat_semigroup`` forms the symbol uncached, at any t).
 
-Workspaces: ``to_coeffs``, ``to_values`` and ``wick.scaled_exp`` take
+Workspaces: ``scaled_fft``, ``to_coeffs`` and ``to_values`` take
 optional output arrays, so a step loop allocates its spectral and grid
 temporaries once per call and overwrites them every step, with the same
 ufuncs on the same operands as the allocating path, so every bit is the
@@ -40,14 +43,14 @@ drawn; a caller that keeps a state copies it.  The inverse transform
 calls ``ifftn`` over the last two axes, not ``ifft2``: numpy's ``ifft2``
 (2.4) does not pass ``out`` on to the transform and returns a new array,
 while ``ifftn`` over those axes is the same transform and writes into
-``out``.  Given ``out``, ``to_coeffs`` casts its real input into it and
-transforms there in place, as ``randomfields.white_noise_fft`` does:
-``fft2`` of real input would make a complex temporary of the cast per
-call, and the pocketfft gufunc has complex loops only, so the in-place
-transform of the same cast gives the same bits.  ``sobolev_norms``
-likewise forms |coeff|^2 one field at a time in a workspace of one field,
-and the norms of a difference (``minus``) from its real and imaginary
-parts in the same workspace, so no complex difference is formed.
+``out``.  The forward FFT casts its real input into a complex ``out``
+and transforms there in place: ``fft2`` of real input makes that cast
+into a temporary of its own per call, as the pocketfft gufunc has
+complex loops only, so the same bits come with no temporary.
+``sobolev_norms`` likewise forms |coeff|^2 one field at a time in a
+workspace of one field, and the norms of a difference (``minus``) from
+its real and imaginary parts in the same workspace, so no complex
+difference is formed.
 
 ``blocks`` is the package's one block policy: stacks of fields are
 evaluated BLOCK_BYTES per complex (n, M, M) array at a time, and dumps
@@ -66,6 +69,7 @@ __all__ = [
     "make_grid",
     "BLOCK_BYTES",
     "blocks",
+    "scaled_fft",
     "to_coeffs",
     "to_values",
     "to_spectral",
@@ -218,14 +222,14 @@ class SpectralField:
             raise ValueError("fields live on different grids")
 
 
-def field_from_coeffs(grid: TorusGrid, coeffs: np.ndarray, validate: bool = False) -> SpectralField:
+def field_from_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> SpectralField:
+    """A field or stack; rejects a Hermitian defect above 1e-10 of the largest |coeff|."""
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     field = SpectralField(grid, coeffs)
-    if validate:
-        defect = hermitian_defect(field)
-        scale = max(float(np.abs(coeffs).max()), 1.0)
-        if defect > 1e-10 * scale:
-            raise ValueError(f"coefficients are not Hermitian-symmetric (defect {defect:.3e})")
+    defect = hermitian_defect(field)
+    scale = max(float(np.abs(coeffs).max()), 1.0)
+    if defect > 1e-10 * scale:
+        raise ValueError(f"coefficients are not Hermitian-symmetric (defect {defect:.3e})")
     return field
 
 
@@ -239,18 +243,19 @@ def constant_field(grid: TorusGrid, value: float) -> SpectralField:
     return SpectralField(grid, coeffs)
 
 
+def scaled_fft(values: np.ndarray, scale, out: np.ndarray | None = None) -> np.ndarray:
+    """The package's one forward FFT, scale * fft2(values) per field of a
+    stack (``scale`` a float or per mode): real ``values`` are cast into the
+    complex ``out`` (allocated only if not given), transformed and scaled there."""
+    if out is None:
+        out = np.empty(values.shape, dtype=np.complex128)
+    np.copyto(out, values)
+    return np.multiply(np.fft.fft2(out, out=out), scale, out=out)
+
+
 def to_coeffs(values: np.ndarray, grid: TorusGrid, out: np.ndarray | None = None) -> np.ndarray:
-    """Grid samples -> coefficients, (2*pi / M^2) * fft2(values), per field
-    of a stack; unvalidated.  When ``out`` (complex, the shape of
-    ``values``) is given, ``values`` is cast into it and transformed there
-    in place."""
-    if out is not None:
-        # the same real -> complex cast fft2 makes of real input, into out
-        np.copyto(out, values)
-        values = out
-    coeffs = np.fft.fft2(values, out=out)
-    coeffs *= TWO_PI / grid.npoints
-    return coeffs
+    """Grid samples -> coefficients, per field of a stack: ``scaled_fft`` at 2*pi/M^2."""
+    return scaled_fft(values, TWO_PI / grid.npoints, out)
 
 
 def to_values(
@@ -281,9 +286,9 @@ def to_spectral(values: np.ndarray, grid: TorusGrid) -> SpectralField:
 
 
 def hermitian_defect(field: SpectralField) -> float:
-    """max |coeff(k) - conj(coeff(-k))| over the grid (0 for real fields)."""
+    """max |coeff(k) - conj(coeff(-k))| over the grid and a stack's rows (0 for real fields)."""
     c = field.coeffs
-    mirrored = np.roll(np.flip(c, axis=(0, 1)), shift=1, axis=(0, 1))
+    mirrored = np.roll(np.flip(c, axis=(-2, -1)), shift=1, axis=(-2, -1))
     return float(np.abs(c - np.conj(mirrored)).max())
 
 

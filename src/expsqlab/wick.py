@@ -217,15 +217,12 @@ def renorm_constant(psi: CutoffProfile, level: int, grid: TorusGrid) -> float:
     return float(np.sum(m * m / (1.0 + grid.ksq))) / (4.0 * math.pi**2)
 
 
-def scaled_exp(
-    values: np.ndarray, alpha: float, shift, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def scaled_exp(values: np.ndarray, alpha: float, shift) -> tuple[np.ndarray, np.ndarray]:
     """exp(alpha * values - shift) on grid values of one field (M, M) or a
-    stack (n, M, M), and each field's largest exponent (one per field):
-    the input of the overflow guard.  ``shift`` is one float, or one per
-    field of a stack shaped (n, 1, 1).  The exponential is written into
-    ``out`` when given, which may be ``values`` itself."""
-    expo = np.subtract(np.multiply(alpha, values, out=out), shift, out=out)
+    stack (n, M, M), written over ``values``, and each field's largest
+    exponent (one per field): the input of the overflow guard.  ``shift``
+    is one float, or one per field of a stack shaped (n, 1, 1)."""
+    expo = np.subtract(np.multiply(alpha, values, out=values), shift, out=values)
     peaks = expo.reshape(-1, values.shape[-2] * values.shape[-1]).max(axis=1)
     return np.exp(np.minimum(expo, _EXP_CAP, out=expo), out=expo), peaks
 
@@ -235,7 +232,7 @@ def wick_exp_values(field: SpectralField, params: WickParams) -> np.ndarray:
     stack of fields gives the stack of their values, or WickOverflowError
     with the exponent of the first field that passes the guard."""
     vals = apply_PN(field, params.psi, params.level).values()
-    vals, peaks = scaled_exp(vals, params.alpha, params.shift, out=vals)
+    vals, peaks = scaled_exp(vals, params.alpha, params.shift)
     over = np.flatnonzero(peaks > OVERFLOW_EXPONENT)
     if over.size:
         raise WickOverflowError(float(peaks[over[0]]))

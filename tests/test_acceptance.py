@@ -433,7 +433,7 @@ def test_criterion_12_norms_and_semigroup():
         coeffs = np.zeros((128, 128), dtype=np.complex128)
         coeffs[kx, ky] = 1.0
         coeffs[-kx, -ky] = 1.0
-        f = field_from_coeffs(grid, coeffs, validate=True)
+        f = field_from_coeffs(grid, coeffs)
         ratios.append(besov_norm(f, s) / sobolev_norm(f, s))
     ratios = np.array(ratios)
     ratio_ok = bool(0.2 <= ratios.min() <= ratios.max() <= 5.0)

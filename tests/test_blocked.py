@@ -28,8 +28,11 @@ from expsqlab import (
     WeightedEnsemble,
     WickOverflowError,
     apply_PN,
+    cmd_invariance,
+    cmd_norms_bench,
     cmd_sample_gff,
     cmd_sqe,
+    cmd_wick_converge,
     constant_field,
     contraction_check,
     evolve_levels,
@@ -575,6 +578,38 @@ def test_ensemble_memory_does_not_grow_with_samples(grid32):
     small = _peak_traced_bytes(run(150))
     large = _peak_traced_bytes(run(1200))
     assert large - small <= BLOCK_BYTES + 8 * (1200 - 150)
+
+
+# each command at a count and at four times it: (command, config fields,
+# the field scaled, the count, whether it writes its files).  The
+# invariance test starts at two blocks of 16 replicas, as it holds one
+# block while it takes the next.
+COMMAND_COUNTS = [
+    (cmd_sample_gff, dict(modes=32, seed=631), "samples", 40, True),
+    (cmd_wick_converge, dict(modes=32, level=2, seed=632), "replicas", 4, True),
+    (cmd_sqe, dict(modes=16, level=1, seed=633, horizon=1.25, dt=1 / 64), "replicas", 8, True),
+    (cmd_invariance, dict(modes=32, level=1, seed=634, samples=64, horizon=1 / 64, dt=1 / 64),
+     "replicas", 32, True),
+    (cmd_norms_bench, dict(modes=32, seed=635), "replicas", 8, False),
+]
+
+
+@pytest.mark.parametrize(
+    "cmd, fields, key, count, writes", COMMAND_COUNTS, ids=[c[0].__name__ for c in COMMAND_COUNTS]
+)
+def test_command_memory_is_a_block_and_its_counts(tmp_path, cmd, fields, key, count, writes):
+    # four times the count may add one block to a command's peak and 64
+    # floats a counted draw or replica (its norms, gaps, ratios and
+    # observables), never a field per draw (16 KiB at M = 32) nor the
+    # paths.csv rows of every replica (81 rows of six numbers here)
+    def run(n):
+        cfg = ExperimentConfig(**fields, **{key: n})
+        return lambda: cmd(cfg, out_dir=tmp_path / str(n) if writes else None)
+
+    run(count)()  # warm caches (weights, FFT plans) outside the measurement
+    small = _peak_traced_bytes(run(count))
+    large = _peak_traced_bytes(run(4 * count))
+    assert large - small <= BLOCK_BYTES + 64 * 8 * 3 * count
 
 
 def test_level_flow_holds_one_state_stack():

@@ -70,11 +70,19 @@ def test_reports_are_deterministic(tmp_path):
     assert a.body_bytes() != c.body_bytes()
 
 
-def test_threads_do_not_change_results():
+def test_threads_do_not_change_results(tmp_path):
     cfg = ExperimentConfig(modes=32, level=2, seed=31, replicas=4, samples=10)
-    seq = cmd_wick_converge(cfg, threads=1)
-    par = cmd_wick_converge(cfg, threads=3)
+    for cmd in (cmd_wick_converge, cmd_norms_bench):
+        seq = cmd(cfg, threads=1)
+        par = cmd(cfg, threads=3)
+        assert seq.body_bytes() == par.body_bytes()
+    # sqe writes paths.csv a replica at a time, in replica order
+    cfg = ExperimentConfig(modes=32, level=2, seed=31, replicas=4, horizon=1 / 16, dt=1 / 64)
+    seq = cmd_sqe(cfg, out_dir=tmp_path / "seq", threads=1)
+    par = cmd_sqe(cfg, out_dir=tmp_path / "par", threads=3)
     assert seq.body_bytes() == par.body_bytes()
+    paths = [(tmp_path / run / "paths.csv").read_bytes() for run in ("seq", "par")]
+    assert paths[0] == paths[1]
 
 
 def test_wick_converge_tiny(tmp_path):

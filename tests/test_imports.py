@@ -20,10 +20,10 @@ that only its unit tests call is surface without a use.  No package
 function takes a ``CutoffProfile`` next to a ``WickParams``, and
 ``SqeConfig`` holds no ``CutoffProfile``: the Wick parameters carry the
 cutoff their C_N was computed from, and a second profile beside them
-could disagree with it.  numpy's FFT module is used only by the
-transform pair (``spectral.to_coeffs``, ``spectral.to_values``), the
-grid's mode axis (``fftfreq`` in ``TorusGrid.__init__``) and the white
-noise's raw transform (``randomfields.white_noise_fft``).  The overflow
+could disagree with it.  numpy's FFT module is used only by
+``spectral``: its one forward FFT (``scaled_fft``), the inverse
+transform (``to_values``) and the grid's mode axis (``fftfreq`` in
+``TorusGrid.__init__``).  The overflow
 bound ``OVERFLOW_EXPONENT`` is read, and ``WickOverflowError`` raised,
 only by the flows' guard (``dynamics._guarded``) and the Wick
 exponential's (``wick.wick_exp_values``), besides the error's message,
@@ -260,10 +260,9 @@ def test_no_cutoff_travels_beside_wick_params():
 
 
 # the functions that may use numpy's FFT module, per package module: the
-# transform pair, the grid's mode axis and the white noise's raw transform
+# one forward FFT, the inverse transform and the grid's mode axis
 FFT_USERS = {
-    "spectral.py": {"to_coeffs", "to_values", "TorusGrid.__init__"},
-    "randomfields.py": {"white_noise_fft"},
+    "spectral.py": {"scaled_fft", "to_values", "TorusGrid.__init__"},
 }
 
 

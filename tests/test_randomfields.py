@@ -124,6 +124,13 @@ def test_increments_rebuild_path(grid8, stream):
         assert np.abs(coeffs - traj.states[j + 1].coeffs).max() < 1e-12
 
 
+def _raw_noise_fft(grid, generators):
+    """numpy's fft2 of grid white noise, row i drawn from ``generators[i]``:
+    the reference the package's transform is checked against."""
+    M = grid.modes_per_dim
+    return np.fft.fft2(np.stack([g.standard_normal((M, M)) for g in generators]))
+
+
 def _allocating_ou_chain(grid, coeffs, dt, n_steps, generators):
     """``ou_chain`` as it was before it stepped in one buffer: a new state
     stack every step, noise = (fft2(white) / M) * sd added to the decayed
@@ -132,7 +139,7 @@ def _allocating_ou_chain(grid, coeffs, dt, n_steps, generators):
     noise_sd = np.sqrt(ou_noise_variance(grid, dt))
     M = grid.modes_per_dim
     for _ in range(n_steps):
-        coeffs = decay * coeffs + (white_noise_fft(grid, generators) / M) * noise_sd
+        coeffs = decay * coeffs + (_raw_noise_fft(grid, generators) / M) * noise_sd
         yield coeffs
 
 
@@ -191,7 +198,7 @@ def test_wiener_increment_variance(grid8):
     generators = [base.for_replica(i).generator() for i in range(n)]
     # rows of fft2(white) * sqrt(dt) / M are Wiener increments over dt:
     # every mode has variance dt
-    rows = white_noise_fft(grid8, generators) * (math.sqrt(dt) / 8)
+    rows = white_noise_fft(grid8, generators, math.sqrt(dt) / 8)
     acc = (np.abs(rows) ** 2).sum(axis=0)
     assert np.abs(acc / n / dt - 1.0).max() < 5.0 * math.sqrt(2.0 / n)
 
@@ -200,35 +207,38 @@ def _generators(base, n):
     return [base.for_replica(i).generator() for i in range(n)]
 
 
+def _same_bits(a, b) -> bool:
+    """Equal to the bit, signed zeros included; the uint64 views compare
+    without copying."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_white_noise_fft_workspaces_are_bit_for_bit(grid8):
     base = RngStream(41, purpose="workspace")
-    fresh = white_noise_fft(grid8, _generators(base, 5))
-    # the in-place transform is numpy's fft2 of the real noise
-    white = np.empty((5, 8, 8))
-    for row, g in zip(white, _generators(base, 5)):
-        g.standard_normal(out=row)
-    assert fresh.tobytes() == np.fft.fft2(white).tobytes()
+    scale = np.sqrt(gff_mode_variance(grid8)) / 8
+    fresh = white_noise_fft(grid8, _generators(base, 5), scale)
+    # numpy's fft2 of the real noise, times the scale
+    assert _same_bits(fresh, _raw_noise_fft(grid8, _generators(base, 5)) * scale)
     # a full stack, then a ragged view of larger workspaces
     out = np.empty((5, 8, 8), dtype=np.complex128)
-    full = white_noise_fft(grid8, _generators(base, 5), np.empty((5, 8, 8)), out)
+    full = white_noise_fft(grid8, _generators(base, 5), scale, np.empty((5, 8, 8)), out)
     assert np.shares_memory(full, out)
-    assert full.tobytes() == fresh.tobytes()
+    assert _same_bits(full, fresh)
     white, out = np.empty((7, 8, 8)), np.empty((7, 8, 8), dtype=np.complex128)
-    ragged = white_noise_fft(grid8, _generators(base, 3), white[:3], out[:3])
+    ragged = white_noise_fft(grid8, _generators(base, 3), scale, white[:3], out[:3])
     assert np.shares_memory(ragged, out)
-    assert ragged.tobytes() == fresh[:3].tobytes()
+    assert _same_bits(ragged, fresh[:3])
 
 
 @pytest.mark.parametrize("M", [8, 16, 32, 64, 128, 256])
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
 def test_white_noise_scaling_is_the_complex_division(M, n):
-    # the samplers scale the raw transform once, by a standard deviation
-    # that carries the white noise's 1/M; with M a power of two that is
-    # numpy's complex division by M followed by the multiply by the
-    # standard deviation, to the byte, signed zeros included: the
+    # the samplers scale the transform once, by a standard deviation that
+    # carries the white noise's 1/M; with M a power of two that is numpy's
+    # fft2 of the noise, divided by M as a complex array and multiplied by
+    # the standard deviation, to the byte, signed zeros included: the
     # imaginary parts of the self-conjugate modes are exact zeros.  Each
-    # row is drawn from its own generator, one at a time, and the uint64
-    # views compare the bits without copying
+    # row is drawn from its own generator, one at a time
     grid = make_grid(M)
     base = RngStream(45, purpose="scaling")
     dt = 0.25
@@ -238,13 +248,13 @@ def test_white_noise_scaling_is_the_complex_division(M, n):
     for i in range(n):
         sub = base.for_replica(i)
         draw = gff_sample(grid, sub).coeffs
-        expected = (white_noise_fft(grid, [sub.generator()]) / M)[0] * gff_sd
-        assert np.array_equal(draw.view(np.uint64), expected.view(np.uint64))
+        expected = (_raw_noise_fft(grid, [sub.generator()]) / M)[0] * gff_sd
+        assert _same_bits(draw, expected)
         assert not draw[[0, 0, half, half], [0, half, 0, half]].imag.any()
         step = next(ou_chain(grid, draw[None], dt, 1, [sub.child("ou").generator()]))
-        noise = (white_noise_fft(grid, [sub.child("ou").generator()]) / M) * ou_sd
+        noise = (_raw_noise_fft(grid, [sub.child("ou").generator()]) / M) * ou_sd
         expected = heat_multiplier(grid, dt) * draw + noise[0]
-        assert np.array_equal(step[0].view(np.uint64), expected.view(np.uint64))
+        assert _same_bits(step[0], expected)
 
 
 def test_gff_sample_workspaces_are_bit_for_bit(grid8):

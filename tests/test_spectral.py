@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from expsqlab import (
+    RngStream,
     SpectralField,
     constant_field,
     field_from_coeffs,
+    gff_sample,
     grid_quadrature,
     heat_semigroup,
     hermitian_defect,
@@ -119,7 +121,28 @@ def test_hermitian_defect(grid32, stream):
     broken[2, 5] += 1.0
     assert hermitian_defect(SpectralField(grid32, broken)) > 0.1
     with pytest.raises(ValueError):
-        field_from_coeffs(grid32, broken, validate=True)
+        field_from_coeffs(grid32, broken)
+
+
+def test_hermitian_defect_of_a_stack_is_its_worst_row():
+    # the mirror k -> -k acts on the mode axes of each row, never on the
+    # stack axis: three free-field draws are each Hermitian to rounding,
+    # and so is their stack
+    grid = make_grid(16)
+    base = RngStream(1)
+    stack = gff_sample(grid, [base.for_replica(i) for i in range(3)])
+    rows = [hermitian_defect(f) for f in stack.unstack()]
+    assert max(rows) < 1e-15
+    assert hermitian_defect(stack) == max(rows)
+    assert field_from_coeffs(grid, stack.coeffs).coeffs.shape == (3, 16, 16)
+    # one broken row: the stack's defect is that row's, and it is rejected
+    broken = stack.copy_coeffs()
+    broken[1, 2, 5] += 1.0
+    assert hermitian_defect(SpectralField(grid, broken)) == hermitian_defect(
+        SpectralField(grid, broken[1])
+    ) > 0.1
+    with pytest.raises(ValueError, match="Hermitian"):
+        field_from_coeffs(grid, broken)
 
 
 def test_field_arithmetic(grid32, stream):
@@ -175,7 +198,7 @@ def test_from_spectral_of_single_mode(grid32):
     coeffs = np.zeros((32, 32), dtype=np.complex128)
     coeffs[2, 0] = 0.5
     coeffs[-2, 0] = 0.5
-    vals = field_from_coeffs(grid32, coeffs, validate=True).values()
+    vals = field_from_coeffs(grid32, coeffs).values()
     x = np.arange(32) * grid32.spacing
     # the pair (0.5, 0.5) at k = (+-2, 0) represents cos(2 x1) / (2 pi)
     expected = np.cos(2 * x)[:, None] / TWO_PI
