@@ -44,18 +44,17 @@ whole horizon.
 
 Workspace rule: each loop allocates its spectral and grid temporaries
 once per call and overwrites them every step, through the ``out``
-arguments of the transform pair and the cutoff multiplier
-(``WickParams.multiplier``) and in place by wick.scaled_exp, with the
-allocating expressions' ufuncs on the same operands, so every bit is
-theirs.  The live OU chain (``randomfields.ou_chain``) steps in one
-state buffer and draws its noise in the flow's own workspaces while the
-next increment is pulled; every increment is written over one workspace,
-and the chain drops the initial datum at its first decay, before it
-computes its noise scale.  The chain, the increments and the step loop
-step by ``config.dt`` and share its one heat multiplier.  The full flow
-steps its levels one at a time through workspaces of one field and
-writes each level's cutoff multiplier into the grid workspace once that
-level's drift is formed; the projected flow steps its replicas (small
+arguments of the transform pair and in place by wick.scaled_exp, with
+the allocating expressions' ufuncs on the same operands, so every bit is
+theirs; every cutoff multiplier is the grid's cached one
+(``WickParams.multiplier``).  The live OU chain (``randomfields.ou_chain``)
+steps in one state buffer and draws its noise in the flow's own
+workspaces while the next increment is pulled; every increment is
+written over one workspace, and the chain drops the initial datum at
+its first decay, before it computes its noise scale.  The chain, the
+increments and the step loop step by ``config.dt`` and share its one
+heat multiplier.  The full flow steps its levels one at a time through
+workspaces of one field; the projected flow steps its replicas (small
 blocks at M = 32, where per-call overhead dominates) as one stack.
 
 Three flows, one contract: ``evolve_levels``, ``evolve_projected`` and
@@ -317,28 +316,27 @@ def _full_flow(grid: TorusGrid, coeffs: np.ndarray, configs, noise, spec, values
     (L, M, M) with row l under ``configs[l]``: writes the state after each
     step into the buffer ``coeffs`` and yields it with its rows' Wick
     exponents, each step driven by the next increment of ``noise``, which
-    every level projects with its own cutoff multiplier.  The levels are
-    stepped one at a time, each row through the spectral and grid
-    workspaces ``spec`` and ``values`` of one field, so no temporary is
-    stack-sized; once a level's drift is formed, its cutoff multiplier is
-    written into the free grid workspace, so no multiplier is held."""
+    every level projects with its own cached cutoff multiplier.  The
+    levels are stepped one at a time, each row through the spectral and
+    grid workspaces ``spec`` and ``values`` of one field, so no temporary
+    is stack-sized."""
     config = configs[0]
     mult = heat_multiplier(grid, config.dt)
     alpha = config.params.alpha
     half_adt = 0.5 * alpha * config.dt
-    levels = [c.params for c in configs]
+    levels = [(c.params.shift, c.params.multiplier(grid)) for c in configs]
     peaks = np.empty(len(coeffs))
     for eta in noise:
         # the live chain's increment is a stack of one
         eta = eta.reshape(spec.shape)
-        for level, (row, params) in enumerate(zip(coeffs, levels)):
+        for level, (row, (shift, psi_mult)) in enumerate(zip(coeffs, levels)):
             to_values(row, grid, spec, values)
-            _, peak = scaled_exp(values, alpha, params.shift)
+            _, peak = scaled_exp(values, alpha, shift)
             peaks[level] = peak[0]
             np.multiply(half_adt, values, out=values)
             drift = np.subtract(row, to_coeffs(values, grid, out=spec), out=spec)
             np.multiply(mult, drift, out=drift)
-            np.multiply(params.multiplier(grid, out=values), eta, out=row)
+            np.multiply(psi_mult, eta, out=row)
             np.add(drift, row, out=row)
         yield coeffs, peaks
 
@@ -387,7 +385,7 @@ def evolve_levels(
         noise = _noise_stacks(grid, phi0.coeffs[None], config, [stream], values[None], spec[None])
     coeffs = np.empty((len(configs), *phi0.coeffs.shape), dtype=np.complex128)
     for row, c in zip(coeffs, configs):
-        np.multiply(c.params.multiplier(grid, out=values), phi0.coeffs, out=row)
+        np.multiply(c.params.multiplier(grid), phi0.coeffs, out=row)
     return _guarded(coeffs, _full_flow(grid, coeffs, configs, noise, spec, values))
 
 

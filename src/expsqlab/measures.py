@@ -389,6 +389,8 @@ def invariance_test(
         for values, block in ((start, phi0), (end, SpectralField(grid, finals))):
             for k, v in observables(block).items():
                 values.setdefault(k, []).extend(v)
+        # dropped before the next block is taken, so one block is held
+        del phi0, finals, block
 
     stats = {}
     max_abs_z = 0.0

@@ -14,6 +14,8 @@ alpha^2 C_N / 2 (``WickParams.shift``) cannot come from different
 cutoffs.  Every Wick-facing function takes the parameters alone; only
 the primitives C_N is computed from (``CutoffProfile``, ``apply_PN``,
 ``renorm_constant``, ``green_kernel_point``) take a profile and a level.
+All read the one symbol psi(2^{-N} k) that ``CutoffProfile.multiplier``
+caches per grid, kind and level (``TorusGrid.cached``).
 """
 
 from __future__ import annotations
@@ -78,26 +80,24 @@ class CutoffProfile:
             raise ValueError(f"unknown cutoff kind {self.kind!r}")
 
     def evaluate(self, r):
-        """psi as a function of the radius |x| (profiles are radial)."""
+        """psi in float64 as a function of the radius |x| (profiles are radial)."""
         # [()] gives a 0-d input back as a scalar
-        return self._radial(np.array(r, dtype=np.float64))[()]
+        return self._radial(np.asarray(r, dtype=np.float64)).astype(np.float64)[()]
 
     def _radial(self, r: np.ndarray) -> np.ndarray:
-        """psi(r) written over the float64 array ``r``."""
+        """psi(r): the sharp indicator as a boolean mask, the smooth in float64."""
         if self.kind == "sharp":
-            np.copyto(r, r <= 1.0)
-        else:
-            # square before negating: r is also the output
-            np.exp(np.negative(np.multiply(r, r, out=r), out=r), out=r)
-        return r
+            return r <= 1.0
+        return np.exp(-(r * r))
 
     def max_level(self, grid: TorusGrid) -> int:
         """Largest admissible cutoff level: 2^(N+2) <= M/2."""
         return int(math.floor(math.log2(grid.modes_per_dim / 2))) - 2
 
-    def multiplier(self, grid: TorusGrid, level: int, out: np.ndarray | None = None) -> np.ndarray:
-        """psi(2^{-N} k) over the grid modes, written into ``out`` (real,
-        (M, M)) when given, with the ufuncs of the allocating path."""
+    def multiplier(self, grid: TorusGrid, level: int) -> np.ndarray:
+        """psi(2^{-N} k) over the grid modes, cached read-only per grid, kind
+        and level; the sharp one is a boolean mask, which numpy multiplies
+        as exactly 1.0 or 0.0, the bits of the float indicator."""
         if level < 0:
             raise ValueError(f"cutoff level must be nonnegative, got {level}")
         if 2 ** (level + 2) > grid.modes_per_dim // 2:
@@ -105,9 +105,8 @@ class CutoffProfile:
                 f"cutoff level {level} too high for grid M={grid.modes_per_dim} "
                 f"(need 2^(N+2) <= M/2)"
             )
-        r = np.sqrt(grid.ksq, out=out)
-        r /= 2.0**level
-        return self._radial(r)
+        key = ("cutoff", self.kind, level)
+        return grid.cached(key, lambda: self._radial(np.sqrt(grid.ksq) / 2.0**level))
 
     def tail_bound(self, grid: TorusGrid, level: int) -> float:
         """Upper bound on the part of the renormalization sum carried by
@@ -153,10 +152,10 @@ class WickParams:
         """The Wick shift alpha^2 C_N / 2 subtracted in the exponent."""
         return 0.5 * self.alpha**2 * self.c_n
 
-    def multiplier(self, grid: TorusGrid, out: np.ndarray | None = None) -> np.ndarray:
+    def multiplier(self, grid: TorusGrid) -> np.ndarray:
         """The cutoff multiplier psi(2^{-N} k) of P_N over the grid modes,
-        written into ``out`` when given (``CutoffProfile.multiplier``)."""
-        return self.psi.multiplier(grid, self.level, out)
+        the grid's one cached array (``CutoffProfile.multiplier``)."""
+        return self.psi.multiplier(grid, self.level)
 
 
 def make_wick_params(

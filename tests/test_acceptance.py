@@ -361,7 +361,8 @@ def test_criterion_09_level_gap_decreasing():
         sub = base.for_replica(r)
         phi0 = gff_sample(grid, sub.child("init"))
         for stack in evolve_levels(phi0, [cfgs[n] for n in levels], sub):
-            gaps = sobolev_norms(stack[1:] - stack[:-1], grid, (-eps,))[0]
+            # the norms of stack[1:] - stack[:-1], without forming it
+            gaps = sobolev_norms(stack[1:], grid, (-eps,), minus=stack[:-1])[0]
             np.maximum(sup_gaps[r], gaps, out=sup_gaps[r])
     means = sup_gaps.mean(axis=0)
     decreasing = bool(np.all(np.diff(means) < 0.0))

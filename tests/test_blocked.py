@@ -580,16 +580,17 @@ def test_ensemble_memory_does_not_grow_with_samples(grid32):
     assert large - small <= BLOCK_BYTES + 8 * (1200 - 150)
 
 
+# the invariance command at M = 32, where a block is 16 replicas
+INVARIANCE_FIELDS = dict(modes=32, level=1, seed=634, samples=64, horizon=1 / 64, dt=1 / 64)
+
 # each command at a count and at four times it: (command, config fields,
 # the field scaled, the count, whether it writes its files).  The
-# invariance test starts at two blocks of 16 replicas, as it holds one
-# block while it takes the next.
+# invariance test starts at one block of 16 replicas.
 COMMAND_COUNTS = [
     (cmd_sample_gff, dict(modes=32, seed=631), "samples", 40, True),
     (cmd_wick_converge, dict(modes=32, level=2, seed=632), "replicas", 4, True),
     (cmd_sqe, dict(modes=16, level=1, seed=633, horizon=1.25, dt=1 / 64), "replicas", 8, True),
-    (cmd_invariance, dict(modes=32, level=1, seed=634, samples=64, horizon=1 / 64, dt=1 / 64),
-     "replicas", 32, True),
+    (cmd_invariance, INVARIANCE_FIELDS, "replicas", 16, True),
     (cmd_norms_bench, dict(modes=32, seed=635), "replicas", 8, False),
 ]
 
@@ -612,21 +613,35 @@ def test_command_memory_is_a_block_and_its_counts(tmp_path, cmd, fields, key, co
     assert large - small <= BLOCK_BYTES + 64 * 8 * 3 * count
 
 
+def test_invariance_drops_a_block_before_it_takes_the_next(tmp_path):
+    # the invariance test drops a block's initial data and final states
+    # before it takes the next block, so two blocks of replicas peak
+    # where one does, up to their observables; holding the previous
+    # block while the next is evolved adds a whole block
+    def run(n):
+        cfg = ExperimentConfig(**INVARIANCE_FIELDS, replicas=n)
+        return lambda: cmd_invariance(cfg, out_dir=tmp_path / str(n))
+
+    run(16)()  # warm caches (weights, FFT plans) outside the measurement
+    one = _peak_traced_bytes(run(16))
+    two = _peak_traced_bytes(run(32))
+    assert two - one < BLOCK_BYTES // 8
+
+
 def test_level_flow_holds_one_state_stack():
     # evolve_levels at M = 64 with three levels, reduced to its norms at
     # every step as cmd_sqe does; a complex field is a third of a stack
     # here and a real one a sixth.  The flow holds its one state buffer
     # (1 stack), the spectral and grid workspaces of the one level it
-    # steps (half a stack), which also take each level's cutoff multiplier
-    # once its drift is formed and the OU chain's noise draw, and the
-    # noise of one field: the chain's state, its noise scale and the
-    # increment buffer (5/6 of a stack).  The heat multiplier is the
-    # grid's one cached array, warmed outside the measurement.  That is
-    # 2.3 stacks live at a yield, and the norms' two rows or numpy's
-    # real -> complex cast buffers add a third: 2.7 at the peak.  A
-    # stack of multipliers, noise workspaces of the chain's own or a heat
-    # multiplier per user each add half a stack, and stack-sized step
-    # workspaces or a second live state a whole stack.
+    # steps (half a stack), which also take the OU chain's noise draw,
+    # and the noise of one field: the chain's state, its noise scale and
+    # the increment buffer (5/6 of a stack).  The heat multiplier and the
+    # levels' cutoff masks are the grid's cached arrays, warmed outside
+    # the measurement.  That is 2.3 stacks live at a yield, and the
+    # norms' two rows or numpy's real -> complex cast buffers add a
+    # third: 2.7 at the peak.  Noise workspaces of the chain's own or a
+    # heat multiplier per user each add half a stack, and stack-sized
+    # step workspaces or a second live state a whole stack.
     grid = make_grid(64)
     configs = _level_configs(grid, "sharp", (1, 2, 3), horizon=4 / 64)
     stream = RngStream(626, purpose="flow-memory")
@@ -656,22 +671,41 @@ def test_sqe_memory_is_the_flow_and_the_grid_caches():
     # cmd_sqe at M = 64 with three levels, in stacks of three complex
     # fields as above.  Unlike the flow test, the run draws its initial
     # datum, builds the grid's cached arrays (free-field scale, heat
-    # multiplier, two Sobolev weights: 2/3 of a stack) and takes the
-    # level gaps: 3.7 stacks at the peak.  Each of these adds at least a
-    # sixth of a stack: the OU chain computing its noise scale before it
-    # drops the datum, an uncached heat multiplier, noise workspaces of
-    # the chain's own and a complex gap difference.
+    # multiplier, two Sobolev weights: 2/3 of a stack; the three levels'
+    # boolean cutoff masks: 1/16) and takes the level gaps: 3.8 stacks at
+    # the peak.  Each of these adds at least a sixth of a stack: the OU
+    # chain computing its noise scale before it drops the datum, an
+    # uncached heat multiplier, noise workspaces of the chain's own and a
+    # complex gap difference; float cutoff multipliers add half a stack.
     cfg = ExperimentConfig(modes=64, level=3, seed=627, replicas=2, horizon=4 / 64, dt=1 / 64)
     stack_bytes = 3 * 64 * 64 * 16
     assert cmd_sqe(cfg).exit_code == 0  # warm imports and FFT plans
     assert _peak_traced_bytes(lambda: cmd_sqe(cfg)) < 3.85 * stack_bytes
 
 
+def test_sqe_builds_each_cutoff_symbol_once(monkeypatch):
+    # every level of the flow reads its cutoff symbol from the grid's
+    # cache: a run builds psi(2^-N k) once per level on its one grid,
+    # however many replicas and steps it takes
+    built = []
+    radial = CutoffProfile._radial
+
+    def counted(self, r):
+        built.append(self.kind)
+        return radial(self, r)
+
+    monkeypatch.setattr(CutoffProfile, "_radial", counted)
+    cfg = ExperimentConfig(modes=32, level=2, seed=636, replicas=2, horizon=4 / 64, dt=1 / 64)
+    assert cmd_sqe(cfg).exit_code == 0
+    assert len(built) == 2
+
+
 def test_shifted_solve_holds_its_states_and_a_few_fields():
     # solve_shifted at M = 32 over a 65-state OU trajectory keeps its 65
     # states, 16 KiB each.  Beside them it holds the zero datum, one
-    # spectral and two grid workspaces, the cutoff multiplier and the
-    # initial-regularity check's temporaries: 70.6 fields at the peak.
+    # spectral and two grid workspaces and the initial-regularity
+    # check's temporaries: 70.2 fields at the peak (the cutoff multiplier
+    # is the grid's cached one, warmed with the weights).
     # Each step forms its Wick forcing from its state of X in the grid
     # workspace, so a stored path of forcing states (65 more fields)
     # cannot fit under the bound.
@@ -694,9 +728,10 @@ def test_shifted_solve_holds_its_states_and_a_few_fields():
 def test_contraction_check_holds_a_few_fields_not_its_paths():
     # contraction_check steps its two shifted flows in lockstep over the
     # 65-state trajectory above and keeps one gap per state.  Each flow
-    # holds its state buffer, one spectral and two grid workspaces and a
-    # cutoff multiplier; with the gap's difference field that is 9.4
-    # fields at the peak.  Two kept 65-state paths (130 fields) cannot fit.
+    # holds its state buffer and one spectral and two grid workspaces,
+    # and both read the grid's cached cutoff multiplier; with the gap's
+    # rows that is 8.1 fields at the peak.  Two kept 65-state paths (130
+    # fields) cannot fit.
     grid = make_grid(32)
     params = make_wick_params(1.0, 2, CutoffProfile("sharp"), grid)
     config = SqeConfig(horizon=1.0, dt=1 / 64, params=params)

@@ -156,6 +156,14 @@ def test_cutoff_metadata_holds(sharp, smooth):
     assert (r**4 * sharp.evaluate(r)).max() <= 1.0
 
 
+def test_evaluate_is_float64(sharp, smooth):
+    # the sharp symbol is a boolean mask on the grid, but psi as a
+    # function of the radius is float64 for both profiles
+    for psi in (sharp, smooth):
+        assert psi.evaluate(np.linspace(0.0, 2.0, 9)).dtype == np.float64
+        assert isinstance(psi.evaluate(0.5), np.float64)
+
+
 def test_sharp_multiplier_is_indicator(grid8, sharp):
     m = sharp.multiplier(grid8, 0)
     assert np.array_equal(m, (grid8.ksq <= 1.0).astype(float))
@@ -168,19 +176,37 @@ def test_sharp_multiplier_is_indicator(grid8, sharp):
 
 @pytest.mark.parametrize("M", [8, 16, 32, 64, 128, 256])
 def test_multiplier_into_a_workspace_is_the_spelled_out_profile(M, sharp, smooth):
-    # psi(2^-N k) at every admissible level, allocated and written into
-    # ``out``, byte for byte r = sqrt(|k|^2) / 2^N through the sharp
-    # indicator cast or the smooth exp(-r * r); into ``out`` the smooth
-    # profile must square r before negating it, since out is r
+    # psi(2^-N k) at every admissible level is the grid's one cached,
+    # read-only array, which the flows read in place of a workspace: the
+    # same on every call and byte for byte r = sqrt(|k|^2) / 2^N through
+    # the smooth exp(-r * r) or the sharp indicator r <= 1 as a mask
     grid = make_grid(M)
     for psi in (sharp, smooth):
         for level in range(psi.max_level(grid) + 1):
             r = np.sqrt(grid.ksq) / 2.0**level
-            spelled = (r <= 1.0).astype(np.float64) if psi is sharp else np.exp(-r * r)
-            out = np.full((M, M), np.nan)
-            assert psi.multiplier(grid, level, out=out) is out
-            assert out.tobytes() == spelled.tobytes()
-            assert psi.multiplier(grid, level).tobytes() == spelled.tobytes()
+            spelled = (r <= 1.0) if psi is sharp else np.exp(-r * r)
+            m = psi.multiplier(grid, level)
+            assert psi.multiplier(grid, level) is m
+            assert not m.flags.writeable
+            assert m.dtype == spelled.dtype and m.tobytes() == spelled.tobytes()
+
+
+def test_mask_products_are_the_float_indicator_products(grid32, sharp):
+    # numpy casts the mask to exactly 1+0j or 0+0j, as it casts the float
+    # indicator 1.0 and 0.0, so both run the same complex multiply: P_N of
+    # a complex stack has the same bits, signed zeros and NaNs included,
+    # allocated or written into ``out`` as the flows do
+    mask = sharp.multiplier(grid32, 2)
+    indicator = mask.astype(np.float64)
+    stream = RngStream(79, purpose="mask-product")
+    c = gff_sample(grid32, [stream.for_replica(i) for i in range(3)]).copy_coeffs()
+    c[0, 0, 1] = complex(np.inf, -0.0)
+    c[1, 5, 7] = complex(-0.0, np.nan)
+    c[2, 16, 16] = complex(np.inf, 1.0)
+    with np.errstate(invalid="ignore"):  # 0 * inf, in both products
+        expected = (indicator * c).tobytes()
+        assert (mask * c).tobytes() == expected
+        assert np.multiply(mask, c, out=np.empty_like(c)).tobytes() == expected
 
 
 def test_max_level(grid32, sharp):
@@ -252,10 +278,7 @@ def test_wick_params_carry_their_cutoff(smooth):
     assert params.c_n == renorm_constant(smooth, 3, grid)
     shift = 0.5 * params.alpha**2 * params.c_n
     assert params.shift == shift
-    assert params.multiplier(grid).tobytes() == smooth.multiplier(grid, 3).tobytes()
-    out = np.empty((64, 64))
-    assert params.multiplier(grid, out=out) is out
-    assert out.tobytes() == smooth.multiplier(grid, 3).tobytes()
+    assert params.multiplier(grid) is smooth.multiplier(grid, 3)
     f = gff_sample(grid, RngStream(77, purpose="wick-fold"))
     expected, _ = scaled_exp(apply_PN(f, smooth, 3).values(), params.alpha, shift)
     assert wick_exp_values(f, params).tobytes() == expected.tobytes()
