@@ -75,7 +75,6 @@ from .wick import (
     WickOverflowError,
     WickParams,
     analytic_wick_cov,
-    apply_PN,
     green_kernel_point,
     hermite,
     make_wick_params,
@@ -108,7 +107,6 @@ __all__ = [
     "WickOverflowError",
     "WickParams",
     "analytic_wick_cov",
-    "apply_PN",
     "besov_norm",
     "cmd_invariance",
     "cmd_norms_bench",

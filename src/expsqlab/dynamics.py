@@ -37,17 +37,18 @@ X gives Y again, solved on its own.
 
 Every loop moves between the grid and spectral space with the pair
 spectral.to_values/to_coeffs, and the exponential-Euler step multiplier
-is spectral.heat_multiplier, the same symbol as the OU decay.  Noise
-increments and the shifted equation's Wick forcing exp(alpha P_N X_t -
-a^2 C_N/2) are formed from X one step at a time, never stored for the
-whole horizon.
+is spectral.heat_multiplier, the same symbol as the OU decay.  The
+projected drift's exp(alpha P_N Phi - a^2 C_N/2) and the shifted
+equation's forcing exp(alpha P_N X_t - a^2 C_N/2) are wick.wick_exp in
+the step workspaces; the forcing and the noise increments are formed
+from X one step at a time, never stored for the whole horizon.
 
 Workspace rule: each loop allocates its spectral and grid temporaries
 once per call and overwrites them every step, through the ``out``
-arguments of the transform pair and in place by wick.scaled_exp, with
-the allocating expressions' ufuncs on the same operands, so every bit is
-theirs; every cutoff multiplier is the grid's cached one
-(``WickParams.multiplier``).  The live OU chain (``randomfields.ou_chain``)
+arguments of the transform pair and of wick.wick_exp and in place by
+wick.scaled_exp, with the allocating expressions' ufuncs on the same
+operands, so every bit is theirs; every cutoff multiplier is the grid's
+cached one (``WickParams.multiplier``).  The live OU chain (``randomfields.ou_chain``)
 steps in one state buffer and draws its noise in the flow's own
 workspaces while the next increment is pulled; every increment is
 written over one workspace, and the chain drops the initial datum at
@@ -97,6 +98,7 @@ from .wick import (
     WickOverflowError,
     WickParams,
     scaled_exp,
+    wick_exp,
 )
 
 __all__ = [
@@ -200,9 +202,9 @@ def evolve_shifted(upsilon: SpectralField, x_states, config: SqeConfig):
     overwritten by the next step.  ``upsilon`` is checked on the call; once
     ``x_states`` ends, a count other than n_steps + 1 raises ValueError.
 
-    The step from t_j is forced by exp(alpha P_N X_{t_j} - shift), formed
-    in the grid workspace with the ufuncs of ``wick.wick_exp_values``, so
-    it is that function's value bit for bit.  As ``_guarded`` on a stack
+    The step from t_j is forced by exp(alpha P_N X_{t_j} - shift), which
+    is ``wick.wick_exp`` of X_{t_j} in the flow's workspaces, so it is
+    ``wick_exp_values``' value bit for bit.  As ``_guarded`` on a stack
     of one, it raises WickOverflowError at the first step that fails the
     guard, before the next state of X is read.  The last state, which no
     step reads, is not evaluated.
@@ -219,7 +221,6 @@ def _shifted_flow(grid: TorusGrid, coeffs: np.ndarray, x_states, config: SqeConf
     stack of one, yielded with the larger exponent of its two factors."""
     n_steps = config.n_steps()
     params = config.params
-    psi_mult = params.multiplier(grid)
     mult = heat_multiplier(grid, config.dt)
     alpha = params.alpha
     half_adt = 0.5 * alpha * config.dt
@@ -231,8 +232,7 @@ def _shifted_flow(grid: TorusGrid, coeffs: np.ndarray, x_states, config: SqeConf
             continue
         nonlin, y_peaks = scaled_exp(to_values(coeffs, grid, spec, u), alpha, 0.0)
         np.multiply(half_adt, nonlin, out=nonlin)
-        to_values(np.multiply(psi_mult, x, out=spec), grid, spec, forcing)
-        wick, forcing_peaks = scaled_exp(forcing, alpha, params.shift)
+        wick, forcing_peaks = wick_exp(x, params, grid, spec, forcing)
         nonlin *= wick
         np.subtract(coeffs, to_coeffs(nonlin, grid, out=spec), out=coeffs)
         np.multiply(mult, coeffs, out=coeffs)
@@ -459,14 +459,12 @@ def _projected_flow(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, nois
     and yields it with its rows' Wick exponents, each step driven by the
     next increment stack of ``noise``, through the spectral and grid
     workspaces ``spec`` and ``values`` of the stack."""
-    psi_mult = config.params.multiplier(grid)
+    params = config.params
+    psi_mult = params.multiplier(grid)
     mult = heat_multiplier(grid, config.dt)
-    alpha = config.params.alpha
-    shift = config.params.shift
-    half_adt = 0.5 * alpha * config.dt
+    half_adt = 0.5 * params.alpha * config.dt
     for eta in noise:
-        proj = np.multiply(psi_mult, coeffs, out=spec)
-        _, peaks = scaled_exp(to_values(proj, grid, spec, values), alpha, shift)
+        _, peaks = wick_exp(coeffs, params, grid, spec, values)
         np.multiply(half_adt, values, out=values)
         drift = np.multiply(psi_mult, to_coeffs(values, grid, out=spec), out=spec)
         np.subtract(coeffs, drift, out=drift)

@@ -10,7 +10,7 @@ recorded on the side for quick reproducibility checks.
 ``save_fields`` is the one writer of the binary coefficient dump; it
 consumes fields or stacks of fields one item at a time, so a driver can
 stream its draws into it block by block.  ``load_fields`` reads it back
-in chunks into a single array, so neither side holds a payload twice.
+with one read into a single array, so neither side holds a payload twice.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import BLOCK_BYTES, SpectralField, make_grid
+from .spectral import SpectralField, make_grid
 
 __all__ = [
     "ExperimentReport",
@@ -151,9 +151,9 @@ def save_fields(path: str | Path, fields) -> Path:
 def load_fields(path: str | Path) -> list:
     """Read a dump written by ``save_fields`` into a list of fields.
 
-    The payload is read in chunks of BLOCK_BYTES straight into one
-    (count, M, M) array, hashed as it arrives, and the fields are
-    read-only views of its rows, so memory peaks at about one payload.
+    The payload is read with one ``readinto`` into one byte array and
+    hashed with one call, and the fields are read-only views of its rows
+    as (count, M, M) complex128, so memory peaks at about one payload.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -166,25 +166,14 @@ def load_fields(path: str | Path) -> list:
         if version != DUMP_VERSION:
             raise ValueError(f"unsupported dump version {version} (expected {DUMP_VERSION})")
         # a payload that disagrees with its header is still hashed first,
-        # through a scratch chunk, so a corrupt one reports its checksum
-        n_bytes = size - _HEADER.size - 32
-        fits = n_bytes == count * m * m * 16
-        if fits:
-            data = np.empty((count, m, m), dtype="<c16")
-            buf = data.reshape(-1).view(np.uint8)
-        else:
-            buf = np.empty(min(BLOCK_BYTES, n_bytes), dtype=np.uint8)
-        digest = hashlib.sha256()
-        for lo in range(0, n_bytes, BLOCK_BYTES):
-            n = min(BLOCK_BYTES, n_bytes - lo)
-            chunk = buf[lo : lo + n] if fits else buf[:n]
-            if fh.readinto(chunk) != n:
-                raise ValueError("truncated field dump")
-            digest.update(chunk)
-        if digest.digest() != fh.read(32):
+        # so a corrupt one reports its checksum
+        buf = np.empty(size - _HEADER.size - 32, dtype=np.uint8)
+        if fh.readinto(buf) != buf.size:
+            raise ValueError("truncated field dump")
+        if hashlib.sha256(buf).digest() != fh.read(32):
             raise ValueError("field dump failed its checksum")
-    if not fits:
+    if buf.size != count * m * m * 16:
         raise ValueError("field dump payload size does not match its header")
     grid = make_grid(m)
-    data = data.astype(np.complex128, copy=False)
+    data = buf.view("<c16").reshape(count, m, m).astype(np.complex128, copy=False)
     return [SpectralField(grid, row) for row in data]

@@ -53,8 +53,7 @@ its real and imaginary parts in the same workspace, so no complex
 difference is formed.
 
 ``blocks`` is the package's one block policy: stacks of fields are
-evaluated BLOCK_BYTES per complex (n, M, M) array at a time, and dumps
-are read back in chunks of the same size.
+evaluated BLOCK_BYTES per complex (n, M, M) array at a time.
 """
 
 from __future__ import annotations
@@ -174,10 +173,10 @@ class SpectralField:
     read-only.  Arithmetic helpers return new fields on the same grid.
 
     A stack of n fields on one grid is the same type with coeffs of shape
-    (n, M, M).  Sampling (``gff_sample``), ``values``, ``apply_PN`` and the
-    Wick exponential evaluate a stack in one call, row by row bit-for-bit
-    as one call per field; everything else takes one field at a time
-    (``unstack`` splits a stack into per-field views).
+    (n, M, M).  Sampling (``gff_sample``), ``values`` and the Wick
+    exponential (``wick.wick_exp``) evaluate a stack in one call, row by
+    row bit-for-bit as one call per field; everything else takes one
+    field at a time (``unstack`` splits a stack into per-field views).
     """
 
     grid: TorusGrid

@@ -12,10 +12,12 @@ its cutoff profile psi next to the level N and the C_N computed from
 them, so the projection P_N (``WickParams.multiplier``) and the shift
 alpha^2 C_N / 2 (``WickParams.shift``) cannot come from different
 cutoffs.  Every Wick-facing function takes the parameters alone; only
-the primitives C_N is computed from (``CutoffProfile``, ``apply_PN``,
+the primitives C_N is computed from (``CutoffProfile``,
 ``renorm_constant``, ``green_kernel_point``) take a profile and a level.
 All read the one symbol psi(2^{-N} k) that ``CutoffProfile.multiplier``
-caches per grid, kind and level (``TorusGrid.cached``).
+caches per grid, kind and level (``TorusGrid.cached``), and C_N is
+K_N(0), one mode sum.  ``wick_exp`` is the one Wick exponential: the
+guarded ``wick_exp_values`` and the flows' drift and forcing call it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid
+from .spectral import SpectralField, TorusGrid, to_values
 
 __all__ = [
     "WickOverflowError",
@@ -33,8 +35,8 @@ __all__ = [
     "WickParams",
     "make_wick_params",
     "hermite",
-    "apply_PN",
     "renorm_constant",
+    "wick_exp",
     "wick_exp_values",
     "scaled_exp",
     "analytic_wick_cov",
@@ -197,13 +199,9 @@ def hermite(n: int, x, sigma: float):
     return float(h) if x.ndim == 0 else h
 
 
-def apply_PN(field: SpectralField, psi: CutoffProfile, level: int) -> SpectralField:
-    """Spectral cutoff: coeff(k) <- psi(2^{-N} k) coeff(k), per field of a stack."""
-    return SpectralField(field.grid, psi.multiplier(field.grid, level) * field.coeffs)
-
-
 def renorm_constant(psi: CutoffProfile, level: int, grid: TorusGrid) -> float:
-    """C_N = (1/(4 pi^2)) sum_k psi(2^{-N} k)^2 / (1 + |k|^2) over grid modes.
+    """C_N = (1/(4 pi^2)) sum_k psi(2^{-N} k)^2 / (1 + |k|^2) over grid
+    modes: K_N(0), ``green_kernel_point``'s sum at the origin (cos 0 = 1).
 
     Diverges like (log 2 / (2 pi)) * N; the truncation tail outside the
     grid must stay below 1e-8 (always true for the built-in profiles at
@@ -212,8 +210,7 @@ def renorm_constant(psi: CutoffProfile, level: int, grid: TorusGrid) -> float:
     tail = psi.tail_bound(grid, level)
     if tail > 1e-8:
         raise ValueError(f"renormalization sum tail {tail:.2e} above tolerance 1e-8")
-    m = psi.multiplier(grid, level)
-    return float(np.sum(m * m / (1.0 + grid.ksq))) / (4.0 * math.pi**2)
+    return green_kernel_point(psi, level, grid, (0.0, 0.0))
 
 
 def scaled_exp(values: np.ndarray, alpha: float, shift) -> tuple[np.ndarray, np.ndarray]:
@@ -226,12 +223,25 @@ def scaled_exp(values: np.ndarray, alpha: float, shift) -> tuple[np.ndarray, np.
     return np.exp(np.minimum(expo, _EXP_CAP, out=expo), out=expo), peaks
 
 
+def wick_exp(
+    coeffs: np.ndarray,
+    params: WickParams,
+    grid: TorusGrid,
+    spec: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """exp(alpha P_N phi - shift) on the grid and each field's largest
+    exponent (``scaled_exp``), for bare coefficients (M, M) or (n, M, M):
+    P_N into ``spec``, inverse-transformed there, the values into ``out``
+    (each allocated if not given, same bits); the caller guards the peaks."""
+    proj = np.multiply(params.multiplier(grid), coeffs, out=spec)
+    return scaled_exp(to_values(proj, grid, proj, out), params.alpha, params.shift)
+
+
 def wick_exp_values(field: SpectralField, params: WickParams) -> np.ndarray:
-    """Physical-grid values of the Wick exponential (shared fast path); a
-    stack of fields gives the stack of their values, or WickOverflowError
-    with the exponent of the first field that passes the guard."""
-    vals = apply_PN(field, params.psi, params.level).values()
-    vals, peaks = scaled_exp(vals, params.alpha, params.shift)
+    """``wick_exp`` of a field or stack, guarded: its values, or
+    WickOverflowError with the exponent of the first field that passes."""
+    vals, peaks = wick_exp(field.coeffs, params, field.grid)
     over = np.flatnonzero(peaks > OVERFLOW_EXPONENT)
     if over.size:
         raise WickOverflowError(float(peaks[over[0]]))

@@ -27,7 +27,6 @@ from expsqlab import (
     SqeConfig,
     WeightedEnsemble,
     WickOverflowError,
-    apply_PN,
     cmd_invariance,
     cmd_norms_bench,
     cmd_sample_gff,
@@ -336,8 +335,10 @@ def test_ensemble_overflow_names_lowest_failing_proposal(grid32):
     base = stream.child("proposal")
     shift = 0.5 * params.alpha**2 * params.c_n
     rows = _block_rows(grid32)
+    psi_mult = params.multiplier(grid32)
     peaks = [
-        params.alpha * apply_PN(gff_sample(grid32, base.for_replica(i)), params.psi, params.level)
+        params.alpha
+        * SpectralField(grid32, psi_mult * gff_sample(grid32, base.for_replica(i)).coeffs)
         .values().max() - shift
         for i in range(rows)
     ]

@@ -28,6 +28,11 @@ bound ``OVERFLOW_EXPONENT`` is read, and ``WickOverflowError`` raised,
 only by the flows' guard (``dynamics._guarded``) and the Wick
 exponential's (``wick.wick_exp_values``), besides the error's message,
 which names the bound; the package raises no bare ``FloatingPointError``.
+``wick.scaled_exp`` is called exactly once in each of ``wick.wick_exp``
+(the one Wick exponential exp(alpha P_N phi - shift): P_N, the inverse
+transform, then ``scaled_exp``), ``dynamics._full_flow`` (its
+unprojected state) and ``dynamics._shifted_flow`` (its Y factor), and
+nowhere else, so every projected exponential goes through ``wick_exp``.
 No package code calls ``sobolev_norm`` or ``sobolev_norms`` on a
 subtraction or on a ``SpectralField(...)`` built in the call: a norm of
 a difference or of a block stack goes through ``sobolev_norms`` on bare
@@ -439,3 +444,42 @@ def test_every_norm_reduces_through_the_kernel():
         for line, owner in norms_of_temporaries(path.read_text())
     ]
     assert found == []
+
+
+# the one Wick exponential and the two flows' exponentials of grid values
+# that no cutoff projects call scaled_exp, once each
+SCALED_EXP_CALLERS = [
+    ("dynamics.py", "_full_flow"),
+    ("dynamics.py", "_shifted_flow"),
+    ("wick.py", "wick_exp"),
+]
+
+
+def _calls(name: str):
+    def match(node) -> bool:
+        return isinstance(node, ast.Call) and _name(node.func) == name
+
+    return match
+
+
+def scaled_exp_calls(source: str) -> list[tuple[int, str]]:
+    """(line, owner) of every call of ``scaled_exp``, bare or as an
+    attribute, in ``source``, as ``owned_matches`` gives it."""
+    return owned_matches(source, _calls("scaled_exp"))
+
+
+def test_scan_finds_a_stray_scaled_exp():
+    source = (
+        "def wick_exp(c):\n    return scaled_exp(to_values(c), 1.0, 0.0)\n"
+        "class Flow:\n    def step(self, v):\n"
+        "        scaled_exp(v, 1.0, 0.0)\n        return wick.scaled_exp(v, 2.0, 0.0)\n"
+        "def ok(v):\n    return wick_exp(v), scaled_exp\n"
+    )
+    assert scaled_exp_calls(source) == [(2, "wick_exp"), (5, "Flow.step"), (6, "Flow.step")]
+
+
+def test_one_wick_exponential():
+    found = sorted(
+        (path.name, owner) for path in PACKAGE for _, owner in scaled_exp_calls(path.read_text())
+    )
+    assert found == SCALED_EXP_CALLERS

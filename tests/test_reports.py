@@ -154,8 +154,8 @@ def test_field_dump_corruption(tmp_path, grid32, stream):
 
 
 def test_load_fields_peak_is_one_payload(tmp_path, grid32, stream):
-    # 64 fields, a 1 MiB payload spanning several read chunks: the read
-    # may hold the payload once plus a chunk, never a second copy of it
+    # 64 fields, a 1 MiB payload read with one call: the read may hold
+    # the payload once plus a block, never a second copy of it
     stack = gff_sample(grid32, [stream.for_replica(i) for i in range(64)])
     path = save_fields(tmp_path / "p.bin", [stack])
     payload = stack.coeffs.nbytes

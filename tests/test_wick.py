@@ -17,7 +17,6 @@ from expsqlab import (
     WickOverflowError,
     WickParams,
     analytic_wick_cov,
-    apply_PN,
     constant_field,
     gff_sample,
     green_kernel_point,
@@ -29,7 +28,7 @@ from expsqlab import (
     wick_exp_values,
 )
 from expsqlab.spectral import to_values
-from expsqlab.wick import scaled_exp
+from expsqlab.wick import scaled_exp, wick_exp
 
 # sharp-cutoff constants, frozen from the lattice sums they define:
 # level 0 keeps |k| <= 1, so 4 pi^2 C_0 = 1 + 4 * (1/2) = 3 exactly
@@ -280,7 +279,8 @@ def test_wick_params_carry_their_cutoff(smooth):
     assert params.shift == shift
     assert params.multiplier(grid) is smooth.multiplier(grid, 3)
     f = gff_sample(grid, RngStream(77, purpose="wick-fold"))
-    expected, _ = scaled_exp(apply_PN(f, smooth, 3).values(), params.alpha, shift)
+    projected = to_values(smooth.multiplier(grid, 3) * f.coeffs, grid)
+    expected, _ = scaled_exp(projected, params.alpha, shift)
     assert wick_exp_values(f, params).tobytes() == expected.tobytes()
     # the c10 control: zeroing C_N keeps the cutoff
     control = replace(params, c_n=0.0)
@@ -329,6 +329,13 @@ def test_green_kernel_point_is_the_meshgrid_sum(M, sharp, smooth):
             phase = kx * z[0] + ky * z[1]
             expected = float(np.sum(m * m * np.cos(phase) / (1.0 + grid.ksq))) / (4.0 * math.pi**2)
             assert green_kernel_point(psi, level, grid, z) == expected
+        # C_N is K_N(0) exactly at every admissible level, and the bits of
+        # its own cos-free sum
+        for n in range(level + 1):
+            m = psi.multiplier(grid, n)
+            c_n = renorm_constant(psi, n, grid)
+            assert c_n == green_kernel_point(psi, n, grid, (0, 0))
+            assert c_n == float(np.sum(m * m / (1.0 + grid.ksq))) / (4.0 * math.pi**2)
 
 
 def test_green_field_matches_point_sum(grid32, smooth):
@@ -359,11 +366,11 @@ def test_overflow_guard(grid32, sharp):
 
 def test_apply_pn_sharp_idempotent(grid32, sharp, stream):
     f = gff_sample(grid32, stream)
-    once = apply_PN(f, sharp, 2)
-    twice = apply_PN(once, sharp, 2)
-    assert np.array_equal(once.coeffs, twice.coeffs)
+    m = sharp.multiplier(grid32, 2)
+    once = m * f.coeffs
+    assert np.array_equal(once, m * once)
     # and it kills everything outside |k| <= 4
-    assert np.all(once.coeffs[(f.grid.ksq > 16.0)] == 0.0)
+    assert np.all(once[(f.grid.ksq > 16.0)] == 0.0)
 
 
 def test_wick_exp_values_of_ou_states_are_positive(grid32, sharp, stream):
@@ -375,3 +382,29 @@ def test_wick_exp_values_of_ou_states_are_positive(grid32, sharp, stream):
     assert values.shape == (5, 32, 32)
     assert values.min() > 0.0
 
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smooth"])
+def test_wick_exp_is_one_kernel_bit_for_bit(kind):
+    # into reused workspaces, allocating and guarded (wick_exp_values), on
+    # a stack and on each of its rows alone: the same values and peaks
+    grid = make_grid(32)
+    params = make_wick_params(1.2, 2, CutoffProfile(kind), grid)
+    stream = RngStream(2028, purpose="wick-kernel")
+    stack = gff_sample(grid, [stream.for_replica(i) for i in range(3)])
+    spec = np.full(stack.coeffs.shape, np.nan, dtype=np.complex128)
+    out = np.full(stack.coeffs.shape, np.nan)
+    for _ in range(2):
+        got, peaks = wick_exp(stack.coeffs, params, grid, spec, out)
+    assert got is out
+    alloc, alloc_peaks = wick_exp(stack.coeffs, params, grid)
+    assert np.array_equal(_bits(got), _bits(alloc))
+    assert np.array_equal(_bits(got), _bits(wick_exp_values(stack, params)))
+    assert np.array_equal(_bits(peaks), _bits(alloc_peaks))
+    for i, f in enumerate(stack.unstack()):
+        row, row_peaks = wick_exp(f.coeffs, params, grid)
+        assert np.array_equal(_bits(row), _bits(got[i]))
+        assert np.array_equal(_bits(row_peaks), _bits(peaks[i : i + 1]))
