@@ -23,10 +23,11 @@ preserves the comparison sign structure (the nonlinear update keeps the
 bracket <= state when alpha > 0, and the semigroup is positivity
 preserving up to spectral-truncation ringing far below the solution
 scale).  The noise increments eta_t = X_{t+dt} - exp((Lap-1) dt/2) X_t
-are recovered exactly from consecutive states of an OU process X on the
-same time grid, either a stored trajectory or the live OU chain of the
-noise stream, which is what makes common-noise coupling across cutoff
-levels and across dt refinements exact.
+are those of an OU process X on the same time grid: the live OU chain of
+the noise stream yields each with its state, and the increments of a
+stored trajectory are recovered exactly from its consecutive states,
+which is what makes common-noise coupling across cutoff levels and
+across dt refinements exact.
 
 Every solver returns a randomfields.FieldPath of its states on the time
 grid 0, dt, ..., T, and the shifted equation reads its OU trajectory X
@@ -48,15 +49,16 @@ once per call and overwrites them every step, through the ``out``
 arguments of the transform pair and of wick.wick_exp and in place by
 wick.scaled_exp, with the allocating expressions' ufuncs on the same
 operands, so every bit is theirs; every cutoff multiplier is the grid's
-cached one (``WickParams.multiplier``).  The live OU chain (``randomfields.ou_chain``)
-steps in one state buffer and draws its noise in the flow's own
-workspaces while the next increment is pulled; every increment is
-written over one workspace, and the chain drops the initial datum at
-its first decay, before it computes its noise scale.  The chain, the
-increments and the step loop step by ``config.dt`` and share its one
-heat multiplier.  The full flow steps its levels one at a time through
-workspaces of one field; the projected flow steps its replicas (small
-blocks at M = 32, where per-call overhead dominates) as one stack.
+cached one (``WickParams.multiplier``).  The live OU chain
+(``randomfields.ou_chain``) steps in one state buffer, forms each
+decayed state once and writes the increment over it, and draws its
+noise in the flow's own workspaces while the next increment is pulled;
+a stored trajectory's increments are written over one workspace of
+``_ou_increments``.  The chain, the increments and the step loop step
+by ``config.dt`` and share its one heat multiplier.  The full flow
+steps its levels one at a time through workspaces of one field; the
+projected flow steps its replicas (small blocks at M = 32, where
+per-call overhead dominates) as one stack.
 
 Three flows, one contract: ``evolve_levels``, ``evolve_projected`` and
 ``evolve_shifted`` check their arguments on the call and return a
@@ -253,11 +255,12 @@ def solve_shifted(upsilon: SpectralField, x_traj: FieldPath, config: SqeConfig) 
 def _ou_increments(grid: TorusGrid, initial: np.ndarray, states, dt: float):
     """Exact OU increments next - exp((Lap-1) dt/2) * prev, one per step,
     over the coefficient array ``initial`` and the arrays of ``states``
-    after it (a stored trajectory or the live OU chain).  The decayed
-    state is formed in one workspace before the next state is pulled, and
-    every increment is written over it: every yielded increment is that
-    buffer, valid until the next is pulled, and neither ``initial`` nor
-    any previous state is held."""
+    after it: the increments of a stored trajectory, as ``ou_chain``
+    yields those of the live chain.  The decayed state is formed in one
+    workspace before the next state is pulled, and every increment is
+    written over it: every yielded increment is that buffer, valid until
+    the next is pulled, and neither ``initial`` nor any previous state is
+    held."""
     decay = heat_multiplier(grid, dt)
     work = np.multiply(decay, initial)
     del initial
@@ -267,14 +270,14 @@ def _ou_increments(grid: TorusGrid, initial: np.ndarray, states, dt: float):
 
 
 def _noise_stacks(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, streams, values, spec):
-    """Noise increment stacks from ``coeffs``, row i from the OU chain of
-    streams[i].child("ou"), which draws in the flow's grid and spectral
-    workspaces ``values`` and ``spec`` (the shape of ``coeffs``): it
-    writes them only while the next increment is pulled, and the
-    increment itself is held in ``_ou_increments``' own buffer."""
+    """Noise increment stacks from ``coeffs``: the increments of the OU
+    chain with row i drawn from streams[i].child("ou"), which draws in the
+    flow's grid and spectral workspaces ``values`` and ``spec`` (the shape
+    of ``coeffs``) while the next increment is pulled.  Every increment
+    is the chain's one increment buffer."""
     generators = [s.child("ou").generator() for s in streams]
-    x_chain = ou_chain(grid, coeffs, config.dt, config.n_steps(), generators, values, spec)
-    return _ou_increments(grid, coeffs, x_chain, config.dt)
+    chain = ou_chain(grid, coeffs, config.dt, config.n_steps(), generators, values, spec)
+    return (eta for _, eta in chain)
 
 
 def _guarded(initial: np.ndarray, steps):

@@ -18,7 +18,9 @@ has exactly this law with v = 1, including the self-conjugate Nyquist
 modes.  ``white_noise_fft`` draws that noise and transforms it through
 ``spectral.scaled_fft``, the package's one forward FFT, at each
 sampler's per-mode standard deviation sqrt(v)/M, which carries the
-noise's 1/M, so a draw is scaled in the transform's one multiply.  M is
+noise's 1/M, so a draw is scaled in the transform's one multiply.  Both
+standard deviations, the free field's and the OU transition's of each
+dt, are built by ``_noise_sd`` and cached read-only on the grid.  M is
 a power of two (``TorusGrid``), so x/M is exact and fft2(white) *
 (sqrt(v)/M) is (fft2(white)/M) * sqrt(v) to the bit, signed zeros of the
 self-conjugate modes included.
@@ -31,9 +33,12 @@ given, so a caller that holds the two workspaces
 (``experiments.cmd_sample_gff``, ``ou_chain``) allocates no noise or
 transform array per draw.  ``ou_chain`` takes
 the same two workspaces, so the flows of ``dynamics`` lend it their step
-workspaces, and writes every state into one state buffer, so it
-allocates nothing per step and yields that buffer each time, as the
-flows do; ``ou_path`` copies the states it keeps.
+workspaces.  It is the one place that runs the OU transition: each step
+forms the decayed state once, adds the noise into one state buffer and
+writes the exact increment over the decayed state, so it allocates
+nothing per step and yields those two buffers each time, as the flows
+yield theirs.  The flows take its increments; ``ou_path`` copies the
+states it keeps.
 
 Parameters named ``stream`` are :class:`~expsqlab.rng.RngStream` values;
 every sampler is a pure function of (inputs, stream).  The samplers work
@@ -117,6 +122,14 @@ def gff_mode_variance(grid: TorusGrid) -> np.ndarray:
     return 1.0 / (1.0 + grid.ksq)
 
 
+def _noise_sd(grid: TorusGrid, key, variance) -> np.ndarray:
+    """The per-mode standard deviation sqrt(v)/M of the mode variance v
+    that ``variance()`` builds, with the white noise's 1/M in it: the
+    grid's cached array under ``key`` (``TorusGrid.cached``), built once."""
+    M = grid.modes_per_dim
+    return grid.cached(key, lambda: np.divide(sd := np.sqrt(variance()), M, out=sd))
+
+
 def gff_sample(grid: TorusGrid, stream, white=None, out=None) -> SpectralField:
     """One draw from the massive free field: independent mode coefficients
     with E|coeff(k)|^2 = (1+|k|^2)^{-1}, coeff(0) real with variance 1.
@@ -129,10 +142,7 @@ def gff_sample(grid: TorusGrid, stream, white=None, out=None) -> SpectralField:
     the noise's 1/M, is computed once per grid (``TorusGrid.cached``).
     """
     streams = [stream] if isinstance(stream, RngStream) else stream
-    M = grid.modes_per_dim
-    sd = grid.cached(
-        "gff_sd", lambda: np.divide(sd := np.sqrt(gff_mode_variance(grid)), M, out=sd)
-    )
+    sd = _noise_sd(grid, "gff_sd", lambda: gff_mode_variance(grid))
     coeffs = white_noise_fft(grid, [s.generator() for s in streams], sd, white, out)
     # a view: the field freezes it, not the caller's workspace
     return SpectralField(grid, coeffs[0] if isinstance(stream, RngStream) else coeffs[:])
@@ -149,34 +159,34 @@ def ou_noise_variance(grid: TorusGrid, dt: float) -> np.ndarray:
 
 
 def ou_chain(grid: TorusGrid, coeffs: np.ndarray, dt, n_steps, generators, white=None, noise=None):
-    """The exact OU chain: yields the coefficient stack after each of
-    ``n_steps`` steps of ``dt`` from the stack ``coeffs`` (n, M, M).  Row
+    """The exact OU chain: yields (state, increment) after each of
+    ``n_steps`` steps of ``dt`` from the stack ``coeffs`` (n, M, M), the
+    increment being the step's noise, state - decay * previous state.  Row
     i draws its noise from ``generators[i]``, one step at a time, so a
     row is bit-for-bit the chain of that generator alone.  The decay is
-    the grid's one heat multiplier of ``dt``.  Every state is written
-    into one state buffer, allocated once: every yielded stack is that
-    buffer, valid until the next stack is pulled.  The noise is
-    ``white_noise_fft`` at the scale sqrt(ou_noise_variance)/M, which
-    carries the white noise's 1/M.  The first step writes the decayed
-    datum there before it computes that scale, once, dividing in place,
-    so ``coeffs`` is not held beside the scale's temporaries nor past the
-    first step.  ``white`` (real) and ``noise`` (complex) are the
-    workspaces of ``white_noise_fft``, allocated once when not given;
-    the chain writes them only while the next stack is pulled, so a
-    caller may use them between pulls."""
-    state = np.empty(coeffs.shape, dtype=np.complex128)
-    if white is None:
-        white = np.empty(coeffs.shape)
-    if noise is None:
-        noise = np.empty(coeffs.shape, dtype=np.complex128)
+    the grid's one heat multiplier of ``dt``; the noise is
+    ``white_noise_fft`` at the grid's cached scale sqrt(ou_noise_variance)/M,
+    which carries the white noise's 1/M.  Each step forms the decayed
+    state once, in one buffer, and writes the increment over it; every
+    state is written into one state buffer.  So every yielded pair is
+    the same two buffers, valid until the next pair is pulled, and
+    ``coeffs`` is dropped once it is decayed.  ``white`` (real) and
+    ``noise`` (complex) are the workspaces of ``white_noise_fft``,
+    allocated once when not given; the chain writes them only while the
+    next pair is pulled, so a caller may use them between pulls."""
     decay = heat_multiplier(grid, dt)
-    for step in range(n_steps):
-        coeffs = np.multiply(decay, coeffs, out=state)
-        if step == 0:
-            noise_sd = np.sqrt(ou_noise_variance(grid, dt))
-            noise_sd /= grid.modes_per_dim
-        np.add(state, white_noise_fft(grid, generators, noise_sd, white, noise), out=state)
-        yield state
+    decayed = np.multiply(decay, coeffs)
+    del coeffs
+    if white is None:
+        white = np.empty(decayed.shape)
+    if noise is None:
+        noise = np.empty(decayed.shape, dtype=np.complex128)
+    sd = _noise_sd(grid, ("ou_sd", dt), lambda: ou_noise_variance(grid, dt))
+    state = None
+    for _ in range(n_steps):
+        state = np.add(decayed, white_noise_fft(grid, generators, sd, white, noise), out=state)
+        yield state, np.subtract(state, decayed, out=decayed)
+        np.multiply(decay, state, out=decayed)
 
 
 def ou_path(init: SpectralField, dt: float, n_steps: int, stream: RngStream) -> FieldPath:
@@ -184,11 +194,11 @@ def ou_path(init: SpectralField, dt: float, n_steps: int, stream: RngStream) -> 
 
     The noise is drawn sequentially from one generator, so the same
     (stream, dt, n_steps) always yields the identical trajectory.  Each
-    state is a copy of the ``ou_chain`` buffer.
+    state is a copy of the ``ou_chain`` state buffer.
     """
     if not (np.isfinite(dt) and dt > 0 and n_steps >= 0):
         raise ValueError(f"need dt > 0 finite and n_steps >= 0, got {dt}, {n_steps}")
     grid = init.grid
     chain = ou_chain(grid, init.coeffs[None], dt, n_steps, [stream.generator()])
-    states = [init] + [SpectralField(grid, coeffs[0].copy()) for coeffs in chain]
+    states = [init] + [SpectralField(grid, state[0].copy()) for state, _ in chain]
     return FieldPath(dt, states)

@@ -1,14 +1,8 @@
-import os
+import pytest
 
-# One BLAS thread, set before anything imports numpy: OpenBLAS threads
-# gain no wall time on the per-row np.dot of sobolev_norms and cost 40%
-# to 2x more CPU.  A thread count already in the environment wins.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-import pytest  # noqa: E402
-
-from expsqlab import CutoffProfile, RngStream, make_grid  # noqa: E402
+# the package pins one BLAS thread when it loads; conftest loads before
+# any test module imports numpy, so the pin holds for the whole suite
+from expsqlab import CutoffProfile, RngStream, make_grid
 
 
 @pytest.fixture(scope="session")

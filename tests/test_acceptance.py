@@ -303,7 +303,7 @@ def test_criterion_08_splitting_order():
         x_fine = []
         x_chain = ou_chain(grid, phi0.coeffs[None], fine_cfg.dt, fine_cfg.n_steps(),
                            [sub.child("ou").generator()])
-        x_states = _keeping(chain([phi0.coeffs], (x[0] for x in x_chain)), thin, x_fine)
+        x_states = _keeping(chain([phi0.coeffs], (x[0] for x, _ in x_chain)), thin, x_fine)
         flow = evolve_shifted(zero_field(grid), x_states, fine_cfg)
         y_fine = [y.copy() for j, y in enumerate(flow) if j % thin == 0]
         fine = FieldPath(fine_cfg.dt * thin, [SpectralField(grid, x) for x in x_fine])

@@ -635,14 +635,15 @@ def test_level_flow_holds_one_state_stack():
     # here and a real one a sixth.  The flow holds its one state buffer
     # (1 stack), the spectral and grid workspaces of the one level it
     # steps (half a stack), which also take the OU chain's noise draw,
-    # and the noise of one field: the chain's state, its noise scale and
-    # the increment buffer (5/6 of a stack).  The heat multiplier and the
-    # levels' cutoff masks are the grid's cached arrays, warmed outside
-    # the measurement.  That is 2.3 stacks live at a yield, and the
-    # norms' two rows or numpy's real -> complex cast buffers add a
-    # third: 2.7 at the peak.  Noise workspaces of the chain's own or a
-    # heat multiplier per user each add half a stack, and stack-sized
-    # step workspaces or a second live state a whole stack.
+    # and the noise of one field: the chain's state and its decayed state,
+    # which it overwrites with the increment (2/3 of a stack).  The heat
+    # multiplier, the OU noise scale and the levels' cutoff masks are the
+    # grid's cached arrays, warmed outside the measurement.  That is 2.2
+    # stacks live at a yield, and the norms' two rows or numpy's real ->
+    # complex cast buffers add a third: 2.54 at the peak.  Noise
+    # workspaces of the chain's own or a heat multiplier per user each
+    # add half a stack, and stack-sized step workspaces or a second live
+    # state a whole stack.
     grid = make_grid(64)
     configs = _level_configs(grid, "sharp", (1, 2, 3), horizon=4 / 64)
     stream = RngStream(626, purpose="flow-memory")
@@ -671,13 +672,13 @@ def test_level_flow_holds_one_state_stack():
 def test_sqe_memory_is_the_flow_and_the_grid_caches():
     # cmd_sqe at M = 64 with three levels, in stacks of three complex
     # fields as above.  Unlike the flow test, the run draws its initial
-    # datum, builds the grid's cached arrays (free-field scale, heat
-    # multiplier, two Sobolev weights: 2/3 of a stack; the three levels'
-    # boolean cutoff masks: 1/16) and takes the level gaps: 3.8 stacks at
-    # the peak.  Each of these adds at least a sixth of a stack: the OU
-    # chain computing its noise scale before it drops the datum, an
-    # uncached heat multiplier, noise workspaces of the chain's own and a
-    # complex gap difference; float cutoff multipliers add half a stack.
+    # datum, builds the grid's cached arrays (free-field and OU noise
+    # scales, heat multiplier, two Sobolev weights: 5/6 of a stack; the
+    # three levels' boolean cutoff masks: 1/16) and takes the level gaps:
+    # 3.64 stacks at the peak.  The OU chain allocates its state buffer
+    # after it drops the datum; allocated before the decay it reads 3.97.
+    # Increments formed apart from the chain, in a second decayed state,
+    # read 3.81; float cutoff multipliers add half a stack.
     cfg = ExperimentConfig(modes=64, level=3, seed=627, replicas=2, horizon=4 / 64, dt=1 / 64)
     stack_bytes = 3 * 64 * 64 * 16
     assert cmd_sqe(cfg).exit_code == 0  # warm imports and FFT plans
@@ -699,6 +700,31 @@ def test_sqe_builds_each_cutoff_symbol_once(monkeypatch):
     cfg = ExperimentConfig(modes=32, level=2, seed=636, replicas=2, horizon=4 / 64, dt=1 / 64)
     assert cmd_sqe(cfg).exit_code == 0
     assert len(built) == 2
+
+
+@pytest.mark.parametrize(
+    "cmd, fields",
+    [
+        (cmd_sqe, dict(modes=32, level=2, seed=636, replicas=2, horizon=4 / 64, dt=1 / 64)),
+        (cmd_invariance, dict(INVARIANCE_FIELDS, replicas=40)),
+    ],
+    ids=["sqe", "invariance"],
+)
+def test_each_ou_noise_scale_is_built_once(monkeypatch, cmd, fields):
+    # every OU chain reads its noise scale from the grid's cache: a run
+    # builds sqrt(v)/M once on its one grid and dt, however many replicas
+    # it steps (two for sqe) and in however many blocks (three of 16
+    # replicas for invariance)
+    built = []
+    variance = randomfields.ou_noise_variance
+
+    def counted(grid, dt):
+        built.append(dt)
+        return variance(grid, dt)
+
+    monkeypatch.setattr(randomfields, "ou_noise_variance", counted)
+    assert cmd(ExperimentConfig(**fields)).exit_code == 0
+    assert built == [fields["dt"]]
 
 
 def test_shifted_solve_holds_its_states_and_a_few_fields():

@@ -11,6 +11,7 @@ from expsqlab import (
     ContractionReport,
     CutoffProfile,
     FieldPath,
+    SpectralField,
     SqeConfig,
     WickOverflowError,
     constant_field,
@@ -131,7 +132,7 @@ def test_non_dyadic_step_is_one_step(stream):
     phi0 = gff_sample(grid, stream.child("init"))
     live = ou_chain(grid, phi0.coeffs[None], config.dt, n, [stream.child("ou").generator()])
     stored = ou_path(phi0, config.dt, n, stream.child("ou"))
-    assert [s[0].tobytes() for s in live] == [s.coeffs.tobytes() for s in stored.states[1:]]
+    assert [s[0].tobytes() for s, _ in live] == [s.coeffs.tobytes() for s in stored.states[1:]]
     a = solve_sqe_full(phi0, config, stream)
     b = solve_sqe_full(phi0, config, stream, x_traj=stored)
     assert [s.coeffs.tobytes() for s in a.states] == [s.coeffs.tobytes() for s in b.states]
@@ -298,6 +299,11 @@ def test_forcing_times_enforced(grid32):
         assert yielded == 5
         assert next(x_states, None) is None
 
+    # and on the solver's own grid
+    elsewhere = FieldPath(config.dt, [zero_field(make_grid(16))] * 5)
+    with pytest.raises(ValueError, match="different grid"):
+        solve_shifted(zero_field(grid32), elsewhere, config)
+
 
 def test_rough_initial_datum_rejected(stream):
     grid = make_grid(64)
@@ -309,6 +315,10 @@ def test_rough_initial_datum_rejected(stream):
     # the flow checks its datum on the call, before any state is pulled
     with pytest.raises(ValueError, match="rough"):
         evolve_shifted(rough, iter(()), config)
+    lost = zero_field(grid).copy_coeffs()
+    lost[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        evolve_shifted(SpectralField(grid, lost), iter(()), config)
     smooth = heat_semigroup(rough, 0.1)
     path = solve_shifted(smooth, zeros, config)
     assert np.all(np.isfinite(path.final().coeffs))
@@ -385,7 +395,7 @@ def test_flows_yield_fresh_states(grid32, stream):
                             [stream.child("ou").generator()])
     for x_states in (
         (s.coeffs for s in x_traj.states),
-        chain([phi0.coeffs], (s[0] for s in chain_states)),
+        chain([phi0.coeffs], (s[0] for s, _ in chain_states)),
     ):
         yielded = []
         for j, s in enumerate(evolve_shifted(y0, x_states, config)):

@@ -11,6 +11,7 @@ import pytest
 
 import expsqlab
 from expsqlab import (
+    ConfigError,
     ExperimentConfig,
     cmd_invariance,
     cmd_norms_bench,
@@ -202,6 +203,16 @@ def test_cli_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
     rc = main(["sqe", "--config", str(tmp_path / "nope.cfg"), "--out-dir", str(tmp_path)])
     assert rc == 3
+    # sqe steps the cutoff levels 1..N, so it refuses N = 0 before any run
+    with pytest.raises(ConfigError, match="sqe needs wick.N >= 1"):
+        cmd_sqe(ExperimentConfig(**{**TINY, "level": 0}))
+    rc = main([
+        "sqe", "--out-dir", str(tmp_path / "n0"),
+        "--config", _write_cfg(tmp_path, "grid.M = 16\nwick.N = 0\n"),
+    ])
+    assert rc == 3
+    assert "sqe needs wick.N >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "n0" / "report.json").exists()
 
 
 def test_cli_undecodable_config_is_a_config_error(tmp_path, capsys):

@@ -162,6 +162,8 @@ def test_resample_refuses_degenerate(grid32):
     assert np.array_equal(ancestors, _resample_ancestors(tilted, 100, base))
     report = invariance_test(tilted, config, obs, base, replicas=100)
     assert report.clusters == len(np.unique(ancestors)) < 100
+    with pytest.raises(ValueError, match="count must be positive"):
+        invariance_test(tilted, config, obs, base, replicas=0)
 
 
 def test_out_of_range_tilts_are_degenerate(grid8):

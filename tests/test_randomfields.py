@@ -167,7 +167,7 @@ def test_ou_chain_and_increments_step_in_one_buffer(grid8, rows):
     base = RngStream(46, purpose="ou-buffer")
     init = gff_sample(grid8, [base.for_replica(i).child("init") for i in range(rows)]).coeffs
     reference = list(_allocating_ou_chain(grid8, init, dt, n_steps, _generators(base, rows)))
-    states = _one_buffer(ou_chain(grid8, init, dt, n_steps, _generators(base, rows)))
+    states = _one_buffer(s for s, _ in ou_chain(grid8, init, dt, n_steps, _generators(base, rows)))
     assert [s.tobytes() for s in states] == [s.tobytes() for s in reference]
     # in lent workspaces, which the chain writes only while a stack is
     # pulled: the caller may overwrite them between pulls
@@ -176,19 +176,20 @@ def test_ou_chain_and_increments_step_in_one_buffer(grid8, rows):
     next(lent)
     assert np.isfinite(white).all() and np.isfinite(noise).all()
     lent = ou_chain(grid8, init, dt, n_steps, _generators(base, rows), white, noise)
-    states = _one_buffer(_scribbled(lent, white, noise))
+    states = _one_buffer(s for s, _ in _scribbled(lent, white, noise))
     assert [s.tobytes() for s in states] == [s.tobytes() for s in reference]
     if rows == 1:
         path = ou_path(SpectralField(grid8, init[0]), dt, n_steps, base.for_replica(0))
         assert [s.coeffs.tobytes() for s in path.states[1:]] == [s[0].tobytes() for s in reference]
-    # increments: of the stored trajectory, then of the live chain, each
-    # the allocating next - decay * prev
+    # increments: those the live chain yields beside its states are
+    # _ou_increments over the chain's own states, and both are the
+    # allocating next - decay * prev of the stored trajectory
     stored = [init] + reference
     expected = [nxt - heat_multiplier(grid8, dt) * prev for prev, nxt in zip(stored, stored[1:])]
-    live = ou_chain(grid8, init, dt, n_steps, _generators(base, rows))
-    for states in (iter(stored[1:]), live):
-        etas = _one_buffer(_ou_increments(grid8, init, states, dt))
-        assert [e.tobytes() for e in etas] == [e.tobytes() for e in expected]
+    live = _one_buffer(e for _, e in ou_chain(grid8, init, dt, n_steps, _generators(base, rows)))
+    recovered = _one_buffer(_ou_increments(grid8, init, iter(states), dt))
+    assert _same_bits(np.stack(live), np.stack(recovered))
+    assert _same_bits(np.stack(live), np.stack(expected))
 
 
 def test_wiener_increment_variance(grid8):
@@ -251,7 +252,7 @@ def test_white_noise_scaling_is_the_complex_division(M, n):
         expected = (_raw_noise_fft(grid, [sub.generator()]) / M)[0] * gff_sd
         assert _same_bits(draw, expected)
         assert not draw[[0, 0, half, half], [0, half, 0, half]].imag.any()
-        step = next(ou_chain(grid, draw[None], dt, 1, [sub.child("ou").generator()]))
+        step, _ = next(ou_chain(grid, draw[None], dt, 1, [sub.child("ou").generator()]))
         noise = (_raw_noise_fft(grid, [sub.child("ou").generator()]) / M) * ou_sd
         expected = heat_multiplier(grid, dt) * draw + noise[0]
         assert _same_bits(step[0], expected)

@@ -22,7 +22,7 @@ from expsqlab import (
     to_spectral,
     zero_field,
 )
-from expsqlab.spectral import heat_multiplier, sobolev_norms, to_coeffs, to_values
+from expsqlab.spectral import TorusGrid, heat_multiplier, sobolev_norms, to_coeffs, to_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,6 +34,8 @@ def test_grid_validation():
         make_grid(4)
     with pytest.raises(ValueError):
         make_grid(12)
+    with pytest.raises(TypeError):
+        TorusGrid(8.0)
     g = make_grid(8)
     assert g.npoints == 64
     assert g.spacing == pytest.approx(TWO_PI / 8)
@@ -112,6 +114,11 @@ def test_to_spectral_rejects_nonfinite(grid32):
     u[3, 4] = np.nan
     with pytest.raises(ValueError):
         to_spectral(u, grid32)
+
+
+def test_to_spectral_rejects_another_grids_shape(grid8):
+    with pytest.raises(ValueError, match=r"expected shape \(8, 8\), got \(8, 16\)"):
+        to_spectral(np.zeros((8, 16)), grid8)
 
 
 def test_hermitian_defect(grid32, stream):

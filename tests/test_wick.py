@@ -239,6 +239,10 @@ def test_tail_bound(grid32, sharp, smooth):
     assert sharp.tail_bound(grid32, 2) == 0.0
     t = smooth.tail_bound(grid32, 2)
     assert 0.0 < t < 1e-8
+    # a smooth cutoff at a level the grid cannot hold leaves a larger
+    # tail, and C_N refuses it
+    with pytest.raises(ValueError, match="tail"):
+        renorm_constant(smooth, 4, make_grid(16))
 
 
 def test_make_wick_params_beta_default(grid32, sharp):
