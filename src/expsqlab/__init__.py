@@ -59,12 +59,10 @@ from .rng import RngStream
 from .spectral import (
     SpectralField,
     TorusGrid,
-    constant_field,
     field_from_coeffs,
     grid_quadrature,
     heat_semigroup,
     hermitian_defect,
-    make_grid,
     sobolev_norm,
     to_spectral,
     zero_field,
@@ -113,7 +111,6 @@ __all__ = [
     "cmd_sample_gff",
     "cmd_sqe",
     "cmd_wick_converge",
-    "constant_field",
     "contraction_check",
     "decompose",
     "estimate_partition",
@@ -131,7 +128,6 @@ __all__ = [
     "invariance_test",
     "load_config",
     "load_fields",
-    "make_grid",
     "make_wick_params",
     "mode0_tilt_mean",
     "ou_noise_variance",

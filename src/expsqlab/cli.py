@@ -18,23 +18,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .experiments import (
-    EXIT_CONFIG,
-    STATUS,
-    cmd_invariance,
-    cmd_norms_bench,
-    cmd_sample_gff,
-    cmd_sqe,
-    cmd_wick_converge,
-)
-
-_COMMANDS = {
-    "sample-gff": cmd_sample_gff,
-    "wick-converge": cmd_wick_converge,
-    "sqe": cmd_sqe,
-    "invariance": cmd_invariance,
-    "norms-bench": cmd_norms_bench,
-}
+from .experiments import COMMANDS, EXIT_CONFIG, STATUS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectral laboratory for the exponential-interaction stochastic dynamics on the 2-torus.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
+    for name, fn in COMMANDS.items():
         p = sub.add_parser(name, help=(fn.__doc__ or "").strip().splitlines()[0])
         p.add_argument("--config", type=Path, default=None, help="key = value config file")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
@@ -70,7 +54,7 @@ def main(argv: list | None = None) -> int:
     out_dir = args.out_dir if args.out_dir is not None else Path("runs") / args.command
     try:
         cfg = load_config(args.config, overrides)
-        report = _COMMANDS[args.command](cfg, out_dir=out_dir, threads=args.threads)
+        report = COMMANDS[args.command](cfg, out_dir=out_dir, threads=args.threads)
     except ConfigError as e:
         print(f"expsqlab {args.command}: configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import SqeConfig
-from .spectral import TorusGrid, make_grid
+from .spectral import TorusGrid
 from .wick import CutoffProfile, WickParams, make_wick_params
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config"]
@@ -64,7 +64,7 @@ class ExperimentConfig:
 
     def build_grid(self) -> TorusGrid:
         try:
-            return make_grid(self.modes)
+            return TorusGrid(self.modes)
         except ValueError as e:
             raise ConfigError(str(e)) from e
 

@@ -1,14 +1,18 @@
 """Experiment drivers behind the command-line subcommands.
 
 Each cmd_* is the body of one command: it computes its result and
-returns ``(body, exit_code)``.  The decorator ``_driver(command)`` turns
-that into the public ``cmd_*(cfg, out_dir=None, threads=1)``, which
-returns an ExperimentReport.  It starts the wall clock, maps a numeric
-failure to its body (``WickOverflowError`` to ``{"overflow_exponent": x}``,
-``DegenerateEnsembleError`` to ``{"error": msg}``, both exit 4), builds
-the one report, records ``timing["wall_s"]`` and writes ``report.json``
-into ``out_dir`` when one is given.  A ConfigError, ``threads < 1``
-included, propagates: no report is built or written.  Exit codes:
+returns ``(body, exit_code, counts)``, the counts (``_counts``) worked
+out from the run's shape.  The decorator ``_driver(command)`` turns that
+into the public ``cmd_*(cfg, out_dir=None, threads=1)``, which returns
+an ExperimentReport, and records it in ``COMMANDS`` under the command's
+name, the table the command line is built from.  It starts the wall
+clock, maps a numeric failure to its body (``WickOverflowError`` to
+``{"overflow_exponent": x}``, ``DegenerateEnsembleError`` to
+``{"error": msg}``, both exit 4), builds the one report, records
+``timing["wall_s"]`` and ``timing["counts"]`` (none after a numeric
+failure) and writes ``report.json`` into ``out_dir`` when one is given.
+A ConfigError, ``threads < 1`` included, propagates: no report is built
+or written.  Exit codes:
 
     0  ran and passed its built-in checks (or is purely informational)
     2  ran but a convergence / invariance check failed
@@ -54,7 +58,7 @@ from .randomfields import gff_sample
 from .reports import ExperimentReport, save_fields, write_csv, write_report
 from .rng import RngStream
 from .besov import besov_norm
-from .spectral import blocks, sobolev_norm, sobolev_norms, to_coeffs
+from .spectral import blocks, sobolev_norms, to_coeffs
 from .wick import WickOverflowError, wick_exp_values
 
 __all__ = [
@@ -71,6 +75,8 @@ EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 # the word the command line prints for a report's exit code
 STATUS = {EXIT_OK: "ok", EXIT_CHECK_FAILED: "CHECK FAILED", EXIT_NUMERIC: "NUMERIC GUARD"}
+# every cmd_* under its command's name, in the order they are defined
+COMMANDS = {}
 
 
 def _map_replicas(fn, n: int, threads: int):
@@ -82,10 +88,27 @@ def _map_replicas(fn, n: int, threads: int):
         yield from ex.map(fn, range(n))
 
 
+def _counts(grid, fft_calls, transforms, generators, draws, steps=0, field_steps=0) -> dict:
+    """The work of a run, ``report.timing["counts"]``, worked out from the
+    run's shape rather than counted: calls into numpy's FFT pair
+    (``fft_calls``) and the (M, M) fields they transform
+    (``transforms``), RngStream generators built, the white-noise normals
+    of ``draws`` grid draws of M^2 each, the OU chain stacks pulled
+    (``steps``) and their rows (``field_steps``)."""
+    return {
+        "steps": steps,
+        "field_steps": field_steps,
+        "transforms": transforms,
+        "fft_calls": fft_calls,
+        "normals": draws * grid.npoints,
+        "generators": generators,
+    }
+
+
 def _driver(command: str):
-    """Make a driver body ``(cfg, out_dir, threads) -> (body, exit_code)``
-    into the command's ``cmd_*``, which returns its ExperimentReport (see
-    the module docstring)."""
+    """Make a driver body ``(cfg, out_dir, threads) -> (body, exit_code, counts)``
+    into the command's ``cmd_*``, which returns its ExperimentReport, and
+    record that in ``COMMANDS`` (see the module docstring)."""
 
     def decorate(run):
         @functools.wraps(run)
@@ -93,18 +116,21 @@ def _driver(command: str):
             if threads < 1:
                 raise ConfigError(f"threads must be at least 1, got {threads}")
             started = time.perf_counter()
+            timing = {}
             try:
-                body, exit_code = run(cfg, out_dir, threads)
+                # a numeric failure leaves no counts
+                body, exit_code, timing["counts"] = run(cfg, out_dir, threads)
             except WickOverflowError as e:
                 body, exit_code = {"overflow_exponent": e.max_exponent}, EXIT_NUMERIC
             except DegenerateEnsembleError as e:
                 body, exit_code = {"error": str(e)}, EXIT_NUMERIC
-            report = ExperimentReport(command, cfg.as_dict(), body, exit_code=exit_code)
+            report = ExperimentReport(command, cfg.as_dict(), body, timing, exit_code)
             report.timing["wall_s"] = time.perf_counter() - started
             if out_dir is not None:
                 write_report(report, out_dir)
             return report
 
+        COMMANDS[command] = cmd
         return cmd
 
     return decorate
@@ -151,6 +177,8 @@ def cmd_sample_gff(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     z = (sq_norms.mean() - theory) / se if se > 0 else 0.0
 
     ok = bool(abs(z) <= 4.0)
+    # one forward FFT of each block's draws
+    counts = _counts(grid, len(ranges), cfg.samples, cfg.samples, cfg.samples)
     return {
         "samples": cfg.samples,
         "modes_per_dim": grid.modes_per_dim,
@@ -161,7 +189,7 @@ def cmd_sample_gff(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
         "mode0_mean": float(mode0.mean()),
         "mode0_var": float(mode0.var(ddof=1)) if len(mode0) > 1 else 0.0,
         "passed": ok,
-    }, EXIT_OK if ok else EXIT_CHECK_FAILED
+    }, EXIT_OK if ok else EXIT_CHECK_FAILED, counts
 
 
 @_driver("wick-converge")
@@ -202,6 +230,10 @@ def cmd_wick_converge(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
             for j in range(gaps.shape[1])
         ]
         write_csv(Path(out_dir) / "gaps.csv", ["replica", "level", "gap_hneg"], rows)
+    # a replica: its draw's forward FFT, an inverse one per level and the
+    # forward one of the level stack
+    R, L = cfg.replicas, len(levels)
+    counts = _counts(grid, R * (L + 2), R * (2 * L + 1), R, R)
     return {
         "levels": levels,
         "beta": beta,
@@ -210,7 +242,7 @@ def cmd_wick_converge(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
         "dyadic_rate": rate,
         "decreasing": decreasing,
         "passed": ok,
-    }, EXIT_OK if ok else EXIT_CHECK_FAILED
+    }, EXIT_OK if ok else EXIT_CHECK_FAILED, counts
 
 
 @_driver("sqe")
@@ -257,13 +289,18 @@ def cmd_sqe(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
         for _ in rows():
             pass
     mean_sup_gaps = {n: float(np.mean([sg[n] for sg in sup_gaps])) for n in levels[1:]}
+    # a replica: its datum's draw and generator, the OU chain's generator
+    # and per step its draw and a transform pair per level
+    R, L, n = cfg.replicas, len(levels), len(times) - 1
+    ffts = R * (1 + n * (1 + 2 * L))
+    counts = _counts(grid, ffts, ffts, 2 * R, R * (1 + n), R * n, R * n)
     return {
         "levels": levels,
         "beta": beta,
         "replicas": cfg.replicas,
         "steps": len(times) - 1,
         "mean_sup_gap_by_level": {str(k): v for k, v in mean_sup_gaps.items()},
-    }, EXIT_OK
+    }, EXIT_OK, counts
 
 
 @_driver("invariance")
@@ -279,6 +316,16 @@ def cmd_invariance(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     obs = standard_observables(params, eps=cfg.eps)
     result = invariance_test(ensemble, sqe_cfg, obs, stream.child("evolve"), replicas=cfg.replicas)
 
+    # an ensemble block: its draws' forward FFT and its weights' inverse
+    # one; a replica block: its data's draw, per step the OU chain's draw
+    # and a transform pair, and an inverse FFT for each of its two
+    # observations; a generator per draw, per replica chain and for the
+    # resampler
+    S, R, n = cfg.samples, cfg.replicas, sqe_cfg.n_steps()
+    replica_blocks = len(blocks(R, grid))
+    ffts = 2 * len(blocks(S, grid)) + replica_blocks * (3 * n + 3)
+    counts = _counts(grid, ffts, 2 * S + R * (3 * n + 3), S + 1 + 2 * R, S + R * (1 + n),
+                     replica_blocks * n, R * n)
     if out_dir is not None:
         write_csv(
             Path(out_dir) / "observables.csv",
@@ -302,7 +349,7 @@ def cmd_invariance(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
         },
         "max_abs_z": result.max_abs_z,
         "passed": result.passed,
-    }, EXIT_OK if result.passed else EXIT_CHECK_FAILED
+    }, EXIT_OK if result.passed else EXIT_CHECK_FAILED, counts
 
 
 @_driver("norms-bench")
@@ -314,7 +361,9 @@ def cmd_norms_bench(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
 
     def one(i: int):
         f = gff_sample(grid, stream.for_replica(i))
-        return [besov_norm(f, s) / sobolev_norm(f, s) for s in orders]
+        # the three Sobolev norms from one |coeff|^2
+        norms = sobolev_norms(f.coeffs[None], grid, orders)[:, 0].tolist()
+        return [besov_norm(f, s) / norm for s, norm in zip(orders, norms)]
 
     table = np.array(list(_map_replicas(one, cfg.replicas, threads))).T  # a row per order
     ratio_stats = {}
@@ -327,9 +376,11 @@ def cmd_norms_bench(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
         }
         ok = ok and bool(1.0 / 50.0 <= ratios.min() <= ratios.max() <= 50.0)
 
+    # one draw a replica, transformed once
+    R = cfg.replicas
     return {
         "replicas": cfg.replicas,
         "modes_per_dim": grid.modes_per_dim,
         "besov_over_sobolev": ratio_stats,
         "passed": ok,
-    }, EXIT_OK if ok else EXIT_CHECK_FAILED
+    }, EXIT_OK if ok else EXIT_CHECK_FAILED, _counts(grid, R, R, R, R)

@@ -99,9 +99,6 @@ class FieldPath:
     def grid(self) -> TorusGrid:
         return self.states[0].grid
 
-    def final(self) -> SpectralField:
-        return self.states[-1]
-
 
 def white_noise_fft(grid: TorusGrid, generators, scale, white=None, out=None) -> np.ndarray:
     """``scaled_fft`` of grid white noise at ``scale``, a stack (n, M, M)

@@ -3,9 +3,10 @@
 report.json carries two top-level sections.  ``body`` holds everything
 determined by (command, config, seed) and is serialized with sorted keys
 so that identical runs produce byte-identical body bytes; ``timing``
-holds wall-clock measurements and environment notes and is allowed to
-differ between runs.  ``body_digest`` is the sha256 of the body bytes,
-recorded on the side for quick reproducibility checks.
+holds wall-clock measurements, environment notes and the run's work
+counts and is allowed to differ between runs.  ``body_digest`` is the
+sha256 of the body bytes, recorded on the side for quick
+reproducibility checks.
 
 ``save_fields`` is the one writer of the binary coefficient dump; it
 consumes fields or stacks of fields one item at a time, so a driver can
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import SpectralField, make_grid
+from .spectral import SpectralField, TorusGrid
 
 __all__ = [
     "ExperimentReport",
@@ -174,6 +175,6 @@ def load_fields(path: str | Path) -> list:
             raise ValueError("field dump failed its checksum")
     if buf.size != count * m * m * 16:
         raise ValueError("field dump payload size does not match its header")
-    grid = make_grid(m)
+    grid = TorusGrid(m)
     data = buf.view("<c16").reshape(count, m, m).astype(np.complex128, copy=False)
     return [SpectralField(grid, row) for row in data]

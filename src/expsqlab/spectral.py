@@ -65,7 +65,6 @@ import numpy as np
 __all__ = [
     "TorusGrid",
     "SpectralField",
-    "make_grid",
     "BLOCK_BYTES",
     "blocks",
     "scaled_fft",
@@ -74,7 +73,6 @@ __all__ = [
     "to_spectral",
     "field_from_coeffs",
     "zero_field",
-    "constant_field",
     "sobolev_norm",
     "sobolev_norms",
     "heat_multiplier",
@@ -148,11 +146,6 @@ class TorusGrid:
         return f"TorusGrid(M={self.modes_per_dim})"
 
 
-def make_grid(modes_per_dim: int) -> TorusGrid:
-    """Build the M x M torus grid; rejects M odd, M < 8, or not a power of two."""
-    return TorusGrid(modes_per_dim)
-
-
 # bytes of one complex (n, M, M) block array in blocked evaluation; larger
 # blocks save little more call overhead and add their temporaries to the
 # peak memory of the run (fixed, not tunable: results never depend on it)
@@ -176,7 +169,8 @@ class SpectralField:
     (n, M, M).  Sampling (``gff_sample``), ``values`` and the Wick
     exponential (``wick.wick_exp``) evaluate a stack in one call, row by
     row bit-for-bit as one call per field; everything else takes one
-    field at a time (``unstack`` splits a stack into per-field views).
+    field at a time (``SpectralField(grid, row)`` is a row's field, a
+    read-only view).
     """
 
     grid: TorusGrid
@@ -191,10 +185,6 @@ class SpectralField:
                 f"got {c.dtype} {c.shape}"
             )
         c.setflags(write=False)
-
-    def unstack(self) -> tuple:
-        """The fields of a stack, each a read-only view of its row."""
-        return tuple(SpectralField(self.grid, row) for row in self.coeffs)
 
     def values(self) -> np.ndarray:
         """Physical M x M samples, or (n, M, M) for a stack."""
@@ -234,12 +224,6 @@ def field_from_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> SpectralField:
 
 def zero_field(grid: TorusGrid) -> SpectralField:
     return SpectralField(grid, np.zeros((grid.modes_per_dim,) * 2, dtype=np.complex128))
-
-
-def constant_field(grid: TorusGrid, value: float) -> SpectralField:
-    coeffs = np.zeros((grid.modes_per_dim,) * 2, dtype=np.complex128)
-    coeffs[0, 0] = TWO_PI * value
-    return SpectralField(grid, coeffs)
 
 
 def scaled_fft(values: np.ndarray, scale, out: np.ndarray | None = None) -> np.ndarray:

@@ -72,7 +72,8 @@ class CutoffProfile:
     kind is 'sharp' (indicator of the unit ball) or 'smooth' (Gaussian
     exp(-|x|^2)).  Both are admissible for (theta, m) = (0.99, 4):
     |psi(x) - 1| <~ |x|^theta near 0 and sup |x|^m psi(x) < inf, which
-    the test suite checks by sampling; no operator reads theta or m.
+    the test suite checks by sampling ``_radial``, psi as a function of
+    the radius; no operator reads theta or m.
     """
 
     kind: str
@@ -80,11 +81,6 @@ class CutoffProfile:
     def __post_init__(self):
         if self.kind not in ("sharp", "smooth"):
             raise ValueError(f"unknown cutoff kind {self.kind!r}")
-
-    def evaluate(self, r):
-        """psi in float64 as a function of the radius |x| (profiles are radial)."""
-        # [()] gives a 0-d input back as a scalar
-        return self._radial(np.asarray(r, dtype=np.float64)).astype(np.float64)[()]
 
     def _radial(self, r: np.ndarray) -> np.ndarray:
         """psi(r): the sharp indicator as a boolean mask, the smooth in float64."""
@@ -102,7 +98,7 @@ class CutoffProfile:
         as exactly 1.0 or 0.0, the bits of the float indicator."""
         if level < 0:
             raise ValueError(f"cutoff level must be nonnegative, got {level}")
-        if 2 ** (level + 2) > grid.modes_per_dim // 2:
+        if level > self.max_level(grid):
             raise ValueError(
                 f"cutoff level {level} too high for grid M={grid.modes_per_dim} "
                 f"(need 2^(N+2) <= M/2)"

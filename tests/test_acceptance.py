@@ -20,6 +20,7 @@ from expsqlab import (
     RngStream,
     SpectralField,
     SqeConfig,
+    TorusGrid,
     analytic_wick_cov,
     besov_norm,
     contraction_check,
@@ -33,7 +34,6 @@ from expsqlab import (
     heat_semigroup,
     hermite,
     invariance_test,
-    make_grid,
     make_wick_params,
     ou_noise_variance,
     ou_path,
@@ -111,7 +111,7 @@ def test_criterion_01_hermite_orthogonality():
 
 def test_criterion_02_wick_mean_one():
     # pointwise mean of the renormalized exponential is 1 at both levels
-    grid = make_grid(64)
+    grid = TorusGrid(64)
     psi = CutoffProfile("sharp")
     params = {n: make_wick_params(1.0, n, psi, grid) for n in (1, 3)}
     base = _stream("c02")
@@ -134,7 +134,7 @@ def test_criterion_02_wick_mean_one():
 
 def test_criterion_03_wick_covariance():
     # E[wick(x) wick(y)] against the closed form exp(alpha^2 K_N(x - y))
-    grid = make_grid(64)
+    grid = TorusGrid(64)
     psi = CutoffProfile("sharp")
     params = make_wick_params(1.0, 2, psi, grid)
     pairs = [
@@ -167,7 +167,7 @@ def test_criterion_04_cutoff_cauchy_decay():
     # mean squared H^{-beta} gap between consecutive levels must decay
     # like 2^{-lambda N} with lambda >= 0.2; the sharp-vs-smooth gap at
     # the top level must sit below the same-profile gap at the bottom
-    grid = make_grid(256)
+    grid = TorusGrid(256)
     sharp = CutoffProfile("sharp")
     smooth = CutoffProfile("smooth")
     beta = 0.5
@@ -200,7 +200,7 @@ def test_criterion_05_ou_exactness():
     # chain 10 exact transitions from the stationary start: every mode's
     # second moment must stay at (1+|k|^2)^{-1} within 3 sigma, and the
     # two-half-steps variance identity must hold to 1e-12
-    grid = make_grid(8)
+    grid = TorusGrid(8)
     base = _stream("c05")
     n_rep = 4000
     acc = np.zeros((8, 8))
@@ -232,7 +232,7 @@ def test_criterion_05_ou_exactness():
 def test_criterion_06_sign_comparison():
     # zero initial datum, positive charge: the remainder never goes
     # above zero at any grid point or step, across 100 noise draws
-    grid = make_grid(32)
+    grid = TorusGrid(32)
     psi = CutoffProfile("sharp")
     params = make_wick_params(1.0, 2, psi, grid)
     config = SqeConfig(horizon=0.5, dt=1.0 / 32, params=params)
@@ -255,7 +255,7 @@ def test_criterion_06_sign_comparison():
 
 def test_criterion_07_energy_contraction():
     # exp(t/2) ||Y1 - Y2||_{L2} may not grow faster than 1% per unit time
-    grid = make_grid(32)
+    grid = TorusGrid(32)
     psi = CutoffProfile("sharp")
     params = make_wick_params(1.0, 2, psi, grid)
     config = SqeConfig(horizon=1.0, dt=1.0 / 64, params=params)
@@ -282,7 +282,7 @@ def test_criterion_08_splitting_order():
     # on a shared grid the rough/smooth splitting is exact by algebra, so
     # the residual is measured against a much finer solve driven by the
     # same noise: it must shrink at first order in dt (fit >= 0.9)
-    grid = make_grid(64)
+    grid = TorusGrid(64)
     psi = CutoffProfile("sharp")
     params = make_wick_params(1.0, 2, psi, grid)
     eps = 0.125
@@ -342,7 +342,7 @@ def test_criterion_08_splitting_order():
 def test_criterion_09_level_gap_decreasing():
     # common-noise sup-in-time H^{-eps} gaps between consecutive cutoff
     # levels must decrease strictly in N in the 50-replica mean
-    grid = make_grid(256)
+    grid = TorusGrid(256)
     psi = CutoffProfile("sharp")
     eps = 0.25
     levels = [1, 2, 3, 4, 5]
@@ -376,7 +376,7 @@ def test_criterion_10_invariance_and_control():
     # observables must be stationary under the correctly renormalized
     # dynamics (|z| <= 3 across the battery at 10^3 replicas) and the
     # mis-renormalized control (c_n -> 0) must fail the same gate
-    grid = make_grid(32)
+    grid = TorusGrid(32)
     psi = CutoffProfile("sharp")
     params = make_wick_params(1.0, 2, psi, grid)
     base = _stream("c10")
@@ -398,7 +398,7 @@ def test_criterion_10_invariance_and_control():
 def test_criterion_11_partition_bounds():
     # untilted weights never exceed 1; the MC mean respects the convexity
     # lower bound; at alpha = 0 the partition function is exact
-    grid = make_grid(32)
+    grid = TorusGrid(32)
     psi = CutoffProfile("sharp")
     params = make_wick_params(1.0, 2, psi, grid)
     base = _stream("c11")
@@ -424,7 +424,7 @@ def test_criterion_11_partition_bounds():
 def test_criterion_12_norms_and_semigroup():
     # dyadic-vs-Sobolev equivalence over a single-mode sweep, heat
     # smoothing and difference ratios over a time sweep, semigroup law
-    grid = make_grid(128)
+    grid = TorusGrid(128)
     s, delta = -0.5, 0.5
     ratios = []
     sweep = [(m, 0) for m in (1, 2, 3, 4, 6, 8, 11, 16, 23, 32, 45)] + [

@@ -11,7 +11,8 @@ each workload at seed 0): floats to a relative 1e-12, every other value
 exactly, so a drift names the field that moved.  The same run pins the
 work each workload does (``WORK_COUNTS``), so a change that adds or
 drops transforms or generators fails here, not only as a slower
-benchmark.  The tracing and workload modules are loaded from their files
+benchmark, and checks that the counts the report works out for itself
+(``timing["counts"]``) are those counted.  The tracing and workload modules are loaded from their files
 and nothing is installed.
 """
 
@@ -20,15 +21,24 @@ import importlib.util
 import inspect
 import json
 import math
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import expsqlab
-from expsqlab import RngStream, experiments, parse_config
+from expsqlab import (
+    ExperimentConfig,
+    RngStream,
+    cmd_norms_bench,
+    cmd_wick_converge,
+    dynamics,
+    experiments,
+    parse_config,
+    randomfields,
+)
 from golden_values import GOLDEN_DIR, value_drift
+from test_golden import NORMS_BENCH, WICK_CONVERGE
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN = GOLDEN_DIR / "workloads.json"
@@ -75,19 +85,23 @@ def test_value_drift_names_the_field():
     ]
 
 
-# the work each workload does at seed 0: calls into numpy's FFT pair,
-# 2-D transforms (a call transforms the product of its leading axes) and
-# RngStream generators built
+# the work each workload does at seed 0, as BENCH_1.json records it: OU
+# chain stacks pulled and their rows, 2-D transforms (a call transforms
+# the product of its leading axes), calls into numpy's FFT pair,
+# white-noise normals drawn and RngStream generators built
 WORK_COUNTS = {
-    "sqe-M256": {"fft_calls": 1410, "transforms": 1410, "generators": 4},
-    "invariance-M32": {"fft_calls": 3161, "transforms": 49000, "generators": 5401},
-    "gff-dump-M64": {"fft_calls": 1000, "transforms": 4000, "generators": 4000},
+    "sqe-M256": {"steps": 128, "field_steps": 128, "transforms": 1410, "fft_calls": 1410,
+                 "normals": 8519680, "generators": 4},
+    "invariance-M32": {"steps": 832, "field_steps": 12800, "transforms": 49000,
+                       "fft_calls": 3161, "normals": 18432000, "generators": 5401},
+    "gff-dump-M64": {"steps": 0, "field_steps": 0, "transforms": 4000, "fft_calls": 1000,
+                     "normals": 16384000, "generators": 4000},
 }
 
 
-def _counting(monkeypatch) -> Counter:
+def _counting(monkeypatch) -> dict:
     """Counts of the work named in WORK_COUNTS, taken from here on."""
-    counts = Counter()
+    counts = dict.fromkeys(WORK_COUNTS["sqe-M256"], 0)
 
     def transform(fn):
         def counted(a, *args, **kwargs):
@@ -106,6 +120,25 @@ def _counting(monkeypatch) -> Counter:
         return generator(self)
 
     monkeypatch.setattr(RngStream, "generator", counted_generator)
+    draw = randomfields.white_noise_fft
+
+    def counted_draw(*args, **kwargs):
+        noise = draw(*args, **kwargs)
+        counts["normals"] += noise.size
+        return noise
+
+    monkeypatch.setattr(randomfields, "white_noise_fft", counted_draw)
+    chain = randomfields.ou_chain
+
+    def counted_chain(*args, **kwargs):
+        for state, eta in chain(*args, **kwargs):
+            counts["steps"] += 1
+            counts["field_steps"] += len(state)
+            yield state, eta
+
+    # as bound in both modules that call it
+    for module in (randomfields, dynamics):
+        monkeypatch.setattr(module, "ou_chain", counted_chain)
     return counts
 
 
@@ -123,3 +156,20 @@ def test_workload_digest_at_seed_0(name, monkeypatch):
     assert value_drift(json.loads(report.body_bytes()), golden) == []
     assert report.body_digest() == spec["digest"]
     assert counts == WORK_COUNTS[name]
+    assert report.timing["counts"] == counts
+
+
+GOLDEN_RUNS = {
+    **{f"wick-converge/{k}": (cmd_wick_converge, v[0]) for k, v in WICK_CONVERGE.items()},
+    **{f"norms-bench/{k}": (cmd_norms_bench, v[0]) for k, v in NORMS_BENCH.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_report_counts_are_the_counted_work(name, monkeypatch):
+    # the commands no workload runs, at their golden configs
+    cmd, kwargs = GOLDEN_RUNS[name]
+    counts = _counting(monkeypatch)
+    report = cmd(ExperimentConfig(**kwargs))
+    assert report.exit_code == 0
+    assert report.timing["counts"] == counts

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from expsqlab import (
-    constant_field,
+    TorusGrid,
     gff_sample,
-    make_grid,
     sobolev_norm,
     to_spectral,
 )
 from expsqlab.besov import besov_norm, block_weights, chi, dyadic_blocks, rho
+from fields import constant_field
 
 SQRT2PI = math.sqrt(2.0) * math.pi
 
@@ -52,7 +52,7 @@ def test_block_weights_cached(grid32):
 def test_block_weights_are_one_read_only_row_per_block(M):
     # the grid keeps one (J, M, M) array, row i the block dyadic_blocks[i];
     # no block vanishes on any grid, so every block is a row
-    grid = make_grid(M)
+    grid = TorusGrid(M)
     weights = block_weights(grid)
     js = dyadic_blocks(grid)
     r = np.sqrt(grid.ksq)
@@ -101,7 +101,7 @@ def test_two_block_field_q_dispatch(grid32):
 
 def test_equivalence_on_random_field(stream):
     # B^s_{2,2} and H^s agree up to a moderate constant on a free-field draw
-    grid = make_grid(64)
+    grid = TorusGrid(64)
     f = gff_sample(grid, stream)
     for s in (-1.0, -0.5, -0.25):
         ratio = besov_norm(f, s) / sobolev_norm(f, s)

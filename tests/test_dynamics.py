@@ -13,8 +13,8 @@ from expsqlab import (
     FieldPath,
     SpectralField,
     SqeConfig,
+    TorusGrid,
     WickOverflowError,
-    constant_field,
     contraction_check,
     decompose,
     evolve_levels,
@@ -22,7 +22,6 @@ from expsqlab import (
     evolve_shifted,
     gff_sample,
     heat_semigroup,
-    make_grid,
     make_wick_params,
     ou_path,
     solve_shifted,
@@ -35,6 +34,7 @@ from expsqlab import (
 )
 from expsqlab.randomfields import ou_chain
 from expsqlab.spectral import heat_multiplier
+from fields import constant_field
 
 
 def _params(grid, alpha=1.0, level=2):
@@ -55,7 +55,7 @@ def _shifted_config(grid, dt, horizon=1.0, alpha=1.0, level=0, **kw):
 def _constant_mode_final(grid, dt, u0, alpha=1.0):
     config = _shifted_config(grid, dt, alpha=alpha)
     path = solve_shifted(constant_field(grid, u0), _zero_trajectory(config, grid), config)
-    return float(path.final().values()[0, 0])
+    return float(path.states[-1].values()[0, 0])
 
 
 def test_scalar_ode_oracle():
@@ -63,7 +63,7 @@ def test_scalar_ode_oracle():
     # exp(-shift), reduce every grid point to the scalar ODE
     # u' = -u/2 - (alpha/2) e^{-shift} e^{alpha u}; integrate it to rtol
     # 1e-12 and check the stepper converges at first order to that value
-    grid = make_grid(8)
+    grid = TorusGrid(8)
     u0, alpha = 0.4, 1.0
     forcing = np.exp(-_params(grid, alpha=alpha, level=0).shift)
     ivp = solve_ivp(
@@ -97,7 +97,7 @@ def test_zero_forcing_is_heat_flow(grid32, stream):
     upsilon = heat_semigroup(gff_sample(grid32, stream), 0.2)
     path = solve_shifted(upsilon, traj, config)
     expected = upsilon.coeffs * heat_multiplier(grid32, 1.0)
-    assert np.abs(path.final().coeffs - expected).max() < 1e-13
+    assert np.abs(path.states[-1].coeffs - expected).max() < 1e-13
 
 
 def test_alpha_zero_full_solve_is_projected_ou(grid32, stream):
@@ -126,7 +126,7 @@ def test_non_dyadic_step_is_one_step(stream):
     # the chain, a stored path and the solver all step by config.dt, so the
     # live chain is ou_path byte for byte, the stored path drives the live
     # solve's bytes, and the grid holds one heat multiplier
-    grid = make_grid(16)
+    grid = TorusGrid(16)
     config = SqeConfig(horizon=1.0, dt=0.01, params=_params(grid, level=1))
     n = config.n_steps()
     phi0 = gff_sample(grid, stream.child("init"))
@@ -210,7 +210,7 @@ def test_shifted_step_is_forced_by_wick_exp_values(grid32, stream):
     drift *= wick_exp_values(traj.states[0], params)
     mult = heat_multiplier(grid32, config.dt)
     expected = mult * (upsilon.coeffs - to_spectral(drift, grid32).coeffs)
-    assert path.final().coeffs.tobytes() == expected.tobytes()
+    assert path.states[-1].coeffs.tobytes() == expected.tobytes()
 
 
 def test_forcing_overflow_raises_at_its_step(grid32):
@@ -232,7 +232,7 @@ def test_forcing_overflow_raises_at_its_step(grid32):
             solve({j: 800.0 + j, j + 1: 900.0})
         assert info.value.max_exponent == pytest.approx(800.0 + j - shift, rel=1e-12)
     path = solve({n: 900.0})
-    assert np.all(np.isfinite(path.final().coeffs))
+    assert np.all(np.isfinite(path.states[-1].coeffs))
 
 
 def test_shifted_flow_fails_a_state_that_lost_finiteness():
@@ -240,7 +240,7 @@ def test_shifted_flow_fails_a_state_that_lost_finiteness():
     # FFT at alpha = 3.5, level 1, dt = 1, M = 256: the step raises
     # WickOverflowError with exponent inf, as the stochastic flows do, and
     # numpy does not warn of the overflow (warnings fail the suite)
-    grid = make_grid(256)
+    grid = TorusGrid(256)
     config = _shifted_config(grid, dt=1.0, horizon=2.0, alpha=3.5, level=1)
     upsilon = constant_field(grid, 699.0 / 3.5)
     with pytest.raises(WickOverflowError) as info:
@@ -300,13 +300,13 @@ def test_forcing_times_enforced(grid32):
         assert next(x_states, None) is None
 
     # and on the solver's own grid
-    elsewhere = FieldPath(config.dt, [zero_field(make_grid(16))] * 5)
+    elsewhere = FieldPath(config.dt, [zero_field(TorusGrid(16))] * 5)
     with pytest.raises(ValueError, match="different grid"):
         solve_shifted(zero_field(grid32), elsewhere, config)
 
 
 def test_rough_initial_datum_rejected(stream):
-    grid = make_grid(64)
+    grid = TorusGrid(64)
     config = _shifted_config(grid, dt=1.0 / 16, horizon=0.25, level=2)
     rough = gff_sample(grid, stream)
     zeros = _zero_trajectory(config, grid)
@@ -321,7 +321,7 @@ def test_rough_initial_datum_rejected(stream):
         evolve_shifted(SpectralField(grid, lost), iter(()), config)
     smooth = heat_semigroup(rough, 0.1)
     path = solve_shifted(smooth, zeros, config)
-    assert np.all(np.isfinite(path.final().coeffs))
+    assert np.all(np.isfinite(path.states[-1].coeffs))
 
 
 def test_x_traj_validation(grid32, stream):
@@ -343,7 +343,7 @@ def test_projected_solver_deterministic(grid32, stream):
     phi0 = gff_sample(grid32, stream.child("init"))
     a = solve_sqe_projected(phi0, config, stream.child("n"))
     b = solve_sqe_projected(phi0, config, stream.child("n"))
-    assert np.array_equal(a.final().coeffs, b.final().coeffs)
+    assert np.array_equal(a.states[-1].coeffs, b.states[-1].coeffs)
     assert np.array_equal(a.times, time_grid(config))
     assert len(a.states) == config.n_steps() + 1
 
@@ -378,7 +378,10 @@ def test_flows_yield_fresh_states(grid32, stream):
         ),
         (
             evolve_projected(stack, config, streams),
-            [solve_sqe_projected(f, config, s) for f, s in zip(stack.unstack(), streams)],
+            [
+                solve_sqe_projected(SpectralField(grid32, row), config, s)
+                for row, s in zip(stack.coeffs, streams)
+            ],
         ),
     ):
         yielded = []

@@ -27,6 +27,7 @@ from expsqlab import (
     ExperimentConfig,
     RngStream,
     SqeConfig,
+    TorusGrid,
     cmd_invariance,
     cmd_norms_bench,
     cmd_sample_gff,
@@ -36,7 +37,6 @@ from expsqlab import (
     gff_sample,
     heat_semigroup,
     hermite,
-    make_grid,
     make_wick_params,
     ou_path,
     sobolev_norm,
@@ -106,6 +106,8 @@ def test_invariance_golden(name, tmp_path):
     kwargs, exit_code, digest = INVARIANCE[name]
     report = cmd_invariance(ExperimentConfig(**kwargs), out_dir=tmp_path)
     assert report.exit_code == exit_code
+    # a run that ends on a numeric guard reports no work counts
+    assert ("counts" in report.timing) == (exit_code != 4)
     assert _body_drift(report, f"invariance/{name}") == []
     assert report.body_digest() == digest
 
@@ -219,6 +221,7 @@ def test_overflow_golden(name, tmp_path, monkeypatch):
     report = cmd(ExperimentConfig(**kwargs), out_dir=tmp_path)
     assert report.exit_code == 4
     assert list(report.body) == ["overflow_exponent"]
+    assert "counts" not in report.timing
     assert _body_drift(report, f"overflow/{name}") == []
     assert report.body_digest() == digest
     assert (tmp_path / "report.json").is_file()
@@ -241,7 +244,7 @@ def _states_digest(*field_lists) -> str:
 
 @pytest.mark.parametrize("name", sorted(SOLVER_STATES))
 def test_solver_states_golden(name):
-    grid = make_grid(32)
+    grid = TorusGrid(32)
     psi = CutoffProfile("smooth")
     params = make_wick_params(1.0, 2, psi, grid)
     stream = RngStream(21, purpose="golden")
@@ -270,7 +273,7 @@ def test_solver_states_golden(name):
 
 def test_operators_golden():
     # heat multipliers, OU decay, Hermite recurrence and Sobolev norms on one draw
-    grid = make_grid(32)
+    grid = TorusGrid(32)
     field = gff_sample(grid, RngStream(22, purpose="golden"))
     outputs = {
         "heat_semigroup": [heat_semigroup(field, 0.3).coeffs.tobytes()],

@@ -1,6 +1,6 @@
 """No module imports a name it does not use, no package module imports
 another module's private name, no configuration field is dead and no
-exported name is unread.
+exported name or method is unread.
 
 Every module of the package and of the tests is parsed with the standard
 ``ast`` module.  An imported name must be read somewhere in its module or
@@ -16,7 +16,10 @@ value that is only validated and echoed into report bodies changes no
 result.  Every name in ``expsqlab.__all__`` must be read outside its own
 definition by the package, the acceptance battery or the benchmark, or
 be on the short ``UNREAD_EXPORTS`` list with its reason: a public name
-that only its unit tests call is surface without a use.  No package
+that only its unit tests call is surface without a use.  The same holds
+for every public method and property that a class in ``__all__``
+defines (dunders and dataclass fields aside), read as an attribute, with
+``UNREAD_METHODS`` as its list.  No package
 function takes a ``CutoffProfile`` next to a ``WickParams``, and
 ``SqeConfig`` holds no ``CutoffProfile``: the Wick parameters carry the
 cutoff their C_N was computed from, and a second profile beside them
@@ -56,15 +59,25 @@ CONFIG_CLASSES = (ExperimentConfig, SqeConfig, WickParams, CutoffProfile)
 
 # exported names that no reader loads, each kept for its reason
 UNREAD_EXPORTS = {
-    # a constructor, the counterpart of zero_field
-    "constant_field",
     # the one reader of the dump format that save_fields writes
     "load_fields",
     # read by the benchmark child through getattr, so no load names it
     "KERNEL_BACKEND",
     # wrapped by the benchmark's tracer, which names its targets as strings
     "solve_sqe_projected",
+    # the command drivers: the command line runs them from
+    # experiments.COMMANDS, where their decorator records them, and the
+    # benchmark child through getattr
+    "cmd_invariance",
+    "cmd_norms_bench",
+    "cmd_sample_gff",
+    "cmd_sqe",
+    "cmd_wick_converge",
 }
+
+# public methods and properties of exported classes that no reader
+# loads, as "Class.name", each kept for its reason
+UNREAD_METHODS: set[str] = set()
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -202,9 +215,56 @@ def test_scan_finds_name_reads():
     assert name_reads(source) == {"mod", "h", "f", "n"}
 
 
+def public_methods(cls) -> list[str]:
+    """Names of the public methods and properties that ``cls`` defines
+    itself; dunders, private names and dataclass fields are not counted."""
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    return [
+        name
+        for name, value in vars(cls).items()
+        if not name.startswith("_")
+        and name not in fields
+        and (callable(value) or isinstance(value, (property, staticmethod, classmethod)))
+    ]
+
+
+def test_scan_finds_public_methods():
+    @dataclasses.dataclass(frozen=True)
+    class C:
+        field: int
+        other: int = 0
+
+        def method(self):
+            pass
+
+        @property
+        def prop(self):
+            return 1
+
+        @staticmethod
+        def static():
+            pass
+
+        def _private(self):
+            pass
+
+        def __len__(self):
+            return 0
+
+    assert public_methods(C) == ["method", "prop", "static"]
+
+
 def test_every_export_is_read():
     read = set().union(*(name_reads(p.read_text()) for p in READERS))
     assert sorted(set(expsqlab.__all__) - read) == sorted(UNREAD_EXPORTS)
+    classes = [c for c in map(expsqlab.__dict__.get, expsqlab.__all__) if isinstance(c, type)]
+    unread = [
+        f"{cls.__name__}.{name}"
+        for cls in classes
+        for name in public_methods(cls)
+        if name not in read
+    ]
+    assert sorted(unread) == sorted(UNREAD_METHODS)
 
 
 def _annotation_names(node) -> set[str]:

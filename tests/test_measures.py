@@ -16,7 +16,6 @@ from expsqlab import (
     RngStream,
     SqeConfig,
     WeightedEnsemble,
-    constant_field,
     estimate_partition,
     gff_sample,
     invariance_test,
@@ -28,6 +27,7 @@ from expsqlab import (
     zero_field,
 )
 from expsqlab.measures import AREA, _cluster_se, _resample_ancestors
+from fields import constant_field
 
 
 def _setup(grid, alpha=1.0, level=2):

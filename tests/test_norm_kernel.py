@@ -15,16 +15,16 @@ from expsqlab import (
     RngStream,
     SpectralField,
     SqeConfig,
+    TorusGrid,
     besov_norm,
     cmd_wick_converge,
     contraction_check,
     gff_sample,
     heat_semigroup,
-    make_grid,
     make_wick_params,
     ou_path,
-    solve_shifted,
     sobolev_norm,
+    solve_shifted,
     to_spectral,
     wick_exp_values,
 )
@@ -40,7 +40,7 @@ def _bits(xs) -> np.ndarray:
 def test_norm_kernel_reductions_are_the_old_arithmetic(M, kind):
     # each value is compared by its uint64 view, at the top admissible
     # cutoff level of the grid, so every level of wick-converge runs
-    grid = make_grid(M)
+    grid = TorusGrid(M)
     psi = CutoffProfile(kind)
     level = psi.max_level(grid)
 

@@ -8,10 +8,10 @@ import pytest
 from expsqlab import (
     FieldPath,
     RngStream,
+    TorusGrid,
     gff_mode_variance,
     gff_sample,
     hermitian_defect,
-    make_grid,
     ou_noise_variance,
     ou_path,
     zero_field,
@@ -30,14 +30,14 @@ def test_gff_sample_is_real(grid32, stream):
 def test_gff_mode_sd_is_computed_once_per_grid(stream):
     # gff_sample scales by one read-only standard deviation per grid,
     # sqrt(v)/M with the white noise's 1/M in it
-    grid = make_grid(16)
+    grid = TorusGrid(16)
     first = gff_sample(grid, stream.child("a"))
     sd = grid.cached("gff_sd", lambda: None)
     assert not sd.flags.writeable
     assert sd.tobytes() == (np.sqrt(gff_mode_variance(grid)) / 16).tobytes()
     gff_sample(grid, stream.child("b"))
     assert grid.cached("gff_sd", lambda: None) is sd
-    assert first.coeffs.tobytes() == gff_sample(make_grid(16), stream.child("a")).coeffs.tobytes()
+    assert first.coeffs.tobytes() == gff_sample(TorusGrid(16), stream.child("a")).coeffs.tobytes()
 
 
 def test_gff_mode_variances(grid8):
@@ -81,7 +81,7 @@ def test_ou_transition_stationarity(grid8):
     for i in range(n):
         s = base.for_replica(i)
         f = gff_sample(grid8, s.child("init"))
-        g = ou_path(f, dt, 1, s.child("step")).final()
+        g = ou_path(f, dt, 1, s.child("step")).states[-1]
         acc += np.abs(g.coeffs) ** 2
     mean = acc / n
     assert np.abs(mean / gff_mode_variance(grid8) - 1.0).max() < 5.0 * math.sqrt(2.0 / n)
@@ -240,7 +240,7 @@ def test_white_noise_scaling_is_the_complex_division(M, n):
     # the standard deviation, to the byte, signed zeros included: the
     # imaginary parts of the self-conjugate modes are exact zeros.  Each
     # row is drawn from its own generator, one at a time
-    grid = make_grid(M)
+    grid = TorusGrid(M)
     base = RngStream(45, purpose="scaling")
     dt = 0.25
     gff_sd = np.sqrt(gff_mode_variance(grid))

@@ -11,32 +11,31 @@ from hypothesis.extra.numpy import arrays
 from expsqlab import (
     RngStream,
     SpectralField,
-    constant_field,
     field_from_coeffs,
     gff_sample,
     grid_quadrature,
     heat_semigroup,
     hermitian_defect,
-    make_grid,
     sobolev_norm,
     to_spectral,
     zero_field,
 )
 from expsqlab.spectral import TorusGrid, heat_multiplier, sobolev_norms, to_coeffs, to_values
+from fields import constant_field
 
 TWO_PI = 2.0 * math.pi
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        make_grid(7)
+        TorusGrid(7)
     with pytest.raises(ValueError):
-        make_grid(4)
+        TorusGrid(4)
     with pytest.raises(ValueError):
-        make_grid(12)
+        TorusGrid(12)
     with pytest.raises(TypeError):
         TorusGrid(8.0)
-    g = make_grid(8)
+    g = TorusGrid(8)
     assert g.npoints == 64
     assert g.spacing == pytest.approx(TWO_PI / 8)
 
@@ -45,14 +44,14 @@ def test_grid_validation():
 def test_ksq_is_the_meshgrid_formula(M):
     # |k|^2 by broadcasting the mode axis, byte for byte the int64
     # meshgrid pair's kx*kx + ky*ky
-    g = make_grid(M)
+    g = TorusGrid(M)
     kx, ky = np.meshgrid(g.mode_axis, g.mode_axis, indexing="ij")
     assert g.ksq.tobytes() == (kx * kx + ky * ky).astype(np.float64).tobytes()
     assert not g.ksq.flags.writeable
 
 
 def test_grid_cache_builds_once_read_only():
-    g = make_grid(8)
+    g = TorusGrid(8)
     calls = []
 
     def build():
@@ -73,16 +72,18 @@ def test_grid_cache_builds_once_read_only():
     assert not heat.flags.writeable
     assert heat.tobytes() == np.exp(-0.5 * 0.25 * (1.0 + g.ksq)).tobytes()
     assert heat_multiplier(g, 0.5).tobytes() == np.exp(-0.5 * 0.5 * (1.0 + g.ksq)).tobytes()
-    assert heat_multiplier(make_grid(8), 0.25) is not heat
+    assert heat_multiplier(TorusGrid(8), 0.25) is not heat
 
 
 def test_constant_field_coefficient():
-    # a constant c transforms to coeff(0) = 2 pi c and nothing else
-    g = make_grid(16)
-    f = constant_field(g, 2.0)
+    # a constant c transforms to coeff(0) = 2 pi c and nothing else, the
+    # field the tests' constant_field builds
+    g = TorusGrid(16)
+    f = to_spectral(np.full((16, 16), 2.0), g)
     assert f.coeffs[0, 0] == pytest.approx(2.0 * TWO_PI, abs=1e-14)
     assert np.abs(f.coeffs).sum() == pytest.approx(2.0 * TWO_PI, abs=1e-12)
-    assert np.allclose(f.values(), 2.0, atol=1e-14)
+    assert np.allclose(f.coeffs, constant_field(g, 2.0).coeffs, rtol=0, atol=1e-14)
+    assert np.allclose(constant_field(g, 2.0).values(), 2.0, atol=1e-14)
 
 
 def test_cosine_mode_oracle(grid32):
@@ -135,10 +136,10 @@ def test_hermitian_defect_of_a_stack_is_its_worst_row():
     # the mirror k -> -k acts on the mode axes of each row, never on the
     # stack axis: three free-field draws are each Hermitian to rounding,
     # and so is their stack
-    grid = make_grid(16)
+    grid = TorusGrid(16)
     base = RngStream(1)
     stack = gff_sample(grid, [base.for_replica(i) for i in range(3)])
-    rows = [hermitian_defect(f) for f in stack.unstack()]
+    rows = [hermitian_defect(SpectralField(grid, row)) for row in stack.coeffs]
     assert max(rows) < 1e-15
     assert hermitian_defect(stack) == max(rows)
     assert field_from_coeffs(grid, stack.coeffs).coeffs.shape == (3, 16, 16)
@@ -159,13 +160,13 @@ def test_field_arithmetic(grid32, stream):
     h = (f + g) - g
     assert np.allclose(h.coeffs, f.coeffs, atol=1e-12)
     assert np.allclose((2.5 * f).coeffs, (f * 2.5).coeffs)
-    other = zero_field(make_grid(16))
+    other = zero_field(TorusGrid(16))
     with pytest.raises(ValueError):
         f + other
 
 
 def test_quadrature_of_one():
-    g = make_grid(64)
+    g = TorusGrid(64)
     ones = np.ones((64, 64))
     assert grid_quadrature(ones, g) == pytest.approx(TWO_PI**2, rel=1e-15)
 
@@ -183,14 +184,14 @@ def test_heat_semigroup_identity_and_law(grid32, stream):
 def test_heat_semigroup_caches_nothing(stream):
     # the semigroup at 50 distinct times leaves the grid cache as it was,
     # and its symbol is the cached multiplier's, bit for bit
-    g = make_grid(16)
+    g = TorusGrid(16)
     f = to_spectral(stream.generator().standard_normal((16, 16)), g)
     before = dict(g._cache)
     for t in np.linspace(0.0, 2.0, 50):
         heat_semigroup(f, t)
     assert g._cache.keys() == before.keys()
     assert all(g._cache[k] is v for k, v in before.items())
-    expected = heat_multiplier(make_grid(16), 0.3) * f.coeffs
+    expected = heat_multiplier(TorusGrid(16), 0.3) * f.coeffs
     assert heat_semigroup(f, 0.3).coeffs.tobytes() == expected.tobytes()
 
 
@@ -215,7 +216,7 @@ def test_from_spectral_of_single_mode(grid32):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([8, 16]), st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
 def test_sobolev_norm_matches_weighted_sum(M, s, seed):
-    grid = make_grid(M)
+    grid = TorusGrid(M)
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
     w = (1.0 + grid.ksq) ** s
@@ -233,7 +234,7 @@ _GRID_VALUES = st.one_of(
 @st.composite
 def _grid_array(draw):
     M = draw(st.sampled_from([8, 16, 32]))
-    return make_grid(M), draw(arrays(np.float64, (M, M), elements=_GRID_VALUES))
+    return TorusGrid(M), draw(arrays(np.float64, (M, M), elements=_GRID_VALUES))
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,7 +250,7 @@ def test_transform_round_trip_any_real_array(grid_and_values):
 def test_sobolev_norms_match_the_stack_formula(M, n):
     # one field at a time in a workspace, with the same re*re + im*im and
     # the same per-row np.dot as the (n, M^2) formula it replaced
-    grid = make_grid(M)
+    grid = TorusGrid(M)
     rng = np.random.default_rng(100 * M + n)
     coeffs = rng.standard_normal((n, M, M)) + 1j * rng.standard_normal((n, M, M))
     orders = (0.0, -0.75, 1.5)

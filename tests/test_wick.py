@@ -14,14 +14,13 @@ from expsqlab import (
     CutoffProfile,
     RngStream,
     SpectralField,
+    TorusGrid,
     WickOverflowError,
     WickParams,
     analytic_wick_cov,
-    constant_field,
     gff_sample,
     green_kernel_point,
     hermite,
-    make_grid,
     make_wick_params,
     ou_path,
     renorm_constant,
@@ -29,6 +28,7 @@ from expsqlab import (
 )
 from expsqlab.spectral import to_values
 from expsqlab.wick import scaled_exp, wick_exp
+from fields import constant_field
 
 # sharp-cutoff constants, frozen from the lattice sums they define:
 # level 0 keeps |k| <= 1, so 4 pi^2 C_0 = 1 + 4 * (1/2) = 3 exactly
@@ -149,18 +149,10 @@ def test_cutoff_metadata_holds(sharp, smooth):
     # |psi(r) - 1| <= r^theta near 0 and sup r^m psi(r) finite, sampled
     r = np.linspace(1e-4, 1.0, 200)
     for psi in (sharp, smooth):
-        assert np.all(np.abs(psi.evaluate(r) - 1.0) <= r**0.99 + 1e-12)
+        assert np.all(np.abs(psi._radial(r) - 1.0) <= r**0.99 + 1e-12)
     r = np.linspace(0.0, 50.0, 500)
-    assert (r**4 * smooth.evaluate(r)).max() < 1.0
-    assert (r**4 * sharp.evaluate(r)).max() <= 1.0
-
-
-def test_evaluate_is_float64(sharp, smooth):
-    # the sharp symbol is a boolean mask on the grid, but psi as a
-    # function of the radius is float64 for both profiles
-    for psi in (sharp, smooth):
-        assert psi.evaluate(np.linspace(0.0, 2.0, 9)).dtype == np.float64
-        assert isinstance(psi.evaluate(0.5), np.float64)
+    assert (r**4 * smooth._radial(r)).max() < 1.0
+    assert (r**4 * sharp._radial(r)).max() <= 1.0
 
 
 def test_sharp_multiplier_is_indicator(grid8, sharp):
@@ -179,7 +171,7 @@ def test_multiplier_into_a_workspace_is_the_spelled_out_profile(M, sharp, smooth
     # read-only array, which the flows read in place of a workspace: the
     # same on every call and byte for byte r = sqrt(|k|^2) / 2^N through
     # the smooth exp(-r * r) or the sharp indicator r <= 1 as a mask
-    grid = make_grid(M)
+    grid = TorusGrid(M)
     for psi in (sharp, smooth):
         for level in range(psi.max_level(grid) + 1):
             r = np.sqrt(grid.ksq) / 2.0**level
@@ -188,6 +180,9 @@ def test_multiplier_into_a_workspace_is_the_spelled_out_profile(M, sharp, smooth
             assert psi.multiplier(grid, level) is m
             assert not m.flags.writeable
             assert m.dtype == spelled.dtype and m.tobytes() == spelled.tobytes()
+        # the accepted levels are exactly 0..max_level
+        with pytest.raises(ValueError, match="too high"):
+            psi.multiplier(grid, psi.max_level(grid) + 1)
 
 
 def test_mask_products_are_the_float_indicator_products(grid32, sharp):
@@ -210,7 +205,7 @@ def test_mask_products_are_the_float_indicator_products(grid32, sharp):
 
 def test_max_level(grid32, sharp):
     assert sharp.max_level(grid32) == 2
-    assert sharp.max_level(make_grid(256)) == 5
+    assert sharp.max_level(TorusGrid(256)) == 5
     sharp.multiplier(grid32, 2)  # highest admissible level passes
     with pytest.raises(ValueError):
         sharp.multiplier(grid32, 3)
@@ -222,15 +217,15 @@ def test_renorm_constant_level0(grid32, sharp):
 
 def test_renorm_constant_grid_independent(sharp):
     # sharp level 2 sums |k| <= 4, resolved identically on M = 32 and 64
-    a = renorm_constant(sharp, 2, make_grid(32))
-    b = renorm_constant(sharp, 2, make_grid(64))
+    a = renorm_constant(sharp, 2, TorusGrid(32))
+    b = renorm_constant(sharp, 2, TorusGrid(64))
     assert a == pytest.approx(C2_SHARP, rel=1e-12)
     assert b == pytest.approx(a, rel=1e-13)
 
 
 def test_renorm_constant_log_divergence(sharp):
     # C_{N+1} - C_N -> log(2) / (2 pi) as N grows
-    grid = make_grid(256)
+    grid = TorusGrid(256)
     inc = renorm_constant(sharp, 5, grid) - renorm_constant(sharp, 4, grid)
     assert inc == pytest.approx(math.log(2.0) / (2.0 * math.pi), rel=0.05)
 
@@ -242,7 +237,7 @@ def test_tail_bound(grid32, sharp, smooth):
     # a smooth cutoff at a level the grid cannot hold leaves a larger
     # tail, and C_N refuses it
     with pytest.raises(ValueError, match="tail"):
-        renorm_constant(smooth, 4, make_grid(16))
+        renorm_constant(smooth, 4, TorusGrid(16))
 
 
 def test_make_wick_params_beta_default(grid32, sharp):
@@ -275,7 +270,7 @@ def test_wick_params_validation(grid32, sharp):
 def test_wick_params_carry_their_cutoff(smooth):
     # the profile c_n is computed from stays in the parameters, and the
     # shift and the cutoff multiplier are the spelled-out expressions
-    grid = make_grid(64)
+    grid = TorusGrid(64)
     params = make_wick_params(1.0, 3, smooth, grid)
     assert params.psi is smooth
     assert params.c_n == renorm_constant(smooth, 3, grid)
@@ -324,7 +319,7 @@ def test_green_kernel_point_at_origin(grid32, sharp, smooth):
 def test_green_kernel_point_is_the_meshgrid_sum(M, sharp, smooth):
     # the phase k.z by broadcasting the mode axis gives the sum the int64
     # meshgrid pair gave, to the bit
-    grid = make_grid(M)
+    grid = TorusGrid(M)
     kx, ky = np.meshgrid(grid.mode_axis, grid.mode_axis, indexing="ij")
     for psi in (sharp, smooth):
         level = psi.max_level(grid)
@@ -395,7 +390,7 @@ def _bits(a):
 def test_wick_exp_is_one_kernel_bit_for_bit(kind):
     # into reused workspaces, allocating and guarded (wick_exp_values), on
     # a stack and on each of its rows alone: the same values and peaks
-    grid = make_grid(32)
+    grid = TorusGrid(32)
     params = make_wick_params(1.2, 2, CutoffProfile(kind), grid)
     stream = RngStream(2028, purpose="wick-kernel")
     stack = gff_sample(grid, [stream.for_replica(i) for i in range(3)])
@@ -408,7 +403,7 @@ def test_wick_exp_is_one_kernel_bit_for_bit(kind):
     assert np.array_equal(_bits(got), _bits(alloc))
     assert np.array_equal(_bits(got), _bits(wick_exp_values(stack, params)))
     assert np.array_equal(_bits(peaks), _bits(alloc_peaks))
-    for i, f in enumerate(stack.unstack()):
-        row, row_peaks = wick_exp(f.coeffs, params, grid)
+    for i, c in enumerate(stack.coeffs):
+        row, row_peaks = wick_exp(c, params, grid)
         assert np.array_equal(_bits(row), _bits(got[i]))
         assert np.array_equal(_bits(row_peaks), _bits(peaks[i : i + 1]))
