@@ -12,8 +12,8 @@ exactly, so a drift names the field that moved.  The same run pins the
 work each workload does (``WORK_COUNTS``), so a change that adds or
 drops transforms or generators fails here, not only as a slower
 benchmark, and checks that the counts the report works out for itself
-(``timing["counts"]``) are those counted.  The tracing and workload modules are loaded from their files
-and nothing is installed.
+(``timing["counts"]``) are those counted.  The tracing and workload
+modules are loaded from their files and nothing is installed.
 """
 
 import importlib
