@@ -19,9 +19,9 @@ be on the short ``UNREAD_EXPORTS`` list with its reason: a public name
 that only its unit tests call is surface without a use.  The same holds
 for every public method and property that a class in ``__all__``
 defines (dunders and dataclass fields aside), read as an attribute, with
-``UNREAD_METHODS`` as its list.  No package
-function takes a ``CutoffProfile`` next to a ``WickParams``, and
-``SqeConfig`` holds no ``CutoffProfile``: the Wick parameters carry the
+``UNREAD_METHODS`` as its list.  No package function takes a
+``CutoffProfile`` next to a ``WickParams``, and ``SqeConfig`` holds no
+``CutoffProfile``: the Wick parameters carry the
 cutoff their C_N was computed from, and a second profile beside them
 could disagree with it.  numpy's FFT module is used only by
 ``spectral``: its one forward FFT (``scaled_fft``), the inverse
