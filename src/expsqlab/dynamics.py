@@ -36,29 +36,33 @@ as one.  The split Phi = X + Y of a full solve is a separate step,
 that drove the solve, Y = Phi - X, and the shifted equation driven by
 X gives Y again, solved on its own.
 
-Every loop moves between the grid and spectral space with the pair
-spectral.to_values/to_coeffs, and the exponential-Euler step multiplier
-is spectral.heat_multiplier, the same symbol as the OU decay.  The
-projected drift's exp(alpha P_N Phi - a^2 C_N/2) and the shifted
-equation's forcing exp(alpha P_N X_t - a^2 C_N/2) are wick.wick_exp in
-the step workspaces; the forcing and the noise increments are formed
-from X one step at a time, never stored for the whole horizon.
+One kernel, ``_mild_step``, takes the step of every flow in place: it
+transforms the flow's grid forcing with spectral.to_coeffs, projects it
+when the equation does, subtracts it from the state and applies
+spectral.heat_multiplier, the same symbol as the OU decay.  Each flow
+forms its own forcing, alpha dt/2 times its exponential, and adds its
+own noise after the step.  The full flow's exponential is
+wick.scaled_exp of its state's grid values; the projected drift's
+exp(alpha P_N Phi - a^2 C_N/2) and the shifted equation's forcing
+exp(alpha P_N X_t - a^2 C_N/2) are wick.wick_exp in the step
+workspaces.  The forcing and the noise increments are formed from X
+one step at a time, never stored for the whole horizon.
 
 Workspace rule: each loop allocates its spectral and grid temporaries
 once per call and overwrites them every step, through the ``out``
-arguments of the transform pair and of wick.wick_exp and in place by
-wick.scaled_exp, with the allocating expressions' ufuncs on the same
-operands, so every bit is theirs; every cutoff multiplier is the grid's
-cached one (``WickParams.multiplier``).  The live OU chain
-(``randomfields.ou_chain``) steps in one state buffer, forms each
-decayed state once and writes the increment over it, and draws its
-noise in the flow's own workspaces while the next increment is pulled;
-a stored trajectory's increments are written over one workspace of
-``_ou_increments``.  The chain, the increments and the step loop step
-by ``config.dt`` and share its one heat multiplier.  The full flow
-steps its levels one at a time through workspaces of one field; the
-projected flow steps its replicas (small blocks at M = 32, where
-per-call overhead dominates) as one stack.
+arguments of the transform pair and of wick.wick_exp, in place by
+wick.scaled_exp and by ``_mild_step``, with the allocating expressions'
+ufuncs on the same operands, so every bit is theirs; every cutoff
+multiplier is the grid's cached one (``WickParams.multiplier``).  The
+live OU chain (``randomfields.ou_chain``) steps in one state buffer,
+forms each decayed state once and writes the increment over it, and
+draws its noise in the flow's own workspaces while the next increment
+is pulled; a stored trajectory's increments are written over one
+workspace of ``_ou_increments``.  The chain, the increments and
+``_mild_step`` step by ``config.dt`` and share its one cached heat
+multiplier.  The full flow steps its levels one at a time through
+workspaces of one field; the projected flow steps its replicas (small
+blocks at M = 32, where per-call overhead dominates) as one stack.
 
 Three flows, one contract: ``evolve_levels``, ``evolve_projected`` and
 ``evolve_shifted`` check their arguments on the call and return a
@@ -196,6 +200,19 @@ def _check_path(path: FieldPath, config: SqeConfig, grid: TorusGrid):
         raise ValueError("path lives on a different grid")
 
 
+def _mild_step(state, forcing, grid: TorusGrid, dt: float, spec, proj=None):
+    """The flows' one exponential-Euler step, in place: state <-
+    H (state - proj * to_coeffs(forcing)), with H the heat multiplier at
+    ``dt`` and no projection when ``proj`` is None.  The transform is
+    written into the spectral workspace ``spec``; returns ``state``."""
+    drift = to_coeffs(forcing, grid, out=spec)
+    if proj is not None:
+        drift *= proj
+    state -= drift
+    state *= heat_multiplier(grid, dt)
+    return state
+
+
 def evolve_shifted(upsilon: SpectralField, x_states, config: SqeConfig):
     """States of the deterministic shifted equation from ``upsilon``,
     driven by ``x_states``, the coefficient arrays of X at the times of
@@ -220,10 +237,11 @@ def evolve_shifted(upsilon: SpectralField, x_states, config: SqeConfig):
 
 def _shifted_flow(grid: TorusGrid, coeffs: np.ndarray, x_states, config: SqeConfig):
     """The shifted equation's step loop in the state buffer ``coeffs``, a
-    stack of one, yielded with the larger exponent of its two factors."""
+    stack of one, yielded with the larger exponent of its two factors:
+    each step is ``_mild_step`` forced by (alpha dt/2 exp(alpha Y))
+    times the Wick forcing of X, multiplied in that order."""
     n_steps = config.n_steps()
     params = config.params
-    mult = heat_multiplier(grid, config.dt)
     alpha = params.alpha
     half_adt = 0.5 * alpha * config.dt
     spec = np.empty_like(coeffs)
@@ -236,8 +254,7 @@ def _shifted_flow(grid: TorusGrid, coeffs: np.ndarray, x_states, config: SqeConf
         np.multiply(half_adt, nonlin, out=nonlin)
         wick, forcing_peaks = wick_exp(x, params, grid, spec, forcing)
         nonlin *= wick
-        np.subtract(coeffs, to_coeffs(nonlin, grid, out=spec), out=coeffs)
-        np.multiply(mult, coeffs, out=coeffs)
+        _mild_step(coeffs, nonlin, grid, config.dt, spec)
         yield coeffs, np.maximum(y_peaks, forcing_peaks)
     if j != n_steps:
         raise ValueError(f"the shifted flow needs {n_steps + 1} states of X, got {j + 1}")
@@ -318,15 +335,14 @@ def _full_flow(grid: TorusGrid, coeffs: np.ndarray, configs, noise, spec, values
     """The full equation's one step loop, on a stack of cutoff levels
     (L, M, M) with row l under ``configs[l]``: writes the state after each
     step into the buffer ``coeffs`` and yields it with its rows' Wick
-    exponents, each step driven by the next increment of ``noise``, which
-    every level projects with its own cached cutoff multiplier.  The
-    levels are stepped one at a time, each row through the spectral and
-    grid workspaces ``spec`` and ``values`` of one field, so no temporary
-    is stack-sized."""
-    config = configs[0]
-    mult = heat_multiplier(grid, config.dt)
-    alpha = config.params.alpha
-    half_adt = 0.5 * alpha * config.dt
+    exponents: each row's step is ``_mild_step`` forced by its own
+    alpha dt/2 exp(alpha Phi - shift), plus the next increment of
+    ``noise``, which every level projects with its own cached cutoff
+    multiplier.  The levels are stepped one at a time, each row through
+    the spectral and grid workspaces ``spec`` and ``values`` of one field,
+    so no temporary is stack-sized."""
+    dt, alpha = configs[0].dt, configs[0].params.alpha
+    half_adt = 0.5 * alpha * dt
     levels = [(c.params.shift, c.params.multiplier(grid)) for c in configs]
     peaks = np.empty(len(coeffs))
     for eta in noise:
@@ -337,10 +353,8 @@ def _full_flow(grid: TorusGrid, coeffs: np.ndarray, configs, noise, spec, values
             _, peak = scaled_exp(values, alpha, shift)
             peaks[level] = peak[0]
             np.multiply(half_adt, values, out=values)
-            drift = np.subtract(row, to_coeffs(values, grid, out=spec), out=spec)
-            np.multiply(mult, drift, out=drift)
-            np.multiply(psi_mult, eta, out=row)
-            np.add(drift, row, out=row)
+            _mild_step(row, values, grid, dt, spec)
+            row += np.multiply(psi_mult, eta, out=spec)
         yield coeffs, peaks
 
 
@@ -354,9 +368,10 @@ def evolve_levels(
     lockstep under one noise.
 
     Args:
-        phi0: initial datum, projected by each level's cutoff.
-        configs: one configuration per level; they may differ only in
-            their Wick parameters (level, cutoff and C_N).
+        phi0: initial datum, one field (M, M), projected by each
+            level's cutoff.
+        configs: one configuration per level, at least one; they may
+            differ only in their Wick parameters (level, cutoff and C_N).
         stream: noise stream, as for ``solve_sqe_full``; each increment
             is computed once per step and drives every level.
         x_traj: optional OU trajectory, as for ``solve_sqe_full``.
@@ -370,6 +385,8 @@ def evolve_levels(
         rules, overflow or lost finiteness, and the flow then raises
         WickOverflowError with the lowest failing level's exponent.
     """
+    if phi0.coeffs.ndim != 2 or not configs:
+        raise ValueError("need one initial field (M, M) and at least one level")
     config = configs[0]
     for c in configs:
         if (c.horizon, c.dt, c.params.alpha) != (config.horizon, config.dt, config.params.alpha):
@@ -459,20 +476,19 @@ def decompose(
 def _projected_flow(grid: TorusGrid, coeffs: np.ndarray, config: SqeConfig, noise, spec, values):
     """The projected equation's one step loop, on a stack of replicas
     (n, M, M): writes the state after each step into the buffer ``coeffs``
-    and yields it with its rows' Wick exponents, each step driven by the
-    next increment stack of ``noise``, through the spectral and grid
-    workspaces ``spec`` and ``values`` of the stack."""
+    and yields it with its rows' Wick exponents: each step is
+    ``_mild_step`` forced by alpha dt/2 ``wick_exp`` of the state and
+    projected by the cutoff multiplier, plus the next increment stack of
+    ``noise``, through the spectral and grid workspaces ``spec`` and
+    ``values`` of the stack."""
     params = config.params
     psi_mult = params.multiplier(grid)
-    mult = heat_multiplier(grid, config.dt)
     half_adt = 0.5 * params.alpha * config.dt
     for eta in noise:
         _, peaks = wick_exp(coeffs, params, grid, spec, values)
         np.multiply(half_adt, values, out=values)
-        drift = np.multiply(psi_mult, to_coeffs(values, grid, out=spec), out=spec)
-        np.subtract(coeffs, drift, out=drift)
-        np.multiply(mult, drift, out=drift)
-        np.add(drift, eta, out=coeffs)
+        _mild_step(coeffs, values, grid, config.dt, spec, psi_mult)
+        coeffs += eta
         yield coeffs, peaks
 
 

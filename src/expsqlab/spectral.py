@@ -26,11 +26,12 @@ and without validation; the solver loops call them directly,
 the package's one forward FFT, ``scaled_fft``: ``to_coeffs`` is it at
 2*pi/M^2, and ``randomfields`` calls it on grid white noise at each
 mode's standard deviation.  ``heat_multiplier`` is the symbol of the
-semigroup exp(t (Lap - 1)/2) for the OU decay and
-the exponential-Euler step, and ``TorusGrid.sobolev_weight`` the one
-Sobolev symbol (1 + |k|^2)^s; both are computed once per grid and
-argument (``TorusGrid.cached``), so every user of one holds the same
-read-only array (``heat_semigroup`` forms the symbol uncached, at any t).
+semigroup exp(t (Lap - 1)/2) for the OU decay and the flows' one
+exponential-Euler step (``dynamics._mild_step``), and
+``TorusGrid.sobolev_weight`` the one Sobolev symbol (1 + |k|^2)^s; both
+are computed once per grid and argument (``TorusGrid.cached``), so every
+user of one holds the same read-only array (``heat_semigroup`` forms
+the symbol uncached, at any t).
 
 Workspaces: ``scaled_fft``, ``to_coeffs`` and ``to_values`` take
 optional output arrays, so a step loop allocates its spectral and grid
@@ -212,8 +213,11 @@ class SpectralField:
 
 
 def field_from_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> SpectralField:
-    """A field or stack; rejects a Hermitian defect above 1e-10 of the largest |coeff|."""
+    """A field or stack; rejects non-finite coefficients and a Hermitian
+    defect above 1e-10 of the largest |coeff|."""
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coefficients contain non-finite entries")
     field = SpectralField(grid, coeffs)
     defect = hermitian_defect(field)
     scale = max(float(np.abs(coeffs).max()), 1.0)
@@ -330,8 +334,8 @@ def heat_multiplier(grid: TorusGrid, t: float) -> np.ndarray:
     """exp(-(1+|k|^2) t / 2) over the grid modes: the symbol of exp(t*(Lap - 1)/2).
 
     Computed once per (grid, t) (``TorusGrid.cached``) and read-only, so
-    the OU chain, its increments and the step loop of a flow share one
-    array."""
+    the OU chain, its increments and the flows' one exponential-Euler
+    step (``dynamics._mild_step``) share one array."""
     t = float(t)
     return grid.cached(("heat", t), lambda: _heat_symbol(grid, t))
 

@@ -426,6 +426,25 @@ def test_evolve_levels_match_single_level_solves(grid32, kind):
         evolve_levels(phi0, _level_configs(grid32, kind, (1,), 0.25) + configs, stream)
 
 
+def test_evolve_levels_rejects_a_stack_and_no_levels():
+    # the flow steps one initial field under every level and guards each
+    # level's row, so a stack of data would step its later rows unguarded:
+    # a stack whose row 1 fails the guard on its own is refused on the
+    # call, and so is an empty level list
+    grid = TorusGrid(16)
+    configs = _level_configs(grid, "sharp", (1,))
+    params = configs[0].params
+    hot = constant_field(grid, (800.0 + 0.5 * params.alpha**2 * params.c_n) / params.alpha)
+    stream = RngStream(626, purpose="level-args")
+    with pytest.raises(WickOverflowError):
+        list(evolve_levels(hot, configs, stream))
+    stack = SpectralField(grid, np.stack([zero_field(grid).coeffs, hot.coeffs]))
+    with pytest.raises(ValueError, match="one initial field"):
+        evolve_levels(stack, configs, stream)
+    with pytest.raises(ValueError, match="at least one level"):
+        evolve_levels(hot, [], stream)
+
+
 def _hot_datum(grid, configs, e2, e3):
     """a cos(3x) + b cos(6x): no mass at or below level 1's sharp cutoff
     |k| <= 2; level 2 (|k| <= 4) sees the first term only, with largest

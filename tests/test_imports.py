@@ -39,7 +39,13 @@ nowhere else, so every projected exponential goes through ``wick_exp``.
 No package code calls ``sobolev_norm`` or ``sobolev_norms`` on a
 subtraction or on a ``SpectralField(...)`` built in the call: a norm of
 a difference or of a block stack goes through ``sobolev_norms`` on bare
-arrays, the difference through its ``minus``.
+arrays, the difference through its ``minus``.  The flows take their
+exponential-Euler step through one kernel, ``dynamics._mild_step``: in
+the package ``heat_multiplier`` is called only there, by the OU chain
+(``randomfields.ou_chain``) and by a stored path's increments
+(``dynamics._ou_increments``), and ``to_coeffs`` only there, by
+``spectral.to_spectral`` and by one replica of
+``experiments.cmd_wick_converge``.
 """
 
 import ast
@@ -543,3 +549,56 @@ def test_one_wick_exponential():
         (path.name, owner) for path in PACKAGE for _, owner in scaled_exp_calls(path.read_text())
     )
     assert found == SCALED_EXP_CALLERS
+
+
+# the flows' one exponential-Euler step applies the heat multiplier and
+# transforms the drift's forcing; the OU chain and a stored path's
+# increments decay by the same multiplier, and the forward transform's
+# other callers are the field constructor and the Wick gaps of one replica
+STEP_CALLERS = {
+    "heat_multiplier": {
+        ("dynamics.py", "_mild_step"),
+        ("dynamics.py", "_ou_increments"),
+        ("randomfields.py", "ou_chain"),
+    },
+    "to_coeffs": {
+        ("dynamics.py", "_mild_step"),
+        ("experiments.py", "cmd_wick_converge.one"),
+        ("spectral.py", "to_spectral"),
+    },
+}
+
+
+def step_calls(source: str) -> list[tuple[int, str, str]]:
+    """(line, owner, name) of every call of a name in ``STEP_CALLERS``,
+    bare or as an attribute, in ``source``, in line order."""
+    return sorted(
+        (line, owner, name)
+        for name in STEP_CALLERS
+        for line, owner in owned_matches(source, _calls(name))
+    )
+
+
+def test_scan_finds_a_stray_step():
+    source = (
+        "def _mild_step(state, forcing, grid, dt, spec):\n"
+        "    state -= to_coeffs(forcing, grid, out=spec)\n"
+        "    state *= heat_multiplier(grid, dt)\n"
+        "class Flow:\n    def step(self, state, grid):\n"
+        "        state *= spectral.heat_multiplier(grid, 0.1)\n"
+        "def f(v, grid):\n    return to_coeffs(v, grid), heat_multiplier\n"
+    )
+    assert step_calls(source) == [
+        (2, "_mild_step", "to_coeffs"),
+        (3, "_mild_step", "heat_multiplier"),
+        (6, "Flow.step", "heat_multiplier"),
+        (8, "f", "to_coeffs"),
+    ]
+
+
+def test_one_mild_step():
+    found = {name: set() for name in STEP_CALLERS}
+    for path in PACKAGE:
+        for _, owner, name in step_calls(path.read_text()):
+            found[name].add((path.name, owner))
+    assert found == STEP_CALLERS

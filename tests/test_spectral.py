@@ -132,6 +132,20 @@ def test_hermitian_defect(grid32, stream):
         field_from_coeffs(grid32, broken)
 
 
+@pytest.mark.parametrize("case", ["nan", "inf", "nan-beside-a-defect"])
+def test_field_from_coeffs_rejects_non_finite(grid8, case):
+    # a NaN makes the Hermitian defect NaN, which compares false against
+    # any bound, so non-finite entries are rejected before that test
+    coeffs = np.zeros((8, 8), dtype=np.complex128)
+    if case == "nan-beside-a-defect":
+        coeffs[2, 5] = 5.0
+        coeffs[3, 3] = np.nan
+    else:
+        coeffs[:] = np.nan if case == "nan" else np.inf
+    with pytest.raises(ValueError, match="coefficients contain non-finite entries"):
+        field_from_coeffs(grid8, coeffs)
+
+
 def test_hermitian_defect_of_a_stack_is_its_worst_row():
     # the mirror k -> -k acts on the mode axes of each row, never on the
     # stack axis: three free-field draws are each Hermitian to rounding,
