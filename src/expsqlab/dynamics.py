@@ -65,20 +65,22 @@ workspaces of one field; the projected flow steps its replicas (small
 blocks at M = 32, where per-call overhead dominates) as one stack.
 
 Three flows, one contract: ``evolve_levels``, ``evolve_projected`` and
-``evolve_shifted`` check their arguments on the call and return a
-generator of the state at every time of ``time_grid``, one buffer per
-call overwritten by the next step; ``solve_sqe_full``,
+``evolve_shifted`` check their arguments on the call, a datum of the
+wrong rank included, and return ``_guarded`` over their step loop: a
+generator of the stack of states at every time of ``time_grid``, one
+buffer per call overwritten by the next step; ``solve_sqe_full``,
 ``solve_sqe_projected`` and ``solve_shifted`` are these flows on one
-field that keep a copy of every state.  The stochastic flows step a
-stack of rows in lockstep, each row bit-for-bit the solve of that row
-alone: the cutoff levels (L, M, M) of the full equation under one
-common noise, or replicas (n, M, M) of the projected equation, each
-with its own stream; the shifted flow steps a stack of one over the
-states of X.  One guard, ``_guarded``, fails a row of any of them at its
-first step whose Wick exponent passes the guard or whose state lost
-finiteness (exponent inf).  A failed row is zeroed while the others
-step on, and the flow then raises WickOverflowError with the lowest
-failing row's exponent.
+field that keep a copy of row 0 of every stack (``_kept``).  Each flow
+steps a stack of rows in lockstep, each row bit-for-bit the solve of
+that row alone: the cutoff levels (L, M, M) of the full equation under
+one common noise, replicas (n, M, M) of the projected equation, each
+with its own stream, or data (n, M, M) of the shifted equation over one
+X, whose Wick forcing is formed once per step for every row
+(``contraction_check`` steps its two data as one stack).  One guard,
+``_guarded``, fails a row of any of them at its first step whose Wick
+exponent passes the guard or whose state lost finiteness (exponent
+inf).  A failed row is zeroed while the others step on, and the flow
+then raises WickOverflowError with the lowest failing row's exponent.
 """
 
 from __future__ import annotations
@@ -172,16 +174,15 @@ class ContractionReport:
     passed: bool
 
 
-def _check_initial_regularity(upsilon: SpectralField, beta: float):
+def _check_initial_regularity(coeffs: np.ndarray, grid: TorusGrid, beta: float):
     """Numerical stand-in for 'initial datum lies in H^{2-beta}': finite
     coefficients and no rough-field signature (at most half of the
     (1+|k|^2)^{2-beta}-weighted mass above |k| > M/4; a free-field draw
     concentrates about two thirds of it there, a resolved smooth datum
     essentially none)."""
-    if not np.all(np.isfinite(upsilon.coeffs)):
+    if not np.all(np.isfinite(coeffs)):
         raise ValueError("initial datum has non-finite coefficients")
-    grid = upsilon.grid
-    w = grid.sobolev_weight(2.0 - beta) * np.abs(upsilon.coeffs.ravel()) ** 2
+    w = grid.sobolev_weight(2.0 - beta) * np.abs(coeffs.ravel()) ** 2
     total = float(w.sum())
     if total == 0.0:
         return
@@ -193,10 +194,10 @@ def _check_initial_regularity(upsilon: SpectralField, beta: float):
         )
 
 
-def _check_path(path: FieldPath, config: SqeConfig, grid: TorusGrid):
+def _check_path(path: FieldPath, config: SqeConfig, *grids: TorusGrid):
     if len(path.states) != config.n_steps() + 1 or abs(path.dt - config.dt) > 1e-9 * config.dt:
         raise ValueError("path times must be the uniform solver grid 0, dt, ..., T")
-    if path.grid != grid:
+    if any(path.grid != grid for grid in grids):
         raise ValueError("path lives on a different grid")
 
 
@@ -214,45 +215,52 @@ def _mild_step(state, forcing, grid: TorusGrid, dt: float, spec, proj=None):
 
 
 def evolve_shifted(upsilon: SpectralField, x_states, config: SqeConfig):
-    """States of the deterministic shifted equation from ``upsilon``,
-    driven by ``x_states``, the coefficient arrays of X at the times of
-    ``time_grid(config)`` (a stored path's states or the live OU chain):
-    a generator of the state at each of those times, one buffer
-    overwritten by the next step.  ``upsilon`` is checked on the call; once
-    ``x_states`` ends, a count other than n_steps + 1 raises ValueError.
+    """States of the deterministic shifted equation from a stack of data
+    ``upsilon`` (n, M, M), all driven by ``x_states``, the coefficient
+    arrays of X at the times of ``time_grid(config)`` (a stored path's
+    states or the live OU chain): a generator of the stack (n, M, M) at
+    each of those times, one buffer overwritten by the next step, row i
+    bit-for-bit the state of ``solve_shifted`` from row i.  The data are
+    checked on the call; once ``x_states`` ends, a count other than
+    n_steps + 1 raises ValueError.
 
     The step from t_j is forced by exp(alpha P_N X_{t_j} - shift), which
-    is ``wick.wick_exp`` of X_{t_j} in the flow's workspaces, so it is
-    ``wick_exp_values``' value bit for bit.  As ``_guarded`` on a stack
-    of one, it raises WickOverflowError at the first step that fails the
-    guard, before the next state of X is read.  The last state, which no
-    step reads, is not evaluated.
+    is ``wick.wick_exp`` of X_{t_j} in the flow's workspaces, formed once
+    for every row, so it is ``wick_exp_values``' value bit for bit.  A row
+    fails as ``_guarded`` rules; a forcing that fails the guard fails
+    every row, so the flow raises WickOverflowError at that step, before
+    the next state of X is read.  The last state, which no step reads, is
+    not evaluated.
     """
-    _check_initial_regularity(upsilon, config.params.beta)
-    coeffs = upsilon.coeffs[None].copy()
-    state = coeffs[0]
-    flow = _shifted_flow(upsilon.grid, coeffs, x_states, config)
-    return (state for _ in _guarded(coeffs, flow))
+    if upsilon.coeffs.ndim != 3:
+        raise ValueError("need a stack of initial data (n, M, M)")
+    for row in upsilon.coeffs:
+        _check_initial_regularity(row, upsilon.grid, config.params.beta)
+    coeffs = upsilon.coeffs.copy()
+    return _guarded(coeffs, _shifted_flow(upsilon.grid, coeffs, x_states, config))
 
 
 def _shifted_flow(grid: TorusGrid, coeffs: np.ndarray, x_states, config: SqeConfig):
     """The shifted equation's step loop in the state buffer ``coeffs``, a
-    stack of one, yielded with the larger exponent of its two factors:
-    each step is ``_mild_step`` forced by (alpha dt/2 exp(alpha Y))
-    times the Wick forcing of X, multiplied in that order."""
+    stack (n, M, M), yielded with each row's larger exponent of its two
+    factors: each step is ``_mild_step`` forced by (alpha dt/2 exp(alpha Y))
+    times the Wick forcing of X, multiplied in that order.  The forcing is
+    formed once per step, in one grid buffer and the spectral workspace's
+    row 0, and multiplies every row by broadcasting."""
     n_steps = config.n_steps()
     params = config.params
     alpha = params.alpha
     half_adt = 0.5 * alpha * config.dt
     spec = np.empty_like(coeffs)
-    u, forcing = np.empty((2, *coeffs.shape))
+    u = np.empty(coeffs.shape)
+    forcing = np.empty(coeffs.shape[1:])
     j = -1
     for j, x in enumerate(x_states):
         if j >= n_steps:
             continue
         nonlin, y_peaks = scaled_exp(to_values(coeffs, grid, spec, u), alpha, 0.0)
         np.multiply(half_adt, nonlin, out=nonlin)
-        wick, forcing_peaks = wick_exp(x, params, grid, spec, forcing)
+        wick, forcing_peaks = wick_exp(x, params, grid, spec[0], forcing)
         nonlin *= wick
         _mild_step(coeffs, nonlin, grid, config.dt, spec)
         yield coeffs, np.maximum(y_peaks, forcing_peaks)
@@ -260,13 +268,21 @@ def _shifted_flow(grid: TorusGrid, coeffs: np.ndarray, x_states, config: SqeConf
         raise ValueError(f"the shifted flow needs {n_steps + 1} states of X, got {j + 1}")
 
 
+def _kept(flow, grid: TorusGrid, dt: float) -> FieldPath:
+    """A copy of row 0 of every stack ``flow`` yields, as a FieldPath: what
+    the ``solve_*`` wrappers keep of their flows."""
+    return FieldPath(dt, [SpectralField(grid, s[0].copy()) for s in flow])
+
+
 def solve_shifted(upsilon: SpectralField, x_traj: FieldPath, config: SqeConfig) -> FieldPath:
     """The shifted equation driven by the OU trajectory ``x_traj`` on the
-    solver's time grid: ``evolve_shifted`` over its states, keeping a copy
-    of every state."""
-    _check_path(x_traj, config, upsilon.grid)
-    flow = evolve_shifted(upsilon, (s.coeffs for s in x_traj.states), config)
-    return FieldPath(x_traj.dt, [SpectralField(upsilon.grid, c.copy()) for c in flow])
+    solver's time grid: ``evolve_shifted`` on a stack of one over its
+    states, keeping a copy of every state."""
+    grid = upsilon.grid
+    _check_path(x_traj, config, grid)
+    stack = SpectralField(grid, upsilon.coeffs[None])
+    flow = evolve_shifted(stack, (s.coeffs for s in x_traj.states), config)
+    return _kept(flow, grid, x_traj.dt)
 
 
 def _ou_increments(grid: TorusGrid, initial: np.ndarray, states, dt: float):
@@ -437,10 +453,7 @@ def solve_sqe_full(
     This is ``evolve_levels`` on one level that keeps a copy of every
     state.
     """
-    grid = phi0.grid
-    flow = evolve_levels(phi0, [config], stream, x_traj)
-    states = [SpectralField(grid, s[0].copy()) for s in flow]
-    return FieldPath(config.dt, states)
+    return _kept(evolve_levels(phi0, [config], stream, x_traj), phi0.grid, config.dt)
 
 
 def decompose(
@@ -510,7 +523,7 @@ def evolve_projected(phi0: SpectralField, config: SqeConfig, streams):
         WickOverflowError with the lowest failing replica's exponent.
     """
     if phi0.coeffs.ndim != 3 or len(streams) != len(phi0.coeffs):
-        raise ValueError("need a stack of initial data and one stream per row")
+        raise ValueError("need a stack of initial data (n, M, M) and one stream per row")
     grid = phi0.grid
     # the stack's workspaces of the step loop and the OU chain
     spec = np.empty(phi0.coeffs.shape, dtype=np.complex128)
@@ -534,11 +547,8 @@ def solve_sqe_projected(
     This is ``evolve_projected`` on a stack of one that keeps a copy of
     every state.
     """
-    grid = phi0.grid
-    stack = SpectralField(grid, phi0.coeffs[None])
-    flow = evolve_projected(stack, config, [stream])
-    states = [SpectralField(grid, s[0].copy()) for s in flow]
-    return FieldPath(config.dt, states)
+    stack = SpectralField(phi0.grid, phi0.coeffs[None])
+    return _kept(evolve_projected(stack, config, [stream]), phi0.grid, config.dt)
 
 
 def contraction_check(
@@ -547,15 +557,16 @@ def contraction_check(
     x_traj: FieldPath,
     config: SqeConfig,
 ) -> ContractionReport:
-    """Step the shifted flows from two data in lockstep over one OU
+    """Step the shifted flow from a stack of two data over one OU
     trajectory, keeping only their gaps: exp(t/2) ||Y1_t - Y2_t||_{L2}
     must be nonincreasing within CONTRACTION_TOLERANCE per unit time."""
     grid = x_traj.grid
-    flows = []
-    for upsilon in (upsilon1, upsilon2):
-        _check_path(x_traj, config, upsilon.grid)
-        flows.append(evolve_shifted(upsilon, (s.coeffs for s in x_traj.states), config))
-    gaps = np.ravel([sobolev_norms(a[None], grid, (0.0,), minus=b[None]) for a, b in zip(*flows)])
+    _check_path(x_traj, config, upsilon1.grid, upsilon2.grid)
+    data = SpectralField(grid, np.stack([upsilon1.coeffs, upsilon2.coeffs]))
+    flow = evolve_shifted(data, (s.coeffs for s in x_traj.states), config)
+    # the flow's state buffer is the only copy of the data it steps
+    del data
+    gaps = np.ravel([sobolev_norms(s[:1], grid, (0.0,), minus=s[1:]) for s in flow])
     times = x_traj.times
     weighted = np.exp(0.5 * times) * gaps
     if np.all(gaps == 0.0):

@@ -194,18 +194,9 @@ class SpectralField:
     def copy_coeffs(self) -> np.ndarray:
         return np.array(self.coeffs)
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_grid(other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_same_grid(other)
         return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * complex(scalar))
-
-    __rmul__ = __mul__
 
     def _check_same_grid(self, other: "SpectralField"):
         if other.grid != self.grid:

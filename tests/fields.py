@@ -12,3 +12,8 @@ def constant_field(grid, value: float) -> SpectralField:
     coeffs = np.zeros((grid.modes_per_dim,) * 2, dtype=np.complex128)
     coeffs[0, 0] = 2.0 * math.pi * value
     return SpectralField(grid, coeffs)
+
+
+def stacked(*fields) -> SpectralField:
+    """The stack (n, M, M) of ``fields``, row i the coefficients of fields[i]."""
+    return SpectralField(fields[0].grid, np.stack([f.coeffs for f in fields]))

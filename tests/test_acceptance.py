@@ -49,6 +49,7 @@ from expsqlab import (
 from expsqlab.measures import AREA
 from expsqlab.randomfields import ou_chain
 from expsqlab.spectral import heat_multiplier, sobolev_norms
+from fields import stacked
 from golden_values import load_golden, value_drift
 
 SEED = 20260814
@@ -304,8 +305,8 @@ def test_criterion_08_splitting_order():
         x_chain = ou_chain(grid, phi0.coeffs[None], fine_cfg.dt, fine_cfg.n_steps(),
                            [sub.child("ou").generator()])
         x_states = _keeping(chain([phi0.coeffs], (x[0] for x, _ in x_chain)), thin, x_fine)
-        flow = evolve_shifted(zero_field(grid), x_states, fine_cfg)
-        y_fine = [y.copy() for j, y in enumerate(flow) if j % thin == 0]
+        flow = evolve_shifted(stacked(zero_field(grid)), x_states, fine_cfg)
+        y_fine = [y[0].copy() for j, y in enumerate(flow) if j % thin == 0]
         fine = FieldPath(fine_cfg.dt * thin, [SpectralField(grid, x) for x in x_fine])
         for c, p in enumerate(ps):
             stride = 2 ** (ps[-1] - p)

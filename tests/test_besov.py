@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from expsqlab import (
+    SpectralField,
     TorusGrid,
     gff_sample,
     sobolev_norm,
@@ -92,7 +93,7 @@ def test_single_mode_block_assignment(grid32):
 def test_two_block_field_q_dispatch(grid32):
     # cos(x1) + cos(4 x1): blocks -1 and 1 each hold one pure mode, and
     # the norm is the l^2 sum of the two block terms
-    f = _cos_field(grid32, 1) + _cos_field(grid32, 4)
+    f = SpectralField(grid32, _cos_field(grid32, 1).coeffs + _cos_field(grid32, 4).coeffs)
     s = -1.0
     t_low = 2.0**-s * SQRT2PI
     t_high = 2.0**s * SQRT2PI

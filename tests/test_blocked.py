@@ -748,15 +748,10 @@ def test_each_ou_noise_scale_is_built_once(monkeypatch, cmd, fields):
     assert built == [fields["dt"]]
 
 
-def test_shifted_solve_holds_its_states_and_a_few_fields():
-    # solve_shifted at M = 32 over a 65-state OU trajectory keeps its 65
-    # states, 16 KiB each.  Beside them it holds the zero datum, one
-    # spectral and two grid workspaces and the initial-regularity
-    # check's temporaries: 70.2 fields at the peak (the cutoff multiplier
-    # is the grid's cached one, warmed with the weights).
-    # Each step forms its Wick forcing from its state of X in the grid
-    # workspace, so a stored path of forcing states (65 more fields)
-    # cannot fit under the bound.
+def _shifted_inputs():
+    """The shifted-flow workload of the memory tests: a 65-state OU
+    trajectory at M = 32 under its configuration, and the stream that drew
+    it."""
     grid = TorusGrid(32)
     params = make_wick_params(1.0, 2, CutoffProfile("sharp"), grid)
     config = SqeConfig(horizon=1.0, dt=1 / 64, params=params)
@@ -764,6 +759,25 @@ def test_shifted_solve_holds_its_states_and_a_few_fields():
     traj = ou_path(gff_sample(grid, stream.child("x0")), config.dt, config.n_steps(),
                    stream.child("ou"))
     assert len(traj.states) == 65
+    return config, stream, traj
+
+
+def _contraction_data(grid, stream):
+    return [heat_semigroup(gff_sample(grid, stream.child(n)), 0.05) for n in ("u1", "u2")]
+
+
+def test_shifted_solve_holds_its_states_and_a_few_fields():
+    # solve_shifted at M = 32 over a 65-state OU trajectory keeps its 65
+    # states, 16 KiB each.  Beside them it holds the zero datum, its stack
+    # of one's state buffer, one spectral and two grid workspaces (the
+    # stack's and the forcing's) and the initial-regularity check's
+    # temporaries: 70.2 fields at the peak (the cutoff multiplier is the
+    # grid's cached one, warmed with the weights).
+    # Each step forms its Wick forcing from its state of X in the grid
+    # workspace, so a stored path of forcing states (65 more fields)
+    # cannot fit under the bound.
+    config, _, traj = _shifted_inputs()
+    grid = traj.grid
     field_bytes = grid.npoints * 16
 
     def run():
@@ -774,21 +788,17 @@ def test_shifted_solve_holds_its_states_and_a_few_fields():
 
 
 def test_contraction_check_holds_a_few_fields_not_its_paths():
-    # contraction_check steps its two shifted flows in lockstep over the
-    # 65-state trajectory above and keeps one gap per state.  Each flow
-    # holds its state buffer and one spectral and two grid workspaces,
-    # and both read the grid's cached cutoff multiplier; with the gap's
-    # rows that is 8.1 fields at the peak.  Two kept 65-state paths (130
-    # fields) cannot fit.
-    grid = TorusGrid(32)
-    params = make_wick_params(1.0, 2, CutoffProfile("sharp"), grid)
-    config = SqeConfig(horizon=1.0, dt=1 / 64, params=params)
-    stream = RngStream(628, purpose="shifted-memory")
-    traj = ou_path(gff_sample(grid, stream.child("x0")), config.dt, config.n_steps(),
-                   stream.child("ou"))
-    assert len(traj.states) == 65
-    u1 = heat_semigroup(gff_sample(grid, stream.child("u1")), 0.05)
-    u2 = heat_semigroup(gff_sample(grid, stream.child("u2")), 0.05)
+    # contraction_check steps its two data as one stacked shifted flow
+    # over the 65-state trajectory above and keeps one gap per state.
+    # The flow holds the stack's state buffer and spectral workspace, two
+    # fields each, a grid workspace of the stack and one grid buffer for
+    # X's forcing, and reads the grid's cached cutoff multiplier; the
+    # stacked data are dropped once the flow has copied them.  With the
+    # gap's rows that is 8.3 fields at the peak.  Two kept 65-state paths
+    # (130 fields) cannot fit.
+    config, stream, traj = _shifted_inputs()
+    grid = traj.grid
+    u1, u2 = _contraction_data(grid, stream)
     field_bytes = grid.npoints * 16
 
     def run():
@@ -796,3 +806,21 @@ def test_contraction_check_holds_a_few_fields_not_its_paths():
 
     run()  # warm caches (weights, heat multiplier) outside the measurement
     assert _peak_traced_bytes(run) < 12 * field_bytes
+
+
+def test_contraction_check_forms_one_forcing_per_step(monkeypatch):
+    # the two data step over one X as one stack, so X's Wick forcing is
+    # formed once per step for both rows: 64 calls over the 65 states,
+    # where two flows would form it twice
+    config, stream, traj = _shifted_inputs()
+    u1, u2 = _contraction_data(traj.grid, stream)
+    calls = []
+    wick_exp = dynamics.wick_exp
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return wick_exp(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "wick_exp", counted)
+    contraction_check(u1, u2, traj, config)
+    assert len(calls) == config.n_steps() == 64

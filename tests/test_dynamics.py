@@ -34,7 +34,7 @@ from expsqlab import (
 )
 from expsqlab.randomfields import ou_chain
 from expsqlab.spectral import heat_multiplier
-from fields import constant_field
+from fields import constant_field, stacked
 
 
 def _params(grid, alpha=1.0, level=2):
@@ -294,7 +294,7 @@ def test_forcing_times_enforced(grid32):
         x_states = iter([zero_field(grid32).coeffs] * n)
         yielded = 0
         with pytest.raises(ValueError, match="needs 5 states of X, got " + str(n)):
-            for _ in evolve_shifted(zero_field(grid32), x_states, config):
+            for _ in evolve_shifted(stacked(zero_field(grid32)), x_states, config):
                 yielded += 1
         assert yielded == 5
         assert next(x_states, None) is None
@@ -314,14 +314,36 @@ def test_rough_initial_datum_rejected(stream):
         solve_shifted(rough, zeros, config)
     # the flow checks its datum on the call, before any state is pulled
     with pytest.raises(ValueError, match="rough"):
-        evolve_shifted(rough, iter(()), config)
+        evolve_shifted(stacked(rough), iter(()), config)
     lost = zero_field(grid).copy_coeffs()
     lost[1, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        evolve_shifted(SpectralField(grid, lost), iter(()), config)
+        evolve_shifted(SpectralField(grid, lost[None]), iter(()), config)
     smooth = heat_semigroup(rough, 0.1)
     path = solve_shifted(smooth, zeros, config)
     assert np.all(np.isfinite(path.states[-1].coeffs))
+
+
+@pytest.mark.parametrize("flow", ["levels", "projected", "shifted"])
+def test_flows_reject_a_datum_of_the_wrong_rank(grid32, stream, flow):
+    # every flow checks its datum's rank on the call, with an error that
+    # names the shape it expects, before any state of X is pulled: the
+    # full flow steps one field under its levels, the other two a stack
+    config = _shifted_config(grid32, dt=1.0 / 16, horizon=0.25, level=2)
+    field = zero_field(grid32)
+    x_states = iter([field.coeffs] * (config.n_steps() + 1))
+    calls = {
+        "levels": (lambda: evolve_levels(stacked(field, field), [config], stream),
+                   r"initial field \(M, M\)"),
+        "projected": (lambda: evolve_projected(field, config, [stream]),
+                      r"initial data \(n, M, M\)"),
+        "shifted": (lambda: evolve_shifted(field, x_states, config),
+                    r"initial data \(n, M, M\)"),
+    }
+    call, shape = calls[flow]
+    with pytest.raises(ValueError, match=shape):
+        call()
+    assert len(list(x_states)) == config.n_steps() + 1
 
 
 def test_x_traj_validation(grid32, stream):
@@ -392,8 +414,11 @@ def test_flows_yield_fresh_states(grid32, stream):
                 assert row.tobytes() == path.states[j].coeffs.tobytes()
         assert len(yielded) == config.n_steps() + 1
 
-    # the shifted flow, over the stored trajectory's states or over the
-    # live OU chain that ou_path copies them from, alike
+    # the shifted flow steps a stack of data under one X, over the stored
+    # trajectory's states or over the live OU chain that ou_path copies
+    # them from, alike: row i is the solve of datum i alone
+    y1 = heat_semigroup(gff_sample(grid32, stream.child("y1")), 0.1)
+    pair = [kept, solve_shifted(y1, x_traj, config)]
     chain_states = ou_chain(grid32, phi0.coeffs[None], config.dt, config.n_steps(),
                             [stream.child("ou").generator()])
     for x_states in (
@@ -401,8 +426,10 @@ def test_flows_yield_fresh_states(grid32, stream):
         chain([phi0.coeffs], (s[0] for s, _ in chain_states)),
     ):
         yielded = []
-        for j, s in enumerate(evolve_shifted(y0, x_states, config)):
+        for j, s in enumerate(evolve_shifted(stacked(y0, y1), x_states, config)):
             yielded.append(s)
             assert s is yielded[0]
-            assert s.tobytes() == kept.states[j].coeffs.tobytes()
+            assert s.shape == (2, 32, 32)
+            for row, path in zip(s, pair):
+                assert row.tobytes() == path.states[j].coeffs.tobytes()
         assert len(yielded) == config.n_steps() + 1

@@ -171,12 +171,10 @@ def test_field_arithmetic(grid32, stream):
     gen = stream.generator()
     f = to_spectral(gen.standard_normal((32, 32)), grid32)
     g = to_spectral(gen.standard_normal((32, 32)), grid32)
-    h = (f + g) - g
-    assert np.allclose(h.coeffs, f.coeffs, atol=1e-12)
-    assert np.allclose((2.5 * f).coeffs, (f * 2.5).coeffs)
+    assert (f - g).coeffs.tobytes() == (f.coeffs - g.coeffs).tobytes()
     other = zero_field(TorusGrid(16))
-    with pytest.raises(ValueError):
-        f + other
+    with pytest.raises(ValueError, match="different grids"):
+        f - other
 
 
 def test_quadrature_of_one():
