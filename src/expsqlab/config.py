@@ -19,6 +19,12 @@ comment.  Keys are dotted by concern:
 Unknown keys, a key given twice, unparsable values and violated ranges
 raise ConfigError, which the command line maps to exit code 3.
 Command-line flags override the file's keys.
+
+``ExperimentConfig`` checks its ranges (``replicas`` and ``samples`` at
+least 1, ``seed`` in 64 bits, ``eps`` positive) when it is built, so a
+config built in code is held to them as a parsed one is.  Parsing also
+builds the grid and solver once, so a grid, step or level they cannot
+hold fails there; a config built in code meets that at its command.
 """
 
 from __future__ import annotations
@@ -61,6 +67,16 @@ class ExperimentConfig:
     samples: int = 2000
     tilt: float | str = "auto"
     eps: float = 0.125
+
+    def __post_init__(self):
+        if self.replicas < 1:
+            raise ConfigError("replicas must be positive")
+        if self.samples < 1:
+            raise ConfigError("samples must be positive")
+        if not (0 <= self.seed < 2**64):
+            raise ConfigError("seed must fit in 64 bits")
+        if self.eps <= 0:
+            raise ConfigError("eps must be positive")
 
     def build_grid(self) -> TorusGrid:
         try:
@@ -188,14 +204,6 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
 
 
 def _validate(cfg: ExperimentConfig):
-    if cfg.replicas < 1:
-        raise ConfigError("replicas must be positive")
-    if cfg.samples < 1:
-        raise ConfigError("samples must be positive")
-    if not (0 <= cfg.seed < 2**64):
-        raise ConfigError("seed must fit in 64 bits")
-    if cfg.eps <= 0:
-        raise ConfigError("eps must be positive")
     # construct everything once so schema-level errors surface as exit 3
     try:
         cfg.build_sqe().n_steps()

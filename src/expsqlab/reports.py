@@ -8,6 +8,14 @@ counts and is allowed to differ between runs.  ``body_digest`` is the
 sha256 of the body bytes, recorded on the side for quick
 reproducibility checks.
 
+The body bytes and the whole document are each one ``json.dumps`` of
+one payload (``ExperimentReport._payload``) with one ``default`` hook,
+``_numpy_value``.  json itself walks dicts, lists and tuples and writes
+Python scalars (``np.float64``, a float subclass, with float's repr);
+the hook turns a numpy array or scalar into its ``tolist()`` value and
+raises TypeError naming any other type.  Dict keys must be strings, as
+every body's are.
+
 ``save_fields`` is the one writer of the binary coefficient dump; it
 consumes fields or stacks of fields one item at a time, so a driver can
 stream its draws into it block by block.  ``load_fields`` reads it back
@@ -38,22 +46,11 @@ __all__ = [
 ]
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__} into a report body")
+def _numpy_value(obj):
+    """json's ``default`` hook: a numpy array or scalar as its ``tolist()``."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
 @dataclass
@@ -64,25 +61,25 @@ class ExperimentReport:
     timing: dict = dataclass_field(default_factory=dict)
     exit_code: int = 0
 
-    def body_bytes(self) -> bytes:
-        payload = {
+    def _payload(self) -> dict:
+        return {
             "command": self.command,
-            "config": _jsonable(self.config),
-            "results": _jsonable(self.body),
+            "config": self.config,
+            "results": self.body,
             "exit_code": self.exit_code,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+    def body_bytes(self) -> bytes:
+        return json.dumps(
+            self._payload(), sort_keys=True, separators=(",", ":"), default=_numpy_value
+        ).encode()
 
     def body_digest(self) -> str:
         return hashlib.sha256(self.body_bytes()).hexdigest()
 
     def to_json(self) -> str:
-        doc = {
-            "body": json.loads(self.body_bytes()),
-            "body_digest": self.body_digest(),
-            "timing": _jsonable(self.timing),
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        doc = {"body": self._payload(), "body_digest": self.body_digest(), "timing": self.timing}
+        return json.dumps(doc, sort_keys=True, indent=2, default=_numpy_value) + "\n"
 
 
 def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:

@@ -236,9 +236,10 @@ def wick_exp(
 
 def wick_exp_values(field: SpectralField, params: WickParams) -> np.ndarray:
     """``wick_exp`` of a field or stack, guarded: its values, or
-    WickOverflowError with the exponent of the first field that passes."""
+    WickOverflowError with the exponent of the first field that passes
+    (a NaN exponent passes, as in ``dynamics._guarded``)."""
     vals, peaks = wick_exp(field.coeffs, params, field.grid)
-    over = np.flatnonzero(peaks > OVERFLOW_EXPONENT)
+    over = np.flatnonzero(~(peaks <= OVERFLOW_EXPONENT))
     if over.size:
         raise WickOverflowError(float(peaks[over[0]]))
     return vals

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from expsqlab import ConfigError, ExperimentConfig, load_config, parse_config
+from expsqlab.experiments import COMMANDS
 
 GOOD = """
 # a full file, every key present
@@ -103,6 +104,27 @@ def test_range_validation():
         parse_config("sqe.dt = 0.3\n")  # does not divide T = 1 ... caught later
     with pytest.raises(ConfigError):
         parse_config("cutoff.kind = box\n")
+
+
+# a run every command finishes quickly, and one value out of each range
+SMALL = dict(modes=32, level=1, horizon=1 / 32, dt=1 / 64, replicas=2, samples=4)
+OUT_OF_RANGE = [
+    ("replicas", 0, "replicas must be positive"),
+    ("samples", 0, "samples must be positive"),
+    ("seed", -1, "seed must fit in 64 bits"),
+    ("seed", 2**64, "seed must fit in 64 bits"),
+    ("eps", 0.0, "eps must be positive"),
+]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_configs_built_in_code_are_range_checked(command):
+    # a config built in code, not parsed, meets the same range checks
+    # before any command runs on it
+    ExperimentConfig(**SMALL)
+    for field, value, message in OUT_OF_RANGE:
+        with pytest.raises(ConfigError, match=message):
+            COMMANDS[command](ExperimentConfig(**{**SMALL, field: value}))
 
 
 def test_builders(grid32):

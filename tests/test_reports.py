@@ -29,9 +29,61 @@ def _report():
             "passed": np.bool_(True),
             "levels": (1, 2),
             "note": None,
+            "replicas": np.int64(4),
+            "beta": np.float32(0.1),
+            "blocks": ((1, (2.5, 3)), ()),
         },
-        timing={"wall_s": 0.123},
+        timing={"wall_s": 0.123, "counts": {"steps": np.int64(7)}},
     )
+
+
+# _report().to_json(), byte for byte: keys sorted at every depth, two-space
+# indent, tuples as lists, numpy scalars as the Python values of their
+# ``tolist()`` (a float32 widened, not rounded to its shortest repr)
+DOCUMENT = """\
+{
+  "body": {
+    "command": "wick-converge",
+    "config": {
+      "modes": 32,
+      "seed": 3
+    },
+    "exit_code": 0,
+    "results": {
+      "beta": 0.10000000149011612,
+      "blocks": [
+        [
+          1,
+          [
+            2.5,
+            3
+          ]
+        ],
+        []
+      ],
+      "levels": [
+        1,
+        2
+      ],
+      "mean_gaps": [
+        0.5,
+        0.25
+      ],
+      "note": null,
+      "passed": true,
+      "rate": 1.0,
+      "replicas": 4
+    }
+  },
+  "body_digest": "25271b8bc773ba9a78ffa6f80a8e29235258a0c640ce1ee9156645f549ef6721",
+  "timing": {
+    "counts": {
+      "steps": 7
+    },
+    "wall_s": 0.123
+  }
+}
+"""
 
 
 def test_body_bytes_deterministic():
@@ -57,11 +109,25 @@ def test_json_types_survive():
     assert doc["timing"]["wall_s"] == 0.123
 
 
+def test_report_document_is_pinned():
+    assert _report().to_json() == DOCUMENT
+    compact = json.dumps(json.loads(DOCUMENT)["body"], sort_keys=True, separators=(",", ":"))
+    assert _report().body_bytes() == compact.encode()
+
+
 def test_unserializable_body_rejected():
     r = _report()
     r.body["oops"] = object()
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="cannot serialize object"):
         r.body_bytes()
+    # a numpy value json cannot hold is named by the type it turns into
+    r.body["oops"] = np.complex128(1j)
+    with pytest.raises(TypeError, match="cannot serialize complex"):
+        r.body_bytes()
+    r = _report()
+    r.timing["oops"] = {1.5}
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        r.to_json()
 
 
 def test_write_report(tmp_path):

@@ -363,6 +363,17 @@ def test_overflow_guard(grid32, sharp):
     assert info.value.max_exponent == pytest.approx(800.0 - 0.5 * params.c_n, rel=1e-12)
 
 
+def test_overflow_guard_flags_a_nan_exponent(grid32, sharp, stream):
+    # one NaN coefficient makes its field's exponent NaN, which passes the
+    # guard as it does the flows' (dynamics._guarded): no NaN values return
+    params = make_wick_params(1.0, 2, sharp, grid32)
+    coeffs = gff_sample(grid32, [stream.for_replica(i) for i in range(3)]).coeffs.copy()
+    coeffs[1, 0, 0] = np.nan
+    with pytest.raises(WickOverflowError) as info:
+        wick_exp_values(SpectralField(grid32, coeffs), params)
+    assert math.isnan(info.value.max_exponent)
+
+
 def test_apply_pn_sharp_idempotent(grid32, sharp, stream):
     f = gff_sample(grid32, stream)
     m = sharp.multiplier(grid32, 2)
