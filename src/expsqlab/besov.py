@@ -68,7 +68,10 @@ def block_weights(grid) -> np.ndarray:
 
 
 def besov_norm(field: SpectralField, s: float) -> float:
-    """l^2 over blocks j >= -1 of 2^{js} ||Delta_j field||_{L^2}."""
+    """l^2 over blocks j >= -1 of 2^{js} ||Delta_j field||_{L^2} of one
+    field."""
+    if field.coeffs.ndim != 2:
+        raise ValueError("need one field (M, M), not a stack")
     grid = field.grid
     norms = sobolev_norms(field.coeffs * block_weights(grid), grid, (0.0,))[0]
     terms = [2.0 ** (j * s) * n for j, n in zip(dyadic_blocks(grid), norms.tolist())]

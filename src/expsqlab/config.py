@@ -20,11 +20,13 @@ Unknown keys, a key given twice, unparsable values and violated ranges
 raise ConfigError, which the command line maps to exit code 3.
 Command-line flags override the file's keys.
 
-``ExperimentConfig`` checks its ranges (``replicas`` and ``samples`` at
-least 1, ``seed`` in 64 bits, ``eps`` positive) when it is built, so a
-config built in code is held to them as a parsed one is.  Parsing also
-builds the grid and solver once, so a grid, step or level they cannot
-hold fails there; a config built in code meets that at its command.
+``ExperimentConfig`` checks its values when it is built: the float keys
+are finite, ``tilt`` is ``auto``, ``none`` or a finite number,
+``replicas`` and ``samples`` are at least 1, ``seed`` fits in 64 bits and
+``eps`` is positive.  So a config built in code is held to them as a
+parsed one is.  Parsing also builds the grid and solver once, so a
+grid, step or level they cannot hold fails there; a config built in code
+meets that at its command.
 """
 
 from __future__ import annotations
@@ -69,6 +71,13 @@ class ExperimentConfig:
     eps: float = 0.125
 
     def __post_init__(self):
+        for name in ("horizon", "dt", "alpha", "beta", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        if self.tilt not in ("auto", "none") and (
+            isinstance(self.tilt, str) or not math.isfinite(self.tilt)
+        ):
+            raise ConfigError("tilt must be 'auto', 'none' or a finite number")
         if self.replicas < 1:
             raise ConfigError("replicas must be positive")
         if self.samples < 1:

@@ -313,7 +313,10 @@ def sobolev_norms(coeffs: np.ndarray, grid: TorusGrid, orders, minus=None) -> np
 
 
 def sobolev_norm(field: SpectralField, s: float) -> float:
-    """sqrt( sum_k (1+|k|^2)^s |coeff(k)|^2 )."""
+    """sqrt( sum_k (1+|k|^2)^s |coeff(k)|^2 ) of one field; a stack
+    goes through ``sobolev_norms``."""
+    if field.coeffs.ndim != 2:
+        raise ValueError("need one field (M, M), not a stack")
     return float(sobolev_norms(field.coeffs[None], field.grid, (s,))[0, 0])
 
 

@@ -107,3 +107,14 @@ def test_equivalence_on_random_field(stream):
     for s in (-1.0, -0.5, -0.25):
         ratio = besov_norm(f, s) / sobolev_norm(f, s)
         assert 0.1 < ratio < 10.0
+
+
+@pytest.mark.parametrize("rows", [1, 2, len(dyadic_blocks(TorusGrid(32)))])
+@pytest.mark.parametrize("norm", [sobolev_norm, besov_norm])
+def test_single_field_norms_reject_a_stack(grid32, stream, norm, rows):
+    # a stack of draws is refused by name: one row per dyadic block (six
+    # at M = 32) would broadcast against the block weights into a norm
+    # mixed from its rows
+    stack = gff_sample(grid32, [stream.for_replica(i) for i in range(rows)])
+    with pytest.raises(ValueError, match="need one field"):
+        norm(stack, -0.5)

@@ -504,16 +504,24 @@ def test_failing_level_leaves_other_levels_unharmed():
     assert not stacks[-1][1:].any()
 
 
-def test_sqe_builds_one_ou_chain_per_replica(monkeypatch):
-    original = randomfields.ou_chain
+def _recorded_calls(monkeypatch, name, *owners):
+    """Wrap ``owners[0].name`` so that it records the positional arguments
+    of each call, set the wrapper as ``name`` on every owner and return
+    the list it appends to."""
+    original = getattr(owners[0], name)
     calls = []
 
-    def counted(*args):
+    def recorded(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
-    for module in (randomfields, dynamics):
-        monkeypatch.setattr(module, "ou_chain", counted)
+    for owner in owners:
+        monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def test_sqe_builds_one_ou_chain_per_replica(monkeypatch):
+    calls = _recorded_calls(monkeypatch, "ou_chain", randomfields, dynamics)
     # one chain per replica, shared by its two levels
     cfg = ExperimentConfig(modes=32, level=2, seed=7, replicas=3, horizon=0.125, dt=1 / 64)
     assert cmd_sqe(cfg).exit_code == 0
@@ -710,14 +718,7 @@ def test_sqe_builds_each_cutoff_symbol_once(monkeypatch):
     # every level of the flow reads its cutoff symbol from the grid's
     # cache: a run builds psi(2^-N k) once per level on its one grid,
     # however many replicas and steps it takes
-    built = []
-    radial = CutoffProfile._radial
-
-    def counted(self, r):
-        built.append(self.kind)
-        return radial(self, r)
-
-    monkeypatch.setattr(CutoffProfile, "_radial", counted)
+    built = _recorded_calls(monkeypatch, "_radial", CutoffProfile)
     cfg = ExperimentConfig(modes=32, level=2, seed=636, replicas=2, horizon=4 / 64, dt=1 / 64)
     assert cmd_sqe(cfg).exit_code == 0
     assert len(built) == 2
@@ -736,16 +737,9 @@ def test_each_ou_noise_scale_is_built_once(monkeypatch, cmd, fields):
     # builds sqrt(v)/M once on its one grid and dt, however many replicas
     # it steps (two for sqe) and in however many blocks (three of 16
     # replicas for invariance)
-    built = []
-    variance = randomfields.ou_noise_variance
-
-    def counted(grid, dt):
-        built.append(dt)
-        return variance(grid, dt)
-
-    monkeypatch.setattr(randomfields, "ou_noise_variance", counted)
+    built = _recorded_calls(monkeypatch, "ou_noise_variance", randomfields)
     assert cmd(ExperimentConfig(**fields)).exit_code == 0
-    assert built == [fields["dt"]]
+    assert [dt for _, dt in built] == [fields["dt"]]
 
 
 def _shifted_inputs():
@@ -814,13 +808,6 @@ def test_contraction_check_forms_one_forcing_per_step(monkeypatch):
     # where two flows would form it twice
     config, stream, traj = _shifted_inputs()
     u1, u2 = _contraction_data(traj.grid, stream)
-    calls = []
-    wick_exp = dynamics.wick_exp
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return wick_exp(*args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "wick_exp", counted)
+    calls = _recorded_calls(monkeypatch, "wick_exp", dynamics)
     contraction_check(u1, u2, traj, config)
     assert len(calls) == config.n_steps() == 64

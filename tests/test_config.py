@@ -114,6 +114,13 @@ OUT_OF_RANGE = [
     ("seed", -1, "seed must fit in 64 bits"),
     ("seed", 2**64, "seed must fit in 64 bits"),
     ("eps", 0.0, "eps must be positive"),
+    ("eps", math.nan, "eps must be finite"),
+    ("horizon", math.inf, "horizon must be finite"),
+    ("dt", math.nan, "dt must be finite"),
+    ("alpha", math.nan, "alpha must be finite"),
+    ("beta", math.nan, "beta must be finite"),
+    ("tilt", "bogus", "tilt must be 'auto', 'none' or a finite number"),
+    ("tilt", math.nan, "tilt must be 'auto', 'none' or a finite number"),
 ]
 
 

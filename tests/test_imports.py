@@ -21,36 +21,21 @@ for every public method and property that a class in ``__all__``
 defines (dunders and dataclass fields aside), read as an attribute, with
 ``UNREAD_METHODS`` as its list.  No package function takes a
 ``CutoffProfile`` next to a ``WickParams``, and ``SqeConfig`` holds no
-``CutoffProfile``: the Wick parameters carry the
-cutoff their C_N was computed from, and a second profile beside them
-could disagree with it.  numpy's FFT module is used only by
-``spectral``: its one forward FFT (``scaled_fft``), the inverse
-transform (``to_values``) and the grid's mode axis (``fftfreq`` in
-``TorusGrid.__init__``).  The overflow
-bound ``OVERFLOW_EXPONENT`` is read, and ``WickOverflowError`` raised,
-only by the flows' guard (``dynamics._guarded``) and the Wick
-exponential's (``wick.wick_exp_values``), besides the error's message,
-which names the bound; the package raises no bare ``FloatingPointError``.
-``wick.scaled_exp`` is called exactly once in each of ``wick.wick_exp``
-(the one Wick exponential exp(alpha P_N phi - shift): P_N, the inverse
-transform, then ``scaled_exp``), ``dynamics._full_flow`` (its
-unprojected state) and ``dynamics._shifted_flow`` (its Y factor), and
-nowhere else, so every projected exponential goes through ``wick_exp``.
-No package code calls ``sobolev_norm`` or ``sobolev_norms`` on a
-subtraction or on a ``SpectralField(...)`` built in the call: a norm of
-a difference or of a block stack goes through ``sobolev_norms`` on bare
-arrays, the difference through its ``minus``.  The flows take their
-exponential-Euler step through one kernel, ``dynamics._mild_step``: in
-the package ``heat_multiplier`` is called only there, by the OU chain
-(``randomfields.ou_chain``) and by a stored path's increments
-(``dynamics._ou_increments``), and ``to_coeffs`` only there, by
-``spectral.to_spectral`` and by one replica of
-``experiments.cmd_wick_converge``.
+``CutoffProfile``: the Wick parameters carry the cutoff their C_N was
+computed from, and a second profile beside them could disagree with it.
+Some facts are call-site rules: a kind of site (an import, a read, a
+raise, a call) stands only in the functions named for it.  Each row of
+``SITES`` is one rule: a matcher of the site and the sorted list of
+(module, owner) that hold it, one site each, where an owner is the
+dotted name of the enclosing function or class.  A rule with no owners
+bans its site from the package.  The comment on a row gives its reason.
 """
 
 import ast
 import dataclasses
 from pathlib import Path
+
+import pytest
 
 import expsqlab
 from expsqlab import CutoffProfile, ExperimentConfig, SqeConfig, WickParams
@@ -330,23 +315,6 @@ def test_no_cutoff_travels_beside_wick_params():
     assert found == []
 
 
-# the functions that may use numpy's FFT module, per package module: the
-# one forward FFT, the inverse transform and the grid's mode axis
-FFT_USERS = {
-    "spectral.py": {"scaled_fft", "to_values", "TorusGrid.__init__"},
-}
-
-
-def _imports_numpy_fft(node) -> bool:
-    if isinstance(node, ast.Import):
-        return any(a.name.startswith("numpy.fft") for a in node.names)
-    if isinstance(node, ast.ImportFrom) and node.module:
-        return node.module.startswith("numpy.fft") or (
-            node.module == "numpy" and any(a.name == "fft" for a in node.names)
-        )
-    return False
-
-
 def owned_matches(source: str, match) -> list[tuple[int, str]]:
     """(line, dotted qualified name of the enclosing function or class, or
     ``<module>``) of every node of ``source`` that ``match`` accepts."""
@@ -365,53 +333,25 @@ def owned_matches(source: str, match) -> list[tuple[int, str]]:
     return found
 
 
+def _name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
 def _uses_numpy_fft(node) -> bool:
-    return _imports_numpy_fft(node) or (
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.fft") for a in node.names)
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return node.module.startswith("numpy.fft") or (
+            node.module == "numpy" and any(a.name == "fft" for a in node.names)
+        )
+    return (
         isinstance(node, ast.Attribute)
         and node.attr == "fft"
         and isinstance(node.value, ast.Name)
         and node.value.id in ("np", "numpy")
     )
-
-
-def fft_uses(source: str) -> list[tuple[int, str]]:
-    """(line, owner) of every ``np.fft``/``numpy.fft`` expression and every
-    import of ``numpy.fft`` in ``source``, as ``owned_matches`` gives it."""
-    return owned_matches(source, _uses_numpy_fft)
-
-
-def test_scan_finds_a_stray_fft():
-    source = (
-        "import numpy as np\n"
-        "from numpy.fft import rfft\n"
-        "class G:\n    def __init__(self):\n        self.k = np.fft.fftfreq(4)\n"
-        "def f(x):\n    return numpy.fft.ifft(x)\n"
-        "def g(x):\n    fft = np.fft\n    return fft.fft(x)\n"
-        "def h(x):\n    from numpy import fft\n    return np.sum(x)\n"
-    )
-    assert fft_uses(source) == [(2, "<module>"), (5, "G.__init__"), (7, "f"), (9, "g"), (12, "h")]
-
-
-def test_numpy_fft_is_used_only_by_the_transforms():
-    found = {(path.name, owner) for path in PACKAGE for _, owner in fft_uses(path.read_text())}
-    assert found == {(name, owner) for name, owners in FFT_USERS.items() for owner in owners}
-
-
-# the one guard of the flows and the one of the Wick exponential read the
-# overflow bound and raise its error; the error's message names the bound
-GUARD_USES = {
-    ("dynamics.py", "_guarded", "OVERFLOW_EXPONENT"),
-    ("dynamics.py", "_guarded", "raise WickOverflowError"),
-    ("wick.py", "wick_exp_values", "OVERFLOW_EXPONENT"),
-    ("wick.py", "wick_exp_values", "raise WickOverflowError"),
-    ("wick.py", "WickOverflowError.__init__", "OVERFLOW_EXPONENT"),
-}
-
-
-def _name(node) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    return node.attr if isinstance(node, ast.Attribute) else None
 
 
 def _raises(name: str):
@@ -422,58 +362,19 @@ def _raises(name: str):
     return match
 
 
-GUARD_MATCHES = {
-    "OVERFLOW_EXPONENT": lambda node: (
-        _name(node) == "OVERFLOW_EXPONENT" and isinstance(node.ctx, ast.Load)
-    ),
-    "raise WickOverflowError": _raises("WickOverflowError"),
-    "raise FloatingPointError": _raises("FloatingPointError"),
-}
+def _calls(name: str):
+    def match(node) -> bool:
+        return isinstance(node, ast.Call) and _name(node.func) == name
 
-
-def guard_uses(source: str) -> list[tuple[int, str, str]]:
-    """(line, owner, what) of every read of ``OVERFLOW_EXPONENT``, bare or
-    as an attribute, and every raise of ``WickOverflowError`` or of a bare
-    ``FloatingPointError`` in ``source``, in line order."""
-    return sorted(
-        (line, owner, what)
-        for what, match in GUARD_MATCHES.items()
-        for line, owner in owned_matches(source, match)
-    )
-
-
-def test_scan_finds_a_stray_guard():
-    source = (
-        "OVERFLOW_EXPONENT = 700.0\n"
-        "def _guarded(peaks):\n"
-        "    if peaks > OVERFLOW_EXPONENT:\n        raise WickOverflowError(peaks)\n"
-        "class Flow:\n    def step(self, x):\n"
-        "        if x > wick.OVERFLOW_EXPONENT:\n            raise FloatingPointError('lost')\n"
-        "def f():\n    raise wick.WickOverflowError\n"
-        "def g():\n    raise ValueError(OVERFLOW)\n"
-    )
-    assert guard_uses(source) == [
-        (3, "_guarded", "OVERFLOW_EXPONENT"),
-        (4, "_guarded", "raise WickOverflowError"),
-        (7, "Flow.step", "OVERFLOW_EXPONENT"),
-        (8, "Flow.step", "raise FloatingPointError"),
-        (10, "f", "raise WickOverflowError"),
-    ]
-
-
-def test_one_guard_per_rule():
-    found = {(p.name, owner, what) for p in PACKAGE for _, owner, what in guard_uses(p.read_text())}
-    assert found == GUARD_USES
-
-
-# the norm kernel takes a difference through ``minus`` and a block stack as
-# one bare array, so no package code hands a norm a subtraction or a
-# field wrapped around an array for the call
-NORMS = ("sobolev_norm", "sobolev_norms")
+    return match
 
 
 def _norm_of_a_temporary(node) -> bool:
-    if not (isinstance(node, ast.Call) and _name(node.func) in NORMS and node.args):
+    if not (
+        isinstance(node, ast.Call)
+        and _name(node.func) in ("sobolev_norm", "sobolev_norms")
+        and node.args
+    ):
         return False
     arg = node.args[0]
     return (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Sub)) or (
@@ -481,15 +382,102 @@ def _norm_of_a_temporary(node) -> bool:
     )
 
 
-def norms_of_temporaries(source: str) -> list[tuple[int, str]]:
-    """(line, owner) of every ``sobolev_norm``/``sobolev_norms`` call in
-    ``source`` whose field is a subtraction or a ``SpectralField(...)``
-    built in the call, as ``owned_matches`` gives it."""
-    return owned_matches(source, _norm_of_a_temporary)
+# rule -> (matcher of one site, the sorted (module, owner) of every site
+# the package may hold, one site each)
+SITES = {
+    # numpy's FFT module, used or imported: the one forward FFT, the
+    # inverse transform and the grid's mode axis
+    "numpy.fft": (_uses_numpy_fft, [
+        ("spectral.py", "TorusGrid.__init__"),
+        ("spectral.py", "scaled_fft"),
+        ("spectral.py", "to_values"),
+    ]),
+    # the overflow bound, bare or as an attribute: the one guard of the
+    # flows and the one of the Wick exponential read it, and the error's
+    # message names it
+    "OVERFLOW_EXPONENT": (
+        lambda node: _name(node) == "OVERFLOW_EXPONENT" and isinstance(node.ctx, ast.Load),
+        [
+            ("dynamics.py", "_guarded"),
+            ("wick.py", "WickOverflowError.__init__"),
+            ("wick.py", "wick_exp_values"),
+        ],
+    ),
+    # the same two guards raise the overflow error
+    "raise WickOverflowError": (_raises("WickOverflowError"), [
+        ("dynamics.py", "_guarded"),
+        ("wick.py", "wick_exp_values"),
+    ]),
+    # a lost finiteness fails its guard as an overflow, never bare
+    "raise FloatingPointError": (_raises("FloatingPointError"), []),
+    # the norm kernel takes a difference through ``minus`` and a block
+    # stack as one bare array, so no norm is handed a subtraction or a
+    # field wrapped around an array for the call
+    "norm of a temporary": (_norm_of_a_temporary, []),
+    # the one Wick exponential and the two flows' exponentials of grid
+    # values that no cutoff projects
+    "scaled_exp": (_calls("scaled_exp"), [
+        ("dynamics.py", "_full_flow"),
+        ("dynamics.py", "_shifted_flow"),
+        ("wick.py", "wick_exp"),
+    ]),
+    # the flows' one exponential-Euler step applies the heat multiplier;
+    # the OU chain and a stored path's increments decay by the same one
+    "heat_multiplier": (_calls("heat_multiplier"), [
+        ("dynamics.py", "_mild_step"),
+        ("dynamics.py", "_ou_increments"),
+        ("randomfields.py", "ou_chain"),
+    ]),
+    # the step transforms the drift's forcing; the field constructor and
+    # the Wick gaps of one replica are the forward transform's other callers
+    "to_coeffs": (_calls("to_coeffs"), [
+        ("dynamics.py", "_mild_step"),
+        ("experiments.py", "cmd_wick_converge.one"),
+        ("spectral.py", "to_spectral"),
+    ]),
+}
 
 
-def test_scan_finds_a_norm_of_a_temporary():
-    source = (
+def sites(source: str, rules=SITES) -> list[tuple[int, str, str]]:
+    """(line, owner, rule) of every site in ``source`` that a rule of
+    ``rules`` matches, owners as ``owned_matches`` gives them, in line
+    order."""
+    return sorted(
+        (line, owner, rule)
+        for rule, (match, _) in rules.items()
+        for line, owner in owned_matches(source, match)
+    )
+
+
+# sources with sites where the rules allow none, and every site each holds
+STRAYS = {
+    "numpy.fft": (
+        "import numpy as np\n"
+        "from numpy.fft import rfft\n"
+        "class G:\n    def __init__(self):\n        self.k = np.fft.fftfreq(4)\n"
+        "def f(x):\n    return numpy.fft.ifft(x)\n"
+        "def g(x):\n    fft = np.fft\n    return fft.fft(x)\n"
+        "def h(x):\n    from numpy import fft\n    return np.sum(x)\n",
+        [(2, "<module>", "numpy.fft"), (5, "G.__init__", "numpy.fft"), (7, "f", "numpy.fft"),
+         (9, "g", "numpy.fft"), (12, "h", "numpy.fft")],
+    ),
+    "guard": (
+        "OVERFLOW_EXPONENT = 700.0\n"
+        "def _guarded(peaks):\n"
+        "    if peaks > OVERFLOW_EXPONENT:\n        raise WickOverflowError(peaks)\n"
+        "class Flow:\n    def step(self, x):\n"
+        "        if x > wick.OVERFLOW_EXPONENT:\n            raise FloatingPointError('lost')\n"
+        "def f():\n    raise wick.WickOverflowError\n"
+        "def g():\n    raise ValueError(OVERFLOW)\n",
+        [
+            (3, "_guarded", "OVERFLOW_EXPONENT"),
+            (4, "_guarded", "raise WickOverflowError"),
+            (7, "Flow.step", "OVERFLOW_EXPONENT"),
+            (8, "Flow.step", "raise FloatingPointError"),
+            (10, "f", "raise WickOverflowError"),
+        ],
+    ),
+    "norm": (
         "def f(a, b):\n    return sobolev_norm(a - b, 0.0)\n"
         "def g(grid, c):\n    return spectral.sobolev_norm(SpectralField(grid, c), -1.0)\n"
         "class K:\n    def h(self, a, b, grid):\n"
@@ -498,107 +486,45 @@ def test_scan_finds_a_norm_of_a_temporary():
         "    sobolev_norms(a, grid, (0.0,), minus=b)\n"
         "    sobolev_norms(field.coeffs * w, grid, (0.0,))\n"
         "    sobolev_norm(a + b, 0.5)\n"
-        "    sobolev_norm(field, 0.5) - sobolev_norm(field, 0.0)\n"
-    )
-    assert norms_of_temporaries(source) == [(2, "f"), (4, "g"), (7, "K.h")]
-
-
-def test_every_norm_reduces_through_the_kernel():
-    found = [
-        f"{path.name}:{line}: {owner}"
-        for path in PACKAGE
-        for line, owner in norms_of_temporaries(path.read_text())
-    ]
-    assert found == []
-
-
-# the one Wick exponential and the two flows' exponentials of grid values
-# that no cutoff projects call scaled_exp, once each
-SCALED_EXP_CALLERS = [
-    ("dynamics.py", "_full_flow"),
-    ("dynamics.py", "_shifted_flow"),
-    ("wick.py", "wick_exp"),
-]
-
-
-def _calls(name: str):
-    def match(node) -> bool:
-        return isinstance(node, ast.Call) and _name(node.func) == name
-
-    return match
-
-
-def scaled_exp_calls(source: str) -> list[tuple[int, str]]:
-    """(line, owner) of every call of ``scaled_exp``, bare or as an
-    attribute, in ``source``, as ``owned_matches`` gives it."""
-    return owned_matches(source, _calls("scaled_exp"))
-
-
-def test_scan_finds_a_stray_scaled_exp():
-    source = (
+        "    sobolev_norm(field, 0.5) - sobolev_norm(field, 0.0)\n",
+        [(2, "f", "norm of a temporary"), (4, "g", "norm of a temporary"),
+         (7, "K.h", "norm of a temporary")],
+    ),
+    "scaled_exp": (
         "def wick_exp(c):\n    return scaled_exp(to_values(c), 1.0, 0.0)\n"
         "class Flow:\n    def step(self, v):\n"
         "        scaled_exp(v, 1.0, 0.0)\n        return wick.scaled_exp(v, 2.0, 0.0)\n"
-        "def ok(v):\n    return wick_exp(v), scaled_exp\n"
-    )
-    assert scaled_exp_calls(source) == [(2, "wick_exp"), (5, "Flow.step"), (6, "Flow.step")]
-
-
-def test_one_wick_exponential():
-    found = sorted(
-        (path.name, owner) for path in PACKAGE for _, owner in scaled_exp_calls(path.read_text())
-    )
-    assert found == SCALED_EXP_CALLERS
-
-
-# the flows' one exponential-Euler step applies the heat multiplier and
-# transforms the drift's forcing; the OU chain and a stored path's
-# increments decay by the same multiplier, and the forward transform's
-# other callers are the field constructor and the Wick gaps of one replica
-STEP_CALLERS = {
-    "heat_multiplier": {
-        ("dynamics.py", "_mild_step"),
-        ("dynamics.py", "_ou_increments"),
-        ("randomfields.py", "ou_chain"),
-    },
-    "to_coeffs": {
-        ("dynamics.py", "_mild_step"),
-        ("experiments.py", "cmd_wick_converge.one"),
-        ("spectral.py", "to_spectral"),
-    },
-}
-
-
-def step_calls(source: str) -> list[tuple[int, str, str]]:
-    """(line, owner, name) of every call of a name in ``STEP_CALLERS``,
-    bare or as an attribute, in ``source``, in line order."""
-    return sorted(
-        (line, owner, name)
-        for name in STEP_CALLERS
-        for line, owner in owned_matches(source, _calls(name))
-    )
-
-
-def test_scan_finds_a_stray_step():
-    source = (
+        "def ok(v):\n    return wick_exp(v), scaled_exp\n",
+        [(2, "wick_exp", "scaled_exp"), (5, "Flow.step", "scaled_exp"),
+         (6, "Flow.step", "scaled_exp")],
+    ),
+    "step": (
         "def _mild_step(state, forcing, grid, dt, spec):\n"
         "    state -= to_coeffs(forcing, grid, out=spec)\n"
         "    state *= heat_multiplier(grid, dt)\n"
         "class Flow:\n    def step(self, state, grid):\n"
         "        state *= spectral.heat_multiplier(grid, 0.1)\n"
-        "def f(v, grid):\n    return to_coeffs(v, grid), heat_multiplier\n"
-    )
-    assert step_calls(source) == [
-        (2, "_mild_step", "to_coeffs"),
-        (3, "_mild_step", "heat_multiplier"),
-        (6, "Flow.step", "heat_multiplier"),
-        (8, "f", "to_coeffs"),
+        "def f(v, grid):\n    return to_coeffs(v, grid), heat_multiplier\n",
+        [
+            (2, "_mild_step", "to_coeffs"),
+            (3, "_mild_step", "heat_multiplier"),
+            (6, "Flow.step", "heat_multiplier"),
+            (8, "f", "to_coeffs"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("source, expected", STRAYS.values(), ids=STRAYS)
+def test_scan_finds_stray_sites(source, expected):
+    assert sites(source) == expected
+
+
+@pytest.mark.parametrize("rule", SITES)
+def test_sites_of_each_rule(rule):
+    found = [
+        (path.name, owner)
+        for path in PACKAGE
+        for _, owner, _ in sites(path.read_text(), {rule: SITES[rule]})
     ]
-
-
-def test_one_mild_step():
-    found = {name: set() for name in STEP_CALLERS}
-    for path in PACKAGE:
-        for _, owner, name in step_calls(path.read_text()):
-            found[name].add((path.name, owner))
-    assert found == STEP_CALLERS
+    assert sorted(found) == SITES[rule][1]
