@@ -20,19 +20,24 @@ Unknown keys, a key given twice, unparsable values and violated ranges
 raise ConfigError, which the command line maps to exit code 3.
 Command-line flags override the file's keys.
 
-``ExperimentConfig`` checks its values when it is built: the float keys
-are finite, ``tilt`` is ``auto``, ``none`` or a finite number,
-``replicas`` and ``samples`` are at least 1, ``seed`` fits in 64 bits and
-``eps`` is positive.  So a config built in code is held to them as a
-parsed one is.  Parsing also builds the grid and solver once, so a
-grid, step or level they cannot hold fails there; a config built in code
-meets that at its command.
+One table, ``_SCHEMA``, holds each key's rule: the field it sets, the
+field's type and its range.  A file's text and a value given in code
+pass through the same rule, so ``ExperimentConfig`` holds what parsing
+would: an integer field takes an int (``int(text, 0)`` from a file) and
+refuses a ``bool`` or a float, a float field holds ``float(x)``, which
+must be finite, ``tilt`` is ``auto``, ``none`` or such a float,
+``replicas`` and ``samples`` are at least 1, ``seed`` fits in 64 bits
+and ``eps`` is positive.  So ``horizon=1`` and ``horizon = 1.0`` are one
+config with one echo.  Parsing also builds the grid and solver once, so
+a grid, step or level they cannot hold fails there; a config built in
+code meets that at its command.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,21 +76,8 @@ class ExperimentConfig:
     eps: float = 0.125
 
     def __post_init__(self):
-        for name in ("horizon", "dt", "alpha", "beta", "eps"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        if self.tilt not in ("auto", "none") and (
-            isinstance(self.tilt, str) or not math.isfinite(self.tilt)
-        ):
-            raise ConfigError("tilt must be 'auto', 'none' or a finite number")
-        if self.replicas < 1:
-            raise ConfigError("replicas must be positive")
-        if self.samples < 1:
-            raise ConfigError("samples must be positive")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError("seed must fit in 64 bits")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
+        for key, (name, *_) in _SCHEMA.items():
+            object.__setattr__(self, name, _typed(key, getattr(self, name)))
 
     def build_grid(self) -> TorusGrid:
         try:
@@ -129,41 +121,47 @@ class ExperimentConfig:
         return {**dataclasses.asdict(self), **_RETIRED}
 
 
-# key -> (attribute, converter)
-def _to_int(v: str) -> int:
-    return int(v, 0)
-
-
-def _to_float(v: str) -> float:
-    x = float(v)
-    if not math.isfinite(x):
-        raise ValueError("must be finite")
-    return x
-
-
-def _to_tilt(v: str) -> float | str:
-    if v in ("auto", "none"):
-        return v
-    try:
-        return _to_float(v)
-    except ValueError as e:
-        raise ValueError("must be 'auto', 'none' or a finite number") from e
-
-
+# file key -> (field, type, range check, what the check asks)
 _SCHEMA = {
-    "grid.M": ("modes", _to_int),
-    "sqe.T": ("horizon", _to_float),
-    "sqe.dt": ("dt", _to_float),
-    "wick.alpha": ("alpha", _to_float),
-    "wick.N": ("level", _to_int),
-    "wick.beta": ("beta", _to_float),
-    "cutoff.kind": ("cutoff_kind", str),
-    "seed": ("seed", _to_int),
-    "replicas": ("replicas", _to_int),
-    "samples": ("samples", _to_int),
-    "tilt": ("tilt", _to_tilt),
-    "eps": ("eps", _to_float),
+    "grid.M": ("modes", int, None, None),
+    "sqe.T": ("horizon", float, None, None),
+    "sqe.dt": ("dt", float, None, None),
+    "wick.alpha": ("alpha", float, None, None),
+    "wick.N": ("level", int, None, None),
+    "wick.beta": ("beta", float, None, None),
+    "cutoff.kind": ("cutoff_kind", str, None, None),
+    "seed": ("seed", int, lambda n: 0 <= n < 2**64, "must fit in 64 bits"),
+    "replicas": ("replicas", int, lambda n: n >= 1, "must be positive"),
+    "samples": ("samples", int, lambda n: n >= 1, "must be positive"),
+    "tilt": ("tilt", "tilt", None, None),
+    "eps": ("eps", float, lambda x: x > 0, "must be positive"),
 }
+# type -> what a value of it must be
+_MUST_BE = {int: "an integer", float: "finite", str: "a string",
+            "tilt": "'auto', 'none' or a finite number"}
+
+
+def _typed(key: str, value):
+    """The value that ``key``'s field holds for ``value``, which is the
+    key's text in a config file or a value given in code; raises
+    ConfigError naming the field and the rule it breaks."""
+    name, kind, in_range, asks = _SCHEMA[key]
+    if kind == "tilt" and value in ("auto", "none"):
+        return value
+    try:
+        if isinstance(value, bool) or (kind is str and not isinstance(value, str)):
+            raise TypeError(value)
+        if kind is int:
+            value = int(value, 0) if isinstance(value, str) else operator.index(value)
+        elif kind is not str:
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{name} must be {_MUST_BE[kind]}") from e
+    if in_range and not in_range(value):
+        raise ConfigError(f"{name} {asks}")
+    return value
 
 
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -187,10 +185,9 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
                 f"line {lineno}: key {key!r} given twice (lines {seen[key]} and {lineno})"
             )
         seen[key] = lineno
-        attr, conv = _SCHEMA[key]
         try:
-            values[attr] = conv(val)
-        except ValueError as e:
+            values[_SCHEMA[key][0]] = _typed(key, val)
+        except ConfigError as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r} ({e})") from e
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})

@@ -145,8 +145,8 @@ class SqeConfig:
     params: WickParams
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if not (0 < self.dt <= self.horizon):
             raise ValueError("need 0 < dt <= horizon")
         if self.dt * 4.0**self.params.level > STABILITY_CAP:

@@ -197,7 +197,8 @@ def sample_ensemble(
 
     tilt='auto' applies the constant-mode proposal shift from
     ``mode0_tilt_mean``; tilt='none' (or 0.0) uses the plain free field;
-    a float uses that shift directly.  Weights compensate the shift
+    a finite float uses that shift directly, and any other tilt raises
+    ValueError before a draw.  Weights compensate the shift
     exactly, so all choices estimate the same measure.
 
     Proposal i draws its white noise from ``stream.child("proposal")``'s
@@ -215,8 +216,8 @@ def sample_ensemble(
         m = mode0_tilt_mean(params.alpha)
     elif tilt == "none":
         m = 0.0
-    elif isinstance(tilt, str):
-        raise ValueError(f"tilt must be 'auto', 'none' or a float, got {tilt!r}")
+    elif isinstance(tilt, str) or not math.isfinite(tilt):
+        raise ValueError(f"tilt must be 'auto', 'none' or a finite float, got {tilt!r}")
     else:
         m = float(tilt)
 

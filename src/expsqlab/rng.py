@@ -31,6 +31,9 @@ class RngStream:
     purpose: str = "main"
 
     def __post_init__(self):
+        # runs on every child and for_replica, so one cheap test
+        if type(self.seed) is not int or type(self.replica) is not int:
+            raise TypeError("seed and replica must be integers (int, not bool)")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit nonnegative integer")
         if self.replica < 0:

@@ -336,6 +336,6 @@ def heat_multiplier(grid: TorusGrid, t: float) -> np.ndarray:
 
 def heat_semigroup(field: SpectralField, t: float) -> SpectralField:
     """exp(t*(Lap - 1)/2): multiplies coeff(k) by exp(-(1+|k|^2) t / 2)."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
     return SpectralField(field.grid, _heat_symbol(field.grid, float(t)) * field.coeffs)

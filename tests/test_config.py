@@ -121,6 +121,10 @@ OUT_OF_RANGE = [
     ("beta", math.nan, "beta must be finite"),
     ("tilt", "bogus", "tilt must be 'auto', 'none' or a finite number"),
     ("tilt", math.nan, "tilt must be 'auto', 'none' or a finite number"),
+    ("replicas", True, "replicas must be an integer"),
+    ("replicas", 2.0, "replicas must be an integer"),
+    ("modes", 32.0, "modes must be an integer"),
+    ("seed", 1.0, "seed must be an integer"),
 ]
 
 
@@ -132,6 +136,18 @@ def test_configs_built_in_code_are_range_checked(command):
     for field, value, message in OUT_OF_RANGE:
         with pytest.raises(ConfigError, match=message):
             COMMANDS[command](ExperimentConfig(**{**SMALL, field: value}))
+
+
+@pytest.mark.parametrize("field", ["horizon", "dt", "alpha", "beta", "eps", "tilt"])
+def test_one_config_however_a_number_is_written(field):
+    # a config built in code holds float(x), as a parsed one does, so an
+    # int and a float spelling echo the same config and body
+    as_int, as_float = (ExperimentConfig(**{**SMALL, field: x}) for x in (1, 1.0))
+    assert isinstance(getattr(as_int, field), float)
+    # repr, not ==: 1 == 1.0, but the echo writes them apart
+    assert repr(as_int.as_dict()) == repr(as_float.as_dict())
+    norms_bench = COMMANDS["norms-bench"]
+    assert norms_bench(as_int).body_digest() == norms_bench(as_float).body_digest()
 
 
 def test_builders(grid32):

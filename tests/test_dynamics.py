@@ -266,6 +266,9 @@ def test_config_validation(grid32):
     params = _params(grid32, level=2)
     with pytest.raises(ValueError):
         SqeConfig(horizon=0.0, dt=0.1, params=params)
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        # refused when built, not later as an OverflowError from n_steps
+        SqeConfig(horizon=np.inf, dt=0.25, params=params)
     with pytest.raises(ValueError):
         SqeConfig(horizon=1.0, dt=2.0, params=params)
     with pytest.raises(ValueError):

@@ -109,6 +109,11 @@ def test_sample_ensemble_validation(grid32, stream):
         sample_ensemble(grid32, params, 0, stream)
     with pytest.raises(ValueError):
         sample_ensemble(grid32, params, 5, stream, tilt="bogus")
+    # a non-finite tilt is refused on the call, not by an overflow or a
+    # degenerate weight after the draws
+    for tilt in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tilt must be 'auto', 'none' or a finite float"):
+            sample_ensemble(grid32, params, 5, stream, tilt=tilt)
 
 
 def test_weighted_ensemble_invariants(grid32, stream):

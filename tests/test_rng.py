@@ -62,3 +62,10 @@ def test_seed_validation():
         RngStream(2**64)
     with pytest.raises(ValueError):
         RngStream(3, replica=-2)
+    # True would draw as seed 1, and a float fails inside SeedSequence
+    for bad in (dict(seed=True), dict(seed=2.0), dict(seed=3, replica=False),
+                dict(seed=3, replica=1.0)):
+        with pytest.raises(TypeError, match="must be integers"):
+            RngStream(**bad)
+    with pytest.raises(TypeError, match="must be integers"):
+        RngStream(3).for_replica(np.float64(2.0))

@@ -191,6 +191,8 @@ def test_heat_semigroup_identity_and_law(grid32, stream):
     assert np.abs(a.coeffs - b.coeffs).max() < 1e-12
     with pytest.raises(ValueError):
         heat_semigroup(f, -0.1)
+    with pytest.raises(ValueError, match="must be nonnegative, got nan"):
+        heat_semigroup(f, math.nan)
 
 
 def test_heat_semigroup_caches_nothing(stream):
