@@ -18,7 +18,8 @@ comment.  Keys are dotted by concern:
 
 Unknown keys, a key given twice, unparsable values and violated ranges
 raise ConfigError, which the command line maps to exit code 3.
-Command-line flags override the file's keys.
+Command-line flags override the file's keys; an override that names no
+field is a ConfigError too.
 
 One table, ``_SCHEMA``, holds each key's rule: the field it sets, the
 field's type and its range.  A file's text and a value given in code
@@ -29,8 +30,11 @@ must be finite, ``tilt`` is ``auto``, ``none`` or such a float,
 ``replicas`` and ``samples`` are at least 1, ``seed`` fits in 64 bits
 and ``eps`` is positive.  So ``horizon=1`` and ``horizon = 1.0`` are one
 config with one echo.  Parsing also builds the grid and solver once, so
-a grid, step or level they cannot hold fails there; a config built in
-code meets that at its command.
+a grid, a step that does not divide the horizon or a level they cannot
+hold fails there; a config built in code meets that when its command
+builds them, before any draw.  Each ``build_*`` method raises what its
+constructor refuses (a ValueError) as a ConfigError through one helper,
+``_built``.
 """
 
 from __future__ import annotations
@@ -80,42 +84,29 @@ class ExperimentConfig:
             object.__setattr__(self, name, _typed(key, getattr(self, name)))
 
     def build_grid(self) -> TorusGrid:
-        try:
-            return TorusGrid(self.modes)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return _built(TorusGrid, self.modes)
 
     def build_psi(self) -> CutoffProfile:
-        try:
-            return CutoffProfile(self.cutoff_kind)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return _built(CutoffProfile, self.cutoff_kind)
 
     def build_params(self, grid: TorusGrid | None = None, level: int | None = None) -> WickParams:
         """Wick parameters at cutoff ``level`` (default wick.N) on ``grid``
         (default the configured one); a level the grid cannot hold raises
         ConfigError."""
         grid = grid or self.build_grid()
-        try:
-            return make_wick_params(
-                self.alpha, self.level if level is None else level, self.build_psi(), grid,
-                beta=self.beta if self.beta > 0 else None,
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return _built(
+            make_wick_params,
+            self.alpha, self.level if level is None else level, self.build_psi(), grid,
+            beta=self.beta if self.beta > 0 else None,
+        )
 
     def build_sqe(self, grid: TorusGrid | None = None, level: int | None = None) -> SqeConfig:
         """Solver config at cutoff ``level`` (default wick.N): the configured
         horizon and step with ``build_params(grid, level)``."""
         grid = grid or self.build_grid()
-        try:
-            return SqeConfig(
-                horizon=self.horizon,
-                dt=self.dt,
-                params=self.build_params(grid, level),
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return _built(
+            SqeConfig, horizon=self.horizon, dt=self.dt, params=self.build_params(grid, level)
+        )
 
     def as_dict(self) -> dict:
         return {**dataclasses.asdict(self), **_RETIRED}
@@ -189,8 +180,12 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             values[_SCHEMA[key][0]] = _typed(key, val)
         except ConfigError as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r} ({e})") from e
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
+    fields = sorted(name for name, *_ in _SCHEMA.values())
+    for name, value in (overrides or {}).items():
+        if name not in fields:
+            raise ConfigError(f"unknown override {name!r} (known: {', '.join(fields)})")
+        if value is not None:
+            values[name] = value
     cfg = ExperimentConfig(**values)
     _validate(cfg)
     return cfg
@@ -209,9 +204,14 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
     return parse_config(text, overrides)
 
 
-def _validate(cfg: ExperimentConfig):
-    # construct everything once so schema-level errors surface as exit 3
+def _built(build, *args, **kw):
+    """``build(*args, **kw)``, its ValueError raised as a ConfigError."""
     try:
-        cfg.build_sqe().n_steps()
+        return build(*args, **kw)
     except ValueError as e:
         raise ConfigError(str(e)) from e
+
+
+def _validate(cfg: ExperimentConfig):
+    # construct everything once so schema-level errors surface as exit 3
+    cfg.build_sqe()

@@ -138,7 +138,9 @@ class SqeConfig:
     """Solver configuration: horizon T, step dt and the Wick parameters,
     which carry the cutoff profile (``params.psi``), so the drift's shift
     and its projection come from one cutoff.  It names no equation: the
-    solver called does."""
+    solver called does.  It is refused when built (ValueError) unless
+    the horizon is positive, finite and an integer multiple of dt, and
+    dt * 4^N is within the stability cap, so ``n_steps`` cannot fail."""
 
     horizon: float
     dt: float
@@ -154,12 +156,11 @@ class SqeConfig:
                 f"dt * 2^(2N) = {self.dt * 4.0 ** self.params.level:.3g} exceeds the "
                 f"stability cap {STABILITY_CAP}"
             )
+        if abs(self.n_steps() * self.dt - self.horizon) > 1e-9 * self.horizon:
+            raise ValueError("horizon must be an integer multiple of dt")
 
     def n_steps(self) -> int:
-        n = round(self.horizon / self.dt)
-        if abs(n * self.dt - self.horizon) > 1e-9 * self.horizon:
-            raise ValueError("horizon must be an integer multiple of dt")
-        return int(n)
+        return round(self.horizon / self.dt)
 
 
 def time_grid(config: SqeConfig) -> np.ndarray:

@@ -1,12 +1,16 @@
 """Experiment drivers behind the command-line subcommands.
 
-Each cmd_* is the body of one command: it computes its result and
-returns ``(body, exit_code, counts)``, the counts (``_counts``) worked
-out from the run's shape.  The decorator ``_driver(command)`` turns that
-into the public ``cmd_*(cfg, out_dir=None, threads=1)``, which returns
-an ExperimentReport, and records it in ``COMMANDS`` under the command's
-name, the table the command line is built from.  It starts the wall
-clock, maps a numeric failure to its body (``WickOverflowError`` to
+Each cmd_* is the body of one command: it takes ``(cfg, grid, stream,
+out_dir, threads)`` and returns ``(body, counts)``, the counts
+(``_counts``) worked out from the run's shape.  The decorator
+``_driver(command)`` turns that into the public ``cmd_*(cfg,
+out_dir=None, threads=1)``, which returns an ExperimentReport, and
+records it in ``COMMANDS`` under the command's name, the table the
+command line is built from.  The driver is the one place that builds a
+run's grid (``cfg.build_grid()``) and its root stream
+(``RngStream(cfg.seed, purpose=command)``, named after the command), and
+the one place that chooses the exit code.  It starts the wall clock,
+maps a numeric failure to its body (``WickOverflowError`` to
 ``{"overflow_exponent": x}``, ``DegenerateEnsembleError`` to
 ``{"error": msg}``, both exit 4), builds the one report, records
 ``timing["wall_s"]`` and ``timing["counts"]`` (none after a numeric
@@ -14,8 +18,9 @@ failure) and writes ``report.json`` into ``out_dir`` when one is given.
 A ConfigError, ``threads < 1`` included, propagates: no report is built
 or written.  Exit codes:
 
-    0  ran and passed its built-in checks (or is purely informational)
-    2  ran but a convergence / invariance check failed
+    0  ran, and its body's ``passed`` is not False (sqe has none)
+    2  ran, and its body's ``passed`` is False: a convergence,
+       moment, norm or invariance check failed
     3  configuration error (raised as ConfigError, mapped by the CLI)
     4  numeric guard tripped (overflow, degenerate ensemble)
 
@@ -37,7 +42,6 @@ level gaps from a level stack without forming the differences
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -106,20 +110,25 @@ def _counts(grid, fft_calls, transforms, generators, draws, steps=0, field_steps
 
 
 def _driver(command: str):
-    """Make a driver body ``(cfg, out_dir, threads) -> (body, exit_code, counts)``
-    into the command's ``cmd_*``, which returns its ExperimentReport, and
-    record that in ``COMMANDS`` (see the module docstring)."""
+    """Make a driver body ``(cfg, grid, stream, out_dir, threads) -> (body,
+    counts)`` into the command's ``cmd_*(cfg, out_dir=None, threads=1)``,
+    which returns its ExperimentReport, and record that in ``COMMANDS``
+    (see the module docstring).  ``cmd_*`` builds the body's grid and its
+    stream, named after the command, and chooses the exit code: 2 when
+    the body's ``passed`` is False, 4 on a numeric failure, else 0."""
 
     def decorate(run):
-        @functools.wraps(run)
         def cmd(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> ExperimentReport:
             if threads < 1:
                 raise ConfigError(f"threads must be at least 1, got {threads}")
             started = time.perf_counter()
+            grid = cfg.build_grid()
+            stream = RngStream(cfg.seed, purpose=command)
             timing = {}
             try:
                 # a numeric failure leaves no counts
-                body, exit_code, timing["counts"] = run(cfg, out_dir, threads)
+                body, timing["counts"] = run(cfg, grid, stream, out_dir, threads)
+                exit_code = EXIT_CHECK_FAILED if body.get("passed") is False else EXIT_OK
             except WickOverflowError as e:
                 body, exit_code = {"overflow_exponent": e.max_exponent}, EXIT_NUMERIC
             except DegenerateEnsembleError as e:
@@ -130,6 +139,9 @@ def _driver(command: str):
                 write_report(report, out_dir)
             return report
 
+        # the body's name and help text; the signature stays cmd's own
+        for attr in ("__name__", "__qualname__", "__doc__"):
+            setattr(cmd, attr, getattr(run, attr))
         COMMANDS[command] = cmd
         return cmd
 
@@ -137,7 +149,7 @@ def _driver(command: str):
 
 
 @_driver("sample-gff")
-def cmd_sample_gff(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
+def cmd_sample_gff(cfg, grid, stream, out_dir, threads):
     """Draw free-field samples, check their negative-order Sobolev energy
     against the exact mode sum, and optionally dump the coefficients.
 
@@ -148,8 +160,6 @@ def cmd_sample_gff(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     block: a yielded block is a view that the next block overwrites, so
     its consumer must be done with it before pulling the next (as
     ``save_fields`` is).  ``threads`` is ignored."""
-    grid = cfg.build_grid()
-    stream = RngStream(cfg.seed, purpose="sample-gff")
     s = -cfg.eps
     sq_norms = np.empty(cfg.samples)
     mode0 = np.empty(cfg.samples)
@@ -176,7 +186,6 @@ def cmd_sample_gff(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     se = sq_norms.std(ddof=1) / math.sqrt(len(sq_norms)) if len(sq_norms) > 1 else float("inf")
     z = (sq_norms.mean() - theory) / se if se > 0 else 0.0
 
-    ok = bool(abs(z) <= 4.0)
     # one forward FFT of each block's draws
     counts = _counts(grid, len(ranges), cfg.samples, cfg.samples, cfg.samples)
     return {
@@ -188,17 +197,16 @@ def cmd_sample_gff(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
         "z": float(z),
         "mode0_mean": float(mode0.mean()),
         "mode0_var": float(mode0.var(ddof=1)) if len(mode0) > 1 else 0.0,
-        "passed": ok,
-    }, EXIT_OK if ok else EXIT_CHECK_FAILED, counts
+        "passed": bool(abs(z) <= 4.0),
+    }, counts
 
 
 @_driver("wick-converge")
-def cmd_wick_converge(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
+def cmd_wick_converge(cfg, grid, stream, out_dir, threads):
     """Measure the cutoff-level convergence of the Wick exponential on
     common free-field draws: the negative-order Sobolev gap between
     consecutive levels must decrease at a positive dyadic rate, or vanish
     (every gap is exactly 0 at alpha = 0), and no rate is fitted then."""
-    grid = cfg.build_grid()
     top = min(5, cfg.build_psi().max_level(grid), max(cfg.level, 2))
     if top < 2:
         raise ConfigError(f"need at least levels 1..2; grid M={grid.modes_per_dim} is too small")
@@ -207,7 +215,6 @@ def cmd_wick_converge(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     # cannot hold is a ConfigError here too
     beta = cfg.build_params(grid).beta
     params = [cfg.build_params(grid, n) for n in levels]
-    stream = RngStream(cfg.seed, purpose="wick-converge")
 
     def one(i: int):
         field = gff_sample(grid, stream.for_replica(i))
@@ -221,7 +228,6 @@ def cmd_wick_converge(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
     slope = float(np.polyfit(pairs, np.log2(mean_gaps), 1)[0]) if fitted else 0.0
     rate = -slope
     decreasing = bool(np.all((np.diff(mean_gaps) < 0.0) | (mean_gaps[1:] == 0.0)))
-    ok = decreasing and (rate >= 0.2 or not fitted)
 
     if out_dir is not None:
         rows = [
@@ -241,22 +247,20 @@ def cmd_wick_converge(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
         "mean_gaps": [float(g) for g in mean_gaps],
         "dyadic_rate": rate,
         "decreasing": decreasing,
-        "passed": ok,
-    }, EXIT_OK if ok else EXIT_CHECK_FAILED, counts
+        "passed": decreasing and (rate >= 0.2 or not fitted),
+    }, counts
 
 
 @_driver("sqe")
-def cmd_sqe(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
+def cmd_sqe(cfg, grid, stream, out_dir, threads):
     """Simulate the full equation across cutoff levels 1..wick.N under
     common noise per replica and tabulate norms and level gaps over time."""
     if cfg.level < 1:
         raise ConfigError(f"sqe needs wick.N >= 1, got {cfg.level}")
-    grid = cfg.build_grid()
     configs = [cfg.build_sqe(grid, n) for n in range(1, cfg.level + 1)]
     levels = [c.params.level for c in configs]
     beta = configs[-1].params.beta
     times = time_grid(configs[0])
-    stream = RngStream(cfg.seed, purpose="sqe")
 
     def one(r: int):
         sub = stream.for_replica(r)
@@ -300,17 +304,15 @@ def cmd_sqe(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
         "replicas": cfg.replicas,
         "steps": len(times) - 1,
         "mean_sup_gap_by_level": {str(k): v for k, v in mean_sup_gaps.items()},
-    }, EXIT_OK, counts
+    }, counts
 
 
 @_driver("invariance")
-def cmd_invariance(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
+def cmd_invariance(cfg, grid, stream, out_dir, threads):
     """Sample the level-N measure, evolve resampled draws through the
     projected dynamics, and z-test observable stationarity."""
-    grid = cfg.build_grid()
     sqe_cfg = cfg.build_sqe(grid)
     params = sqe_cfg.params
-    stream = RngStream(cfg.seed, purpose="invariance")
     ensemble = sample_ensemble(grid, params, cfg.samples, stream.child("ensemble"), tilt=cfg.tilt)
     partition = estimate_partition(ensemble)
     obs = standard_observables(params, eps=cfg.eps)
@@ -349,14 +351,12 @@ def cmd_invariance(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
         },
         "max_abs_z": result.max_abs_z,
         "passed": result.passed,
-    }, EXIT_OK if result.passed else EXIT_CHECK_FAILED, counts
+    }, counts
 
 
 @_driver("norms-bench")
-def cmd_norms_bench(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
+def cmd_norms_bench(cfg, grid, stream, out_dir, threads):
     """Compare dyadic-block and Sobolev norms on free-field draws."""
-    grid = cfg.build_grid()
-    stream = RngStream(cfg.seed, purpose="norms-bench")
     orders = [-1.0, -0.5, -0.25]
 
     def one(i: int):
@@ -383,4 +383,4 @@ def cmd_norms_bench(cfg: ExperimentConfig, out_dir=None, threads: int = 1):
         "modes_per_dim": grid.modes_per_dim,
         "besov_over_sobolev": ratio_stats,
         "passed": ok,
-    }, EXIT_OK if ok else EXIT_CHECK_FAILED, _counts(grid, R, R, R, R)
+    }, _counts(grid, R, R, R, R)

@@ -64,10 +64,20 @@ def test_every_traced_target_resolves():
 
 
 def test_every_command_accepts_threads():
-    commands = [name for name in vars(experiments) if name.startswith("cmd_")]
-    assert commands
-    for name in commands:
-        assert "threads" in inspect.signature(getattr(experiments, name)).parameters, name
+    # the benchmark child finds each driver as experiments.cmd_<name> and
+    # calls it as (cfg, out_dir=..., threads=1); the signature is the
+    # public one, not its body's
+    commands = experiments.COMMANDS
+    assert {name for name in vars(experiments) if name.startswith("cmd_")} == {
+        cmd.__name__ for cmd in commands.values()
+    }
+    for command, cmd in commands.items():
+        name = "cmd_" + command.replace("-", "_")
+        assert cmd.__name__ == name and getattr(experiments, name) is cmd
+        params = inspect.signature(cmd).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            ("cfg", inspect.Parameter.empty), ("out_dir", None), ("threads", 1)
+        ], command
 
 
 def test_kernel_backend_is_stamped():

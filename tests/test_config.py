@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from expsqlab import ConfigError, ExperimentConfig, load_config, parse_config
+from expsqlab import ConfigError, ExperimentConfig, RngStream, load_config, parse_config
 from expsqlab.experiments import COMMANDS
 
 GOOD = """
@@ -51,6 +51,15 @@ def test_overrides_win():
     assert cfg.seed == 7
     assert cfg.samples == 111  # None override is "flag not given"
     assert cfg.replicas == 12
+
+
+def test_unknown_override_lists_known():
+    # a misspelt override is refused as a misspelt file key is, naming
+    # the fields it could have meant
+    with pytest.raises(ConfigError, match=r"unknown override 'sed' \(known: .*\bseed\b"):
+        parse_config("", {"sed": 3})
+    with pytest.raises(ConfigError, match="unknown override 'sed'"):
+        parse_config(GOOD, {"sed": None})
 
 
 def test_key_given_twice():
@@ -136,6 +145,22 @@ def test_configs_built_in_code_are_range_checked(command):
     for field, value, message in OUT_OF_RANGE:
         with pytest.raises(ConfigError, match=message):
             COMMANDS[command](ExperimentConfig(**{**SMALL, field: value}))
+
+
+@pytest.mark.parametrize("command", ["sqe", "invariance"])
+def test_a_step_that_does_not_divide_the_horizon_is_refused_before_any_draw(
+    command, monkeypatch
+):
+    # SqeConfig refuses the step when the command builds it, so no
+    # generator is built and the error is a ConfigError, not a bare
+    # ValueError from the flow after the ensemble is drawn
+    def no_draws(stream):
+        raise AssertionError(f"drew from {stream}")
+
+    monkeypatch.setattr(RngStream, "generator", no_draws)
+    cfg = ExperimentConfig(modes=16, level=1, horizon=1.0, dt=0.3, samples=400)
+    with pytest.raises(ConfigError, match="horizon must be an integer multiple of dt"):
+        COMMANDS[command](cfg)
 
 
 @pytest.mark.parametrize("field", ["horizon", "dt", "alpha", "beta", "eps", "tilt"])

@@ -274,9 +274,9 @@ def test_config_validation(grid32):
     with pytest.raises(ValueError):
         # dt * 4^N = 2 * 16 above the stability cap
         SqeConfig(horizon=4.0, dt=2.0, params=params)
-    bad = SqeConfig(horizon=1.0, dt=0.3, params=params)
-    with pytest.raises(ValueError):
-        bad.n_steps()
+    with pytest.raises(ValueError, match="horizon must be an integer multiple of dt"):
+        # refused when built, not later by n_steps
+        SqeConfig(horizon=1.0, dt=0.3, params=params)
     ok = SqeConfig(horizon=1.0, dt=0.25, params=params)
     assert ok.n_steps() == 4
     assert np.array_equal(time_grid(ok), np.array([0.0, 0.25, 0.5, 0.75, 1.0]))

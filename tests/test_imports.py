@@ -428,6 +428,9 @@ SITES = {
         ("dynamics.py", "_ou_increments"),
         ("randomfields.py", "ou_chain"),
     ]),
+    # a run's root stream, named after its command: the driver builds it
+    # and hands it to the command's body
+    "RngStream": (_calls("RngStream"), [("experiments.py", "_driver.decorate.cmd")]),
     # the step transforms the drift's forcing; the field constructor and
     # the Wick gaps of one replica are the forward transform's other callers
     "to_coeffs": (_calls("to_coeffs"), [
@@ -511,6 +514,13 @@ STRAYS = {
             (6, "Flow.step", "heat_multiplier"),
             (8, "f", "to_coeffs"),
         ],
+    ),
+    "RngStream": (
+        "def _driver(command):\n    def decorate(run):\n"
+        "        def cmd(cfg):\n            return run(RngStream(cfg.seed, purpose=command))\n"
+        "def cmd_sqe(cfg, grid):\n    stream = rng.RngStream(cfg.seed, purpose='sqe')\n"
+        "def ok(stream: RngStream):\n    return stream.child('init').for_replica(2)\n",
+        [(4, "_driver.decorate.cmd", "RngStream"), (6, "cmd_sqe", "RngStream")],
     ),
 }
 
